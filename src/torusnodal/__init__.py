@@ -26,17 +26,14 @@ from .eigenbasis import (
     enumerate_modes,
     evaluate,
     random_eigenfunction,
-    read_field_values,
     sample_grid,
     separable_sine_spec,
     sine_mode_spec,
     spec_from_json,
     spec_to_json,
-    write_field,
 )
 from .torus import periodic_distance, wrap_delta, wrap_point
 from .nodal import (
-    NodalSegment,
     NodalSet,
     clip_to_ball,
     extract_nodal,
@@ -83,6 +80,7 @@ from .growth import (
 from .harness import (
     DEFAULT_TOLERANCES,
     TEST_FUNCTIONS,
+    BallTable,
     ChainStep,
     ChainTrace,
     ExperimentPlan,
@@ -91,6 +89,7 @@ from .harness import (
     Theorem1Result,
     Theorem2Result,
     VerificationReport,
+    ball_table,
     check_theorem_1,
     check_theorem_2,
     check_yau_scaling,

@@ -24,7 +24,8 @@ from .eigenbasis import (EigenfunctionSpec, enumerate_modes, random_eigenfunctio
                          sample_grid, spec_from_json, spec_to_json)
 from .errors import EmptySpectrum, TorusNodalError
 from .growth import growth_report
-from .harness import _stage_seed, plan_from_json, report_to_json, run_plan, runs_to_csv
+from .harness import (ExperimentPlan, _stage_seed, plan_from_json, report_to_json, run_plan,
+                      runs_to_csv)
 from .nodal import extract_nodal, nodal_from_csv, nodal_to_csv
 from .svgplot import balls_from_csv, render_svg
 
@@ -38,7 +39,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _default_grid(energy: int) -> int:
-    return max(256, 16 * math.ceil(math.sqrt(energy)))
+    # The plan grid rule at the plan defaults, which the class attributes hold.
+    return ExperimentPlan.grid_for(ExperimentPlan, energy)
 
 
 def _ensure_out(path: str) -> str:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,26 +243,3 @@ def spec_from_json(text: str) -> EigenfunctionSpec:
     if lam is not None and abs(float(lam) - spec.lam) > 1e-9 * max(1.0, spec.lam):
         raise ValueError("serialized lambda inconsistent with energy")
     return spec
-
-
-FIELD_MAGIC_RESERVED = 0
-
-
-def write_field(field: SampledField, path: str) -> None:
-    """Write grid values as row-major little-endian float64 with an 8-byte header."""
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<II", field.resolution, FIELD_MAGIC_RESERVED))
-        fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
-
-
-def read_field_values(path: str) -> np.ndarray:
-    """Read back a field binary; returns the (N, N) value array."""
-    with open(path, "rb") as fh:
-        header = fh.read(8)
-        if len(header) != 8:
-            raise ValueError("field file truncated in header")
-        n, _reserved = struct.unpack("<II", header)
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != n * n:
-        raise ValueError(f"field file holds {data.size} values, expected {n * n}")
-    return data.reshape(n, n).copy()

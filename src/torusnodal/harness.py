@@ -5,6 +5,8 @@ Runs the full pipeline over an ensemble of random eigenfunctions
 evaluates the comparability checks behind the headline claims, and
 folds everything into a deterministic VerificationReport:
 
+* ball_table             L2 mass ratio and clipped nodal pieces of every
+                         cover ball of one run
 * check_yau_scaling      total nodal length vs frequency across energies
 * check_theorem_1        per-ball nodal length vs ball volume, conditional
                          on the ball passing a mass-equidistribution band
@@ -14,6 +16,9 @@ folds everything into a deterministic VerificationReport:
                          per-ball constants to the global bounds, with
                          explicit modulus-of-continuity corrections
 
+Theorem 1, the band fraction and every test function's chain read the
+same BallTable; none of them clips or integrates over a ball itself.
+
 Reports are bit-identical across reruns of the same plan: all seeds are
 derived arithmetically from the plan, all reductions run in plan order,
 and serialization goes through json.dumps with sorted keys.
@@ -21,22 +26,23 @@ and serialization goes through json.dumps with sorted keys.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .ballstats import ScaleFunction, ball_mass_scan, sse_scan
+from .ballstats import BallMassReport, ScaleFunction, ball_mass_scan, sse_scan
 from .covering import BallFamily, build_cover
 from .doubling import DEFAULT_A1, DEFAULT_A2, OUTER_FACTOR, classify_doubling, lower_bound_assembly
-from .eigenbasis import SampledField, random_eigenfunction, sample_grid, sine_mode_spec
+from .eigenbasis import (SampledField, enumerate_modes, random_eigenfunction, sample_grid,
+                         sine_mode_spec)
 from .errors import ChainStepViolated, DivisionByNegligibleMass, EmptySpectrum, NegativeTestFunction
-from .eigenbasis import enumerate_modes
 from .growth import growth_report
-from .nodal import NodalSet, clip_to_ball, extract_nodal, integrate_over_nodal, length_in_ball
+from .nodal import NodalSet, clip_to_ball, extract_nodal, integrate_over_nodal
 from .torus import periodic_distance
 
 
@@ -225,23 +231,8 @@ class ExperimentPlan:
         return ScaleFunction(self.rho)
 
     def to_json(self) -> str:
-        obj = {
-            "energies": list(self.energies),
-            "seeds_per_energy": self.seeds_per_energy,
-            "rho": self.rho,
-            "grid_min": self.grid_min,
-            "grid_per_sqrt_energy": self.grid_per_sqrt_energy,
-            "test_functions": list(self.test_functions),
-            "include_low_energy_control": self.include_low_energy_control,
-            "doubling_a1": self.doubling_a1,
-            "doubling_a2": self.doubling_a2,
-            "growth_delta": self.growth_delta,
-            "svg": self.svg,
-            "base_seed": self.base_seed,
-            "tolerances": {k: list(v) if isinstance(v, tuple) else v
-                           for k, v in self.tolerances.items()},
-        }
-        return json.dumps(obj, sort_keys=True, indent=1)
+        return json.dumps({f: getattr(self, f) for f in self.__dataclass_fields__},
+                          sort_keys=True, indent=1)
 
 
 def plan_from_json(text: str) -> ExperimentPlan:
@@ -267,6 +258,45 @@ def _stage_seed(plan: ExperimentPlan, energy: int, seed: int, stage: int) -> int
 
 
 # ---------------------------------------------------------------------------
+# per-ball table
+
+
+class BallTable(NamedTuple):
+    """Per-ball quantities of one field and nodal set over one cover family.
+
+    ball_table clips every cover ball exactly once; theorem 1, the band
+    fraction and the bound chain of each test function all read from here.
+    The radius and frequency are those of the mass scan, r = scale(lam).
+    """
+
+    family: BallFamily
+    mass: BallMassReport
+    pieces: tuple[tuple[np.ndarray, np.ndarray], ...]  # (piece_len, piece_mid)
+    lengths: np.ndarray
+    nonempty: np.ndarray
+    piece_max: float
+
+
+def ball_table(field: SampledField, nodal: NodalSet, scale: ScaleFunction,
+               family: BallFamily) -> BallTable:
+    """Masses and clipped nodal pieces of every ball B(x, scale(lam)) of family."""
+    r = scale(field.spec_lambda)
+    if abs(family.radius - r) > 1e-12:
+        raise ValueError(f"cover radius {family.radius!r} does not match scale radius {r!r}")
+    if family.count < 1 or family.overlap_max < 1:
+        raise ValueError(
+            f"cover family must have at least one ball and overlap >= 1; "
+            f"got count={family.count} overlap_max={family.overlap_max}")
+    mass = ball_mass_scan(field, r, centers=family.centers)
+    pieces = tuple(clip_to_ball(nodal, c, r)[:2] for c in family.centers)
+    lengths = np.array([float(np.sum(piece_len)) for piece_len, _ in pieces])
+    nonempty = np.array([piece_len.size > 0 for piece_len, _ in pieces])
+    piece_max = max((float(np.max(piece_len)) for piece_len, _ in pieces if piece_len.size),
+                    default=0.0)
+    return BallTable(family, mass, pieces, lengths, nonempty, piece_max)
+
+
+# ---------------------------------------------------------------------------
 # theorem checks
 
 
@@ -281,8 +311,7 @@ class Theorem1Result(NamedTuple):
     excluded: int
 
 
-def check_theorem_1(field: SampledField, nodal: NodalSet, scale: ScaleFunction,
-                    cover_family: BallFamily,
+def check_theorem_1(table: BallTable,
                     inclusion_band: tuple[float, float] = (0.1, 10.0)) -> Theorem1Result:
     """Ratio (1/lam) * nodal length in B(x, r) / Vol(B) over cover centers.
 
@@ -291,16 +320,10 @@ def check_theorem_1(field: SampledField, nodal: NodalSet, scale: ScaleFunction,
     on mass equidistribution at the ball, so off-band balls carry no
     information either way and silently mixing them in would be wrong.
     """
-    lam = field.spec_lambda
-    r = scale(lam)
+    r = table.mass.radius
     vol = math.pi * r * r
-    centers = cover_family.centers
-    mass_ratios = np.empty(centers.shape[0])
-    ratios = np.empty(centers.shape[0])
-    for k, c in enumerate(centers):
-        from .ballstats import mass_in_ball
-        mass_ratios[k] = mass_in_ball(field, c, r) / vol
-        ratios[k] = (length_in_ball(nodal, c, r) / lam) / vol
+    mass_ratios = table.mass.ratios
+    ratios = (table.lengths / table.mass.lam) / vol
     lo, hi = inclusion_band
     keep = (mass_ratios >= lo) & (mass_ratios <= hi)
     included = int(np.sum(keep))
@@ -309,7 +332,7 @@ def check_theorem_1(field: SampledField, nodal: NodalSet, scale: ScaleFunction,
     else:
         e1, e2 = float("nan"), float("nan")
     return Theorem1Result(e1, e2, ratios[keep], mass_ratios,
-                          included, int(centers.shape[0] - included))
+                          included, int(mass_ratios.size - included))
 
 
 class Theorem2Result(NamedTuple):
@@ -441,9 +464,8 @@ def _lattice_gap(half_side: float, points_per_side: int = 9) -> float:
     return (2.0 * half_side / (points_per_side - 1)) * math.sqrt(2.0) / 2.0
 
 
-def replicate_bound_chain(field: SampledField, nodal: NodalSet, scale: ScaleFunction,
-                          tf: TestFunction, family: BallFamily | None = None,
-                          seed: int = 0, raise_on_violation: bool = True) -> ChainTrace:
+def replicate_bound_chain(field: SampledField, nodal: NodalSet, table: BallTable,
+                          tf: TestFunction, raise_on_violation: bool = True) -> ChainTrace:
     """Replicate both inequality chains tying per-ball constants to global bounds.
 
     Lower chain: the nodal integral of f is bounded below through cover
@@ -460,14 +482,8 @@ def replicate_bound_chain(field: SampledField, nodal: NodalSet, scale: ScaleFunc
     if isinstance(tf, str):
         tf = TEST_FUNCTIONS[tf]
     lam = field.spec_lambda
-    r = scale(lam)
-    fam = family if family is not None else build_cover(r, seed)
-    if abs(fam.radius - r) > 1e-12:
-        raise ValueError(f"cover radius {fam.radius!r} does not match scale radius {r!r}")
-    if fam.count < 1 or fam.overlap_max < 1:
-        raise ValueError(
-            f"cover family must have at least one ball and overlap >= 1; "
-            f"got count={fam.count} overlap_max={fam.overlap_max}")
+    r = table.mass.radius
+    fam = table.family
     vol = math.pi * r * r
     n_balls = fam.count
     overlap = fam.overlap_max
@@ -477,25 +493,20 @@ def replicate_bound_chain(field: SampledField, nodal: NodalSet, scale: ScaleFunc
     seg_max = float(np.max(nodal.lengths)) if nodal.count else 0.0
 
     ball_integral = np.zeros(n_balls)
-    ball_length = np.zeros(n_balls)
+    ball_length = table.lengths
     f_min = np.zeros(n_balls)
     f_max = np.zeros(n_balls)
-    nonempty = np.zeros(n_balls, dtype=bool)
-    piece_max = 0.0
-    for k, c in enumerate(fam.centers):
-        piece_len, piece_mid, _ = clip_to_ball(nodal, c, r)
-        if piece_len.size == 0:
-            continue
+    nonempty = table.nonempty
+    piece_max = table.piece_max
+    for k in np.flatnonzero(nonempty):
+        piece_len, piece_mid = table.pieces[k]
         vals = tf(piece_mid)
         if np.min(vals) < -1e-9:
             raise NegativeTestFunction(
                 f"test function {tf.name!r} dips to {float(np.min(vals))!r}")
-        nonempty[k] = True
         ball_integral[k] = float(np.sum(vals * piece_len))
-        ball_length[k] = float(np.sum(piece_len))
         f_min[k] = float(np.min(vals))
         f_max[k] = float(np.max(vals))
-        piece_max = max(piece_max, float(np.max(piece_len)))
 
     # Midpoint-rule error budget for curve integrals: each quadrature node
     # sits within half a piece of every point of its piece.
@@ -700,12 +711,10 @@ def run_single(plan: ExperimentPlan, energy: int, seed: int) -> RunResult:
     scan = sse_scan(field, scale, n_random=100,
                     seed=_stage_seed(plan, energy, seed, 1))
     fam = build_cover(r, _stage_seed(plan, energy, seed, 2))
+    table = ball_table(field, nodal, scale, fam)
     tol = plan.tolerances
-    t1 = check_theorem_1(field, nodal, scale, fam,
-                         inclusion_band=tuple(tol["theorem1_inclusion_band"]))
-    band = tuple(tol["sse_band"])
-    sse_fraction = float(np.mean((t1.mass_ratios >= band[0])
-                                 & (t1.mass_ratios <= band[1])))
+    t1 = check_theorem_1(table, inclusion_band=tuple(tol["theorem1_inclusion_band"]))
+    sse_fraction = table.mass.in_band_fraction(*tol["sse_band"])
     funcs = resolve_test_functions(plan.test_functions)
     t2 = check_theorem_2(field, nodal, funcs)
 
@@ -714,8 +723,7 @@ def run_single(plan: ExperimentPlan, energy: int, seed: int) -> RunResult:
     chain_e1 = None
     chain_e2 = None
     for tf in funcs:
-        trace = replicate_bound_chain(field, nodal, scale, tf, family=fam,
-                                      raise_on_violation=False)
+        trace = replicate_bound_chain(field, nodal, table, tf, raise_on_violation=False)
         chain_ok = chain_ok and trace.ok
         chain_met += int(trace.hypothesis_met)
         chain_e1, chain_e2 = trace.e1_chain, trace.e2_chain
@@ -770,18 +778,15 @@ def control_run(plan: ExperimentPlan) -> dict:
     n = max(plan.grid_for(1), math.ceil(24.0 / r_ref))
     field = sample_grid(spec, n)
     fam = build_cover(r_ref, _stage_seed(plan, 1, 0, 4))
-    vol = math.pi * r_ref * r_ref
-    from .ballstats import mass_in_ball
-    ratios = np.array([mass_in_ball(field, c, r_ref) / vol for c in fam.centers])
-    band = tuple(plan.tolerances["sse_band"])
-    fraction = float(np.mean((ratios >= band[0]) & (ratios <= band[1])))
+    scan = ball_mass_scan(field, r_ref, centers=fam.centers)
+    fraction = scan.in_band_fraction(*plan.tolerances["sse_band"])
     return {
         "energy": 1,
         "grid": n,
         "radius_ref": r_ref,
-        "ball_count": int(ratios.size),
-        "d1": float(np.min(ratios)),
-        "d2": float(np.max(ratios)),
+        "ball_count": scan.count,
+        "d1": scan.d1,
+        "d2": scan.d2,
         "in_band_fraction": fraction,
         "passes_band_gate": bool(fraction >= float(plan.tolerances["sse_min_fraction"])),
     }
@@ -820,17 +825,17 @@ def run_plan(plan: ExperimentPlan, threads: int = 1,
     while the fold stays in plan order, so the report is identical either
     way.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1; got {threads!r}")
     jobs = [(plan, e, s) for e in plan.energies
             for s in range(plan.seeds_per_energy)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            runs = list(pool.map(_run_star, jobs, chunksize=1))
-    else:
-        runs = []
-        for job in jobs:
-            runs.append(_run_star(job))
+    runs = []
+    with (ProcessPoolExecutor(max_workers=threads) if threads > 1
+          else contextlib.nullcontext()) as pool:
+        for run in (pool.map(_run_star, jobs, chunksize=1) if pool else map(_run_star, jobs)):
+            runs.append(run)
             if progress is not None:
-                progress(f"E={job[1]} seed={job[2]} done")
+                progress(f"E={run.energy} seed={run.seed} done")
     control = control_run(plan) if plan.include_low_energy_control else None
     aggregates = _aggregate(plan, runs)
     verdicts = _verdicts(plan, runs, control)
@@ -910,13 +915,15 @@ def _verdicts(plan: ExperimentPlan, runs: list[RunResult],
         ceiling = float(tol["theorem1_ceiling"])
         window = float(tol["theorem1_window"])
         pooled_e1, pooled_e2 = min(e1s), max(e2s)
+        # An in-band ball with no nodal length gives e1 = 0: no finite window.
+        observed = pooled_e2 / pooled_e1 if pooled_e1 > 0.0 else None
         verdicts["theorem1_comparability"] = {
             "pass": bool(all(e > floor for e in e1s)
                          and all(e < ceiling for e in e2s)
-                         and pooled_e2 / pooled_e1 <= window),
+                         and observed is not None and observed <= window),
             "e1_pooled": pooled_e1,
             "e2_pooled": pooled_e2,
-            "window_observed": pooled_e2 / pooled_e1,
+            "window_observed": observed,
             "excluded_balls": int(sum(r.t1_excluded for r in top_runs)),
             "included_balls": int(sum(r.t1_included for r in top_runs)),
         }

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -50,12 +50,6 @@ _SADDLE_CASES: dict[tuple[int, bool], tuple[tuple[int, int], tuple[int, int]]] =
 }
 
 
-class NodalSegment(NamedTuple):
-    a: tuple[float, float]
-    b: tuple[float, float]
-    length: float
-
-
 @dataclass(frozen=True)
 class NodalSet:
     """Segment soup approximating the zero set of a sampled field.
@@ -79,14 +73,6 @@ class NodalSet:
     @property
     def total_length(self) -> float:
         return float(np.sum(self.lengths))
-
-    def segments(self) -> Iterator[NodalSegment]:
-        for k in range(self.count):
-            yield NodalSegment(
-                (float(self.a[k, 0]), float(self.a[k, 1])),
-                (float(self.b[k, 0]), float(self.b[k, 1])),
-                float(self.lengths[k]),
-            )
 
 
 def _edge_points(i, j, n, v00, v10, v11, v01):

@@ -237,6 +237,16 @@ def test_verify_invalid_plans_exit_one(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 1
 
 
+def test_verify_rejects_threads_below_one(tmp_path, capsys):
+    plan_path = write_plan(tmp_path)
+    out_dir = tmp_path / "out"
+    for threads in ("0", "-2"):
+        assert main(["verify", "--plan", plan_path, "--out", str(out_dir),
+                     "--threads", threads]) == 1
+        assert "threads must be at least 1" in capsys.readouterr().err
+    assert not (out_dir / "report.json").exists()
+
+
 # ---------------------------------------------------------------- plot
 
 

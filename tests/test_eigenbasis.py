@@ -11,13 +11,11 @@ from torusnodal.eigenbasis import (
     enumerate_modes,
     evaluate,
     random_eigenfunction,
-    read_field_values,
     sample_grid,
     separable_sine_spec,
     sine_mode_spec,
     spec_from_json,
     spec_to_json,
-    write_field,
 )
 from torusnodal.errors import EmptySpectrum, NonRealValue, ResolutionTooCoarse
 
@@ -186,14 +184,6 @@ def test_spec_json_round_trip(tmp_path):
 def test_spec_json_is_deterministic():
     spec = random_eigenfunction(65, 2)
     assert spec_to_json(spec) == spec_to_json(random_eigenfunction(65, 2))
-
-
-def test_field_binary_round_trip(tmp_path):
-    field = sample_grid(random_eigenfunction(65, 7), 128)
-    path = tmp_path / "field.npy"
-    write_field(field, path)
-    values = read_field_values(path)
-    assert np.array_equal(values, field.values)
 
 
 def test_json_rejects_garbage():

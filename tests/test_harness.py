@@ -14,10 +14,14 @@ from torusnodal.errors import (
     NegativeTestFunction,
 )
 from torusnodal.eigenbasis import sample_grid, sine_mode_spec
+from torusnodal.nodal import length_in_ball
+from torusnodal import harness
 from torusnodal.harness import (
     TEST_FUNCTIONS,
     ExperimentPlan,
     TestFunction,
+    _verdicts,
+    ball_table,
     check_theorem_1,
     check_theorem_2,
     check_yau_scaling,
@@ -55,6 +59,23 @@ DESK_RUN_65_7 = {
     "c9_hat": 1.1288958659882313,
     "strip_sup": 3264.4319277458544,
 }
+
+
+def cover_table(field, nodal, scale, seed=0):
+    """Ball table over the seeded cover at the scale radius."""
+    return ball_table(field, nodal, scale, build_cover(scale(field.spec_lambda), seed))
+
+
+def single_ball_table(field, nodal, scale, center):
+    """Ball table of one ball at the scale radius."""
+    fam = BallFamily(
+        centers=np.array([center]),
+        radius=scale(field.spec_lambda),
+        overlap_max=1,
+        covers=False,
+        probe_resolution=512,
+    )
+    return ball_table(field, nodal, scale, fam)
 
 
 # ---------------------------------------------------------------- registry
@@ -175,14 +196,7 @@ def test_theorem1_single_mode_closed_form():
     from torusnodal.nodal import extract_nodal
 
     nodal = extract_nodal(field)
-    fam = BallFamily(
-        centers=np.array([[0.5, 0.3]]),
-        radius=0.1,  # unused by the check; the scale sets the radius
-        overlap_max=1,
-        covers=False,
-        probe_resolution=512,
-    )
-    t1 = check_theorem_1(field, nodal, ScaleFunction(0.5), fam)
+    t1 = check_theorem_1(single_ball_table(field, nodal, ScaleFunction(0.5), (0.5, 0.3)))
     expect = 4.0 * (2 * math.pi) ** -1.5
     assert t1.e1_hat == pytest.approx(expect, rel=1e-9)
     assert t1.e2_hat == pytest.approx(expect, rel=1e-9)
@@ -201,15 +215,9 @@ def test_theorem1_exclusion_band():
     from torusnodal.nodal import extract_nodal
 
     nodal = extract_nodal(field)
-    fam = BallFamily(
-        centers=np.array([[0.5, 0.3]]),
-        radius=0.1,
-        overlap_max=1,
-        covers=False,
-        probe_resolution=512,
-    )
     t1 = check_theorem_1(
-        field, nodal, ScaleFunction(0.5), fam, inclusion_band=(0.99, 1.01)
+        single_ball_table(field, nodal, ScaleFunction(0.5), (0.5, 0.3)),
+        inclusion_band=(0.99, 1.01),
     )
     assert t1.included == 0 and t1.excluded == 1
     assert math.isnan(t1.e1_hat) and math.isnan(t1.e2_hat)
@@ -273,7 +281,8 @@ def test_yau_scaling_gate_logic():
 
 def test_chain_regression_against_baseline(e65_field, e65_nodal, half_scale):
     frozen = BASELINE["chain_cos_x"]
-    trace = replicate_bound_chain(e65_field, e65_nodal, half_scale, "cos_x", seed=0)
+    table = cover_table(e65_field, e65_nodal, half_scale)
+    trace = replicate_bound_chain(e65_field, e65_nodal, table, "cos_x")
     assert trace.ok is True
     assert trace.hypothesis_met is False
     assert trace.n_balls == frozen["n_balls"]
@@ -294,7 +303,8 @@ def test_chain_regression_against_baseline(e65_field, e65_nodal, half_scale):
 
 
 def test_chain_unit_weight_meets_hypothesis(e65_field, e65_nodal, half_scale):
-    trace = replicate_bound_chain(e65_field, e65_nodal, half_scale, "one", seed=0)
+    table = cover_table(e65_field, e65_nodal, half_scale)
+    trace = replicate_bound_chain(e65_field, e65_nodal, table, "one")
     assert trace.ok is True
     assert trace.hypothesis_met is True
     assert trace.message == ""
@@ -316,9 +326,8 @@ def test_chain_rough_weight_reports_unmet_hypothesis(e65_field, e65_nodal):
     )
     lam = e65_field.spec_lambda
     rho = math.log(5.0) / math.log(lam)  # scale radius approximately 0.2
-    trace = replicate_bound_chain(
-        e65_field, e65_nodal, ScaleFunction(rho), rough, seed=1
-    )
+    table = cover_table(e65_field, e65_nodal, ScaleFunction(rho), seed=1)
+    trace = replicate_bound_chain(e65_field, e65_nodal, table, rough)
     assert trace.ok is True
     assert trace.hypothesis_met is False
     assert "asymptotic hypothesis unmet" in trace.message
@@ -327,13 +336,11 @@ def test_chain_rough_weight_reports_unmet_hypothesis(e65_field, e65_nodal):
 def test_chain_detects_tampered_cover(e65_field, e65_nodal, half_scale):
     fam = build_cover(half_scale(e65_field.spec_lambda), seed=0)
     starved = dataclasses.replace(fam, centers=fam.centers[:3])
+    table = ball_table(e65_field, e65_nodal, half_scale, starved)
     with pytest.raises(ChainStepViolated, match="nodal_coverage_superadditivity"):
-        replicate_bound_chain(
-            e65_field, e65_nodal, half_scale, "cos_x", family=starved
-        )
+        replicate_bound_chain(e65_field, e65_nodal, table, "cos_x")
     trace = replicate_bound_chain(
-        e65_field, e65_nodal, half_scale, "cos_x",
-        family=starved, raise_on_violation=False,
+        e65_field, e65_nodal, table, "cos_x", raise_on_violation=False
     )
     assert trace.ok is False
     failing = {s.name for s in trace.steps if not s.holds}
@@ -343,15 +350,39 @@ def test_chain_detects_tampered_cover(e65_field, e65_nodal, half_scale):
 def test_chain_validates_family_geometry(e65_field, e65_nodal, half_scale):
     fam = build_cover(0.2, seed=0)  # wrong radius for this scale
     with pytest.raises(ValueError, match="does not match scale radius"):
-        replicate_bound_chain(e65_field, e65_nodal, half_scale, "one", family=fam)
+        ball_table(e65_field, e65_nodal, half_scale, fam)
     good = build_cover(half_scale(e65_field.spec_lambda), seed=0)
     broken = dataclasses.replace(good, overlap_max=0)
     with pytest.raises(ValueError, match="overlap"):
-        replicate_bound_chain(e65_field, e65_nodal, half_scale, "one", family=broken)
+        ball_table(e65_field, e65_nodal, half_scale, broken)
+
+
+def test_ball_table_lengths_match_length_in_ball(e65_field, e65_nodal, half_scale):
+    table = cover_table(e65_field, e65_nodal, half_scale)
+    r = half_scale(e65_field.spec_lambda)
+    assert len(table.pieces) == table.family.count
+    for c, got in zip(table.family.centers, table.lengths):
+        assert got == length_in_ball(e65_nodal, c, r)
+    assert np.array_equal(table.nonempty, table.lengths > 0.0)
+
+
+def test_run_single_clips_each_cover_ball_once(monkeypatch):
+    calls = []
+    real_clip = harness.clip_to_ball
+
+    def counting_clip(*args, **kwargs):
+        calls.append(args[1])
+        return real_clip(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "clip_to_ball", counting_clip)
+    run = run_single(ExperimentPlan(energies=(65,)), 65, 7)
+    assert run.cover_count == 37
+    assert len(calls) == run.cover_count
 
 
 def test_trace_serializes(e65_field, e65_nodal, half_scale):
-    trace = replicate_bound_chain(e65_field, e65_nodal, half_scale, "one", seed=0)
+    table = cover_table(e65_field, e65_nodal, half_scale)
+    trace = replicate_bound_chain(e65_field, e65_nodal, table, "one")
     blob = json.loads(trace_to_json(trace))
     assert blob["f_name"] == "one"
     assert len(blob["steps"]) == 12
@@ -417,9 +448,27 @@ def test_run_plan_threads_match_serial():
     plan = ExperimentPlan(
         energies=(65,), seeds_per_energy=2, include_low_energy_control=False
     )
-    serial = report_to_json(run_plan(plan))
-    threaded = report_to_json(run_plan(plan, threads=2))
+    expected = ["E=65 seed=0 done", "E=65 seed=1 done"]
+    serial_messages, threaded_messages = [], []
+    serial = report_to_json(run_plan(plan, progress=serial_messages.append))
+    threaded = report_to_json(
+        run_plan(plan, threads=2, progress=threaded_messages.append))
     assert serial == threaded
+    assert serial_messages == expected
+    assert threaded_messages == expected
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        run_plan(plan, threads=0)
+
+
+def test_theorem1_verdict_fails_without_window_on_empty_ball():
+    # An in-band ball that holds no nodal length makes e1 zero; the verdict
+    # must fail with no observed window instead of dividing by zero.
+    plan = ExperimentPlan(energies=(65,), include_low_energy_control=False)
+    run = dataclasses.replace(run_single(plan, 65, 7), e1_hat=0.0)
+    verdict = _verdicts(plan, [run], None)["theorem1_comparability"]
+    assert verdict["pass"] is False
+    assert verdict["window_observed"] is None
+    assert verdict["e1_pooled"] == 0.0
 
 
 def test_report_json_is_deterministic_and_time_free():

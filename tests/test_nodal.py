@@ -74,13 +74,6 @@ def test_segment_geometry_invariants(e65_nodal):
     assert np.max(np.abs(wrap_delta(mid - e65_nodal.midpoints))) < 1e-12
 
 
-def test_segments_iterator_matches_arrays(e65_nodal):
-    segs = list(e65_nodal.segments())
-    assert len(segs) == e65_nodal.count
-    assert segs[0].a == pytest.approx(tuple(e65_nodal.a[0]))
-    assert segs[0].length == pytest.approx(float(e65_nodal.lengths[0]))
-
-
 def test_chord_clip_against_closed_form():
     # Ball B((0.45, 0.5), 0.1) meets only the line x = 1/2; the chord length
     # is 2*sqrt(r^2 - d^2) with d = 0.05.  Computed in extended precision.
