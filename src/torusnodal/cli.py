@@ -24,8 +24,7 @@ from .eigenbasis import (EigenfunctionSpec, enumerate_modes, random_eigenfunctio
                          sample_grid, spec_from_json, spec_to_json)
 from .errors import EmptySpectrum, TorusNodalError
 from .growth import growth_report
-from .harness import (ExperimentPlan, _stage_seed, plan_from_json, report_to_json, run_plan,
-                      runs_to_csv)
+from .harness import ExperimentPlan, plan_from_json, report_to_json, run_plan, runs_to_csv
 from .nodal import extract_nodal, nodal_from_csv, nodal_to_csv
 from .svgplot import balls_from_csv, render_svg
 
@@ -188,24 +187,17 @@ def cmd_verify(args) -> int:
     with open(os.path.join(out, "runs.csv"), "w") as fh:
         fh.write(runs_to_csv(report))
     if plan.svg:
-        scale = plan.scale()
         for run in report.runs:
-            spec = random_eigenfunction(run.energy,
-                                        _stage_seed(plan, run.energy, run.seed, 0))
-            field = sample_grid(spec, run.grid)
-            nodal = extract_nodal(field)
-            if run.degenerate:
-                svg = render_svg(nodal)
-            else:
-                fam = build_cover(run.radius,
-                                  _stage_seed(plan, run.energy, run.seed, 2))
-                svg = render_svg(nodal, fam.centers, fam.radius)
             path = os.path.join(out, f"run_E{run.energy}_seed{run.seed}.svg")
             with open(path, "w") as fh:
-                fh.write(svg)
+                fh.write(run.svg)
     for name in sorted(report.verdicts):
         v = report.verdicts[name]
         status = "skip" if v["pass"] is None else ("pass" if v["pass"] else "FAIL")
+        if status == "FAIL":
+            # The verdict's own fields: the observed values next to their limits.
+            status += " " + json.dumps({k: x for k, x in v.items() if k != "pass"},
+                                       sort_keys=True)
         print(f"[verify] {name}: {status}")
     if report.control is not None:
         print(f"[verify] control in_band_fraction="

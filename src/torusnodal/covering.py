@@ -3,9 +3,11 @@
 A family is built greedily over a shuffled candidate lattice of spacing
 r/8: a candidate is accepted exactly when its distance to every accepted
 center exceeds r, which keeps the open half-radius balls pairwise disjoint.
-A deterministic sweep over the probe lattice then promotes any probe point
-left uncovered by the full-radius balls (such a point is itself a legal
-center), so coverage holds on the probe lattice by construction.  The
+The family is maximal on the candidate lattice only, so probe points
+between candidates can be left uncovered by the full-radius balls, and
+most families leave a few.  A deterministic sweep over the probe lattice
+promotes each such point (it is itself a legal center), so coverage holds
+on the probe lattice by construction.  The
 doubled balls overlap at most 16 deep: at any point the half-radius balls
 of the covering centers are disjoint subsets of a ball of twice the full
 radius, and 16 is the flat volume ratio.
@@ -46,38 +48,6 @@ class BallFamily:
         return int(self.centers.shape[0])
 
 
-class _Hash:
-    """Toroidal bucket grid for nearest-accepted queries at range r."""
-
-    def __init__(self, r: float):
-        self.g = max(1, math.floor(1.0 / r))
-        self.buckets: dict[tuple[int, int], list[int]] = {}
-        self.points: list[np.ndarray] = []
-
-    def _key(self, p) -> tuple[int, int]:
-        return (int(p[0] * self.g) % self.g, int(p[1] * self.g) % self.g)
-
-    def neighbors(self, p) -> np.ndarray:
-        bi, bj = self._key(p)
-        idx: list[int] = []
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                idx.extend(self.buckets.get(((bi + di) % self.g, (bj + dj) % self.g), ()))
-        if not idx:
-            return np.empty((0, 2))
-        return np.array([self.points[k] for k in idx])
-
-    def add(self, p: np.ndarray) -> None:
-        self.buckets.setdefault(self._key(p), []).append(len(self.points))
-        self.points.append(p)
-
-    def min_distance(self, p) -> float:
-        near = self.neighbors(p)
-        if near.shape[0] == 0:
-            return math.inf
-        return float(np.min(periodic_distance(near, p)))
-
-
 def _paint_counts(centers: np.ndarray, r: float, probe: int) -> np.ndarray:
     """Per-probe-point count of containing full-radius balls."""
     counts = np.zeros((probe, probe), dtype=np.int32)
@@ -105,26 +75,35 @@ def build_cover(r: float, seed: int, probe: int = DEFAULT_PROBE) -> BallFamily:
         raise RadiusTooLarge(f"cover radius must lie in (0, 1/4), got {r!r}")
     m = math.ceil(CANDIDATE_SPACING_FACTOR / r)
     k = np.arange(m) / m
-    candidates = np.stack(np.meshgrid(k, k, indexing="ij"), axis=-1).reshape(-1, 2)
-    rng = np.random.default_rng(seed)
-    candidates = candidates[rng.permutation(candidates.shape[0])]
+    order = np.random.default_rng(seed).permutation(m * m)
 
-    grid = _Hash(r)
-    for cand in candidates:
-        if grid.min_distance(cand) > r:
-            grid.add(cand)
+    # free[i, j]: candidate (k[i], k[j]) is still more than r from every
+    # accepted center.  Distances run from the accepted center to the
+    # candidate and compare the square root against r: wrap_delta is not
+    # odd in the last bit, so either change can flip a near-tie.
+    free = np.ones((m, m), dtype=bool)
+    reach = np.arange(-(math.ceil(r * m) + 1), math.ceil(r * m) + 2)
+    accepted = []
+    for idx in order.tolist():
+        i, j = divmod(idx, m)
+        if not free[i, j]:
+            continue
+        c = np.array([k[i], k[j]])
+        accepted.append(c)
+        wi, wj = (i + reach) % m, (j + reach) % m
+        window = np.stack(np.meshgrid(k[wi], k[wj], indexing="ij"), axis=-1)
+        free[np.ix_(wi, wj)] &= periodic_distance(c, window) > r
 
     # Promote uncovered probe points (each is > r from every center, hence a
-    # legal addition) in row-major order; normally there are none.
-    centers = np.array(grid.points)
+    # legal addition) in row-major order.
+    centers = np.array(accepted)
     counts = _paint_counts(centers, r, probe)
     holes = np.argwhere(counts == 0)
     if holes.size:
         for i, j in holes:
             p = np.array([i / probe, j / probe])
-            if grid.min_distance(p) > r:
-                grid.add(p)
-        centers = np.array(grid.points)
+            if np.min(periodic_distance(centers, p)) > r:
+                centers = np.vstack([centers, p])
         counts = _paint_counts(centers, r, probe)
 
     return BallFamily(

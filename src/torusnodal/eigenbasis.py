@@ -200,6 +200,14 @@ class SampledField:
         return self.interp(np.atleast_2d(points))
 
 
+def grid_sum(modes, coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Complex sum_xi c_xi exp(2 pi i xi . x) at every x = (i/n, j/n), by one inverse FFT."""
+    c = np.zeros((n, n), dtype=np.complex128)
+    for (a, b), coeff in zip(modes, coeffs):
+        c[a % n, b % n] += coeff
+    return np.fft.ifft2(c) * (n * n)
+
+
 def sample_grid(spec: EigenfunctionSpec, n: int) -> SampledField:
     """Sample the eigenfunction on the uniform N x N torus grid.
 
@@ -212,10 +220,7 @@ def sample_grid(spec: EigenfunctionSpec, n: int) -> SampledField:
     if n < max(need, 1):
         raise ResolutionTooCoarse(
             f"grid {n} too coarse for energy {spec.energy}; need n >= {max(need, 1)}")
-    c = np.zeros((n, n), dtype=np.complex128)
-    for (a, b), coeff in zip(spec.modes, spec.coeffs):
-        c[a % n, b % n] += coeff
-    vals = np.fft.ifft2(c) * (n * n)
+    vals = grid_sum(spec.modes, spec.coeffs, n)
     scale = float(np.sum(np.abs(spec.coeffs)))
     if np.max(np.abs(vals.imag)) > IMAG_TOL * scale:
         raise NonRealValue("sampled grid has a non-negligible imaginary part")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigenbasis import TWO_PI, EigenfunctionSpec
+from .eigenbasis import TWO_PI, EigenfunctionSpec, evaluate, grid_sum
 from .errors import ChartExceeded
 
 REFINE_POINTS = 21
@@ -97,11 +97,7 @@ def _corner_sheet_abs(spec: EigenfunctionSpec, y: np.ndarray, n: int) -> np.ndar
     """|v(x + iy)| on the n x n x-grid for one fixed imaginary offset y."""
     xi = np.asarray(spec.modes, dtype=float)
     damp = np.exp(-TWO_PI * (xi @ y))
-    c = np.zeros((n, n), dtype=np.complex128)
-    for (a, b), coeff, d in zip(spec.modes, spec.coeffs, damp):
-        c[a % n, b % n] += coeff * d
-    vals = np.fft.ifft2(c) * (n * n)
-    return np.abs(vals)
+    return np.abs(grid_sum(spec.modes, spec.coeffs * damp, n))
 
 
 @dataclass(frozen=True)
@@ -145,11 +141,8 @@ def complex_strip_sup(spec: EigenfunctionSpec, tau: float) -> StripSup:
 
 def torus_sup(spec: EigenfunctionSpec, center=(0.0, 0.0), radius: float = 0.25) -> float:
     """Sampled sup of |u| over the real ball B(center, radius)."""
-    xi = np.asarray(spec.modes, dtype=float)
-
     def eval_abs(pts):
-        phases = pts @ xi.T
-        return np.abs((np.exp((TWO_PI * 1j) * phases) @ spec.coeffs).real)
+        return np.abs(evaluate(spec, pts))
 
     step = 1.0 / (10.0 * math.sqrt(max(spec.energy, 1)))
     return _disk_sup(eval_abs, center, radius, step)

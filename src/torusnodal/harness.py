@@ -43,6 +43,7 @@ from .eigenbasis import (SampledField, enumerate_modes, random_eigenfunction, sa
 from .errors import ChainStepViolated, DivisionByNegligibleMass, EmptySpectrum, NegativeTestFunction
 from .growth import growth_report
 from .nodal import NodalSet, clip_to_ball, extract_nodal, integrate_over_nodal
+from .svgplot import render_svg
 from .torus import periodic_distance
 
 
@@ -161,7 +162,8 @@ class ExperimentPlan:
 
     Grids follow N(E) = max(grid_min, grid_per_sqrt_energy * ceil(sqrt(E)));
     every derived radius and resolution is validated against the module
-    preconditions up front, so a plan that constructs at all can run.
+    preconditions up front, so a plan that constructs at all can run, and
+    no two stages of the plan may draw from the same seed.
     """
 
     energies: tuple[int, ...]
@@ -223,6 +225,17 @@ class ExperimentPlan:
                 if r >= 0.5 - 3.0 / n:
                     raise ValueError(
                         f"radius {r:.4g} leaves no quadrature margin on grid {n} at E={e}")
+        owners: dict[int, str] = {}
+        stages = [(e, s, t, f"E={e} seed {s} stage {t}") for e in self.energies
+                  for s in range(self.seeds_per_energy) for t in range(4)]
+        if self.include_low_energy_control:
+            stages.append((1, 0, 4, "the control (stage 4)"))
+        for e, s, t, name in stages:
+            value = _stage_seed(self, e, s, t)
+            if value in owners:
+                raise ValueError(f"stage seeds collide: {owners[value]} and {name} "
+                                 f"both derive seed {value}")
+            owners[value] = name
 
     def grid_for(self, energy: int) -> int:
         return max(self.grid_min, self.grid_per_sqrt_energy * math.ceil(math.sqrt(energy)))
@@ -641,7 +654,9 @@ class RunResult:
 
     Fields that a run cannot compute (degenerate scale radius, doubling
     radius too large for the energy) hold None and the reason appears in
-    flags; gates never silently treat missing values as passing.
+    flags; gates never silently treat missing values as passing.  svg holds
+    the run's picture when the plan asks for one; it is written to its own
+    file and stays out of the report and the CSV.
     """
 
     energy: int
@@ -680,6 +695,7 @@ class RunResult:
     strip_sup: float | None = None
     strip_certificate: float | None = None
     real_sup: float | None = None
+    svg: str | None = dataclass_field(default=None, repr=False, compare=False)
 
 
 def run_single(plan: ExperimentPlan, energy: int, seed: int) -> RunResult:
@@ -706,7 +722,8 @@ def run_single(plan: ExperimentPlan, energy: int, seed: int) -> RunResult:
     )
     if degenerate:
         flags.append("degenerate_run_excluded_from_gates")
-        return RunResult(**base, flags=tuple(flags))
+        return RunResult(**base, flags=tuple(flags),
+                         svg=render_svg(nodal) if plan.svg else None)
 
     scan = sse_scan(field, scale, n_random=100,
                     seed=_stage_seed(plan, energy, seed, 1))
@@ -760,6 +777,7 @@ def run_single(plan: ExperimentPlan, energy: int, seed: int) -> RunResult:
         c7_max=growth.c7_max, c9_hat=growth.c9_hat,
         strip_sup=growth.strip_sup, strip_certificate=growth.strip_certificate,
         real_sup=growth.real_sup,
+        svg=render_svg(nodal, fam.centers, fam.radius) if plan.svg else None,
     )
 
 
@@ -1006,7 +1024,7 @@ def report_to_json(report: VerificationReport) -> str:
     runs = []
     for r in report.runs:
         row = {name: _jsonify(getattr(r, name))
-               for name in RunResult.__dataclass_fields__}
+               for name in RunResult.__dataclass_fields__ if name != "svg"}
         runs.append(row)
     obj = {
         "plan": json.loads(report.plan.to_json()),

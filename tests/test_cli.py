@@ -5,9 +5,13 @@ import sys
 import numpy as np
 import pytest
 
+from torusnodal import cli, harness
 from torusnodal.cli import main
-from torusnodal.eigenbasis import sine_mode_spec, spec_to_json
-from torusnodal.harness import ExperimentPlan
+from torusnodal.covering import build_cover
+from torusnodal.eigenbasis import random_eigenfunction, sample_grid, sine_mode_spec, spec_to_json
+from torusnodal.harness import ExperimentPlan, _stage_seed, plan_from_json
+from torusnodal.nodal import extract_nodal
+from torusnodal.svgplot import render_svg
 
 
 def write_plan(tmp_path, **kwargs) -> str:
@@ -196,13 +200,31 @@ def test_verify_tiny_plan(tmp_path, capsys):
     assert (out_dir / "runs.csv").read_text().startswith("energy,seed,")
 
 
-def test_verify_svg_plan_writes_run_images(tmp_path):
-    plan_path = write_plan(tmp_path, svg=True)
+def test_verify_svg_plan_writes_run_images(tmp_path, monkeypatch):
+    plan_path = write_plan(tmp_path, svg=True, seeds_per_energy=2)
+    grids = []
+
+    def counted_sample_grid(spec, n):
+        grids.append(n)
+        return sample_grid(spec, n)
+
+    monkeypatch.setattr(harness, "sample_grid", counted_sample_grid)
+    monkeypatch.setattr(cli, "sample_grid", counted_sample_grid)
     out_dir = tmp_path / "out"
     assert main(["verify", "--plan", plan_path, "--out", str(out_dir)]) == 0
-    svg = out_dir / "run_E65_seed0.svg"
-    assert svg.exists()
-    assert svg.read_text().lstrip().startswith("<svg")
+    assert len(grids) == 2  # each run samples its field once, pictures included
+
+    # Each picture is the run's nodal set under its scale cover, as drawn
+    # from the pipeline stages re-run on their own.
+    with open(plan_path) as fh:
+        plan = plan_from_json(fh.read())
+    for seed in (0, 1):
+        spec = random_eigenfunction(65, _stage_seed(plan, 65, seed, 0))
+        nodal = extract_nodal(sample_grid(spec, plan.grid_for(65)))
+        fam = build_cover(plan.scale()(spec.lam), _stage_seed(plan, 65, seed, 2))
+        svg = (out_dir / f"run_E65_seed{seed}.svg").read_text()
+        assert svg.lstrip().startswith("<svg")
+        assert svg == render_svg(nodal, fam.centers, fam.radius)
 
 
 def test_verify_gate_failure_exits_two(tmp_path, capsys):
@@ -211,9 +233,14 @@ def test_verify_gate_failure_exits_two(tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert main(["verify", "--plan", plan_path, "--out", str(out_dir)]) == 2
     out = capsys.readouterr().out
-    assert "theorem2_comparability: FAIL" in out
     # Artifacts are still written for post-mortem inspection.
-    assert (out_dir / "report.json").exists()
+    verdicts = json.loads((out_dir / "report.json").read_text())["verdicts"]
+    # A FAIL line carries the verdict's own fields; pass lines stay bare.
+    fields = {k: v for k, v in verdicts["theorem2_comparability"].items() if k != "pass"}
+    assert fields["max_spread"] > 1.0000001
+    assert (f"[verify] theorem2_comparability: FAIL {json.dumps(fields, sort_keys=True)}\n"
+            in out)
+    assert "[verify] sse_band: pass\n" in out
 
 
 def test_verify_invalid_plans_exit_one(tmp_path, capsys):
@@ -235,6 +262,13 @@ def test_verify_invalid_plans_exit_one(tmp_path, capsys):
 
     assert main(["verify", "--plan", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path)]) == 1
+
+    # E=25 seed 10 draws its field from the seed E=26 seed 0 uses for its centers.
+    colliding = tmp_path / "colliding.json"
+    colliding.write_text('{"energies": [25, 26], "seeds_per_energy": 11}')
+    assert main(["verify", "--plan", str(colliding), "--out", str(tmp_path)]) == 1
+    assert ("stage seeds collide: E=25 seed 10 stage 0 and E=26 seed 0 stage 1"
+            in capsys.readouterr().err)
 
 
 def test_verify_rejects_threads_below_one(tmp_path, capsys):
