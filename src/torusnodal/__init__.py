@@ -84,6 +84,7 @@ from .harness import (
     ChainStep,
     ChainTrace,
     ExperimentPlan,
+    FunctionIntegrals,
     RunResult,
     TestFunction,
     Theorem1Result,
@@ -94,6 +95,7 @@ from .harness import (
     check_theorem_2,
     check_yau_scaling,
     control_run,
+    function_integrals,
     plan_from_json,
     replicate_bound_chain,
     report_to_json,

@@ -95,16 +95,16 @@ def build_cover(r: float, seed: int, probe: int = DEFAULT_PROBE) -> BallFamily:
         free[np.ix_(wi, wj)] &= periodic_distance(c, window) > r
 
     # Promote uncovered probe points (each is > r from every center, hence a
-    # legal addition) in row-major order.
+    # legal addition) in row-major order, then paint only the promoted balls
+    # onto the greedy family's counts.
     centers = np.array(accepted)
     counts = _paint_counts(centers, r, probe)
-    holes = np.argwhere(counts == 0)
-    if holes.size:
-        for i, j in holes:
-            p = np.array([i / probe, j / probe])
-            if np.min(periodic_distance(centers, p)) > r:
-                centers = np.vstack([centers, p])
-        counts = _paint_counts(centers, r, probe)
+    for i, j in np.argwhere(counts == 0):
+        p = np.array([i / probe, j / probe])
+        if np.min(periodic_distance(centers, p)) > r:
+            centers = np.vstack([centers, p])
+    if len(centers) > len(accepted):
+        counts += _paint_counts(centers[len(accepted):], r, probe)
 
     return BallFamily(
         centers=centers,

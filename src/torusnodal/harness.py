@@ -7,6 +7,8 @@ folds everything into a deterministic VerificationReport:
 
 * ball_table             L2 mass ratio and clipped nodal pieces of every
                          cover ball of one run
+* function_integrals     area and nodal line integral of every test
+                         function of one run
 * check_yau_scaling      total nodal length vs frequency across energies
 * check_theorem_1        per-ball nodal length vs ball volume, conditional
                          on the ball passing a mass-equidistribution band
@@ -18,6 +20,8 @@ folds everything into a deterministic VerificationReport:
 
 Theorem 1, the band fraction and every test function's chain read the
 same BallTable; none of them clips or integrates over a ball itself.
+Theorem 2 and the chains read the same FunctionIntegrals; neither
+integrates f over the torus or the nodal set itself.
 
 Reports are bit-identical across reruns of the same plan: all seeds are
 derived arithmetically from the plan, all reductions run in plan order,
@@ -133,6 +137,22 @@ def torus_integral(tf: TestFunction, n: int = 512) -> float:
     gx, gy = np.meshgrid(t, t, indexing="ij")
     pts = np.stack([gx.ravel(), gy.ravel()], axis=-1)
     return float(np.mean(tf(pts)))
+
+
+class FunctionIntegrals(NamedTuple):
+    """Area integral (on the field's grid) and nodal line integral of one f."""
+
+    tf: TestFunction
+    area: float
+    nodal: float
+
+
+def function_integrals(field: SampledField, nodal: NodalSet,
+                       test_functions) -> tuple[FunctionIntegrals, ...]:
+    """Both integrals of every test function, computed once per run."""
+    return tuple(FunctionIntegrals(tf, torus_integral(tf, field.resolution),
+                                   integrate_over_nodal(nodal, tf.fn))
+                 for tf in resolve_test_functions(test_functions))
 
 
 # ---------------------------------------------------------------------------
@@ -358,21 +378,18 @@ class Theorem2Result(NamedTuple):
     trivial_names: tuple
 
 
-def check_theorem_2(field: SampledField, nodal: NodalSet,
-                    test_functions) -> Theorem2Result:
+def check_theorem_2(field: SampledField,
+                    integrals: tuple[FunctionIntegrals, ...]) -> Theorem2Result:
     """Weak-limit comparability against a suite of nonnegative functions.
 
     For f identically zero both sides vanish and the claim is vacuous, so
     such entries are recorded as trivial and excluded from the spread.
     """
     lam = field.spec_lambda
-    funcs = resolve_test_functions(test_functions)
     rho_by_name: dict[str, float] = {}
     integral_by_name: dict[str, float] = {}
     trivial: list[str] = []
-    for tf in funcs:
-        denom = torus_integral(tf, field.resolution)
-        numer = integrate_over_nodal(nodal, tf.fn)
+    for tf, denom, numer in integrals:
         integral_by_name[tf.name] = denom
         if denom < 1e-30:
             if numer < 1e-30:
@@ -397,7 +414,9 @@ def check_yau_scaling(yau_by_energy: dict, window: float = 3.0,
     Expects a mapping energy -> list of yau ratios (total length / lam)
     from at least 3 energies with at least 10 runs each.  Passes when the
     overall max/min ratio stays within `window` and per-energy medians
-    stay within `median_drift` of each other.
+    stay within `median_drift` of each other.  A zero ratio (a run, or an
+    energy's median, with no nodal length) leaves that ratio without a
+    finite value: it is reported as None and the check fails.
     """
     if len(yau_by_energy) < 3:
         raise ValueError("yau scaling check needs at least 3 energies")
@@ -409,11 +428,13 @@ def check_yau_scaling(yau_by_energy: dict, window: float = 3.0,
                                for v in yau_by_energy.values()])
     medians = {int(e): float(np.median(np.asarray(v, dtype=float)))
                for e, v in yau_by_energy.items()}
-    overall = float(np.max(all_vals) / np.min(all_vals))
+    lowest = float(np.min(all_vals))
+    overall = float(np.max(all_vals)) / lowest if lowest > 0.0 else None
     med_vals = list(medians.values())
-    drift = float(max(med_vals) / min(med_vals)) - 1.0
+    drift = max(med_vals) / min(med_vals) - 1.0 if min(med_vals) > 0.0 else None
     return {
-        "pass": bool(overall <= window and drift <= median_drift),
+        "pass": bool(overall is not None and drift is not None
+                     and overall <= window and drift <= median_drift),
         "overall_ratio": overall,
         "median_by_energy": medians,
         "median_drift": drift,
@@ -478,7 +499,8 @@ def _lattice_gap(half_side: float, points_per_side: int = 9) -> float:
 
 
 def replicate_bound_chain(field: SampledField, nodal: NodalSet, table: BallTable,
-                          tf: TestFunction, raise_on_violation: bool = True) -> ChainTrace:
+                          integrals: FunctionIntegrals,
+                          raise_on_violation: bool = True) -> ChainTrace:
     """Replicate both inequality chains tying per-ball constants to global bounds.
 
     Lower chain: the nodal integral of f is bounded below through cover
@@ -492,8 +514,7 @@ def replicate_bound_chain(field: SampledField, nodal: NodalSet, table: BallTable
     lower conclusion is vacuous at this scale; the trace reports that
     instead of failing, since the comparability claims are asymptotic.
     """
-    if isinstance(tf, str):
-        tf = TEST_FUNCTIONS[tf]
+    tf, integral_f, total_integral = integrals
     lam = field.spec_lambda
     r = table.mass.radius
     fam = table.family
@@ -501,7 +522,6 @@ def replicate_bound_chain(field: SampledField, nodal: NodalSet, table: BallTable
     n_balls = fam.count
     overlap = fam.overlap_max
 
-    total_integral = integrate_over_nodal(nodal, tf.fn)
     total_length = nodal.total_length
     seg_max = float(np.max(nodal.lengths)) if nodal.count else 0.0
 
@@ -533,11 +553,10 @@ def replicate_bound_chain(field: SampledField, nodal: NodalSet, table: BallTable
     e2_chain = float(np.max(density)) if n_balls else float("nan")
     empty_balls = int(n_balls - np.sum(nonempty))
 
-    # Area integral of f and the cover-side corrections.  sup estimates use
+    # Cover-side corrections to the area integral.  sup estimates use
     # a 9x9 lattice on the bounding square plus the Lipschitz gap, so they
     # upper-bound the true sup over the ball; inf estimates subtract the
     # gap, so they lower-bound the true inf over the half-radius core.
-    integral_f = torus_integral(tf, field.resolution)
     probe_eps = math.sqrt(2.0) / (2.0 * fam.probe_resolution)
     sup_half_side = r + probe_eps
     sup_est = np.empty(n_balls)
@@ -732,15 +751,15 @@ def run_single(plan: ExperimentPlan, energy: int, seed: int) -> RunResult:
     tol = plan.tolerances
     t1 = check_theorem_1(table, inclusion_band=tuple(tol["theorem1_inclusion_band"]))
     sse_fraction = table.mass.in_band_fraction(*tol["sse_band"])
-    funcs = resolve_test_functions(plan.test_functions)
-    t2 = check_theorem_2(field, nodal, funcs)
+    integrals = function_integrals(field, nodal, plan.test_functions)
+    t2 = check_theorem_2(field, integrals)
 
     chain_ok = True
     chain_met = 0
     chain_e1 = None
     chain_e2 = None
-    for tf in funcs:
-        trace = replicate_bound_chain(field, nodal, table, tf, raise_on_violation=False)
+    for fi in integrals:
+        trace = replicate_bound_chain(field, nodal, table, fi, raise_on_violation=False)
         chain_ok = chain_ok and trace.ok
         chain_met += int(trace.hypothesis_met)
         chain_e1, chain_e2 = trace.e1_chain, trace.e2_chain
@@ -945,10 +964,12 @@ def _verdicts(plan: ExperimentPlan, runs: list[RunResult],
             "excluded_balls": int(sum(r.t1_excluded for r in top_runs)),
             "included_balls": int(sum(r.t1_included for r in top_runs)),
         }
-        spread = max(r.c2_hat / r.c1_hat for r in top_runs)
+        # A test function with area mass but no nodal mass gives c1 = 0.
+        spread = (max(r.c2_hat / r.c1_hat for r in top_runs)
+                  if all(r.c1_hat > 0.0 for r in top_runs) else None)
         verdicts["theorem2_comparability"] = {
-            "pass": bool(spread <= float(tol["theorem2_window"])),
-            "max_spread": float(spread),
+            "pass": bool(spread is not None and spread <= float(tol["theorem2_window"])),
+            "max_spread": spread,
         }
         verdicts["chain_steps"] = {
             "pass": bool(all(r.chain_ok for r in top_runs)),
@@ -996,11 +1017,11 @@ def _verdicts(plan: ExperimentPlan, runs: list[RunResult],
             c9_medians[str(e)] = float(np.median(np.asarray(vals)))
     if len(c9_medians) >= 2:
         values = list(c9_medians.values())
-        ratio = max(values) / min(values)
+        ratio = max(values) / min(values) if min(values) > 0.0 else None
         verdicts["growth_c9_uniform"] = {
-            "pass": bool(ratio <= float(tol["c9_window"])),
+            "pass": bool(ratio is not None and ratio <= float(tol["c9_window"])),
             "median_by_energy": c9_medians,
-            "ratio": float(ratio),
+            "ratio": ratio,
         }
     else:
         verdicts["growth_c9_uniform"] = {"pass": None,

@@ -7,13 +7,20 @@ cell, whose endpoints lie on cell edges and are shared exactly between
 neighboring cells.  Length in a metric ball is computed by exact
 segment-circle clipping in a local chart, and line integrals use the
 midpoint rule per (clipped) segment.
+
+Ball queries go through a bucket index built lazily once per set: the
+segments sorted by which of B x B midpoint buckets (B = isqrt(count)) they
+fall in.  A ball is clipped only against the segments in the buckets that
+can reach it.  Keying on midpoints, not marching-squares cells, lets sets
+loaded from CSV use the same index.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,6 +57,38 @@ _SADDLE_CASES: dict[tuple[int, bool], tuple[tuple[int, int], tuple[int, int]]] =
 }
 
 
+class _BucketIndex(NamedTuple):
+    """Segments grouped by midpoint bucket, CSR style.
+
+    Bucket (i, j) holds the midpoints in [i/B, (i+1)/B) x [j/B, (j+1)/B);
+    its segments are order[starts[i*B + j]:starts[i*B + j + 1]].
+    """
+
+    buckets: int
+    order: np.ndarray
+    starts: np.ndarray
+    max_len: float
+
+    def candidates(self, center: np.ndarray, reach: float) -> np.ndarray:
+        """Ascending indices of the segments in every bucket that holds a
+        point within reach of center in each coordinate, plus one bucket
+        of margin against rounding."""
+        nb = self.buckets
+        windows = []
+        for x in center:
+            lo = math.floor((x - reach) * nb) - 1
+            hi = math.floor((x + reach) * nb) + 1
+            windows.append(np.arange(lo, hi + 1) % nb if hi - lo + 1 < nb else None)
+        if windows[0] is None and windows[1] is None:
+            return np.arange(self.order.size)
+        wx, wy = (np.arange(nb) if w is None else w for w in windows)
+        keys = (wx[:, None] * nb + wy[None, :]).ravel()
+        first = self.starts[keys]
+        sizes = self.starts[keys + 1] - first
+        pos = np.repeat(first - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
+        return np.sort(self.order[pos])
+
+
 @dataclass(frozen=True)
 class NodalSet:
     """Segment soup approximating the zero set of a sampled field.
@@ -73,6 +112,17 @@ class NodalSet:
     @property
     def total_length(self) -> float:
         return float(np.sum(self.lengths))
+
+    @functools.cached_property
+    def _index(self) -> _BucketIndex:
+        """Bucket index over the midpoints, about one segment per bucket."""
+        nb = max(math.isqrt(self.count), 1)
+        cell = np.minimum((self.midpoints * nb).astype(np.int64), nb - 1)
+        key = cell[:, 0] * nb + cell[:, 1]
+        order = np.argsort(key)
+        starts = np.searchsorted(key[order], np.arange(nb * nb + 1))
+        max_len = float(np.max(self.lengths)) if self.count else 0.0
+        return _BucketIndex(nb, order, starts, max_len)
 
 
 def _edge_points(i, j, n, v00, v10, v11, v01):
@@ -165,21 +215,29 @@ def extract_nodal(field) -> NodalSet:
 
 
 def clip_to_ball(nodal: NodalSet, center, r: float):
-    """Exact intersection of every segment with the metric ball B(center, r).
+    """Exact intersection of the nodal set with the metric ball B(center, r).
 
-    Returns (piece_lengths, piece_midpoints, segment_indices) for the pieces
-    with positive length.  Midpoints are global torus coordinates.
+    Only segments whose midpoint buckets lie within r + max_len/2 of the
+    center (plus one bucket of margin) are tested; each of them is kept when
+    its midpoint is within r + length/2 of the center and clipped exactly,
+    so the result is that of testing every segment.  Returns
+    (piece_lengths, piece_midpoints, segment_indices) for the pieces with
+    positive length, in ascending segment order.  Midpoints are global
+    torus coordinates.
     """
     if not 0.0 < r < 0.5:
         raise BallTooLarge(f"ball radius must lie in (0, 1/2), got {r!r}")
-    max_len = float(np.max(nodal.lengths)) if nodal.count else 0.0
+    index = nodal._index
+    max_len = index.max_len
     if r > 0.5 - max_len:
         raise BallTooLarge(
             f"radius {r!r} leaves no chart margin for segments of length {max_len!r}")
     c = np.asarray(center, dtype=float)
 
-    near = np.linalg.norm(wrap_delta(nodal.midpoints - c), axis=1) <= r + nodal.lengths / 2.0
-    idx = np.nonzero(near)[0]
+    cand = index.candidates(c, r + max_len / 2.0)
+    near = (np.linalg.norm(wrap_delta(nodal.midpoints[cand] - c), axis=1)
+            <= r + nodal.lengths[cand] / 2.0)
+    idx = cand[near]
     if idx.size == 0:
         return np.empty(0), np.empty((0, 2)), idx
 

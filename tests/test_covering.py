@@ -79,6 +79,11 @@ def test_cover_matches_brute_force_greedy(r, seed):
     assert np.array_equal(fam.centers, centers)
     assert fam.overlap_max == overlap_max
     assert fam.covers == covers
+    # build_cover paints only the promoted balls a second time; a full
+    # repaint of the family must give the same overlap and coverage.
+    full = _paint_counts(fam.centers, r, DEFAULT_PROBE)
+    assert fam.overlap_max == int(full.max())
+    assert fam.covers == bool(np.all(full >= 1))
     if (r, seed) == (E25_SCALE_RADIUS, 0):
         # The greedy pass leaves five probe points uncovered; promoting the
         # first of them covers the other four.

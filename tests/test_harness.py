@@ -26,6 +26,7 @@ from torusnodal.harness import (
     check_theorem_2,
     check_yau_scaling,
     control_run,
+    function_integrals,
     plan_from_json,
     replicate_bound_chain,
     report_to_json,
@@ -64,6 +65,11 @@ DESK_RUN_65_7 = {
 def cover_table(field, nodal, scale, seed=0):
     """Ball table over the seeded cover at the scale radius."""
     return ball_table(field, nodal, scale, build_cover(scale(field.spec_lambda), seed))
+
+
+def integrals_of(field, nodal, f):
+    """Both integrals of one test function (or registry name)."""
+    return function_integrals(field, nodal, (f,))[0]
 
 
 def single_ball_table(field, nodal, scale, center):
@@ -228,8 +234,8 @@ def test_theorem1_exclusion_band():
 
 def test_theorem2_unit_weight_reproduces_length_ratio(e65_field, e65_nodal):
     frozen = BASELINE["theorem2"]
-    t2 = check_theorem_2(e65_field, e65_nodal, resolve_test_functions(
-        ("one", "cos_x", "cos_y", "bump")))
+    t2 = check_theorem_2(e65_field, function_integrals(
+        e65_field, e65_nodal, ("one", "cos_x", "cos_y", "bump")))
     yau = e65_nodal.total_length / e65_field.spec_lambda
     assert t2.rho_by_name["one"] == yau  # bit-exact by construction
     assert t2.c1_hat == pytest.approx(frozen["c1_hat"], rel=1e-9)
@@ -241,7 +247,8 @@ def test_theorem2_unit_weight_reproduces_length_ratio(e65_field, e65_nodal):
 
 def test_theorem2_flags_trivial_weights(e65_field, e65_nodal):
     zero = TestFunction("zero", lambda pts: np.zeros(len(pts)), 0.0, 0.0)
-    t2 = check_theorem_2(e65_field, e65_nodal, (TEST_FUNCTIONS["one"], zero))
+    t2 = check_theorem_2(e65_field, function_integrals(
+        e65_field, e65_nodal, (TEST_FUNCTIONS["one"], zero)))
     assert "zero" in t2.trivial_names
     assert "zero" not in t2.rho_by_name
 
@@ -251,7 +258,7 @@ def test_theorem2_rejects_negative_weights(e65_field, e65_nodal):
         "signed", lambda pts: np.cos(2 * np.pi * pts[:, 0]), 2 * np.pi, 1.0
     )
     with pytest.raises(NegativeTestFunction):
-        check_theorem_2(e65_field, e65_nodal, (signed,))
+        check_theorem_2(e65_field, function_integrals(e65_field, e65_nodal, (signed,)))
 
 
 # ---------------------------------------------------------------- yau gate
@@ -282,7 +289,8 @@ def test_yau_scaling_gate_logic():
 def test_chain_regression_against_baseline(e65_field, e65_nodal, half_scale):
     frozen = BASELINE["chain_cos_x"]
     table = cover_table(e65_field, e65_nodal, half_scale)
-    trace = replicate_bound_chain(e65_field, e65_nodal, table, "cos_x")
+    trace = replicate_bound_chain(e65_field, e65_nodal, table,
+                                  integrals_of(e65_field, e65_nodal, "cos_x"))
     assert trace.ok is True
     assert trace.hypothesis_met is False
     assert trace.n_balls == frozen["n_balls"]
@@ -304,7 +312,8 @@ def test_chain_regression_against_baseline(e65_field, e65_nodal, half_scale):
 
 def test_chain_unit_weight_meets_hypothesis(e65_field, e65_nodal, half_scale):
     table = cover_table(e65_field, e65_nodal, half_scale)
-    trace = replicate_bound_chain(e65_field, e65_nodal, table, "one")
+    trace = replicate_bound_chain(e65_field, e65_nodal, table,
+                                  integrals_of(e65_field, e65_nodal, "one"))
     assert trace.ok is True
     assert trace.hypothesis_met is True
     assert trace.message == ""
@@ -327,7 +336,8 @@ def test_chain_rough_weight_reports_unmet_hypothesis(e65_field, e65_nodal):
     lam = e65_field.spec_lambda
     rho = math.log(5.0) / math.log(lam)  # scale radius approximately 0.2
     table = cover_table(e65_field, e65_nodal, ScaleFunction(rho), seed=1)
-    trace = replicate_bound_chain(e65_field, e65_nodal, table, rough)
+    trace = replicate_bound_chain(e65_field, e65_nodal, table,
+                                  integrals_of(e65_field, e65_nodal, rough))
     assert trace.ok is True
     assert trace.hypothesis_met is False
     assert "asymptotic hypothesis unmet" in trace.message
@@ -338,9 +348,11 @@ def test_chain_detects_tampered_cover(e65_field, e65_nodal, half_scale):
     starved = dataclasses.replace(fam, centers=fam.centers[:3])
     table = ball_table(e65_field, e65_nodal, half_scale, starved)
     with pytest.raises(ChainStepViolated, match="nodal_coverage_superadditivity"):
-        replicate_bound_chain(e65_field, e65_nodal, table, "cos_x")
+        replicate_bound_chain(e65_field, e65_nodal, table,
+                              integrals_of(e65_field, e65_nodal, "cos_x"))
     trace = replicate_bound_chain(
-        e65_field, e65_nodal, table, "cos_x", raise_on_violation=False
+        e65_field, e65_nodal, table, integrals_of(e65_field, e65_nodal, "cos_x"),
+        raise_on_violation=False,
     )
     assert trace.ok is False
     failing = {s.name for s in trace.steps if not s.holds}
@@ -380,9 +392,26 @@ def test_run_single_clips_each_cover_ball_once(monkeypatch):
     assert len(calls) == run.cover_count
 
 
+def test_run_single_integrates_each_function_once(monkeypatch):
+    calls = []
+    for name in ("torus_integral", "integrate_over_nodal"):
+        real = getattr(harness, name)
+
+        def counting(*args, name=name, real=real):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(harness, name, counting)
+    plan = ExperimentPlan(energies=(65,))
+    run_single(plan, 65, 7)
+    n = len(plan.test_functions)
+    assert sorted(calls) == ["integrate_over_nodal"] * n + ["torus_integral"] * n
+
+
 def test_trace_serializes(e65_field, e65_nodal, half_scale):
     table = cover_table(e65_field, e65_nodal, half_scale)
-    trace = replicate_bound_chain(e65_field, e65_nodal, table, "one")
+    trace = replicate_bound_chain(e65_field, e65_nodal, table,
+                                  integrals_of(e65_field, e65_nodal, "one"))
     blob = json.loads(trace_to_json(trace))
     assert blob["f_name"] == "one"
     assert len(blob["steps"]) == 12
@@ -469,6 +498,33 @@ def test_theorem1_verdict_fails_without_window_on_empty_ball():
     assert verdict["pass"] is False
     assert verdict["window_observed"] is None
     assert verdict["e1_pooled"] == 0.0
+
+
+def test_theorem2_verdict_fails_without_spread_on_zero_c1():
+    # A test function with area mass but no nodal mass makes c1 zero; the
+    # verdict must fail with no observed spread instead of dividing by zero.
+    plan = ExperimentPlan(energies=(65,), include_low_energy_control=False)
+    run = dataclasses.replace(run_single(plan, 65, 7), c1_hat=0.0)
+    verdict = _verdicts(plan, [run], None)["theorem2_comparability"]
+    assert verdict == {"pass": False, "max_spread": None}
+
+
+def test_yau_scaling_fails_without_ratios_on_zero_length():
+    verdict = check_yau_scaling({25: [0.0] * 10, 50: [0.3] * 10, 65: [0.3] * 10})
+    assert verdict["pass"] is False
+    assert verdict["overall_ratio"] is None
+    assert verdict["median_drift"] is None
+    json.dumps(verdict, allow_nan=False)
+
+
+def test_growth_c9_verdict_fails_without_ratio_on_zero_median():
+    plan = ExperimentPlan(energies=(65, 325), include_low_energy_control=False)
+    run = run_single(plan, 65, 7)
+    runs = [run, dataclasses.replace(run, energy=325, c9_hat=0.0)]
+    verdict = _verdicts(plan, runs, None)["growth_c9_uniform"]
+    assert verdict["pass"] is False
+    assert verdict["ratio"] is None
+    assert verdict["median_by_energy"] == {"65": run.c9_hat, "325": 0.0}
 
 
 def test_report_json_is_deterministic_and_time_free():

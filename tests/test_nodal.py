@@ -14,6 +14,7 @@ from torusnodal.eigenbasis import (
 )
 from torusnodal.errors import BallTooLarge
 from torusnodal.nodal import (
+    NodalSet,
     clip_to_ball,
     extract_nodal,
     integrate_over_nodal,
@@ -21,7 +22,7 @@ from torusnodal.nodal import (
     nodal_from_csv,
     nodal_to_csv,
 )
-from torusnodal.torus import wrap_delta
+from torusnodal.torus import wrap_delta, wrap_point
 
 
 def test_sine_line_length_and_count():
@@ -99,6 +100,68 @@ def test_chord_weighted_integral_against_closed_form():
     h = math.sqrt(0.1**2 - 0.05**2)
     expect = 2 * h - math.sin(2 * math.pi * h) / math.pi
     assert got == pytest.approx(expect, abs=2e-5)
+
+
+def full_scan_clip(nodal, center, r):
+    """Reference clip: the near test and chord arithmetic on every segment."""
+    c = np.asarray(center, dtype=float)
+    near = np.linalg.norm(wrap_delta(nodal.midpoints - c), axis=1) <= r + nodal.lengths / 2.0
+    idx = np.nonzero(near)[0]
+    a = wrap_delta(nodal.a[idx] - c)
+    d = wrap_delta(wrap_delta(nodal.b[idx] - c) - a)
+    qa = np.sum(d * d, axis=1)
+    qb = 2.0 * np.sum(a * d, axis=1)
+    qc = np.sum(a * a, axis=1) - r * r
+    disc = qb * qb - 4.0 * qa * qc
+    ok = (disc > 0.0) & (qa > 1e-300)
+    lo = np.zeros(idx.size)
+    hi = np.zeros(idx.size)
+    root = np.sqrt(np.where(ok, disc, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo[ok] = np.clip(((-qb - root) / (2.0 * qa))[ok], 0.0, 1.0)
+        hi[ok] = np.clip(((-qb + root) / (2.0 * qa))[ok], 0.0, 1.0)
+    keep = hi - lo > 0.0
+    tmid = (lo[keep] + hi[keep]) / 2.0
+    piece_mid = wrap_point(c + a[keep] + d[keep] * tmid[:, None])
+    return (hi - lo)[keep] * nodal.lengths[idx[keep]], piece_mid, idx[keep]
+
+
+def oracle_sets(e65_nodal, tmp_path):
+    path = tmp_path / "nodal.csv"
+    nodal_to_csv(e65_nodal, str(path))
+    empty = np.empty((0, 2))
+    # Segments far longer than a bucket is wide, so a ball can reach
+    # segments whose midpoints lie several buckets away.
+    rng = np.random.default_rng(5)
+    a = rng.random((400, 2))
+    angle = 2 * np.pi * rng.random(400)
+    delta = 0.2 * rng.random(400)[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+    long = NodalSet(a, wrap_point(a + delta), np.linalg.norm(delta, axis=1),
+                    wrap_point(a + delta / 2.0), 0, float("nan"))
+    return {
+        "e65": e65_nodal,
+        "csv": nodal_from_csv(str(path)),
+        "empty": NodalSet(empty, empty, np.empty(0), empty.copy(), 256, 1.0),
+        "long": long,
+    }
+
+
+def test_bucket_index_clip_matches_full_scan(e65_nodal, tmp_path):
+    edge = 1.0 - 1e-12
+    centers = [(0.0, 0.0), (edge, edge), (0.0, 0.37), (0.37, 0.0),
+               (edge, 0.61), (0.61, edge), (0.5, 0.5)]
+    centers += [tuple(c) for c in np.random.default_rng(3).random((12, 2))]
+    for name, nodal in oracle_sets(e65_nodal, tmp_path).items():
+        limit = 0.5 - (float(np.max(nodal.lengths)) if nodal.count else 0.0)
+        # Radii end just below 0.5 - max_len; on the marching-squares sets
+        # that window covers the whole torus and the index skips nothing.
+        radii = [r for r in (0.01, 0.037, 0.14, 0.3, 0.45) if r < limit] + [limit - 1e-12]
+        for r in radii:
+            for c in centers:
+                got = clip_to_ball(nodal, c, r)
+                want = full_scan_clip(nodal, c, r)
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w) and g.shape == w.shape, (name, r, c)
 
 
 def test_clip_misses_cleanly():
