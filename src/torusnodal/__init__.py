@@ -46,6 +46,7 @@ from .ballstats import (
     BallMassReport,
     ScaleFunction,
     ball_mass_scan,
+    ball_masses,
     default_centers,
     mass_in_ball,
     report_summary_json,

@@ -5,6 +5,14 @@ entirely inside (outside) the ball count fully (not at all); cells cut by
 the boundary are subsampled on a 4x4 lattice and weighted by the inside
 fraction.  Ratios are taken against the flat ball volume pi r^2, so a
 perfectly equidistributed field scores 1 at every center.
+
+ball_masses evaluates the rule for a whole family of equal-radius balls in
+batched array passes: each ball reads a square window of a periodically
+padded copy of u^2, and the per-center offsets along each axis are computed
+once per family.  Each ball's two sums (full cells, then cut cells) are
+np.sum's pairwise reduction over that ball's own cells in row-major window
+order, so every mass is the same float whatever family the ball is
+measured in.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BallTooLarge, RadiusUnderResolved
 from .torus import wrap_delta
@@ -41,48 +50,87 @@ class ScaleFunction:
         return float(lam ** (-self.rho))
 
 
-def _window_indices(lo: float, hi: float, n: int) -> np.ndarray:
-    i0 = math.floor(lo * n) - 1
-    i1 = math.ceil(hi * n) + 1
-    if i1 - i0 >= n:
-        return np.arange(n)
-    return np.arange(i0, i1 + 1) % n
-
-
 # 4x4 subcell center offsets in units of one grid cell.
 _SUB = (np.arange(4) - 1.5) / 4.0
 
+# Balls per batch are capped so that a batch's window-sized work arrays
+# hold about this many cells, however many balls the family has.
+_BATCH_CELLS = 1 << 16
 
-def mass_in_ball(field, center, r: float) -> float:
-    """Quadrature of u^2 over the metric ball B(center, r)."""
+
+def ball_masses(field, centers, r: float) -> np.ndarray:
+    """Quadrature of u^2 over every ball B(c, r), c a row of centers.
+
+    Ball k reads the cells i0..i1 along each axis, i0 = floor((c - r - h) n)
+    - 1 and i1 = ceil((c + r + h) n) + 1 with h the half cell, reduced mod n;
+    the radius guard keeps that window narrower than the torus.  Every
+    window is read at the family's widest size; the extra cells lie past
+    i1, more than r + 2/n from the center, so they are neither full nor
+    cut.
+    """
     n = field.resolution
     if not 0.0 < r < 0.5 - 3.0 / n:
         raise BallTooLarge(f"radius {r!r} not an embedded ball with quadrature margin")
     if r * n < MIN_CELLS_PER_RADIUS:
         raise RadiusUnderResolved(
             f"radius {r!r} spans {r * n:.1f} cells at resolution {n}; need >= {MIN_CELLS_PER_RADIUS}")
-    cx, cy = float(center[0]), float(center[1])
+    centers = np.asarray(centers, dtype=float).reshape(-1, 2)
+    count = centers.shape[0]
+    if count == 0:
+        return np.zeros(0)
     h = 0.5 / n
     half_diag = h * math.sqrt(2.0)
 
-    ix = _window_indices(cx - r - h, cx + r + h, n)
-    iy = _window_indices(cy - r - h, cy + r + h, n)
-    dx = wrap_delta(ix / n - cx)
-    dy = wrap_delta(iy / n - cy)
-    dist = np.sqrt(dx[:, None] ** 2 + dy[None, :] ** 2)
+    # Per center and axis: window start and the (B, W) offsets to the center.
+    i0 = np.floor((centers - r - h) * n).astype(np.int64) - 1
+    i1 = np.ceil((centers + r + h) * n).astype(np.int64) + 1
+    w = int(np.max(i1 - i0)) + 1
+    idx = i0[:, :, None] + np.arange(w)
+    delta = wrap_delta((idx % n) / n - centers[:, :, None])
+    dx, dy = delta[:, 0], delta[:, 1]
+    sqx, sqy = np.square(dx), np.square(dy)
+    start = i0 % n
 
-    u2 = field.values[np.ix_(ix, iy)] ** 2
-    full = dist <= r - half_diag
-    boundary = (dist < r + half_diag) & ~full
-    mass = float(np.sum(u2[full]))
+    u2 = np.pad(field.values, ((0, w), (0, w)), mode="wrap")
+    np.square(u2, out=u2)
+    windows = sliding_window_view(u2, (w, w))
+    r2 = r * r
 
-    bx, by = np.nonzero(boundary)
-    if bx.size:
-        sx = dx[bx][:, None, None] + (_SUB / n)[None, :, None]
-        sy = dy[by][:, None, None] + (_SUB / n)[None, None, :]
-        frac = np.mean(sx * sx + sy * sy <= r * r, axis=(1, 2))
-        mass += float(np.sum(u2[bx, by] * frac))
-    return mass / (n * n)
+    masses = np.empty(count)
+    step = max(1, _BATCH_CELLS // (w * w))
+    for b0 in range(0, count, step):
+        b = slice(b0, b0 + step)
+        dist = np.sqrt(sqx[b, :, None] + sqy[b, None, :])
+        full = dist <= r - half_diag
+        cut = np.flatnonzero((dist < r + half_diag) & ~full)
+        win = windows[start[b, 0], start[b, 1]]
+        inner = win[full]
+        # Cut cell (k, i, j) of the batch: count its subcell centers in the ball.
+        k, ij = np.divmod(cut, w * w)
+        at_x, at_y = k * w + ij // w, k * w + ij % w
+        sx = [np.square(dx[b] + o / n).ravel()[at_x] for o in _SUB]
+        sy = [np.square(dy[b] + o / n).ravel()[at_y] for o in _SUB]
+        inside = np.zeros(cut.size, dtype=np.int64)
+        for sub_x in sx:
+            for sub_y in sy:
+                inside += sub_x + sub_y <= r2
+        # inside / 16 is exactly the mean over the 16 subcells.
+        edge = win.ravel()[cut] * (inside / 16.0)
+        c_end = np.searchsorted(cut, np.arange(1, full.shape[0] + 1) * (w * w)).tolist()
+        # Each sum reduces one ball's own run, as np.sum of that ball alone
+        # would (np.add.reduceat sums sequentially and rounds differently).
+        f_lo = c_lo = 0
+        for q, c_hi in enumerate(c_end):
+            f_hi = f_lo + int(np.count_nonzero(full[q]))
+            mass = float(inner[f_lo:f_hi].sum()) + float(edge[c_lo:c_hi].sum())
+            masses[b0 + q] = mass / (n * n)
+            f_lo, c_lo = f_hi, c_hi
+    return masses
+
+
+def mass_in_ball(field, center, r: float) -> float:
+    """Quadrature of u^2 over the metric ball B(center, r)."""
+    return float(ball_masses(field, [center], r)[0])
 
 
 @dataclass(frozen=True)
@@ -133,7 +181,7 @@ def ball_mass_scan(field, radius: float, centers: np.ndarray | None = None,
     if centers is None:
         centers = default_centers(radius, n_random=n_random, seed=seed)
     centers = np.asarray(centers, dtype=float)
-    masses = np.array([mass_in_ball(field, c, radius) for c in centers])
+    masses = ball_masses(field, centers, radius)
     vol = math.pi * radius * radius
     return BallMassReport(field.spec_lambda, rho, radius, centers, masses, masses / vol)
 

@@ -19,7 +19,8 @@ import numpy as np
 
 from .ballstats import ScaleFunction, ball_mass_scan, report_summary_json, report_to_csv, sse_scan
 from .covering import build_cover, family_to_csv, family_to_json
-from .doubling import DEFAULT_A1, DEFAULT_A2, OUTER_FACTOR, classify_doubling, lower_bound_assembly
+from .doubling import (DEFAULT_A1, DEFAULT_A2, OUTER_FACTOR, classify_doubling, lower_bound_assembly,
+                       require_resolved_doubling)
 from .eigenbasis import (EigenfunctionSpec, enumerate_modes, random_eigenfunction,
                          sample_grid, spec_from_json, spec_to_json)
 from .errors import EmptySpectrum, TorusNodalError
@@ -128,6 +129,7 @@ def cmd_cover(args) -> int:
 def cmd_doubling(args) -> int:
     spec, stem = _spec_from_args(args)
     n = args.grid or _default_grid(spec.energy)
+    require_resolved_doubling(spec.lam, args.a1, n)
     field = sample_grid(spec, n)
     nodal = extract_nodal(field)
     r_out = OUTER_FACTOR * args.a1 / spec.lam

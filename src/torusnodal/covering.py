@@ -73,6 +73,8 @@ def build_cover(r: float, seed: int, probe: int = DEFAULT_PROBE) -> BallFamily:
     """
     if not 0.0 < r < 0.25:
         raise RadiusTooLarge(f"cover radius must lie in (0, 1/4), got {r!r}")
+    if probe < 1:
+        raise ValueError(f"probe resolution must be at least 1, got {probe!r}")
     m = math.ceil(CANDIDATE_SPACING_FACTOR / r)
     k = np.arange(m) / m
     order = np.random.default_rng(seed).permutation(m * m)

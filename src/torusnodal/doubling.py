@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ballstats import mass_in_ball
+from .ballstats import MIN_CELLS_PER_RADIUS, ball_masses
 from .covering import OVERLAP_VOLUME_BOUND
-from .errors import ChartExceeded, DivisionByNegligibleMass, RadiusTooLarge
+from .errors import ChartExceeded, DivisionByNegligibleMass, RadiusTooLarge, RadiusUnderResolved
 from .nodal import NodalSet, length_in_ball
 from .torus import wrap_point
 
@@ -107,6 +107,22 @@ def _sign_change_in_ball(field, center, radius: float) -> bool:
     return bool(np.min(vals) < 0.0 < np.max(vals))
 
 
+def require_resolved_doubling(lam: float, a1: float, n: int) -> None:
+    """Raise RadiusUnderResolved unless the inner doubling radius is resolved.
+
+    The inner radius 10*a1/lam must span MIN_CELLS_PER_RADIUS cells of the
+    n-point grid.  classify_doubling rejects it too, but only after the
+    caller has built the doubling cover at half the outer radius, and for
+    a tiny a1 that cover's candidate lattice does not fit in memory, so
+    callers check here first.
+    """
+    r_in = INNER_FACTOR * a1 / lam
+    if r_in * n < MIN_CELLS_PER_RADIUS:
+        raise RadiusUnderResolved(
+            f"inner doubling radius {r_in!r} spans {r_in * n:.1f} cells at resolution {n}; "
+            f"need >= {MIN_CELLS_PER_RADIUS}")
+
+
 def classify_doubling(field, centers, a1: float = DEFAULT_A1,
                       a2: float = DEFAULT_A2) -> DoublingReport:
     """Doubling ratios over the given centers at the wavelength scale a1/lam."""
@@ -120,15 +136,14 @@ def classify_doubling(field, centers, a1: float = DEFAULT_A1,
         raise RadiusTooLarge(
             f"outer doubling radius {r_out!r} >= 1/4; energy too low for a1 = {a1!r}")
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    ratios = np.empty(centers.shape[0])
-    nodal = np.empty(centers.shape[0], dtype=bool)
-    for k, p in enumerate(centers):
-        inner = mass_in_ball(field, p, r_in)
-        if inner < NEGLIGIBLE_MASS:
-            raise DivisionByNegligibleMass(
-                f"inner mass {inner!r} at center {tuple(p)} below working precision")
-        ratios[k] = mass_in_ball(field, p, r_out) / inner
-        nodal[k] = _sign_change_in_ball(field, p, r_core)
+    inner = ball_masses(field, centers, r_in)
+    negligible = np.flatnonzero(inner < NEGLIGIBLE_MASS)
+    if negligible.size:
+        k = negligible[0]
+        raise DivisionByNegligibleMass(f"inner mass {float(inner[k])!r} at center "
+                                       f"{tuple(centers[k])} below working precision")
+    ratios = ball_masses(field, centers, r_out) / inner
+    nodal = np.array([_sign_change_in_ball(field, p, r_core) for p in centers], dtype=bool)
     good = ratios <= a2
     return DoublingReport(a1, a2, lam, r_in, r_out, centers, ratios, good, nodal)
 

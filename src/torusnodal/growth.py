@@ -167,6 +167,8 @@ class GrowthReport:
 def growth_in_C_exponent(spec: EigenfunctionSpec, tau: float,
                          rho2: float = 0.25, center=(0.0, 0.0)) -> dict:
     """Strip sup against the real sup on the rho2-ball, normalized by mu = lam * tau."""
+    if not tau > 0.0:
+        raise ValueError(f"tau must be positive to normalize the growth exponent, got {tau!r}")
     strip = complex_strip_sup(spec, tau)
     real_sup = torus_sup(spec, center=center, radius=rho2)
     mu_eff = spec.lam * tau

@@ -41,10 +41,12 @@ import numpy as np
 
 from .ballstats import BallMassReport, ScaleFunction, ball_mass_scan, sse_scan
 from .covering import BallFamily, build_cover
-from .doubling import DEFAULT_A1, DEFAULT_A2, OUTER_FACTOR, classify_doubling, lower_bound_assembly
+from .doubling import (DEFAULT_A1, DEFAULT_A2, OUTER_FACTOR, classify_doubling, lower_bound_assembly,
+                       require_resolved_doubling)
 from .eigenbasis import (SampledField, enumerate_modes, random_eigenfunction, sample_grid,
                          sine_mode_spec)
-from .errors import ChainStepViolated, DivisionByNegligibleMass, EmptySpectrum, NegativeTestFunction
+from .errors import (ChainStepViolated, DivisionByNegligibleMass, EmptySpectrum,
+                     NegativeTestFunction, RadiusUnderResolved)
 from .growth import growth_report
 from .nodal import NodalSet, clip_to_ball, extract_nodal, integrate_over_nodal
 from .svgplot import render_svg
@@ -237,7 +239,8 @@ class ExperimentPlan:
             n = self.grid_for(e)
             if n < math.ceil(10.0 * math.sqrt(e)):
                 raise ValueError(f"grid {n} too coarse for exact sampling at E={e}")
-            r = scale(2.0 * math.pi * math.sqrt(e))
+            lam = 2.0 * math.pi * math.sqrt(e)
+            r = scale(lam)
             if r < 0.25:
                 if r * n < 20.0:
                     raise ValueError(
@@ -245,6 +248,11 @@ class ExperimentPlan:
                 if r >= 0.5 - 3.0 / n:
                     raise ValueError(
                         f"radius {r:.4g} leaves no quadrature margin on grid {n} at E={e}")
+            if OUTER_FACTOR * self.doubling_a1 / lam < 0.25:
+                try:
+                    require_resolved_doubling(lam, self.doubling_a1, n)
+                except RadiusUnderResolved as exc:
+                    raise ValueError(f"{exc} at E={e}") from None
         owners: dict[int, str] = {}
         stages = [(e, s, t, f"E={e} seed {s} stage {t}") for e in self.energies
                   for s in range(self.seeds_per_energy) for t in range(4)]
@@ -300,11 +308,15 @@ class BallTable(NamedTuple):
     ball_table clips every cover ball exactly once; theorem 1, the band
     fraction and the bound chain of each test function all read from here.
     The radius and frequency are those of the mass scan, r = scale(lam).
+    Ball k's clipped pieces are rows offsets[k]:offsets[k + 1] of piece_len
+    and piece_mid.
     """
 
     family: BallFamily
     mass: BallMassReport
-    pieces: tuple[tuple[np.ndarray, np.ndarray], ...]  # (piece_len, piece_mid)
+    piece_len: np.ndarray
+    piece_mid: np.ndarray
+    offsets: np.ndarray
     lengths: np.ndarray
     nonempty: np.ndarray
     piece_max: float
@@ -321,12 +333,18 @@ def ball_table(field: SampledField, nodal: NodalSet, scale: ScaleFunction,
             f"cover family must have at least one ball and overlap >= 1; "
             f"got count={family.count} overlap_max={family.overlap_max}")
     mass = ball_mass_scan(field, r, centers=family.centers)
-    pieces = tuple(clip_to_ball(nodal, c, r)[:2] for c in family.centers)
-    lengths = np.array([float(np.sum(piece_len)) for piece_len, _ in pieces])
-    nonempty = np.array([piece_len.size > 0 for piece_len, _ in pieces])
-    piece_max = max((float(np.max(piece_len)) for piece_len, _ in pieces if piece_len.size),
-                    default=0.0)
-    return BallTable(family, mass, pieces, lengths, nonempty, piece_max)
+    clips = [clip_to_ball(nodal, c, r)[:2] for c in family.centers]
+    sizes = [0] + [piece_len.size for piece_len, _ in clips]
+    piece_len = np.concatenate([piece_len for piece_len, _ in clips])
+    piece_mid = np.concatenate([piece_mid for _, piece_mid in clips]).reshape(-1, 2)
+    # Free the per-ball copies before allocating anything else, so the
+    # allocator can hand their memory back instead of keeping a hole.
+    del clips
+    offsets = np.cumsum(sizes)
+    lengths = np.array([float(piece_len[a:b].sum()) for a, b in zip(offsets, offsets[1:])])
+    nonempty = np.diff(offsets) > 0
+    piece_max = float(np.max(piece_len)) if piece_len.size else 0.0
+    return BallTable(family, mass, piece_len, piece_mid, offsets, lengths, nonempty, piece_max)
 
 
 # ---------------------------------------------------------------------------
@@ -486,12 +504,13 @@ def _step(name: str, lhs: float, rhs: float, slack: float, note: str = "") -> Ch
     return ChainStep(name, lhs, rhs, slack, bool(lhs <= rhs + slack + eps), note)
 
 
-def _lattice_values(tf: TestFunction, center: np.ndarray, half_side: float,
+def _lattice_values(tf: TestFunction, centers: np.ndarray, half_side: float,
                     points_per_side: int = 9) -> np.ndarray:
+    """f on the square lattice of half side half_side around each center, one row each."""
     t = np.linspace(-half_side, half_side, points_per_side)
     gx, gy = np.meshgrid(t, t, indexing="ij")
-    pts = center + np.stack([gx.ravel(), gy.ravel()], axis=-1)
-    return tf(pts)
+    pts = centers[:, None, :] + np.stack([gx.ravel(), gy.ravel()], axis=-1)
+    return tf(pts.reshape(-1, 2)).reshape(len(centers), -1)
 
 
 def _lattice_gap(half_side: float, points_per_side: int = 9) -> float:
@@ -525,21 +544,24 @@ def replicate_bound_chain(field: SampledField, nodal: NodalSet, table: BallTable
     total_length = nodal.total_length
     seg_max = float(np.max(nodal.lengths)) if nodal.count else 0.0
 
-    ball_integral = np.zeros(n_balls)
+    # f once over every clipped piece; ball k's values are one slice of it.
     ball_length = table.lengths
-    f_min = np.zeros(n_balls)
-    f_max = np.zeros(n_balls)
     nonempty = table.nonempty
     piece_max = table.piece_max
-    for k in np.flatnonzero(nonempty):
-        piece_len, piece_mid = table.pieces[k]
-        vals = tf(piece_mid)
-        if np.min(vals) < -1e-9:
-            raise NegativeTestFunction(
-                f"test function {tf.name!r} dips to {float(np.min(vals))!r}")
-        ball_integral[k] = float(np.sum(vals * piece_len))
-        f_min[k] = float(np.min(vals))
-        f_max[k] = float(np.max(vals))
+    vals = tf(table.piece_mid)
+    starts = table.offsets[:-1][nonempty]
+    f_min = np.zeros(n_balls)
+    f_max = np.zeros(n_balls)
+    if starts.size:
+        f_min[nonempty] = np.minimum.reduceat(vals, starts)
+        f_max[nonempty] = np.maximum.reduceat(vals, starts)
+    negative = np.flatnonzero(f_min < -1e-9)
+    if negative.size:
+        raise NegativeTestFunction(
+            f"test function {tf.name!r} dips to {float(f_min[negative[0]])!r}")
+    weighted = vals * table.piece_len
+    ball_integral = np.array([float(weighted[a:b].sum())
+                              for a, b in zip(table.offsets, table.offsets[1:])])
 
     # Midpoint-rule error budget for curve integrals: each quadrature node
     # sits within half a piece of every point of its piece.
@@ -559,13 +581,10 @@ def replicate_bound_chain(field: SampledField, nodal: NodalSet, table: BallTable
     # gap, so they lower-bound the true inf over the half-radius core.
     probe_eps = math.sqrt(2.0) / (2.0 * fam.probe_resolution)
     sup_half_side = r + probe_eps
-    sup_est = np.empty(n_balls)
-    inf_est = np.empty(n_balls)
-    for k, c in enumerate(fam.centers):
-        sup_est[k] = float(np.max(_lattice_values(tf, c, sup_half_side))) \
-            + tf.lipschitz * _lattice_gap(sup_half_side)
-        inf_est[k] = float(np.min(_lattice_values(tf, c, r / 2.0))) \
-            - tf.lipschitz * _lattice_gap(r / 2.0)
+    sup_est = (np.max(_lattice_values(tf, fam.centers, sup_half_side), axis=1)
+               + tf.lipschitz * _lattice_gap(sup_half_side))
+    inf_est = (np.min(_lattice_values(tf, fam.centers, r / 2.0), axis=1)
+               - tf.lipschitz * _lattice_gap(r / 2.0))
     enlarged_vol = math.pi * (r + probe_eps) ** 2
     corr_lower = (float(np.sum((sup_est - f_min)[nonempty])) * vol
                   + float(np.sum(sup_est[~nonempty])) * vol
@@ -860,7 +879,8 @@ def run_plan(plan: ExperimentPlan, threads: int = 1,
 
     Runs are independent; with threads > 1 they execute in a process pool
     while the fold stays in plan order, so the report is identical either
-    way.
+    way.  The pool takes the highest energies (the longest runs) first, so
+    a late heavy run does not leave the other workers idle.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1; got {threads!r}")
@@ -869,7 +889,14 @@ def run_plan(plan: ExperimentPlan, threads: int = 1,
     runs = []
     with (ProcessPoolExecutor(max_workers=threads) if threads > 1
           else contextlib.nullcontext()) as pool:
-        for run in (pool.map(_run_star, jobs, chunksize=1) if pool else map(_run_star, jobs)):
+        if pool:
+            futures = [None] * len(jobs)
+            for k in sorted(range(len(jobs)), key=lambda k: -jobs[k][1]):
+                futures[k] = pool.submit(_run_star, jobs[k])
+            results = (f.result() for f in futures)
+        else:
+            results = map(_run_star, jobs)
+        for run in results:
             runs.append(run)
             if progress is not None:
                 progress(f"E={run.energy} seed={run.seed} done")

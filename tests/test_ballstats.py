@@ -1,4 +1,5 @@
 import json
+import math
 
 import mpmath
 import numpy as np
@@ -8,14 +9,18 @@ from hypothesis import given, strategies as st
 from torusnodal.ballstats import (
     ScaleFunction,
     ball_mass_scan,
+    ball_masses,
     default_centers,
     mass_in_ball,
     report_summary_json,
     report_to_csv,
     sse_scan,
 )
-from torusnodal.eigenbasis import sample_grid, sine_mode_spec
+from torusnodal.covering import build_cover
+from torusnodal.doubling import INNER_FACTOR, OUTER_FACTOR
+from torusnodal.eigenbasis import random_eigenfunction, sample_grid, sine_mode_spec
 from torusnodal.errors import BallTooLarge, RadiusUnderResolved
+from torusnodal.torus import wrap_delta
 
 BASELINE = json.loads(
     open(__file__.rsplit("/", 1)[0] + "/baselines/fixture_e65_seed7.json").read()
@@ -63,6 +68,54 @@ def test_mass_refines_consistently(e65_field):
         coarse_mass = mass_in_ball(e65_field, center, 0.1)
         fine_mass = mass_in_ball(fine, center, 0.1)
         assert fine_mass == pytest.approx(coarse_mass, rel=1e-2)
+
+
+def reference_mass(field, center, r: float) -> float:
+    """The quadrature of one ball on its own window, one array pass per ball."""
+    n = field.resolution
+    cx, cy = float(center[0]), float(center[1])
+    h = 0.5 / n
+    half_diag = h * math.sqrt(2.0)
+
+    def window(c):
+        return np.arange(math.floor((c - r - h) * n) - 1, math.ceil((c + r + h) * n) + 2) % n
+
+    ix, iy = window(cx), window(cy)
+    dx = wrap_delta(ix / n - cx)
+    dy = wrap_delta(iy / n - cy)
+    dist = np.sqrt(dx[:, None] ** 2 + dy[None, :] ** 2)
+    u2 = field.values[np.ix_(ix, iy)] ** 2
+    full = dist <= r - half_diag
+    boundary = (dist < r + half_diag) & ~full
+    mass = float(np.sum(u2[full]))
+    bx, by = np.nonzero(boundary)
+    sub = (np.arange(4) - 1.5) / 4.0 / n
+    sx = dx[bx][:, None, None] + sub[None, :, None]
+    sy = dy[by][:, None, None] + sub[None, None, :]
+    frac = np.mean(sx * sx + sy * sy <= r * r, axis=(1, 2))
+    mass += float(np.sum(u2[bx, by] * frac))
+    return mass / (n * n)
+
+
+@pytest.mark.parametrize("energy,seed", [(65, 7), (1105, 0)])
+def test_ball_masses_match_per_ball_reference(energy, seed):
+    n = max(256, 16 * math.ceil(math.sqrt(energy)))
+    field = sample_grid(random_eigenfunction(energy, seed), n)
+    lam = field.spec_lambda
+    seams = np.array([[0.0, 0.0], [1.0 - 1e-12, 1.0 - 1e-12], [0.0, 0.5], [0.5, 0.0],
+                      [1.0 - 1e-12, 0.3], [0.3, 1.0 - 1e-12], [0.5 / n, 0.25]])
+    rng = np.random.default_rng(seed)
+    centers = np.vstack([seams, rng.uniform(0.0, 1.0, (8, 2))])
+    cases = [(centers, r) for r in (20.0 / n, lam ** -0.5, 0.3, 0.5 - 3.0 / n - 1e-9)]
+    cases.append((build_cover(lam ** -0.5, seed).centers, lam ** -0.5))
+    r_out = OUTER_FACTOR * 2.5 / lam
+    if r_out < 0.25:
+        doubling_centers = build_cover(r_out / 2.0, seed).centers
+        cases += [(doubling_centers, INNER_FACTOR * 2.5 / lam), (doubling_centers, r_out)]
+    for family, r in cases:
+        want = np.array([reference_mass(field, c, r) for c in family])
+        assert np.array_equal(ball_masses(field, family, r), want), r
+        assert mass_in_ball(field, family[-1], r) == want[-1]
 
 
 def test_mass_rejects_bad_radii(e65_field):

@@ -151,6 +151,12 @@ def test_cover_outputs_and_validation(tmp_path, capsys):
     assert "[error]" in capsys.readouterr().err
 
 
+def test_cover_rejects_empty_probe_lattice(tmp_path, capsys):
+    assert main(["cover", "--radius", "0.15", "--probe", "0",
+                 "--out", str(tmp_path)]) == 1
+    assert "probe resolution must be at least 1" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- doubling
 
 
@@ -172,6 +178,19 @@ def test_doubling_rejects_low_energy_default_scale(tmp_path, capsys):
     assert "[error]" in capsys.readouterr().err
 
 
+def test_doubling_rejects_under_resolved_inner_radius(tmp_path, capsys, monkeypatch):
+    # At a1 = 0.01 the inner radius spans 0.3 cells; the cover at half the
+    # outer radius would need a 16,710^2 candidate lattice, so it must
+    # never be built.
+    def no_cover(*args, **kwargs):
+        raise AssertionError("build_cover called for an under-resolved radius")
+
+    monkeypatch.setattr(cli, "build_cover", no_cover)
+    assert main(["doubling", "--energy", "1105", "--seed", "0", "--a1", "0.01",
+                 "--out", str(tmp_path)]) == 1
+    assert "inner doubling radius" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- growth
 
 
@@ -183,6 +202,11 @@ def test_growth_command(tmp_path, capsys):
     assert "c7_max=" in out and "c9_hat=" in out
     blob = json.loads(next(tmp_path.glob("growth_*.json")).read_text())
     assert blob["c9_hat"] > 0.0
+
+
+def test_growth_rejects_nonpositive_tau(capsys):
+    assert main(["growth", "--energy", "25", "--seed", "0", "--tau", "0"]) == 1
+    assert "tau must be positive" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- verify
@@ -269,6 +293,18 @@ def test_verify_invalid_plans_exit_one(tmp_path, capsys):
     assert main(["verify", "--plan", str(colliding), "--out", str(tmp_path)]) == 1
     assert ("stage seeds collide: E=25 seed 10 stage 0 and E=26 seed 0 stage 1"
             in capsys.readouterr().err)
+
+
+def test_verify_rejects_under_resolved_doubling_plan(tmp_path, capsys, monkeypatch):
+    def no_cover(*args, **kwargs):
+        raise AssertionError("build_cover called for an invalid plan")
+
+    monkeypatch.setattr(harness, "build_cover", no_cover)
+    plan = tmp_path / "tiny_a1.json"
+    plan.write_text('{"energies": [1105], "seeds_per_energy": 1, "doubling_a1": 0.01}')
+    assert main(["verify", "--plan", str(plan), "--out", str(tmp_path / "out")]) == 1
+    assert "inner doubling radius" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_verify_rejects_threads_below_one(tmp_path, capsys):

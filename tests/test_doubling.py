@@ -86,6 +86,18 @@ def test_doubling_rejects_vanishing_inner_mass():
         classify_doubling(dead, np.array([[0.5, 0.5]]), a1=0.5)
 
 
+def test_doubling_names_first_center_with_vanishing_inner_mass():
+    n = 256
+    values = np.ones((n, n))
+    values[: n // 2] = 0.0  # dead for x < 1/2
+    field = SampledField(resolution=n, values=values, spec_lambda=50.0, spec=None)
+    centers = np.array([[0.75, 0.5], [0.25, 0.5], [0.2, 0.1]])
+    with pytest.raises(DivisionByNegligibleMass) as err:
+        classify_doubling(field, centers, a1=0.5)
+    assert str(err.value) == (f"inner mass 0.0 at center {tuple(centers[1])} "
+                              f"below working precision")
+
+
 def test_sign_change_detection_tracks_distance_to_zero_line():
     # Hand-set frequency shrinks the probe so the ball at x = 1/4 misses the
     # zero lines of sin(2*pi*x) while the ball on x = 0 straddles one.

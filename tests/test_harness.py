@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -14,11 +15,12 @@ from torusnodal.errors import (
     NegativeTestFunction,
 )
 from torusnodal.eigenbasis import sample_grid, sine_mode_spec
-from torusnodal.nodal import length_in_ball
+from torusnodal.nodal import clip_to_ball, extract_nodal, length_in_ball
 from torusnodal import harness
 from torusnodal.harness import (
     TEST_FUNCTIONS,
     ExperimentPlan,
+    FunctionIntegrals,
     TestFunction,
     _verdicts,
     ball_table,
@@ -169,6 +171,18 @@ def test_plan_validation_messages():
         ExperimentPlan(energies=())
     with pytest.raises(ValueError):
         ExperimentPlan(energies=(65,), seeds_per_energy=0)
+
+
+def test_plan_rejects_under_resolved_doubling_radius(monkeypatch):
+    monkeypatch.setattr(harness, "build_cover", None)  # validation builds nothing
+    with pytest.raises(ValueError, match=r"inner doubling radius .* at E=1105"):
+        ExperimentPlan(energies=(1105,), doubling_a1=0.01)
+    # 10 * a1 / lam spans 20.06 cells of the 544-point grid at a1 = 0.77.
+    ExperimentPlan(energies=(1105,), doubling_a1=0.77)
+    with pytest.raises(ValueError, match="inner doubling radius"):
+        ExperimentPlan(energies=(1105,), doubling_a1=0.76)
+    # Where the outer radius reaches 1/4 the run skips doubling: no check.
+    ExperimentPlan(energies=(65,), doubling_a1=2.5)
 
 
 def test_plan_tolerance_merge_keeps_defaults():
@@ -359,6 +373,91 @@ def test_chain_detects_tampered_cover(e65_field, e65_nodal, half_scale):
     assert "nodal_coverage_superadditivity" in failing
 
 
+def reference_ball_terms(nodal, table, tf):
+    """Per-ball f-minima, f-maxima, integrals and 9x9-lattice sup/inf, one ball at a time."""
+    fam = table.family
+    r = table.mass.radius
+    probe_eps = math.sqrt(2.0) / (2.0 * fam.probe_resolution)
+    terms = {name: np.zeros(fam.count) for name in ("f_min", "f_max", "integral", "sup", "inf")}
+
+    def lattice(c, half):
+        t = np.linspace(-half, half, 9)
+        gx, gy = np.meshgrid(t, t, indexing="ij")
+        gap = (2.0 * half / 8) * math.sqrt(2.0) / 2.0
+        return tf(c + np.stack([gx.ravel(), gy.ravel()], axis=-1)), tf.lipschitz * gap
+
+    for k, c in enumerate(fam.centers):
+        piece_len, piece_mid = clip_to_ball(nodal, c, r)[:2]
+        if piece_len.size:
+            vals = tf(piece_mid)
+            if np.min(vals) < -1e-9:
+                raise NegativeTestFunction(
+                    f"test function {tf.name!r} dips to {float(np.min(vals))!r}")
+            terms["integral"][k] = float(np.sum(vals * piece_len))
+            terms["f_min"][k] = float(np.min(vals))
+            terms["f_max"][k] = float(np.max(vals))
+        vals, slack = lattice(c, r + probe_eps)
+        terms["sup"][k] = float(np.max(vals)) + slack
+        vals, slack = lattice(c, r / 2.0)
+        terms["inf"][k] = float(np.min(vals)) - slack
+    return terms
+
+
+@pytest.fixture(scope="module")
+def sine_pair():
+    """sqrt(2) sin(2 pi x): nodal lines x = 0 and x = 1/2 only."""
+    field = sample_grid(sine_mode_spec(1), 256)
+    return field, extract_nodal(field)
+
+
+@pytest.mark.parametrize("name", sorted(TEST_FUNCTIONS))
+@pytest.mark.parametrize("case", ["e65", "sine"])
+def test_chain_matches_per_ball_reference(e65_field, e65_nodal, half_scale, sine_pair,
+                                          case, name):
+    if case == "e65":
+        field, nodal, scale = e65_field, e65_nodal, half_scale
+    else:
+        # Radius 1/(2 pi): cover balls between the two nodal lines clip nothing.
+        field, nodal = sine_pair
+        scale = ScaleFunction(1.0)
+    table = cover_table(field, nodal, scale)
+    fi = integrals_of(field, nodal, name)
+    trace = replicate_bound_chain(field, nodal, table, fi, raise_on_violation=False)
+    ref = reference_ball_terms(nodal, table, fi.tf)
+
+    r = table.mass.radius
+    vol = math.pi * r * r
+    enlarged = math.pi * (r + math.sqrt(2.0) / (2.0 * table.family.probe_resolution)) ** 2
+    ne = table.nonempty
+    quad = 1e-6 * (fi.tf.spread + 1.0)
+    assert trace.corr_lower == (float(np.sum((ref["sup"] - ref["f_min"])[ne])) * vol
+                                + float(np.sum(ref["sup"][~ne])) * vol
+                                + float(np.sum(ref["sup"])) * (enlarged - vol) + quad)
+    assert trace.corr_upper == (float(np.sum((ref["f_max"] - ref["inf"])[ne])) * (vol / 4.0)
+                                + quad)
+    steps = {s.name: s for s in trace.steps}
+    assert steps["nodal_coverage_superadditivity"].rhs == float(np.sum(ref["integral"]))
+    assert steps["ball_min_value"].lhs == float(np.sum(ref["f_min"] * table.lengths))
+    assert steps["ball_max_value"].rhs == float(np.sum(ref["f_max"] * table.lengths))
+    assert steps["cover_captures_integral"].rhs == vol * float(np.sum(ref["f_min"][ne]))
+    assert steps["disjoint_cores_bound_integral"].lhs == vol * float(np.sum(ref["f_max"][ne]))
+    assert trace.empty_balls == int(np.sum(~ne))
+    assert (trace.empty_balls > 0) is (case == "sine")
+
+
+def test_chain_names_first_negative_ball_like_per_ball_reference(e65_field, e65_nodal,
+                                                                 half_scale):
+    # Negative only on a band of x, so some balls pass before one fails.
+    signed = TestFunction("signed", lambda pts: np.cos(2 * np.pi * (pts[:, 0] + 0.1)),
+                          2 * np.pi, 2.0)
+    table = cover_table(e65_field, e65_nodal, half_scale)
+    with pytest.raises(NegativeTestFunction) as want:
+        reference_ball_terms(e65_nodal, table, signed)
+    with pytest.raises(NegativeTestFunction) as got:
+        replicate_bound_chain(e65_field, e65_nodal, table, FunctionIntegrals(signed, 1.0, 1.0))
+    assert str(got.value) == str(want.value)
+
+
 def test_chain_validates_family_geometry(e65_field, e65_nodal, half_scale):
     fam = build_cover(0.2, seed=0)  # wrong radius for this scale
     with pytest.raises(ValueError, match="does not match scale radius"):
@@ -372,7 +471,7 @@ def test_chain_validates_family_geometry(e65_field, e65_nodal, half_scale):
 def test_ball_table_lengths_match_length_in_ball(e65_field, e65_nodal, half_scale):
     table = cover_table(e65_field, e65_nodal, half_scale)
     r = half_scale(e65_field.spec_lambda)
-    assert len(table.pieces) == table.family.count
+    assert len(table.offsets) == table.family.count + 1
     for c, got in zip(table.family.centers, table.lengths):
         assert got == length_in_ball(e65_nodal, c, r)
     assert np.array_equal(table.nonempty, table.lengths > 0.0)
@@ -487,6 +586,40 @@ def test_run_plan_threads_match_serial():
     assert threaded_messages == expected
     with pytest.raises(ValueError, match="threads must be at least 1"):
         run_plan(plan, threads=0)
+
+
+def test_run_plan_submits_highest_energies_first(monkeypatch):
+    submitted = []
+
+    class InlinePool:
+        """Runs each job at submit time and records the submission order."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, job):
+            submitted.append(f"E={job[1]} seed={job[2]}")
+            future = Future()
+            future.set_result(fn(job))
+            return future
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    # Degenerate energies (scale radius above 1/4) keep each run short.
+    plan = ExperimentPlan(energies=(2, 8, 5), seeds_per_energy=2,
+                          include_low_energy_control=False)
+    messages = []
+    report = run_plan(plan, threads=2, progress=messages.append)
+    assert submitted == ["E=8 seed=0", "E=8 seed=1", "E=5 seed=0", "E=5 seed=1",
+                         "E=2 seed=0", "E=2 seed=1"]
+    assert messages == ["E=2 seed=0 done", "E=2 seed=1 done", "E=8 seed=0 done",
+                        "E=8 seed=1 done", "E=5 seed=0 done", "E=5 seed=1 done"]
+    assert report_to_json(report) == report_to_json(run_plan(plan))
 
 
 def test_theorem1_verdict_fails_without_window_on_empty_ball():
