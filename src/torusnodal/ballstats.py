@@ -58,6 +58,15 @@ _SUB = (np.arange(4) - 1.5) / 4.0
 _BATCH_CELLS = 1 << 16
 
 
+def require_resolved_radius(r: float, n: int) -> None:
+    """Raise unless B(., r) is embedded with quadrature margin and spans enough cells of grid n."""
+    if not 0.0 < r < 0.5 - 3.0 / n:
+        raise BallTooLarge(f"radius {r!r} not an embedded ball with quadrature margin")
+    if r * n < MIN_CELLS_PER_RADIUS:
+        raise RadiusUnderResolved(
+            f"radius {r!r} spans {r * n:.1f} cells at resolution {n}; need >= {MIN_CELLS_PER_RADIUS}")
+
+
 def ball_masses(field, centers, r: float) -> np.ndarray:
     """Quadrature of u^2 over every ball B(c, r), c a row of centers.
 
@@ -69,11 +78,7 @@ def ball_masses(field, centers, r: float) -> np.ndarray:
     cut.
     """
     n = field.resolution
-    if not 0.0 < r < 0.5 - 3.0 / n:
-        raise BallTooLarge(f"radius {r!r} not an embedded ball with quadrature margin")
-    if r * n < MIN_CELLS_PER_RADIUS:
-        raise RadiusUnderResolved(
-            f"radius {r!r} spans {r * n:.1f} cells at resolution {n}; need >= {MIN_CELLS_PER_RADIUS}")
+    require_resolved_radius(r, n)
     centers = np.asarray(centers, dtype=float).reshape(-1, 2)
     count = centers.shape[0]
     if count == 0:

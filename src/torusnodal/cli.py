@@ -38,27 +38,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _default_grid(energy: int) -> int:
-    # The plan grid rule at the plan defaults, which the class attributes hold.
-    return ExperimentPlan.grid_for(ExperimentPlan, energy)
-
-
 def _ensure_out(path: str) -> str:
     os.makedirs(path, exist_ok=True)
     return path
 
 
-def _spec_from_args(args) -> tuple[EigenfunctionSpec, str]:
-    """Resolve the eigenfunction source: a spec file or (energy, seed)."""
+def _spec_and_grid(args) -> tuple[EigenfunctionSpec, str, int]:
+    """The eigenfunction (from a spec file or energy and seed), its file stem and its grid."""
     if getattr(args, "spec", None):
         with open(args.spec) as fh:
             spec = spec_from_json(fh.read())
         stem = os.path.splitext(os.path.basename(args.spec))[0]
-        return spec, stem
-    if getattr(args, "energy", None) is None:
+    elif getattr(args, "energy", None) is None:
         raise ValueError("provide either --spec FILE or --energy (with --seed)")
-    spec = random_eigenfunction(args.energy, args.seed)
-    return spec, f"E{args.energy}_seed{args.seed}"
+    else:
+        spec = random_eigenfunction(args.energy, args.seed)
+        stem = f"E{args.energy}_seed{args.seed}"
+    # Only a missing --grid means the plan grid rule (at the class defaults);
+    # sample_grid rejects any grid too coarse, 0 included.
+    n = args.grid if args.grid is not None else ExperimentPlan.grid_for(ExperimentPlan, spec.energy)
+    return spec, stem, n
 
 
 def cmd_modes(args) -> int:
@@ -85,8 +84,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_nodal(args) -> int:
-    spec, stem = _spec_from_args(args)
-    n = args.grid or _default_grid(spec.energy)
+    spec, stem, n = _spec_and_grid(args)
     field = sample_grid(spec, n)
     nodal = extract_nodal(field)
     out = _ensure_out(args.out)
@@ -99,8 +97,7 @@ def cmd_nodal(args) -> int:
 
 
 def cmd_ballstats(args) -> int:
-    spec, stem = _spec_from_args(args)
-    n = args.grid or _default_grid(spec.energy)
+    spec, stem, n = _spec_and_grid(args)
     field = sample_grid(spec, n)
     if args.radius is not None:
         report = ball_mass_scan(field, args.radius, seed=args.seed)
@@ -127,8 +124,7 @@ def cmd_cover(args) -> int:
 
 
 def cmd_doubling(args) -> int:
-    spec, stem = _spec_from_args(args)
-    n = args.grid or _default_grid(spec.energy)
+    spec, stem, n = _spec_and_grid(args)
     require_resolved_doubling(spec.lam, args.a1, n)
     field = sample_grid(spec, n)
     nodal = extract_nodal(field)
@@ -151,8 +147,7 @@ def cmd_doubling(args) -> int:
 
 
 def cmd_growth(args) -> int:
-    spec, stem = _spec_from_args(args)
-    n = args.grid or _default_grid(spec.energy)
+    spec, stem, n = _spec_and_grid(args)
     field = sample_grid(spec, n)
     tau = args.tau if args.tau is not None else spec.energy ** -0.5
     scale_r = ScaleFunction(args.rho)(spec.lam)

@@ -14,6 +14,8 @@ so that sum |c_xi|^2 = 1, i.e. the L^2 norm over the unit torus is 1.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -132,6 +134,36 @@ def constant_spec() -> EigenfunctionSpec:
     return EigenfunctionSpec(0, ((0, 0),), np.array([1.0 + 0j]))
 
 
+def _openblas_function(verb: str):
+    """OpenBLAS's `verb` (e.g. set_num_threads) in the copy mapped into this process, or None."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line.lower()}
+        libs = [ctypes.CDLL(path) for path in sorted(paths)]
+    except OSError:
+        return None
+    names = (f"scipy_openblas_{verb}64_", f"openblas_{verb}64_", f"openblas_{verb}")
+    return next((getattr(lib, n) for lib in libs for n in names if hasattr(lib, n)), None)
+
+
+@functools.cache
+def _pin_blas_thread() -> None:
+    if (setter := _openblas_function("set_num_threads")) is not None:
+        setter.argtypes, setter.restype = (ctypes.c_int,), None
+        setter(1)
+
+
+def _mode_sum(pts: np.ndarray, xi: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Complex sum_xi c_xi exp(2 pi i xi . x) at every row x of pts.
+
+    The first call in a process sets OpenBLAS to one thread, and the process
+    keeps BLAS at one thread afterwards: on these small products a helper
+    thread only burns a second core.  The sums are the same floats either way.
+    """
+    _pin_blas_thread()
+    return np.exp((TWO_PI * 1j) * (pts @ xi.T)) @ coeffs
+
+
 def evaluate(spec: EigenfunctionSpec, point) -> float | np.ndarray:
     """Evaluate the trigonometric sum exactly at one point or an (M, 2) batch.
 
@@ -141,9 +173,7 @@ def evaluate(spec: EigenfunctionSpec, point) -> float | np.ndarray:
     pts = np.atleast_2d(np.asarray(point, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 2 or not np.all(np.isfinite(pts)):
         raise ValueError("point must be a finite 2-vector or (M, 2) array")
-    xi = np.asarray(spec.modes, dtype=float)
-    phases = pts @ xi.T
-    vals = np.exp((TWO_PI * 1j) * phases) @ spec.coeffs
+    vals = _mode_sum(pts, np.asarray(spec.modes, dtype=float), spec.coeffs)
     scale = float(np.sum(np.abs(spec.coeffs)))
     if np.max(np.abs(vals.imag)) > IMAG_TOL * scale:
         raise NonRealValue("evaluation produced a non-negligible imaginary part")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigenbasis import TWO_PI, EigenfunctionSpec, evaluate, grid_sum
+from .eigenbasis import TWO_PI, EigenfunctionSpec, _mode_sum, evaluate, grid_sum
 from .errors import ChartExceeded
 
 REFINE_POINTS = 21
@@ -93,13 +93,6 @@ def real_doubling_exponent(view, delta: float, centers) -> np.ndarray:
     return out
 
 
-def _corner_sheet_abs(spec: EigenfunctionSpec, y: np.ndarray, n: int) -> np.ndarray:
-    """|v(x + iy)| on the n x n x-grid for one fixed imaginary offset y."""
-    xi = np.asarray(spec.modes, dtype=float)
-    damp = np.exp(-TWO_PI * (xi @ y))
-    return np.abs(grid_sum(spec.modes, spec.coeffs * damp, n))
-
-
 @dataclass(frozen=True)
 class StripSup:
     """Sampled sup of |v| over the strip |y|_inf <= tau, with its upper certificate."""
@@ -123,15 +116,14 @@ def complex_strip_sup(spec: EigenfunctionSpec, tau: float) -> StripSup:
         corners = corners[:1]
     best = -math.inf
     for y in corners:
-        sheet = _corner_sheet_abs(spec, y, n)
+        coeffs = spec.coeffs * np.exp(-TWO_PI * (xi @ y))
+        sheet = np.abs(grid_sum(spec.modes, coeffs, n))
         flat = int(np.argmax(sheet))
         i, j = divmod(flat, n)
         coarse = float(sheet[i, j])
 
-        def eval_abs(pts, y=y):
-            phases = pts @ xi.T
-            damp = np.exp(-TWO_PI * (xi @ y))
-            return np.abs(np.exp((TWO_PI * 1j) * phases) @ (spec.coeffs * damp))
+        def eval_abs(pts, coeffs=coeffs):
+            return np.abs(_mode_sum(pts, xi, coeffs))
 
         p0 = np.array([i / n, j / n])
         refined = _refine_disk_max(eval_abs, p0, 1.0 / n, p0, 10.0)

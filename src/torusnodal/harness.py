@@ -39,13 +39,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .ballstats import BallMassReport, ScaleFunction, ball_mass_scan, sse_scan
+from .ballstats import (BallMassReport, ScaleFunction, ball_mass_scan, require_resolved_radius,
+                        sse_scan)
 from .covering import BallFamily, build_cover
 from .doubling import (DEFAULT_A1, DEFAULT_A2, OUTER_FACTOR, classify_doubling, lower_bound_assembly,
                        require_resolved_doubling)
 from .eigenbasis import (SampledField, enumerate_modes, random_eigenfunction, sample_grid,
                          sine_mode_spec)
-from .errors import (ChainStepViolated, DivisionByNegligibleMass, EmptySpectrum,
+from .errors import (BallTooLarge, ChainStepViolated, DivisionByNegligibleMass, EmptySpectrum,
                      NegativeTestFunction, RadiusUnderResolved)
 from .growth import growth_report
 from .nodal import NodalSet, clip_to_ball, extract_nodal, integrate_over_nodal
@@ -241,18 +242,13 @@ class ExperimentPlan:
                 raise ValueError(f"grid {n} too coarse for exact sampling at E={e}")
             lam = 2.0 * math.pi * math.sqrt(e)
             r = scale(lam)
-            if r < 0.25:
-                if r * n < 20.0:
-                    raise ValueError(
-                        f"radius {r:.4g} under-resolved on grid {n} at E={e}")
-                if r >= 0.5 - 3.0 / n:
-                    raise ValueError(
-                        f"radius {r:.4g} leaves no quadrature margin on grid {n} at E={e}")
-            if OUTER_FACTOR * self.doubling_a1 / lam < 0.25:
-                try:
+            try:
+                if r < 0.25:
+                    require_resolved_radius(r, n)
+                if OUTER_FACTOR * self.doubling_a1 / lam < 0.25:
                     require_resolved_doubling(lam, self.doubling_a1, n)
-                except RadiusUnderResolved as exc:
-                    raise ValueError(f"{exc} at E={e}") from None
+            except (BallTooLarge, RadiusUnderResolved) as exc:
+                raise ValueError(f"{exc} at E={e}") from None
         owners: dict[int, str] = {}
         stages = [(e, s, t, f"E={e} seed {s} stage {t}") for e in self.energies
                   for s in range(self.seeds_per_energy) for t in range(4)]
@@ -869,38 +865,39 @@ _AGGREGATE_FIELDS = ("yau_ratio", "d1", "d2", "sse_fraction", "e1_hat", "e2_hat"
                      "c1_hat", "c2_hat", "good_fraction", "c7_max", "c9_hat")
 
 
-def _run_star(args) -> RunResult:
-    return run_single(*args)
-
-
 def run_plan(plan: ExperimentPlan, threads: int = 1,
              progress: Callable[[str], None] | None = None) -> VerificationReport:
     """Execute every (energy, seed) run of the plan and fold the report.
 
     Runs are independent; with threads > 1 they execute in a process pool
     while the fold stays in plan order, so the report is identical either
-    way.  The pool takes the highest energies (the longest runs) first, so
-    a late heavy run does not leave the other workers idle.
+    way.  The pool takes the highest energies (the longest runs) first and
+    the control last, so a late heavy run does not leave the other workers
+    idle.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1; got {threads!r}")
     jobs = [(plan, e, s) for e in plan.energies
             for s in range(plan.seeds_per_energy)]
     runs = []
+    control = None
     with (ProcessPoolExecutor(max_workers=threads) if threads > 1
           else contextlib.nullcontext()) as pool:
         if pool:
             futures = [None] * len(jobs)
             for k in sorted(range(len(jobs)), key=lambda k: -jobs[k][1]):
-                futures[k] = pool.submit(_run_star, jobs[k])
+                futures[k] = pool.submit(run_single, *jobs[k])
+            if plan.include_low_energy_control:
+                control = pool.submit(control_run, plan)
             results = (f.result() for f in futures)
         else:
-            results = map(_run_star, jobs)
+            results = (run_single(*job) for job in jobs)
         for run in results:
             runs.append(run)
             if progress is not None:
                 progress(f"E={run.energy} seed={run.seed} done")
-    control = control_run(plan) if plan.include_low_energy_control else None
+    if plan.include_low_energy_control:
+        control = control.result() if pool else control_run(plan)
     aggregates = _aggregate(plan, runs)
     verdicts = _verdicts(plan, runs, control)
     return VerificationReport(plan, tuple(runs), control, aggregates, verdicts)

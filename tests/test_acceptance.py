@@ -3,7 +3,8 @@
 Each criterion prints exactly one [acceptance] PASS/FAIL line.  The heavy
 criteria share one full run of the standard survey plan (plans/desk.json)
 through a module-scoped fixture; the determinism criterion runs the plan a
-second time and compares serialized reports byte for byte.
+second time, with two pool workers, and compares serialized reports byte for
+byte.
 """
 
 import json
@@ -320,18 +321,19 @@ def test_criterion_11_growth_exponents(desk_report):
 
 
 # --------------------------------------------------------------------------
-# 12. Full-survey determinism: a second run serializes byte-identically.
+# 12. Full-survey determinism: a second run, through two pool workers,
+# serializes byte-identically to the serial one.
 
 
 def test_criterion_12_determinism(desk_plan, desk_report):
     first = report_to_json(desk_report)
-    second = report_to_json(run_plan(desk_plan))
+    second = report_to_json(run_plan(desk_plan, threads=2))
     ok = first == second
     _report(
         12,
         "determinism",
         ok,
-        f"report JSON {len(first)} bytes, re-run identical={ok}",
+        f"report JSON {len(first)} bytes, 2-worker re-run identical={ok}",
     )
     assert ok
 

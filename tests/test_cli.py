@@ -209,6 +209,15 @@ def test_growth_rejects_nonpositive_tau(capsys):
     assert "tau must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, grid", [("nodal", "0"), ("growth", "-3")])
+def test_spec_commands_reject_grid_below_sampling_bound(tmp_path, capsys, command, grid):
+    # 0 is a grid, not "use the default"; both are below ceil(10 sqrt(25)).
+    assert main([command, "--energy", "25", "--seed", "0", "--grid", grid,
+                 "--out", str(tmp_path)]) == 1
+    assert "too coarse for energy 25" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------- verify
 
 

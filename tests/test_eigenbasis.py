@@ -1,5 +1,8 @@
+import ctypes
 import json
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from torusnodal.eigenbasis import (
     EigenfunctionSpec,
+    _openblas_function,
     constant_spec,
     enumerate_modes,
     evaluate,
@@ -106,6 +110,53 @@ def test_evaluate_matches_direct_mode_sum():
     phases = np.exp(2j * np.pi * pts @ modes.T)
     want = (phases @ np.asarray(spec.coeffs)).real
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+needs_openblas = pytest.mark.skipif(_openblas_function("set_num_threads") is None,
+                                    reason="numpy is not linked to OpenBLAS")
+
+
+def _blas_thread_calls():
+    """OpenBLAS's set_num_threads and get_num_threads, through evaluate's own lookup."""
+    set_threads = _openblas_function("set_num_threads")
+    get_threads = _openblas_function("get_num_threads")
+    set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+    get_threads.argtypes, get_threads.restype = (), ctypes.c_int
+    return set_threads, get_threads
+
+
+@needs_openblas
+def test_evaluate_same_floats_at_one_and_two_blas_threads():
+    set_threads, get_threads = _blas_thread_calls()
+    rng = np.random.default_rng(3)
+    cases = [(random_eigenfunction(e, 0), rng.random((m, 2)))
+             for e in (65, 1105) for m in (441, 22_000)]
+    evaluate(*cases[0])  # the first mode sum here pins BLAS to 1; raise it to 2 only after
+    try:
+        set_threads(2)
+        assert get_threads() == 2
+        two = [evaluate(spec, pts) for spec, pts in cases]
+    finally:
+        set_threads(1)
+    assert get_threads() == 1
+    one = [evaluate(spec, pts) for spec, pts in cases]
+    for a, b in zip(two, one):
+        assert np.array_equal(a, b)
+
+
+def _blas_threads_after_evaluate(spec, pts) -> int:
+    evaluate(spec, pts)
+    return _blas_thread_calls()[1]()
+
+
+@needs_openblas
+def test_pool_worker_keeps_one_blas_thread_after_evaluate():
+    # A spawned worker inherits no pin from this process: evaluate must set it.
+    spec = random_eigenfunction(1105, 0)
+    pts = np.random.default_rng(4).random((441, 2))
+    with ProcessPoolExecutor(max_workers=1,
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        assert pool.submit(_blas_threads_after_evaluate, spec, pts).result() == 1
 
 
 def test_sine_fixture_closed_form():

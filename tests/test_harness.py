@@ -1,20 +1,23 @@
 import dataclasses
 import json
 import math
+import re
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from torusnodal.ballstats import ScaleFunction
+from torusnodal.ballstats import ScaleFunction, ball_masses, require_resolved_radius
 from torusnodal.covering import BallFamily, build_cover
 from torusnodal.errors import (
+    BallTooLarge,
     ChainStepViolated,
     EmptySpectrum,
     NegativeTestFunction,
+    RadiusUnderResolved,
 )
-from torusnodal.eigenbasis import sample_grid, sine_mode_spec
+from torusnodal.eigenbasis import random_eigenfunction, sample_grid, sine_mode_spec
 from torusnodal.nodal import clip_to_ball, extract_nodal, length_in_ball
 from torusnodal import harness
 from torusnodal.harness import (
@@ -183,6 +186,30 @@ def test_plan_rejects_under_resolved_doubling_radius(monkeypatch):
         ExperimentPlan(energies=(1105,), doubling_a1=0.76)
     # Where the outer radius reaches 1/4 the run skips doubling: no check.
     ExperimentPlan(energies=(65,), doubling_a1=2.5)
+
+
+def test_plan_rejects_under_resolved_scale_radius(monkeypatch):
+    monkeypatch.setattr(harness, "build_cover", None)  # validation builds nothing
+    # At rho 0.9 the E=1105 scale radius spans 4.4 cells of the 544-point grid.
+    r = ScaleFunction(0.9)(2.0 * math.pi * math.sqrt(1105))
+    with pytest.raises(RadiusUnderResolved) as kernel:
+        require_resolved_radius(r, 544)
+    with pytest.raises(ValueError) as plan:
+        ExperimentPlan(energies=(1105,), rho=0.9)
+    assert str(plan.value) == f"{kernel.value} at E=1105"
+    assert "spans 4.4 cells at resolution 544" in str(plan.value)
+
+
+def test_require_resolved_radius_matches_ball_masses():
+    # The plan applies the guard where the scale radius is below 1/4, and the
+    # smallest plan grid (64) keeps 0.5 - 3/n above that, so no plan reaches
+    # it: the plan and ball_masses share require_resolved_radius instead.
+    field = sample_grid(random_eigenfunction(65, 0), 256)
+    for r in (0.5 - 3.0 / 256, 0.0, 0.01):
+        with pytest.raises((BallTooLarge, RadiusUnderResolved)) as kernel:
+            ball_masses(field, [[0.5, 0.5]], r)
+        with pytest.raises(type(kernel.value), match=f"^{re.escape(str(kernel.value))}$"):
+            require_resolved_radius(r, 256)
 
 
 def test_plan_tolerance_merge_keeps_defaults():
@@ -588,6 +615,14 @@ def test_run_plan_threads_match_serial():
         run_plan(plan, threads=0)
 
 
+def test_run_plan_threads_match_serial_with_control():
+    # With workers the control runs in the pool; the report keeps its bytes.
+    plan = ExperimentPlan(energies=(65,), seeds_per_energy=2)
+    serial = run_plan(plan)
+    assert serial.control is not None
+    assert report_to_json(run_plan(plan, threads=2)) == report_to_json(serial)
+
+
 def test_run_plan_submits_highest_energies_first(monkeypatch):
     submitted = []
 
@@ -603,20 +638,22 @@ def test_run_plan_submits_highest_energies_first(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, job):
-            submitted.append(f"E={job[1]} seed={job[2]}")
+        def submit(self, fn, *args):
+            submitted.append("control" if fn is harness.control_run
+                             else f"E={args[1]} seed={args[2]}")
             future = Future()
-            future.set_result(fn(job))
+            future.set_result(fn(*args))
             return future
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
     # Degenerate energies (scale radius above 1/4) keep each run short.
-    plan = ExperimentPlan(energies=(2, 8, 5), seeds_per_energy=2,
-                          include_low_energy_control=False)
+    plan = ExperimentPlan(energies=(2, 8, 5), seeds_per_energy=2)
     messages = []
     report = run_plan(plan, threads=2, progress=messages.append)
+    # The control goes last, into the worker that would idle behind the longest run.
     assert submitted == ["E=8 seed=0", "E=8 seed=1", "E=5 seed=0", "E=5 seed=1",
-                         "E=2 seed=0", "E=2 seed=1"]
+                         "E=2 seed=0", "E=2 seed=1", "control"]
+    assert report.control is not None
     assert messages == ["E=2 seed=0 done", "E=2 seed=1 done", "E=8 seed=0 done",
                         "E=8 seed=1 done", "E=5 seed=0 done", "E=5 seed=1 done"]
     assert report_to_json(report) == report_to_json(run_plan(plan))
