@@ -199,6 +199,65 @@ def sse_scan(field, scale: ScaleFunction, centers: np.ndarray | None = None,
                           n_random=n_random, seed=seed)
 
 
+def _mass_bounds(field, centers, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Certified [lo, hi] around ball_masses(field, centers, r), per center.
+
+    lo sums u^2 over the cells within r - h sqrt2 - slop (h the half cell),
+    which ball_masses counts in full, hi over those within r + h sqrt2 + slop,
+    the only ones it weights above 0, row by row from row-wise prefix sums.
+    """
+    n = field.resolution
+    centers = np.asarray(centers, dtype=float).reshape(-1, 2) % 1.0
+    half_diag = 0.5 / n * math.sqrt(2.0)
+    slop = 1e-9  # adds 2 r slop to squared distances, whose float error is below 1e-15
+    reach = r + half_diag + slop
+    k = math.ceil(reach * n) + 1
+    rows = np.floor(centers[:, :1] * n).astype(np.int64) + np.arange(-k, k + 1)
+    dx2 = np.square(rows / n - centers[:, :1])
+    cy = centers[:, 1:] * n
+    # pre[i, k + 1 + j]: row i of u^2 summed periodically over columns -k - 1 .. j.
+    span = 2 * k + 1
+    pre = np.pad(field.values, ((0, 0), (k + 1, k)), mode="wrap")
+    np.square(pre, out=pre)
+    np.cumsum(pre, axis=1, out=pre)
+    base = rows % n * (n + span) + k
+
+    def disk_sum(rad: float, round_lo, round_hi) -> np.ndarray:
+        t2 = rad * rad - dx2
+        t = np.sqrt(np.maximum(t2, 0.0)) * n
+        j0, j1 = round_lo(cy - t), round_hi(cy + t)
+        start = base + j0.astype(np.int64)
+        stop = start + ((j1 - j0 + 1) * (t2 >= 0.0)).astype(np.int64)
+        return np.sum(np.take(pre, stop) - np.take(pre, start), axis=1)
+
+    # Per row the cumsums err by (n + span) eps of the row's total; ball_masses'
+    # sums over < span^2 cells err by span^2 eps of the span rows' totals.
+    slack = 4.0 * (n + span + span * span) * span * np.finfo(float).eps * pre[:, -1].max()
+    lo = disk_sum(r - half_diag - slop, np.ceil, np.floor) - slack
+    hi = disk_sum(reach, np.floor, np.ceil) + slack
+    return lo / (n * n), hi / (n * n)
+
+
+def sse_extremes(field, scale: ScaleFunction, n_random: int = 100,
+                 seed: int = 0) -> tuple[float, float]:
+    """(d1, d2) of sse_scan(field, scale, n_random=n_random, seed=seed), same floats.
+
+    Measures the balls of lowest lo and highest hi, then every ball whose
+    bounds admit a mass as small or as large: a mass does not depend on its
+    family, and x -> x / (pi r^2) is monotone.
+    """
+    r = scale(field.spec_lambda)
+    require_resolved_radius(r, field.resolution)
+    centers = default_centers(r, n_random=n_random, seed=seed)
+    lo, hi = _mass_bounds(field, centers, r)
+    first = [np.argmin(lo), np.argmax(hi)]
+    masses = ball_masses(field, centers[first], r)
+    rest = (lo <= min(masses.min(), hi.min())) | (hi >= max(masses.max(), lo.max()))
+    masses = np.concatenate([masses, ball_masses(field, centers[rest], r)])
+    ratios = masses / (math.pi * r * r)
+    return float(np.min(ratios)), float(np.max(ratios))
+
+
 def report_to_csv(report: BallMassReport, path: str) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("center_x,center_y,radius,mass,ratio\n")

@@ -50,19 +50,18 @@ class BallFamily:
 
 def _paint_counts(centers: np.ndarray, r: float, probe: int) -> np.ndarray:
     """Per-probe-point count of containing full-radius balls."""
-    counts = np.zeros((probe, probe), dtype=np.int32)
-    for c in centers:
-        i0 = math.floor((c[0] - r) * probe) - 1
-        i1 = math.ceil((c[0] + r) * probe) + 1
-        j0 = math.floor((c[1] - r) * probe) - 1
-        j1 = math.ceil((c[1] + r) * probe) + 1
-        ix = np.arange(i0, i1 + 1)
-        jy = np.arange(j0, j1 + 1)
-        dx = wrap_delta(ix / probe - c[0])
-        dy = wrap_delta(jy / probe - c[1])
-        inside = dx[:, None] ** 2 + dy[None, :] ** 2 <= r * r
-        counts[np.ix_(ix % probe, jy % probe)] += inside
-    return counts
+    i0 = np.floor((centers - r) * probe).astype(np.int64) - 1
+    i1 = np.ceil((centers + r) * probe).astype(np.int64) + 1
+    # Windows end at i1, at most probe wide (none painted twice); points before i0 lie outside.
+    w = min(probe, int(np.max(i1 - i0, initial=0)) + 1)
+    ix = i1[:, :, None] + np.arange(1 - w, 1)
+    sq = np.square(wrap_delta(ix / probe - centers[:, :, None]))
+    canvas = np.zeros((probe + w, probe + w), dtype=np.int32)
+    for (x0, y0), sx, sy in zip((ix[:, :, 0] % probe).tolist(), sq[:, 0], sq[:, 1]):
+        canvas[x0:x0 + w, y0:y0 + w] += sx[:, None] + sy[None, :] <= r * r
+    canvas[:w] += canvas[probe:]
+    canvas[:, :w] += canvas[:, probe:]
+    return canvas[:probe, :probe]
 
 
 def build_cover(r: float, seed: int, probe: int = DEFAULT_PROBE) -> BallFamily:

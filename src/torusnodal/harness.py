@@ -31,6 +31,7 @@ and serialization goes through json.dumps with sorted keys.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -40,7 +41,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .ballstats import (BallMassReport, ScaleFunction, ball_mass_scan, require_resolved_radius,
-                        sse_scan)
+                        sse_extremes)
 from .covering import BallFamily, build_cover
 from .doubling import (DEFAULT_A1, DEFAULT_A2, OUTER_FACTOR, classify_doubling, lower_bound_assembly,
                        require_resolved_doubling)
@@ -134,8 +135,9 @@ def resolve_test_functions(names) -> tuple[TestFunction, ...]:
     return tuple(out)
 
 
+@functools.cache
 def torus_integral(tf: TestFunction, n: int = 512) -> float:
-    """Area integral of f over the unit torus by the periodic grid rule."""
+    """Area integral of f over the unit torus by the periodic grid rule, once per process."""
     t = np.arange(n) / n
     gx, gy = np.meshgrid(t, t, indexing="ij")
     pts = np.stack([gx.ravel(), gy.ravel()], axis=-1)
@@ -759,8 +761,7 @@ def run_single(plan: ExperimentPlan, energy: int, seed: int) -> RunResult:
         return RunResult(**base, flags=tuple(flags),
                          svg=render_svg(nodal) if plan.svg else None)
 
-    scan = sse_scan(field, scale, n_random=100,
-                    seed=_stage_seed(plan, energy, seed, 1))
+    d1, d2 = sse_extremes(field, scale, n_random=100, seed=_stage_seed(plan, energy, seed, 1))
     fam = build_cover(r, _stage_seed(plan, energy, seed, 2))
     table = ball_table(field, nodal, scale, fam)
     tol = plan.tolerances
@@ -800,7 +801,7 @@ def run_single(plan: ExperimentPlan, energy: int, seed: int) -> RunResult:
 
     return RunResult(
         **base, flags=tuple(flags),
-        d1=scan.d1, d2=scan.d2, sse_fraction=sse_fraction,
+        d1=d1, d2=d2, sse_fraction=sse_fraction,
         cover_count=fam.count, overlap_max=fam.overlap_max,
         e1_hat=t1.e1_hat, e2_hat=t1.e2_hat,
         t1_included=t1.included, t1_excluded=t1.excluded,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,19 +7,23 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from torusnodal import ballstats
 from torusnodal.ballstats import (
     ScaleFunction,
+    _mass_bounds,
     ball_mass_scan,
     ball_masses,
     default_centers,
     mass_in_ball,
     report_summary_json,
     report_to_csv,
+    sse_extremes,
     sse_scan,
 )
 from torusnodal.covering import build_cover
 from torusnodal.doubling import INNER_FACTOR, OUTER_FACTOR
-from torusnodal.eigenbasis import random_eigenfunction, sample_grid, sine_mode_spec
+from torusnodal.eigenbasis import (SampledField, constant_spec, random_eigenfunction, sample_grid,
+                                  sine_mode_spec)
 from torusnodal.errors import BallTooLarge, RadiusUnderResolved
 from torusnodal.torus import wrap_delta
 
@@ -116,6 +121,71 @@ def test_ball_masses_match_per_ball_reference(energy, seed):
         want = np.array([reference_mass(field, c, r) for c in family])
         assert np.array_equal(ball_masses(field, family, r), want), r
         assert mass_in_ball(field, family[-1], r) == want[-1]
+
+
+SEAM_CENTERS = [[0.0, 0.0], [1.0 - 1e-12, 1.0 - 1e-12], [0.0, 0.5], [0.5, 0.0],
+                [1.0 - 1e-12, 0.3], [0.3, 1.0 - 1e-12]]
+
+
+@pytest.mark.parametrize("energy", [25, 65, 325, 1105])
+def test_sse_extremes_match_sse_scan_within_certified_bounds(energy):
+    n = max(256, 16 * math.ceil(math.sqrt(energy)))
+    for seed in (0, 1, 2):
+        field = sample_grid(random_eigenfunction(energy, seed), n)
+        lam = field.spec_lambda
+        r_min, r_max = 20.0 / n, lam ** -0.5
+        for r in (r_min * (1.0 + 1e-9), math.sqrt(r_min * r_max), r_max):
+            scale = ScaleFunction(-math.log(r) / math.log(lam))
+            report = sse_scan(field, scale, seed=seed + 10)
+            centers = np.vstack([report.centers, SEAM_CENTERS, [[0.5 / n, 0.25]]])
+            masses = ball_masses(field, centers, report.radius)
+            lo, hi = _mass_bounds(field, centers, report.radius)
+            assert np.all(lo <= masses) and np.all(masses <= hi), r
+            assert sse_extremes(field, scale, seed=seed + 10) == (report.d1, report.d2), r
+
+
+def test_mass_bounds_on_a_single_cell_field():
+    # One cell carries all the mass, so each bound must follow the kernel's
+    # own weight for that cell: lo counts it only where the quadrature
+    # counts it in full, hi wherever the quadrature counts it at all.
+    n, r = 256, 0.1
+    values = np.zeros((n, n))
+    values[37, 200] = 1.0
+    field = SampledField(n, values, 1.0)
+    rng = np.random.default_rng(0)
+    dist = np.repeat(np.linspace(r - 2.0 / n, r + 2.0 / n, 81), 20)
+    angle = rng.uniform(0.0, 2.0 * math.pi, dist.size)
+    centers = (np.array([37.0, 200.0]) / n
+               + dist[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])) % 1.0
+    masses = ball_masses(field, centers, r)
+    lo, hi = _mass_bounds(field, centers, r)
+    assert np.all(lo <= masses) and np.all(masses <= hi)
+    full, empty = masses == 1.0 / (n * n), masses == 0.0
+    assert np.any(full) and np.any(empty) and np.any(~full & ~empty)
+
+
+def test_sse_extremes_on_tied_masses():
+    n = 256
+    flat = dataclasses.replace(sample_grid(constant_spec(), n), spec_lambda=2.0 * math.pi * 5.0)
+    for field in (flat, sample_grid(sine_mode_spec(1), n)):
+        for seed in (0, 3):
+            report = sse_scan(field, ScaleFunction(0.5), seed=seed)
+            assert sse_extremes(field, ScaleFunction(0.5), seed=seed) == (report.d1, report.d2)
+
+
+def test_sse_extremes_measures_few_balls(monkeypatch, e65_field, half_scale):
+    report = sse_scan(e65_field, half_scale, seed=0)
+    assert report.count == 325
+    measured = []
+    real = ballstats.ball_masses
+
+    def counting(field, centers, r):
+        measured.append(len(centers))
+        return real(field, centers, r)
+
+    monkeypatch.setattr(ballstats, "ball_masses", counting)
+    assert sse_extremes(e65_field, half_scale, seed=0) == (report.d1, report.d2)
+    assert sum(measured) < report.count / 3
 
 
 def test_mass_rejects_bad_radii(e65_field):

@@ -90,6 +90,51 @@ def test_cover_matches_brute_force_greedy(r, seed):
         assert promoted == 1
 
 
+def loop_paint_counts(centers: np.ndarray, r: float, probe: int) -> np.ndarray:
+    """The per-ball painter _paint_counts replaced: one fancy-index add per ball.
+
+    A window longer than the lattice names some probe points twice; the
+    buffered += keeps the last write, so each point counts once.
+    """
+    counts = np.zeros((probe, probe), dtype=np.int32)
+    for c in centers:
+        i0 = math.floor((c[0] - r) * probe) - 1
+        i1 = math.ceil((c[0] + r) * probe) + 1
+        j0 = math.floor((c[1] - r) * probe) - 1
+        j1 = math.ceil((c[1] + r) * probe) + 1
+        ix = np.arange(i0, i1 + 1)
+        jy = np.arange(j0, j1 + 1)
+        dx = wrap_delta(ix / probe - c[0])
+        dy = wrap_delta(jy / probe - c[1])
+        inside = dx[:, None] ** 2 + dy[None, :] ** 2 <= r * r
+        counts[np.ix_(ix % probe, jy % probe)] += inside
+    return counts
+
+
+def brute_force_counts(centers: np.ndarray, r: float, probe: int) -> np.ndarray:
+    t = np.arange(probe) / probe
+    counts = np.zeros((probe, probe), dtype=np.int32)
+    for c in centers:
+        dx = wrap_delta(t - c[0])
+        dy = wrap_delta(t - c[1])
+        counts += dx[:, None] ** 2 + dy[None, :] ** 2 <= r * r
+    return counts
+
+
+@pytest.mark.parametrize("probe", [1, 2, 3, 7, 16, 64, 512])
+def test_paint_counts_match_loop_painter_and_brute_force(probe):
+    rng = np.random.default_rng(probe)
+    seams = np.array([[0.0, 0.0], [1.0 - 1e-12, 1.0 - 1e-12], [0.0, 0.5], [0.5, 0.0],
+                      [1.0 - 1e-12, 0.3], [0.3, 1.0 - 1e-12], [0.5 / probe, 0.25]])
+    centers = np.vstack([seams, rng.uniform(0.0, 1.0, (12, 2))])
+    for r in (0.004, 0.03, E25_SCALE_RADIUS, 0.24):
+        got = _paint_counts(centers, r, probe)
+        assert np.array_equal(got, loop_paint_counts(centers, r, probe)), r
+        assert np.array_equal(got, brute_force_counts(centers, r, probe)), r
+        assert np.array_equal(_paint_counts(centers[:1], r, probe),
+                              loop_paint_counts(centers[:1], r, probe)), r
+
+
 def test_cover_half_radius_balls_are_disjoint():
     fam = build_cover(0.15, seed=3)
     # B(c_i, r/2) disjoint means pairwise center distance strictly above r.

@@ -534,6 +534,20 @@ def test_run_single_integrates_each_function_once(monkeypatch):
     assert sorted(calls) == ["integrate_over_nodal"] * n + ["torus_integral"] * n
 
 
+def test_function_integrals_reuse_the_grid_integral(e65_field, e65_nodal):
+    sizes = []
+
+    def counting(pts):
+        sizes.append(len(pts))
+        return np.ones(len(pts))
+
+    tf = TestFunction("counting", counting, 0.0, 0.0)
+    first = function_integrals(e65_field, e65_nodal, (tf,))
+    assert function_integrals(e65_field, e65_nodal, (tf,)) == first
+    grid_points = e65_field.resolution ** 2
+    assert sorted(sizes) == sorted([grid_points] + [e65_nodal.count] * 2)
+
+
 def test_trace_serializes(e65_field, e65_nodal, half_scale):
     table = cover_table(e65_field, e65_nodal, half_scale)
     trace = replicate_bound_chain(e65_field, e65_nodal, table,
