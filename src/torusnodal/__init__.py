@@ -35,10 +35,11 @@ from .eigenbasis import (
 from .torus import periodic_distance, wrap_delta, wrap_point
 from .nodal import (
     NodalSet,
+    ball_sums,
+    clip_family,
     clip_to_ball,
     extract_nodal,
     integrate_over_nodal,
-    length_in_ball,
     nodal_from_csv,
     nodal_to_csv,
 )
@@ -58,7 +59,6 @@ from .covering import (
     build_cover,
     family_to_csv,
     family_to_json,
-    overlap_profile,
 )
 from .doubling import (
     DEFAULT_A1,
@@ -105,7 +105,6 @@ from .harness import (
     run_single,
     runs_to_csv,
     torus_integral,
-    trace_to_json,
 )
 from .svgplot import balls_from_csv, render_svg
 

@@ -11,8 +11,8 @@ batched array passes: each ball reads a square window of a periodically
 padded copy of u^2, and the per-center offsets along each axis are computed
 once per family.  Each ball's two sums (full cells, then cut cells) are
 np.sum's pairwise reduction over that ball's own cells in row-major window
-order, so every mass is the same float whatever family the ball is
-measured in.
+order (nodal.ball_sums), so every mass is the same float whatever family
+the ball is measured in.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BallTooLarge, RadiusUnderResolved
+from .nodal import ball_sums
 from .torus import wrap_delta
 
 MIN_CELLS_PER_RADIUS = 20.0
@@ -121,15 +122,9 @@ def ball_masses(field, centers, r: float) -> np.ndarray:
                 inside += sub_x + sub_y <= r2
         # inside / 16 is exactly the mean over the 16 subcells.
         edge = win.ravel()[cut] * (inside / 16.0)
-        c_end = np.searchsorted(cut, np.arange(1, full.shape[0] + 1) * (w * w)).tolist()
-        # Each sum reduces one ball's own run, as np.sum of that ball alone
-        # would (np.add.reduceat sums sequentially and rounds differently).
-        f_lo = c_lo = 0
-        for q, c_hi in enumerate(c_end):
-            f_hi = f_lo + int(np.count_nonzero(full[q]))
-            mass = float(inner[f_lo:f_hi].sum()) + float(edge[c_lo:c_hi].sum())
-            masses[b0 + q] = mass / (n * n)
-            f_lo, c_lo = f_hi, c_hi
+        f_off = np.concatenate([[0], np.cumsum(np.count_nonzero(full, axis=(1, 2)))])
+        c_off = np.searchsorted(cut, np.arange(full.shape[0] + 1) * (w * w))
+        masses[b] = (ball_sums(inner, f_off) + ball_sums(edge, c_off)) / (n * n)
     return masses
 
 

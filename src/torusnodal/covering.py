@@ -40,10 +40,6 @@ class BallFamily:
     probe_resolution: int
 
     @property
-    def half_radius(self) -> float:
-        return self.radius / 2.0
-
-    @property
     def count(self) -> int:
         return int(self.centers.shape[0])
 
@@ -114,14 +110,6 @@ def build_cover(r: float, seed: int, probe: int = DEFAULT_PROBE) -> BallFamily:
         covers=bool(np.all(counts >= 1)),
         probe_resolution=probe,
     )
-
-
-def overlap_profile(family: BallFamily, probe: int | None = None) -> dict[int, int]:
-    """Histogram of covering multiplicity over a probe lattice."""
-    p = probe or family.probe_resolution
-    counts = _paint_counts(family.centers, family.radius, p)
-    values, freq = np.unique(counts, return_counts=True)
-    return {int(v): int(f) for v, f in zip(values, freq)}
 
 
 def family_to_csv(family: BallFamily, path: str) -> None:

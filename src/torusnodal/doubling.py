@@ -23,7 +23,7 @@ import numpy as np
 from .ballstats import MIN_CELLS_PER_RADIUS, ball_masses
 from .covering import OVERLAP_VOLUME_BOUND
 from .errors import ChartExceeded, DivisionByNegligibleMass, RadiusTooLarge, RadiusUnderResolved
-from .nodal import NodalSet, length_in_ball
+from .nodal import NodalSet, ball_sums, clip_family
 from .torus import wrap_point
 
 DEFAULT_A1 = 2.5
@@ -156,9 +156,9 @@ def lower_bound_assembly(report: DoublingReport, nodal: NodalSet) -> dict:
     length.  Also reports the implied per-ball constant
     a3 = min over good balls of (length * lam).
     """
+    piece_len, _, offsets = clip_family(nodal, report.centers[report.good], report.inner_radius)
     lengths = np.zeros(report.count)
-    for k in np.nonzero(report.good)[0]:
-        lengths[k] = length_in_ball(nodal, report.centers[k], report.inner_radius)
+    lengths[report.good] = ball_sums(piece_len, offsets)
     good_lengths = lengths[report.good]
     bound = float(np.sum(good_lengths)) / OVERLAP_VOLUME_BOUND
     a3 = float(np.min(good_lengths) * report.lam) if good_lengths.size else float("nan")

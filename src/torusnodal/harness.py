@@ -50,7 +50,7 @@ from .eigenbasis import (SampledField, enumerate_modes, random_eigenfunction, sa
 from .errors import (BallTooLarge, ChainStepViolated, DivisionByNegligibleMass, EmptySpectrum,
                      NegativeTestFunction, RadiusUnderResolved)
 from .growth import growth_report
-from .nodal import NodalSet, clip_to_ball, extract_nodal, integrate_over_nodal
+from .nodal import NodalSet, ball_sums, clip_family, extract_nodal, integrate_over_nodal
 from .svgplot import render_svg
 from .torus import periodic_distance
 
@@ -139,8 +139,7 @@ def resolve_test_functions(names) -> tuple[TestFunction, ...]:
 def torus_integral(tf: TestFunction, n: int = 512) -> float:
     """Area integral of f over the unit torus by the periodic grid rule, once per process."""
     t = np.arange(n) / n
-    gx, gy = np.meshgrid(t, t, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel()], axis=-1)
+    pts = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
     return float(np.mean(tf(pts)))
 
 
@@ -179,6 +178,8 @@ DEFAULT_TOLERANCES: dict[str, float | tuple[float, float]] = {
 }
 
 _QUADRATURE_SLACK = 1e-6
+# Points per side of the square lattice behind the chain's sup and inf estimates.
+_LATTICE_SIDE = 9
 
 
 @dataclass(frozen=True)
@@ -303,8 +304,8 @@ def _stage_seed(plan: ExperimentPlan, energy: int, seed: int, stage: int) -> int
 class BallTable(NamedTuple):
     """Per-ball quantities of one field and nodal set over one cover family.
 
-    ball_table clips every cover ball exactly once; theorem 1, the band
-    fraction and the bound chain of each test function all read from here.
+    ball_table clips the whole cover in one clip_family call; theorem 1, the
+    band fraction and the bound chain of each test function all read from here.
     The radius and frequency are those of the mass scan, r = scale(lam).
     Ball k's clipped pieces are rows offsets[k]:offsets[k + 1] of piece_len
     and piece_mid.
@@ -331,15 +332,8 @@ def ball_table(field: SampledField, nodal: NodalSet, scale: ScaleFunction,
             f"cover family must have at least one ball and overlap >= 1; "
             f"got count={family.count} overlap_max={family.overlap_max}")
     mass = ball_mass_scan(field, r, centers=family.centers)
-    clips = [clip_to_ball(nodal, c, r)[:2] for c in family.centers]
-    sizes = [0] + [piece_len.size for piece_len, _ in clips]
-    piece_len = np.concatenate([piece_len for piece_len, _ in clips])
-    piece_mid = np.concatenate([piece_mid for _, piece_mid in clips]).reshape(-1, 2)
-    # Free the per-ball copies before allocating anything else, so the
-    # allocator can hand their memory back instead of keeping a hole.
-    del clips
-    offsets = np.cumsum(sizes)
-    lengths = np.array([float(piece_len[a:b].sum()) for a, b in zip(offsets, offsets[1:])])
+    piece_len, piece_mid, offsets = clip_family(nodal, family.centers, r)
+    lengths = ball_sums(piece_len, offsets)
     nonempty = np.diff(offsets) > 0
     piece_max = float(np.max(piece_len)) if piece_len.size else 0.0
     return BallTable(family, mass, piece_len, piece_mid, offsets, lengths, nonempty, piece_max)
@@ -502,17 +496,16 @@ def _step(name: str, lhs: float, rhs: float, slack: float, note: str = "") -> Ch
     return ChainStep(name, lhs, rhs, slack, bool(lhs <= rhs + slack + eps), note)
 
 
-def _lattice_values(tf: TestFunction, centers: np.ndarray, half_side: float,
-                    points_per_side: int = 9) -> np.ndarray:
+def _lattice_values(tf: TestFunction, centers: np.ndarray, half_side: float) -> np.ndarray:
     """f on the square lattice of half side half_side around each center, one row each."""
-    t = np.linspace(-half_side, half_side, points_per_side)
+    t = np.linspace(-half_side, half_side, _LATTICE_SIDE)
     gx, gy = np.meshgrid(t, t, indexing="ij")
     pts = centers[:, None, :] + np.stack([gx.ravel(), gy.ravel()], axis=-1)
     return tf(pts.reshape(-1, 2)).reshape(len(centers), -1)
 
 
-def _lattice_gap(half_side: float, points_per_side: int = 9) -> float:
-    return (2.0 * half_side / (points_per_side - 1)) * math.sqrt(2.0) / 2.0
+def _lattice_gap(half_side: float) -> float:
+    return (2.0 * half_side / (_LATTICE_SIDE - 1)) * math.sqrt(2.0) / 2.0
 
 
 def replicate_bound_chain(field: SampledField, nodal: NodalSet, table: BallTable,
@@ -557,9 +550,7 @@ def replicate_bound_chain(field: SampledField, nodal: NodalSet, table: BallTable
     if negative.size:
         raise NegativeTestFunction(
             f"test function {tf.name!r} dips to {float(f_min[negative[0]])!r}")
-    weighted = vals * table.piece_len
-    ball_integral = np.array([float(weighted[a:b].sum())
-                              for a, b in zip(table.offsets, table.offsets[1:])])
+    ball_integral = ball_sums(vals * table.piece_len, table.offsets)
 
     # Midpoint-rule error budget for curve integrals: each quadrature node
     # sits within half a piece of every point of its piece.
@@ -657,27 +648,6 @@ def replicate_bound_chain(field: SampledField, nodal: NodalSet, table: BallTable
             if not s.holds:
                 raise ChainStepViolated(s.name, s.lhs, s.rhs + s.slack)
     return trace
-
-
-def trace_to_json(trace: ChainTrace) -> str:
-    obj = {
-        "f_name": trace.f_name,
-        "radius": trace.radius,
-        "n_balls": trace.n_balls,
-        "overlap": trace.overlap,
-        "empty_balls": trace.empty_balls,
-        "e1_chain": trace.e1_chain,
-        "e2_chain": trace.e2_chain,
-        "integral_f": trace.integral_f,
-        "corr_lower": trace.corr_lower,
-        "corr_upper": trace.corr_upper,
-        "hypothesis_met": trace.hypothesis_met,
-        "message": trace.message,
-        "ok": trace.ok,
-        "steps": [{"name": s.name, "lhs": s.lhs, "rhs": s.rhs,
-                   "slack": s.slack, "holds": s.holds} for s in trace.steps],
-    }
-    return json.dumps(obj, sort_keys=True, indent=1, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,14 @@ neighboring cells.  Length in a metric ball is computed by exact
 segment-circle clipping in a local chart, and line integrals use the
 midpoint rule per (clipped) segment.
 
-Ball queries go through a bucket index built lazily once per set: the
-segments sorted by which of B x B midpoint buckets (B = isqrt(count)) they
-fall in.  A ball is clipped only against the segments in the buckets that
-can reach it.  Keying on midpoints, not marching-squares cells, lets sets
-loaded from CSV use the same index.
+Balls are clipped a family at a time (clip_family): every ball of a
+family has the same radius, so each reads the same w x w window of a
+bucket index built lazily once per set, the segments sorted by which of
+B x B midpoint buckets (B = isqrt(count)) they fall in.  The (ball,
+segment) pairs of a batch of balls are tested and clipped in one array
+pass, and the pieces come back as one flat array plus per-ball offsets,
+summed per ball by ball_sums.  Keying on midpoints, not marching-squares
+cells, lets sets loaded from CSV use the same index.
 """
 
 from __future__ import annotations
@@ -29,6 +32,9 @@ from .torus import wrap_delta, wrap_point
 
 # Additive nudge applied to exact grid zeros so every corner has a strict sign.
 ZERO_NUDGE = 1e-30
+
+# About this many (ball, candidate segment) pairs are clipped per batch.
+_BATCH_PAIRS = 1 << 15
 
 _B, _R, _T, _L = 0, 1, 2, 3
 
@@ -68,25 +74,6 @@ class _BucketIndex(NamedTuple):
     order: np.ndarray
     starts: np.ndarray
     max_len: float
-
-    def candidates(self, center: np.ndarray, reach: float) -> np.ndarray:
-        """Ascending indices of the segments in every bucket that holds a
-        point within reach of center in each coordinate, plus one bucket
-        of margin against rounding."""
-        nb = self.buckets
-        windows = []
-        for x in center:
-            lo = math.floor((x - reach) * nb) - 1
-            hi = math.floor((x + reach) * nb) + 1
-            windows.append(np.arange(lo, hi + 1) % nb if hi - lo + 1 < nb else None)
-        if windows[0] is None and windows[1] is None:
-            return np.arange(self.order.size)
-        wx, wy = (np.arange(nb) if w is None else w for w in windows)
-        keys = (wx[:, None] * nb + wy[None, :]).ravel()
-        first = self.starts[keys]
-        sizes = self.starts[keys + 1] - first
-        pos = np.repeat(first - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
-        return np.sort(self.order[pos])
 
 
 @dataclass(frozen=True)
@@ -214,61 +201,84 @@ def extract_nodal(field) -> NodalSet:
                     n, field.spec_lambda)
 
 
-def clip_to_ball(nodal: NodalSet, center, r: float):
-    """Exact intersection of the nodal set with the metric ball B(center, r).
+def clip_family(nodal: NodalSet, centers, r: float):
+    """Exact intersection of the nodal set with every metric ball B(c, r), c in centers.
 
-    Only segments whose midpoint buckets lie within r + max_len/2 of the
-    center (plus one bucket of margin) are tested; each of them is kept when
-    its midpoint is within r + length/2 of the center and clipped exactly,
-    so the result is that of testing every segment.  Returns
-    (piece_lengths, piece_midpoints, segment_indices) for the pieces with
-    positive length, in ascending segment order.  Midpoints are global
+    Each ball is tested against the segments of a w x w bucket window
+    around it, w the widest window any ball needs to reach r + max_len/2
+    plus one bucket of margin (all B buckets once it would span the
+    torus).  A segment is kept when its midpoint is within r + length/2
+    of the center and clipped exactly, so each ball's pieces are those of
+    testing every segment.  Returns (piece_len, piece_mid, offsets): ball
+    k's pieces are rows offsets[k]:offsets[k + 1], in ascending segment
+    order, for the pieces with positive length.  Midpoints are global
     torus coordinates.
     """
     if not 0.0 < r < 0.5:
         raise BallTooLarge(f"ball radius must lie in (0, 1/2), got {r!r}")
     index = nodal._index
-    max_len = index.max_len
-    if r > 0.5 - max_len:
+    if r > 0.5 - index.max_len:
         raise BallTooLarge(
-            f"radius {r!r} leaves no chart margin for segments of length {max_len!r}")
-    c = np.asarray(center, dtype=float)
+            f"radius {r!r} leaves no chart margin for segments of length {index.max_len!r}")
+    centers = np.asarray(centers, dtype=float).reshape(-1, 2)
+    nb, count = index.buckets, nodal.count
+    reach = r + index.max_len / 2.0
+    lo = np.floor((centers - reach) * nb).astype(np.int64) - 1
+    hi = np.floor((centers + reach) * nb).astype(np.int64) + 1
+    w = min(nb, int(np.max(hi - lo, initial=0)) + 1)
 
-    cand = index.candidates(c, r + max_len / 2.0)
-    near = (np.linalg.norm(wrap_delta(nodal.midpoints[cand] - c), axis=1)
-            <= r + nodal.lengths[cand] / 2.0)
-    idx = cand[near]
-    if idx.size == 0:
-        return np.empty(0), np.empty((0, 2)), idx
+    lens, mids, owners = [np.empty(0)], [np.empty((0, 2))], [np.empty(0, dtype=np.int64)]
+    step = max(1, _BATCH_PAIRS // (w * w))
+    for b0 in range(0, len(centers), step):
+        cells = (lo[b0:b0 + step, :, None] + np.arange(w)) % nb
+        keys = (cells[:, 0, :, None] * nb + cells[:, 1, None, :]).ravel()
+        first = index.starts[keys]
+        sizes = index.starts[keys + 1] - first
+        ball = np.repeat(np.arange(b0, b0 + len(cells)).repeat(w * w), sizes)
+        pos = np.repeat(first - (np.cumsum(sizes) - sizes), sizes) + np.arange(ball.size)
+        # Ball-major, then ascending segment index, as the pieces are returned.
+        ball, seg = np.divmod(np.sort(ball * count + index.order[pos]), count)
 
-    a = wrap_delta(nodal.a[idx] - c)
-    d = wrap_delta(wrap_delta(nodal.b[idx] - c) - a)
-    qa = np.sum(d * d, axis=1)
-    qb = 2.0 * np.sum(a * d, axis=1)
-    qc = np.sum(a * a, axis=1) - r * r
-    disc = qb * qb - 4.0 * qa * qc
+        c = centers[ball]
+        near = (np.linalg.norm(wrap_delta(nodal.midpoints[seg] - c), axis=1)
+                <= r + nodal.lengths[seg] / 2.0)
+        ball, seg, c = ball[near], seg[near], c[near]
+        a = wrap_delta(nodal.a[seg] - c)
+        d = wrap_delta(wrap_delta(nodal.b[seg] - c) - a)
+        qa = np.sum(d * d, axis=1)
+        qb = 2.0 * np.sum(a * d, axis=1)
+        qc = np.sum(a * a, axis=1) - r * r
+        disc = qb * qb - 4.0 * qa * qc
 
-    ok = (disc > 0.0) & (qa > 1e-300)
-    lo = np.zeros(idx.size)
-    hi = np.zeros(idx.size)
-    root = np.sqrt(np.where(ok, disc, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = (-qb - root) / (2.0 * qa)
-        t2 = (-qb + root) / (2.0 * qa)
-    lo[ok] = np.clip(t1[ok], 0.0, 1.0)
-    hi[ok] = np.clip(t2[ok], 0.0, 1.0)
-    frac = hi - lo
-    keep = frac > 0.0
-    piece_len = frac[keep] * nodal.lengths[idx[keep]]
-    tmid = (lo[keep] + hi[keep]) / 2.0
-    piece_mid = wrap_point(c + a[keep] + d[keep] * tmid[:, None])
-    return piece_len, piece_mid, idx[keep]
+        ok = (disc > 0.0) & (qa > 1e-300)
+        root = np.sqrt(np.where(ok, disc, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_lo = np.where(ok, np.clip((-qb - root) / (2.0 * qa), 0.0, 1.0), 0.0)
+            t_hi = np.where(ok, np.clip((-qb + root) / (2.0 * qa), 0.0, 1.0), 0.0)
+        frac = t_hi - t_lo
+        keep = frac > 0.0
+        tmid = (t_lo[keep] + t_hi[keep]) / 2.0
+        lens.append(frac[keep] * nodal.lengths[seg[keep]])
+        mids.append(wrap_point(c[keep] + a[keep] + d[keep] * tmid[:, None]))
+        owners.append(ball[keep])
+    offsets = np.searchsorted(np.concatenate(owners), np.arange(len(centers) + 1))
+    return np.concatenate(lens), np.concatenate(mids), offsets
 
 
-def length_in_ball(nodal: NodalSet, center, r: float) -> float:
-    """Total nodal length inside the metric ball B(center, r)."""
-    piece_len, _, _ = clip_to_ball(nodal, center, r)
-    return float(np.sum(piece_len))
+def ball_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Sum of values[offsets[k]:offsets[k + 1]] for every ball k of a clip_family layout.
+
+    Each slice is summed by np.sum on its own, so a ball's sum rounds as
+    the sum over that ball's pieces alone would (np.add.reduceat sums
+    sequentially and rounds differently).
+    """
+    return np.array([float(values[a:b].sum()) for a, b in zip(offsets, offsets[1:])])
+
+
+def clip_to_ball(nodal: NodalSet, center, r: float):
+    """(piece_len, piece_mid) of the nodal set inside B(center, r)."""
+    # Unused in the package; kept because perfbench/spans.py traces it by name.
+    return clip_family(nodal, [center], r)[:2]
 
 
 def integrate_over_nodal(nodal: NodalSet, f: Callable[[np.ndarray], np.ndarray]) -> float:

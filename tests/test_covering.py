@@ -13,7 +13,6 @@ from torusnodal.covering import (
     build_cover,
     family_to_csv,
     family_to_json,
-    overlap_profile,
 )
 from torusnodal.errors import RadiusTooLarge
 from torusnodal.torus import periodic_distance, wrap_delta
@@ -149,10 +148,10 @@ def test_cover_covers_the_torus():
 
 def test_cover_overlap_profile_accounts_for_every_probe_point():
     fam = build_cover(0.12, seed=0)
-    profile = overlap_profile(fam, probe=256)
-    assert sum(profile.values()) == 256 * 256
-    assert min(profile) >= 1  # covered everywhere
-    assert max(profile) <= 16
+    values, freq = np.unique(_paint_counts(fam.centers, fam.radius, 256), return_counts=True)
+    assert int(np.sum(freq)) == 256 * 256
+    assert values.min() >= 1  # covered everywhere
+    assert values.max() <= 16
     assert fam.overlap_max <= 16
 
 
@@ -176,7 +175,9 @@ def test_cover_regression_against_baseline():
     assert fam.centers.shape[0] == frozen["count"]
     assert fam.covers == frozen["covers"]
     assert fam.overlap_max == frozen["overlap_max"]
-    profile = {str(k): v for k, v in overlap_profile(fam).items()}
+    values, freq = np.unique(_paint_counts(fam.centers, fam.radius, fam.probe_resolution),
+                             return_counts=True)
+    profile = {str(int(k)): int(v) for k, v in zip(values, freq)}
     assert profile == frozen["profile"]
 
 

@@ -19,6 +19,8 @@ from torusnodal.eigenbasis import (
 from torusnodal.errors import ChartExceeded, DivisionByNegligibleMass, RadiusTooLarge
 from torusnodal.nodal import extract_nodal
 
+from test_nodal import full_scan_clip
+
 BASELINE = json.loads(
     open(__file__.rsplit("/", 1)[0] + "/baselines/fixture_e65_seed7.json").read()
 )
@@ -140,6 +142,20 @@ def test_assembly_regression_and_consistency(e65_field, e65_nodal):
     # The assembled bound is a genuine lower bound for the measured length.
     assert assembly["assembled_lower_bound"] <= e65_nodal.total_length
     assert assembly["total_length"] == pytest.approx(e65_nodal.total_length)
+
+
+def test_assembly_lengths_match_per_ball_full_scan(e65_field, e65_nodal):
+    from torusnodal.covering import build_cover
+
+    r_out = 20 * 0.5 / e65_field.spec_lambda
+    # a2 = 4 splits this family's doubling ratios (2.6 to 9.7) into good and bad balls.
+    report = classify_doubling(e65_field, build_cover(r_out / 2.0, seed=11).centers,
+                               a1=0.5, a2=4.0)
+    assert 0 < np.sum(report.good) < report.count
+    lengths = lower_bound_assembly(report, e65_nodal)["lengths"]
+    want = [float(np.sum(full_scan_clip(e65_nodal, c, report.inner_radius)[0])) if good else 0.0
+            for c, good in zip(report.centers, report.good)]
+    assert lengths.tolist() == want
 
 
 def test_report_json_round_trip(e65_field):

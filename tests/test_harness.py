@@ -18,7 +18,7 @@ from torusnodal.errors import (
     RadiusUnderResolved,
 )
 from torusnodal.eigenbasis import random_eigenfunction, sample_grid, sine_mode_spec
-from torusnodal.nodal import clip_to_ball, extract_nodal, length_in_ball
+from torusnodal.nodal import clip_to_ball, extract_nodal
 from torusnodal import harness
 from torusnodal.harness import (
     TEST_FUNCTIONS,
@@ -40,8 +40,9 @@ from torusnodal.harness import (
     run_single,
     runs_to_csv,
     torus_integral,
-    trace_to_json,
 )
+
+from test_nodal import full_scan_clip
 
 BASELINE = json.loads(
     open(__file__.rsplit("/", 1)[0] + "/baselines/fixture_e65_seed7.json").read()
@@ -495,27 +496,31 @@ def test_chain_validates_family_geometry(e65_field, e65_nodal, half_scale):
         ball_table(e65_field, e65_nodal, half_scale, broken)
 
 
-def test_ball_table_lengths_match_length_in_ball(e65_field, e65_nodal, half_scale):
+def test_ball_table_matches_per_ball_full_scan(e65_field, e65_nodal, half_scale):
     table = cover_table(e65_field, e65_nodal, half_scale)
     r = half_scale(e65_field.spec_lambda)
     assert len(table.offsets) == table.family.count + 1
-    for c, got in zip(table.family.centers, table.lengths):
-        assert got == length_in_ball(e65_nodal, c, r)
+    for k, c in enumerate(table.family.centers):
+        piece_len, piece_mid, _ = full_scan_clip(e65_nodal, c, r)
+        rows = slice(table.offsets[k], table.offsets[k + 1])
+        assert np.array_equal(table.piece_len[rows], piece_len)
+        assert np.array_equal(table.piece_mid[rows], piece_mid)
+        assert table.lengths[k] == float(np.sum(piece_len))
     assert np.array_equal(table.nonempty, table.lengths > 0.0)
 
 
-def test_run_single_clips_each_cover_ball_once(monkeypatch):
+def test_run_single_clips_the_cover_in_one_family_call(monkeypatch):
     calls = []
-    real_clip = harness.clip_to_ball
+    real_clip = harness.clip_family
 
     def counting_clip(*args, **kwargs):
-        calls.append(args[1])
+        calls.append(len(args[1]))
         return real_clip(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "clip_to_ball", counting_clip)
+    monkeypatch.setattr(harness, "clip_family", counting_clip)
     run = run_single(ExperimentPlan(energies=(65,)), 65, 7)
     assert run.cover_count == 37
-    assert len(calls) == run.cover_count
+    assert calls == [run.cover_count]
 
 
 def test_run_single_integrates_each_function_once(monkeypatch):
@@ -546,16 +551,6 @@ def test_function_integrals_reuse_the_grid_integral(e65_field, e65_nodal):
     assert function_integrals(e65_field, e65_nodal, (tf,)) == first
     grid_points = e65_field.resolution ** 2
     assert sorted(sizes) == sorted([grid_points] + [e65_nodal.count] * 2)
-
-
-def test_trace_serializes(e65_field, e65_nodal, half_scale):
-    table = cover_table(e65_field, e65_nodal, half_scale)
-    trace = replicate_bound_chain(e65_field, e65_nodal, table,
-                                  integrals_of(e65_field, e65_nodal, "one"))
-    blob = json.loads(trace_to_json(trace))
-    assert blob["f_name"] == "one"
-    assert len(blob["steps"]) == 12
-    assert blob["ok"] is True
 
 
 # ---------------------------------------------------------------- runs

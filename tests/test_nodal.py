@@ -12,13 +12,17 @@ from torusnodal.eigenbasis import (
     separable_sine_spec,
     sine_mode_spec,
 )
+from torusnodal.covering import build_cover
+from torusnodal.doubling import DEFAULT_A1, OUTER_FACTOR
 from torusnodal.errors import BallTooLarge
+from torusnodal.harness import ExperimentPlan
 from torusnodal.nodal import (
     NodalSet,
+    ball_sums,
+    clip_family,
     clip_to_ball,
     extract_nodal,
     integrate_over_nodal,
-    length_in_ball,
     nodal_from_csv,
     nodal_to_csv,
 )
@@ -75,27 +79,33 @@ def test_segment_geometry_invariants(e65_nodal):
     assert np.max(np.abs(wrap_delta(mid - e65_nodal.midpoints))) < 1e-12
 
 
+def length_in(nodal, center, r):
+    """Nodal length inside one ball, through the family kernel."""
+    piece_len, _, offsets = clip_family(nodal, [center], r)
+    return float(ball_sums(piece_len, offsets)[0])
+
+
 def test_chord_clip_against_closed_form():
     # Ball B((0.45, 0.5), 0.1) meets only the line x = 1/2; the chord length
     # is 2*sqrt(r^2 - d^2) with d = 0.05.  Computed in extended precision.
     nodal = extract_nodal(sample_grid(sine_mode_spec(1), 256))
     with mpmath.workdps(50):
         expect = float(2 * mpmath.sqrt(mpmath.mpf("0.1") ** 2 - mpmath.mpf("0.05") ** 2))
-    assert length_in_ball(nodal, (0.45, 0.5), 0.1) == pytest.approx(expect, abs=1e-12)
+    assert length_in(nodal, (0.45, 0.5), 0.1) == pytest.approx(expect, abs=1e-12)
 
 
 def test_chord_clip_across_the_seam():
     # A ball centered on the x = 0 line, wrapped across the torus seam,
     # captures a full diameter of that line.
     nodal = extract_nodal(sample_grid(sine_mode_spec(1), 256))
-    assert length_in_ball(nodal, (0.0, 0.2), 0.08) == pytest.approx(0.16, abs=1e-12)
+    assert length_in(nodal, (0.0, 0.2), 0.08) == pytest.approx(0.16, abs=1e-12)
 
 
 def test_chord_weighted_integral_against_closed_form():
     # Integrate f(y) = 1 + cos(2*pi*y) along the chord x = 1/2,
     # y in [1/2 - h, 1/2 + h]: the exact value is 2h - sin(2*pi*h)/pi.
     nodal = extract_nodal(sample_grid(sine_mode_spec(1), 256))
-    piece_len, piece_mid, _ = clip_to_ball(nodal, (0.45, 0.5), 0.1)
+    piece_len, piece_mid = clip_to_ball(nodal, (0.45, 0.5), 0.1)
     got = float(np.sum((1.0 + np.cos(2 * np.pi * piece_mid[:, 1])) * piece_len))
     h = math.sqrt(0.1**2 - 0.05**2)
     expect = 2 * h - math.sin(2 * math.pi * h) / math.pi
@@ -146,40 +156,90 @@ def oracle_sets(e65_nodal, tmp_path):
     }
 
 
+SEAM_CENTERS = [(0.0, 0.0), (1.0 - 1e-12, 1.0 - 1e-12), (0.0, 0.37), (0.37, 0.0),
+                (1.0 - 1e-12, 0.61), (0.61, 1.0 - 1e-12), (0.5, 0.5), (-0.02, 1.3)]
+
+
+def assert_family_matches_full_scan(nodal, centers, r, label):
+    piece_len, piece_mid, offsets = clip_family(nodal, centers, r)
+    assert offsets.shape == (len(centers) + 1,) and offsets[0] == 0, label
+    assert offsets[-1] == piece_len.size == piece_mid.shape[0], label
+    for k, c in enumerate(centers):
+        want_len, want_mid, _ = full_scan_clip(nodal, c, r)
+        got_len = piece_len[offsets[k]:offsets[k + 1]]
+        got_mid = piece_mid[offsets[k]:offsets[k + 1]]
+        for g, w in ((got_len, want_len), (got_mid, want_mid)):
+            assert np.array_equal(g, w) and g.shape == w.shape, (label, k, tuple(c))
+
+
 def test_bucket_index_clip_matches_full_scan(e65_nodal, tmp_path):
-    edge = 1.0 - 1e-12
-    centers = [(0.0, 0.0), (edge, edge), (0.0, 0.37), (0.37, 0.0),
-               (edge, 0.61), (0.61, edge), (0.5, 0.5)]
-    centers += [tuple(c) for c in np.random.default_rng(3).random((12, 2))]
+    centers = SEAM_CENTERS + [tuple(c) for c in np.random.default_rng(3).random((12, 2))]
     for name, nodal in oracle_sets(e65_nodal, tmp_path).items():
         limit = 0.5 - (float(np.max(nodal.lengths)) if nodal.count else 0.0)
         # Radii end just below 0.5 - max_len; on the marching-squares sets
         # that window covers the whole torus and the index skips nothing.
         radii = [r for r in (0.01, 0.037, 0.14, 0.3, 0.45) if r < limit] + [limit - 1e-12]
         for r in radii:
-            for c in centers:
-                got = clip_to_ball(nodal, c, r)
-                want = full_scan_clip(nodal, c, r)
-                for g, w in zip(got, want):
-                    assert np.array_equal(g, w) and g.shape == w.shape, (name, r, c)
+            assert_family_matches_full_scan(nodal, centers, r, (name, r))
+
+
+@pytest.mark.parametrize("energy", [65, 325, 1105])
+def test_family_clip_matches_full_scan_on_run_families(energy):
+    # The families a run clips: the cover at the scale radius, and the
+    # doubling cover clipped at the inner doubling radius.
+    plan = ExperimentPlan(energies=(energy,))
+    field = sample_grid(random_eigenfunction(energy, 4), plan.grid_for(energy))
+    nodal = extract_nodal(field)
+    lam = field.spec_lambda
+    r = plan.scale()(lam)
+    assert_family_matches_full_scan(nodal, build_cover(r, 4).centers, r, "cover")
+    a1 = DEFAULT_A1 if OUTER_FACTOR * DEFAULT_A1 / lam < 0.25 else 0.5
+    doubling = build_cover(OUTER_FACTOR * a1 / lam / 2.0, 5).centers
+    assert_family_matches_full_scan(nodal, doubling, 10.0 * a1 / lam, "doubling")
+    limit = 0.5 - float(np.max(nodal.lengths)) - 1e-12
+    assert_family_matches_full_scan(nodal, SEAM_CENTERS, limit, "limit")
+
+
+def test_family_clip_of_no_balls_and_of_the_empty_set(e65_nodal, tmp_path):
+    for name, nodal in oracle_sets(e65_nodal, tmp_path).items():
+        piece_len, piece_mid, offsets = clip_family(nodal, [], 0.1)
+        assert piece_len.shape == (0,) and piece_mid.shape == (0, 2), name
+        assert np.array_equal(offsets, [0]), name
+        assert ball_sums(piece_len, offsets).shape == (0,), name
+    empty = oracle_sets(e65_nodal, tmp_path)["empty"]
+    piece_len, piece_mid, offsets = clip_family(empty, SEAM_CENTERS, 0.2)
+    assert piece_len.shape == (0,) and piece_mid.shape == (0, 2)
+    assert np.array_equal(offsets, np.zeros(len(SEAM_CENTERS) + 1))
+    assert np.array_equal(ball_sums(piece_len, offsets), np.zeros(len(SEAM_CENTERS)))
+
+
+def test_ball_sums_round_like_a_sum_over_each_ball_alone(e65_nodal):
+    centers = np.random.default_rng(8).random((20, 2))
+    piece_len, _, offsets = clip_family(e65_nodal, centers, 0.2)
+    got = ball_sums(piece_len, offsets)
+    want = [float(np.sum(full_scan_clip(e65_nodal, c, 0.2)[0])) for c in centers]
+    assert got.tolist() == want
 
 
 def test_clip_misses_cleanly():
     nodal = extract_nodal(sample_grid(sine_mode_spec(1), 256))
-    piece_len, piece_mid, idx = clip_to_ball(nodal, (0.25, 0.5), 0.05)
-    assert piece_len.size == 0 and piece_mid.shape == (0, 2) and idx.size == 0
-    assert length_in_ball(nodal, (0.25, 0.5), 0.05) == 0.0
+    piece_len, piece_mid = clip_to_ball(nodal, (0.25, 0.5), 0.05)
+    assert piece_len.size == 0 and piece_mid.shape == (0, 2)
+    assert length_in(nodal, (0.25, 0.5), 0.05) == 0.0
 
 
 def test_clip_rejects_oversized_ball(e65_nodal):
-    for bad in (0.0, 0.5, 0.7):
+    limit = 0.5 - float(np.max(e65_nodal.lengths))
+    for bad in (0.0, 0.5, 0.7, limit + 1e-9):
+        with pytest.raises(BallTooLarge):
+            clip_family(e65_nodal, [(0.5, 0.5)], bad)
         with pytest.raises(BallTooLarge):
             clip_to_ball(e65_nodal, (0.5, 0.5), bad)
 
 
 def test_clip_length_is_monotone_in_radius(e65_nodal):
     radii = [0.03, 0.06, 0.1, 0.15]
-    lengths = [length_in_ball(e65_nodal, (0.3, 0.7), r) for r in radii]
+    lengths = [length_in(e65_nodal, (0.3, 0.7), r) for r in radii]
     assert all(b >= a - 1e-12 for a, b in zip(lengths, lengths[1:]))
     assert lengths[-1] <= e65_nodal.total_length
 
