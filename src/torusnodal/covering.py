@@ -88,8 +88,8 @@ def build_cover(r: float, seed: int, probe: int = DEFAULT_PROBE) -> BallFamily:
         c = np.array([k[i], k[j]])
         accepted.append(c)
         wi, wj = (i + reach) % m, (j + reach) % m
-        window = np.stack(np.meshgrid(k[wi], k[wj], indexing="ij"), axis=-1)
-        free[np.ix_(wi, wj)] &= periodic_distance(c, window) > r
+        dx, dy = wrap_delta(k[i] - k[wi]), wrap_delta(k[j] - k[wj])
+        free[np.ix_(wi, wj)] &= np.sqrt(dx[:, None] * dx[:, None] + dy * dy) > r
 
     # Promote uncovered probe points (each is > r from every center, hence a
     # legal addition) in row-major order, then paint only the promoted balls

@@ -38,10 +38,9 @@ def _refine_disk_max(eval_abs, p0: np.ndarray, step: float, center, radius: floa
     c = np.asarray(center, dtype=float)
     for _ in range(REFINE_PASSES):
         t = np.linspace(-w, w, REFINE_POINTS)
-        gx, gy = np.meshgrid(t, t, indexing="ij")
-        pts = p + np.stack([gx.ravel(), gy.ravel()], axis=-1)
-        keep = np.linalg.norm(pts - c, axis=1) <= radius
-        pts = pts[keep]
+        pts = p + np.column_stack([np.repeat(t, t.size), np.tile(t, t.size)])
+        dx, dy = pts[:, 0] - c[0], pts[:, 1] - c[1]
+        pts = pts[np.sqrt(dx * dx + dy * dy) <= radius]
         vals = eval_abs(pts)
         k = int(np.argmax(vals))
         if vals[k] > best:

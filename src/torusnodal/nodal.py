@@ -8,20 +8,21 @@ neighboring cells.  Length in a metric ball is computed by exact
 segment-circle clipping in a local chart, and line integrals use the
 midpoint rule per (clipped) segment.
 
-Balls are clipped a family at a time (clip_family): every ball of a
-family has the same radius, so each reads the same w x w window of a
-bucket index built lazily once per set, the segments sorted by which of
-B x B midpoint buckets (B = isqrt(count)) they fall in.  The (ball,
-segment) pairs of a batch of balls are tested and clipped in one array
-pass, and the pieces come back as one flat array plus per-ball offsets,
-summed per ball by ball_sums.  Keying on midpoints, not marching-squares
-cells, lets sets loaded from CSV use the same index.
+Balls are clipped a family at a time (clip_family) against a bucket index
+built lazily once per set, the segments sorted by which of B x B midpoint
+buckets (B = isqrt(count)) they fall in.  Each ball reads the disk of
+buckets within reach of it, one or two runs of keys per bucket row.  The
+(ball, segment) pairs of a batch of balls are tested and clipped in one
+pass over 1-D x and y columns gathered by ball and segment index; the
+pieces come back as one flat array plus per-ball offsets.  Keying on
+midpoints, not marching-squares cells, lets CSV sets use the same index.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -204,15 +205,15 @@ def extract_nodal(field) -> NodalSet:
 def clip_family(nodal: NodalSet, centers, r: float):
     """Exact intersection of the nodal set with every metric ball B(c, r), c in centers.
 
-    Each ball is tested against the segments of a w x w bucket window
-    around it, w the widest window any ball needs to reach r + max_len/2
-    plus one bucket of margin (all B buckets once it would span the
-    torus).  A segment is kept when its midpoint is within r + length/2
-    of the center and clipped exactly, so each ball's pieces are those of
-    testing every segment.  Returns (piece_len, piece_mid, offsets): ball
-    k's pieces are rows offsets[k]:offsets[k + 1], in ascending segment
-    order, for the pieces with positive length.  Midpoints are global
-    torus coordinates.
+    Each ball reads the buckets within reach + 1 bucket of its center,
+    reach = r + max_len/2, of a w x w window, w the widest any ball needs
+    plus one bucket of margin (all B x B buckets, unpruned, once it would
+    span the torus).  A segment is kept when its midpoint is within
+    r + length/2 of the center and clipped exactly, so each ball's pieces
+    are those of testing every segment.  Returns (piece_len, piece_mid,
+    offsets): ball k's pieces are rows offsets[k]:offsets[k + 1], in
+    ascending segment order, for the pieces with positive length.
+    Midpoints are global torus coordinates.
     """
     if not 0.0 < r < 0.5:
         raise BallTooLarge(f"ball radius must lie in (0, 1/2), got {r!r}")
@@ -227,27 +228,46 @@ def clip_family(nodal: NodalSet, centers, r: float):
     hi = np.floor((centers + reach) * nb).astype(np.int64) + 1
     w = min(nb, int(np.max(hi - lo, initial=0)) + 1)
 
-    lens, mids, owners = [np.empty(0)], [np.empty((0, 2))], [np.empty(0, dtype=np.int64)]
+    # A window narrower than the torus holds each bucket once, at the image
+    # nearest the center, so only the disk of buckets within reach (plus one
+    # for rounding) can hold a near segment; one that spans the torus is read
+    # whole, its bound lying beyond the window's corners.
+    bound = reach * nb + 1.0 if w < nb else 2.0 * nb + 2.0
+    parts = [(np.empty(0), np.empty((0, 2)), np.empty(0, dtype=np.int64))]
     step = max(1, _BATCH_PAIRS // (w * w))
     for b0 in range(0, len(centers), step):
-        cells = (lo[b0:b0 + step, :, None] + np.arange(w)) % nb
-        keys = (cells[:, 0, :, None] * nb + cells[:, 1, None, :]).ravel()
-        first = index.starts[keys]
-        sizes = index.starts[keys + 1] - first
-        ball = np.repeat(np.arange(b0, b0 + len(cells)).repeat(w * w), sizes)
+        # Window rows (unwrapped x buckets) in the disk, and each one's y range.
+        rows = lo[b0:b0 + step, :1] + np.arange(w)
+        u = centers[b0:b0 + step] * nb
+        gap = np.maximum(np.maximum(rows - u[:, :1], u[:, :1] - rows - 1.0), 0.0)
+        k, i = np.nonzero(gap <= bound)
+        h = np.sqrt(bound * bound - gap[k, i] ** 2)
+        j0 = np.maximum(lo[b0 + k, 1], np.ceil(u[k, 1] - 1.0 - h).astype(np.int64))
+        j1 = np.minimum(lo[b0 + k, 1] + w - 1, np.floor(u[k, 1] + h).astype(np.int64))
+        # Each row range is one run of bucket keys, or two where it crosses the seam.
+        base = rows[k, i] % nb * nb
+        jl = j0 % nb
+        end = jl + np.maximum(j1 - j0 + 1, 0)
+        first = index.starts[np.concatenate([base + jl, base])]
+        sizes = index.starts[np.concatenate([base + np.minimum(end, nb),
+                                             base + np.maximum(end - nb, 0)])] - first
+        ball = np.repeat(np.concatenate([k, k]) + b0, sizes)
         pos = np.repeat(first - (np.cumsum(sizes) - sizes), sizes) + np.arange(ball.size)
-        # Ball-major, then ascending segment index, as the pieces are returned.
-        ball, seg = np.divmod(np.sort(ball * count + index.order[pos]), count)
+        seg = index.order[pos]
 
-        c = centers[ball]
-        near = (np.linalg.norm(wrap_delta(nodal.midpoints[seg] - c), axis=1)
-                <= r + nodal.lengths[seg] / 2.0)
-        ball, seg, c = ball[near], seg[near], c[near]
-        a = wrap_delta(nodal.a[seg] - c)
-        d = wrap_delta(wrap_delta(nodal.b[seg] - c) - a)
-        qa = np.sum(d * d, axis=1)
-        qb = 2.0 * np.sum(a * d, axis=1)
-        qc = np.sum(a * a, axis=1) - r * r
+        dx = wrap_delta(nodal.midpoints[seg, 0] - centers[ball, 0])
+        dy = wrap_delta(nodal.midpoints[seg, 1] - centers[ball, 1])
+        near = np.sqrt(dx * dx + dy * dy) <= r + nodal.lengths[seg] / 2.0
+        # Ball-major, then ascending segment index, as the pieces are returned.
+        ball, seg = np.divmod(np.sort(ball[near] * count + seg[near]), count)
+        cx, cy = centers[ball, 0], centers[ball, 1]
+        ax = wrap_delta(nodal.a[seg, 0] - cx)
+        ay = wrap_delta(nodal.a[seg, 1] - cy)
+        dx = wrap_delta(wrap_delta(nodal.b[seg, 0] - cx) - ax)
+        dy = wrap_delta(wrap_delta(nodal.b[seg, 1] - cy) - ay)
+        qa = dx * dx + dy * dy
+        qb = 2.0 * (ax * dx + ay * dy)
+        qc = (ax * ax + ay * ay) - r * r
         disc = qb * qb - 4.0 * qa * qc
 
         ok = (disc > 0.0) & (qa > 1e-300)
@@ -258,11 +278,11 @@ def clip_family(nodal: NodalSet, centers, r: float):
         frac = t_hi - t_lo
         keep = frac > 0.0
         tmid = (t_lo[keep] + t_hi[keep]) / 2.0
-        lens.append(frac[keep] * nodal.lengths[seg[keep]])
-        mids.append(wrap_point(c[keep] + a[keep] + d[keep] * tmid[:, None]))
-        owners.append(ball[keep])
-    offsets = np.searchsorted(np.concatenate(owners), np.arange(len(centers) + 1))
-    return np.concatenate(lens), np.concatenate(mids), offsets
+        mid = np.column_stack([cx[keep] + ax[keep] + dx[keep] * tmid,
+                               cy[keep] + ay[keep] + dy[keep] * tmid])
+        parts.append((frac[keep] * nodal.lengths[seg[keep]], wrap_point(mid), ball[keep]))
+    piece_len, piece_mid, owners = (np.concatenate(x) for x in zip(*parts))
+    return piece_len, piece_mid, np.searchsorted(owners, np.arange(len(centers) + 1))
 
 
 def ball_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -297,25 +317,32 @@ def integrate_over_nodal(nodal: NodalSet, f: Callable[[np.ndarray], np.ndarray])
 
 
 def nodal_to_csv(nodal: NodalSet, path: str) -> None:
-    """Write the segment soup as CSV with columns ax,ay,bx,by,length."""
+    """Write the segment soup as CSV with columns ax,ay,bx,by,length, each value its float repr."""
     with open(path, "w", newline="") as fh:
         fh.write("ax,ay,bx,by,length\n")
-        for k in range(nodal.count):
-            fh.write(f"{float(nodal.a[k, 0])!r},{float(nodal.a[k, 1])!r},"
-                     f"{float(nodal.b[k, 0])!r},{float(nodal.b[k, 1])!r},"
-                     f"{float(nodal.lengths[k])!r}\n")
+        for k in range(0, nodal.count, 4096):
+            rows = np.column_stack([x[k:k + 4096] for x in (nodal.a, nodal.b, nodal.lengths)])
+            # repr of the row lists prints each float as its own repr.
+            text = repr(rows.tolist())
+            fh.write(text[2:-2].replace("], [", "\n").replace(", ", ",") + "\n")
 
 
 def nodal_from_csv(path: str) -> NodalSet:
     """Load a segment soup written by nodal_to_csv.
 
     Source resolution and frequency are not part of the wire format; they
-    come back as 0 and nan and the set is suitable for geometry only.
+    come back as 0 and nan (geometry only).  A header-only file is the empty set.
     """
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # loadtxt's "no data" warning
+            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"nodal file {path}: {exc}") from None
     if rows.size == 0:
-        empty = np.empty((0, 2))
-        return NodalSet(empty, empty, np.empty(0), empty.copy(), 0, float("nan"))
+        rows = np.empty((0, 5))
+    if rows.shape[1] != 5 or not np.all(np.isfinite(rows)):
+        raise ValueError(f"nodal file {path}: each row needs 5 finite numbers ax,ay,bx,by,length")
     a = rows[:, 0:2]
     b = rows[:, 2:4]
     lengths = rows[:, 4]

@@ -18,10 +18,6 @@ BALL_STROKE = "#c2452d"
 FRAME_STROKE = "#777777"
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6f}"
-
-
 def render_svg(nodal: NodalSet | None = None,
                centers: np.ndarray | None = None,
                radius: float | None = None) -> str:
@@ -39,18 +35,16 @@ def render_svg(nodal: NodalSet | None = None,
     if nodal is not None and nodal.count:
         a = nodal.a
         b = a + wrap_delta(nodal.b - nodal.a)
-        moves = []
-        for k in range(a.shape[0]):
-            moves.append(f"M{_fmt(a[k, 0])} {_fmt(1.0 - a[k, 1])}"
-                         f"L{_fmt(b[k, 0])} {_fmt(1.0 - b[k, 1])}")
-        parts.append(f'<path d="{"".join(moves)}" fill="none" '
+        xy = np.column_stack([a[:, 0], 1.0 - a[:, 1], b[:, 0], 1.0 - b[:, 1]])
+        moves = ("M%.6f %.6fL%.6f %.6f" * nodal.count) % tuple(xy.ravel().tolist())
+        parts.append(f'<path d="{moves}" fill="none" '
                      f'stroke="{SEGMENT_STROKE}" stroke-width="0.0025" '
                      'stroke-linecap="round"/>')
     if centers is not None and radius is not None:
         centers = np.atleast_2d(np.asarray(centers, dtype=float))
         for c in centers:
-            parts.append(f'<circle cx="{_fmt(c[0])}" cy="{_fmt(1.0 - c[1])}" '
-                         f'r="{_fmt(radius)}" fill="none" '
+            parts.append(f'<circle cx="{c[0]:.6f}" cy="{1.0 - c[1]:.6f}" '
+                         f'r="{radius:.6f}" fill="none" '
                          f'stroke="{BALL_STROKE}" stroke-width="0.0012"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -3,6 +3,10 @@
 All coordinates live on the unit torus [0,1)^2; displacement vectors are
 reduced to the fundamental chart [-1/2, 1/2)^2 componentwise, which realizes
 the minimum-image convention for distances below 1/2.
+
+Reduction is y - floor(y), which equals numpy's float y % 1.0 bit for bit
+at a fraction of its cost: % takes fmod(y, 1), which is exact, and adds 1
+when that is negative, so both round the same real number y + k once.
 """
 
 from __future__ import annotations
@@ -12,18 +16,19 @@ import numpy as np
 
 def wrap_point(p: np.ndarray) -> np.ndarray:
     """Reduce coordinates into [0, 1)."""
-    r = np.asarray(p, dtype=float) % 1.0
-    # x % 1.0 rounds to exactly 1.0 for tiny negative x; keep the interval
-    # half-open.
-    return np.where(r >= 1.0, 0.0, r)
+    r = np.array(p, dtype=float)
+    r -= np.floor(r)
+    # Tiny negative p round up to exactly 1.0; keep the interval half-open.
+    r[r >= 1.0] = 0.0
+    return r
 
 
 def wrap_delta(d: np.ndarray) -> np.ndarray:
     """Reduce a displacement componentwise into [-1/2, 1/2)."""
-    r = (np.asarray(d, dtype=float) + 0.5) % 1.0
-    return np.where(r >= 1.0, 0.0, r) - 0.5
+    return wrap_point(np.add(d, 0.5, dtype=float)) - 0.5
 
 
 def periodic_distance(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Geodesic distance on the flat torus (scalar or batched along axis -1)."""
-    return np.linalg.norm(wrap_delta(np.asarray(p, dtype=float) - q), axis=-1)
+    d = wrap_delta(np.asarray(p, dtype=float) - q)
+    return np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])

@@ -358,3 +358,29 @@ def test_plot_round_trip(tmp_path, capsys):
 def test_plot_missing_input_exits_one(tmp_path, capsys):
     assert main(["plot", "--nodal", str(tmp_path / "missing.csv")]) == 1
     assert "[error]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body,why", [
+    ("0.1,0.2,0.3,0.4\n", "5 finite numbers"),
+    ("0.1,0.2,0.3,0.4,0.5,0.6\n", "5 finite numbers"),
+    ("0.1,0.2,0.3,0.4,0.1\n0.1,0.2,0.3\n", "columns"),
+    ("0.1,nan,0.3,0.4,0.1\n", "5 finite numbers"),
+    ("0.1,0.2,inf,0.4,0.1\n", "5 finite numbers"),
+    ("0.1,0.2,x,0.4,0.1\n", "could not convert"),
+])
+def test_plot_rejects_a_malformed_nodal_csv(tmp_path, capsys, body, why):
+    path = tmp_path / "bad.csv"
+    path.write_text("ax,ay,bx,by,length\n" + body)
+    assert main(["plot", "--nodal", str(path), "--out", str(tmp_path / "bad.svg")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("[error] nodal file") and str(path) in err and why in err
+    assert "Traceback" not in err and not (tmp_path / "bad.svg").exists()
+
+
+def test_plot_of_a_header_only_nodal_csv_is_the_empty_set(tmp_path, capsys, recwarn):
+    path = tmp_path / "empty.csv"
+    path.write_text("ax,ay,bx,by,length\n")
+    assert main(["plot", "--nodal", str(path)]) == 0
+    assert "segments=0" in capsys.readouterr().out
+    assert not recwarn.list
+    assert "<path" not in (tmp_path / "empty.svg").read_text()

@@ -148,11 +148,16 @@ def oracle_sets(e65_nodal, tmp_path):
     delta = 0.2 * rng.random(400)[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
     long = NodalSet(a, wrap_point(a + delta), np.linalg.norm(delta, axis=1),
                     wrap_point(a + delta / 2.0), 0, float("nan"))
+    # Ten segments make 3 x 3 buckets, so every window spans the torus
+    # (w == B) and clip_family reads every bucket, unpruned.
+    coarse = NodalSet(*(x[:10] for x in (long.a, long.b, long.lengths, long.midpoints)),
+                      0, float("nan"))
     return {
         "e65": e65_nodal,
         "csv": nodal_from_csv(str(path)),
         "empty": NodalSet(empty, empty, np.empty(0), empty.copy(), 256, 1.0),
         "long": long,
+        "coarse": coarse,
     }
 
 
@@ -265,6 +270,26 @@ def test_csv_round_trip(tmp_path, e65_nodal):
     assert np.max(np.abs(back.b - e65_nodal.b)) == 0.0
     assert np.max(np.abs(back.lengths - e65_nodal.lengths)) == 0.0
     assert back.total_length == pytest.approx(e65_nodal.total_length, rel=1e-15)
+
+
+def per_row_csv(nodal):
+    """Reference writer: one f-string of float reprs per segment."""
+    rows = ["ax,ay,bx,by,length\n"]
+    for k in range(nodal.count):
+        rows.append(f"{float(nodal.a[k, 0])!r},{float(nodal.a[k, 1])!r},"
+                    f"{float(nodal.b[k, 0])!r},{float(nodal.b[k, 1])!r},"
+                    f"{float(nodal.lengths[k])!r}\n")
+    return "".join(rows)
+
+
+def test_csv_writer_matches_the_per_row_reference(tmp_path, e65_nodal, awkward_nodal):
+    empty = np.empty((0, 2))
+    for nodal in (e65_nodal, awkward_nodal, NodalSet(empty, empty, np.empty(0), empty, 0, 1.0)):
+        path = tmp_path / "nodal.csv"
+        nodal_to_csv(nodal, str(path))
+        assert path.read_bytes() == per_row_csv(nodal).encode()
+    back = nodal_from_csv(str(tmp_path / "nodal.csv"))
+    assert back.count == 0
 
 
 def test_refinement_stability(e65_field):

@@ -6,6 +6,7 @@ from torusnodal.covering import build_cover, family_to_csv
 from torusnodal.eigenbasis import random_eigenfunction, sample_grid, sine_mode_spec
 from torusnodal.nodal import extract_nodal
 from torusnodal.svgplot import balls_from_csv, render_svg
+from torusnodal.torus import wrap_delta
 
 
 def test_svg_skeleton():
@@ -37,6 +38,16 @@ def test_svg_segments_do_not_streak_across_the_seam():
         ax, ay = map(float, a.split())
         bx, by = map(float, b.split())
         assert abs(bx - ax) < 0.05 and abs(by - ay) < 0.05
+
+
+def test_svg_path_matches_the_per_segment_reference(e65_nodal, awkward_nodal):
+    for nodal in (e65_nodal, awkward_nodal):
+        a = nodal.a
+        b = a + wrap_delta(nodal.b - nodal.a)
+        want = "".join(f"M{a[k, 0]:.6f} {1.0 - a[k, 1]:.6f}L{b[k, 0]:.6f} {1.0 - b[k, 1]:.6f}"
+                       for k in range(nodal.count))
+        assert re.search(r'<path d="([^"]*)"', render_svg(nodal)).group(1) == want
+    assert "M-0.000000 " in render_svg(awkward_nodal)
 
 
 def test_svg_is_deterministic():
