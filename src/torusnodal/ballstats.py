@@ -25,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BallTooLarge, RadiusUnderResolved
-from .nodal import ball_sums
+from .nodal import ball_sums, write_float_csv
 from .torus import wrap_delta
 
 MIN_CELLS_PER_RADIUS = 20.0
@@ -254,12 +254,9 @@ def sse_extremes(field, scale: ScaleFunction, n_random: int = 100,
 
 
 def report_to_csv(report: BallMassReport, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("center_x,center_y,radius,mass,ratio\n")
-        for k in range(report.count):
-            fh.write(f"{float(report.centers[k, 0])!r},{float(report.centers[k, 1])!r},"
-                     f"{float(report.radius)!r},{float(report.masses[k])!r},"
-                     f"{float(report.ratios[k])!r}\n")
+    write_float_csv(path, "center_x,center_y,radius,mass,ratio",
+                    (report.centers, np.full(report.count, float(report.radius)),
+                     report.masses, report.ratios))
 
 
 def report_summary_json(report: BallMassReport) -> str:

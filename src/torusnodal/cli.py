@@ -152,14 +152,7 @@ def cmd_growth(args) -> int:
     tau = args.tau if args.tau is not None else spec.energy ** -0.5
     scale_r = ScaleFunction(args.rho)(spec.lam)
     report = growth_report(field, scale_r, args.delta, tau)
-    obj = {
-        "E": spec.energy, "tau": report.tau, "mu": report.mu,
-        "delta": report.delta, "c7_max": report.c7_max,
-        "c7_values": [float(v) for v in report.c7_values],
-        "mu_eff": report.mu_eff, "strip_sup": report.strip_sup,
-        "strip_certificate": report.strip_certificate,
-        "real_sup": report.real_sup, "c9_hat": report.c9_hat,
-    }
+    obj = {"E": spec.energy, **vars(report), "c7_values": report.c7_values.tolist()}
     text = json.dumps(obj, sort_keys=True, indent=1)
     if args.out:
         out = _ensure_out(args.out)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RadiusTooLarge
+from .nodal import write_float_csv
 from .torus import periodic_distance, wrap_delta
 
 CANDIDATE_SPACING_FACTOR = 8
@@ -113,10 +114,8 @@ def build_cover(r: float, seed: int, probe: int = DEFAULT_PROBE) -> BallFamily:
 
 
 def family_to_csv(family: BallFamily, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("center_x,center_y,radius\n")
-        for c in family.centers:
-            fh.write(f"{float(c[0])!r},{float(c[1])!r},{float(family.radius)!r}\n")
+    write_float_csv(path, "center_x,center_y,radius",
+                    (family.centers, np.full(family.count, float(family.radius))))
 
 
 def family_to_json(family: BallFamily) -> str:

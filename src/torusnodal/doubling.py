@@ -10,7 +10,8 @@ dividing by the covering overlap factor.
 Defaults: a1 = 2.5 was calibrated as the smallest half-integer for which
 every core ball contained a sign change across a 50-seed ensemble at
 energy 65 (see scripts/calibrate_doubling.py); a2 = 16 is the flat volume
-ratio of the doubled ball.  Both are recorded in every report.
+ratio of the doubled ball.  Both are recorded in every report.  The
+dilated chart v(y) = u(c + r y) of the growth exponents lives in growth.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .ballstats import MIN_CELLS_PER_RADIUS, ball_masses
 from .covering import OVERLAP_VOLUME_BOUND
-from .errors import ChartExceeded, DivisionByNegligibleMass, RadiusTooLarge, RadiusUnderResolved
+from .errors import DivisionByNegligibleMass, RadiusTooLarge, RadiusUnderResolved
 from .nodal import NodalSet, ball_sums, clip_family
 from .torus import wrap_point
 
@@ -32,40 +33,6 @@ OUTER_FACTOR = 20.0
 INNER_FACTOR = 10.0
 SIGN_PROBE_SIDE = 32
 NEGLIGIBLE_MASS = 1e-30
-MAX_DILATION = 1.0 / 40.0
-CHART_RADIUS = 10.0
-
-
-@dataclass(frozen=True)
-class DilatedView:
-    """The field read in local coordinates y around a center: v(y) = u(c + r y).
-
-    The natural frequency of the view is mu = r * lam.  Coordinates are
-    reduced periodically, and the chart is restricted to |y| <= 10.
-    """
-
-    base: object
-    center: tuple[float, float]
-    r: float
-
-    @property
-    def mu(self) -> float:
-        return self.r * self.base.spec_lambda
-
-    def evaluate(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if np.max(np.linalg.norm(pts, axis=1)) > CHART_RADIUS:
-            raise ChartExceeded(f"local coordinates beyond |y| <= {CHART_RADIUS}")
-        c = np.asarray(self.center, dtype=float)
-        return self.base.at(wrap_point(c + self.r * pts))
-
-
-def dilate(field, center, r: float) -> DilatedView:
-    """Dilated view with the full |y| <= 10 chart embedded (needs r < 1/40)."""
-    if not 0.0 < r < MAX_DILATION:
-        raise RadiusTooLarge(
-            f"dilation scale must lie in (0, {MAX_DILATION}) for an embedded chart, got {r!r}")
-    return DilatedView(field, (float(center[0]), float(center[1])), r)
 
 
 @dataclass(frozen=True)

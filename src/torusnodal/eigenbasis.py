@@ -223,12 +223,6 @@ class SampledField:
         return (v00 * (1 - fx) * (1 - fy) + v10 * fx * (1 - fy)
                 + v01 * (1 - fx) * fy + v11 * fx * fy)
 
-    def at(self, points: np.ndarray) -> np.ndarray:
-        """Exact values when the generating spec is known, else bilinear."""
-        if self.spec is not None:
-            return np.atleast_1d(evaluate(self.spec, np.atleast_2d(points)))
-        return self.interp(np.atleast_2d(points))
-
 
 def grid_sum(modes, coeffs: np.ndarray, n: int) -> np.ndarray:
     """Complex sum_xi c_xi exp(2 pi i xi . x) at every x = (i/n, j/n), by one inverse FFT."""
@@ -238,18 +232,22 @@ def grid_sum(modes, coeffs: np.ndarray, n: int) -> np.ndarray:
     return np.fft.ifft2(c) * (n * n)
 
 
+def require_sampling_grid(energy: int, n: int) -> None:
+    """Raise ResolutionTooCoarse unless n >= ceil(10 sqrt(E)) (and n >= 1) for energy E."""
+    need = max(math.ceil(10.0 * math.sqrt(energy)), 1)
+    if n < need:
+        raise ResolutionTooCoarse(f"grid {n} too coarse for energy {energy}; need n >= {need}")
+
+
 def sample_grid(spec: EigenfunctionSpec, n: int) -> SampledField:
     """Sample the eigenfunction on the uniform N x N torus grid.
 
     Placing the coefficients on the discrete spectral grid and inverting
     with an FFT reproduces the exact trigonometric sum at every grid point
-    (no aliasing once n exceeds twice the largest mode component, which the
-    precondition n >= ceil(10 sqrt(E)) guarantees with margin).
+    (no aliasing once n exceeds twice the largest mode component, which
+    require_sampling_grid guarantees with margin).
     """
-    need = math.ceil(10.0 * math.sqrt(spec.energy))
-    if n < max(need, 1):
-        raise ResolutionTooCoarse(
-            f"grid {n} too coarse for energy {spec.energy}; need n >= {max(need, 1)}")
+    require_sampling_grid(spec.energy, n)
     vals = grid_sum(spec.modes, spec.coeffs, n)
     scale = float(np.sum(np.abs(spec.coeffs)))
     if np.max(np.abs(vals.imag)) > IMAG_TOL * scale:

@@ -35,7 +35,7 @@ import functools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import MISSING, dataclass, field as dataclass_field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -45,10 +45,10 @@ from .ballstats import (BallMassReport, ScaleFunction, ball_mass_scan, require_r
 from .covering import BallFamily, build_cover
 from .doubling import (DEFAULT_A1, DEFAULT_A2, OUTER_FACTOR, classify_doubling, lower_bound_assembly,
                        require_resolved_doubling)
-from .eigenbasis import (SampledField, enumerate_modes, random_eigenfunction, sample_grid,
-                         sine_mode_spec)
+from .eigenbasis import (SampledField, enumerate_modes, random_eigenfunction,
+                         require_sampling_grid, sample_grid, sine_mode_spec)
 from .errors import (BallTooLarge, ChainStepViolated, DivisionByNegligibleMass, EmptySpectrum,
-                     NegativeTestFunction, RadiusUnderResolved)
+                     NegativeTestFunction, RadiusUnderResolved, ResolutionTooCoarse)
 from .growth import growth_report
 from .nodal import NodalSet, ball_sums, clip_family, extract_nodal, integrate_over_nodal
 from .svgplot import render_svg
@@ -187,6 +187,15 @@ _QUADRATURE_SLACK = 1e-6
 _LATTICE_SIDE = 9
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """An int or a finite float: report.json holds no nan or inf."""
+    return _is_int(value) or isinstance(value, float) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     """Declarative description of one verification ensemble.
@@ -241,21 +250,28 @@ class ExperimentPlan:
         for key, value in dict(self.tolerances).items():
             if key not in DEFAULT_TOLERANCES:
                 raise ValueError(f"unknown tolerance {key!r}")
-            merged[key] = tuple(value) if isinstance(value, (list, tuple)) else float(value)
+            if isinstance(DEFAULT_TOLERANCES[key], tuple):
+                if not (isinstance(value, (list, tuple)) and len(value) == 2
+                        and all(map(_is_number, value))):
+                    raise ValueError(f"tolerance {key!r} must be a pair of finite numbers; got {value!r}")
+                merged[key] = tuple(value)
+            elif _is_number(value):
+                merged[key] = float(value)
+            else:
+                raise ValueError(f"tolerance {key!r} must be a finite number; got {value!r}")
         object.__setattr__(self, "tolerances", merged)
         scale = ScaleFunction(self.rho)
         for e in self.energies:
             n = self.grid_for(e)
-            if n < math.ceil(10.0 * math.sqrt(e)):
-                raise ValueError(f"grid {n} too coarse for exact sampling at E={e}")
             lam = 2.0 * math.pi * math.sqrt(e)
             r = scale(lam)
             try:
+                require_sampling_grid(e, n)
                 if r < 0.25:
                     require_resolved_radius(r, n)
                 if OUTER_FACTOR * self.doubling_a1 / lam < 0.25:
                     require_resolved_doubling(lam, self.doubling_a1, n)
-            except (BallTooLarge, RadiusUnderResolved) as exc:
+            except (BallTooLarge, RadiusUnderResolved, ResolutionTooCoarse) as exc:
                 raise ValueError(f"{exc} at E={e}") from None
         owners: dict[int, str] = {}
         stages = [(e, s, t, f"E={e} seed {s} stage {t}") for e in self.energies
@@ -280,21 +296,34 @@ class ExperimentPlan:
                           sort_keys=True, indent=1)
 
 
+# Plan field annotation (a string: annotations are postponed) -> (its JSON type, a test of it)
+_PLAN_JSON_TYPES: dict[str, tuple[str, Callable[[object], bool]]] = {
+    "int": ("an integer", _is_int),
+    "float": ("a finite number", _is_number),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "tuple[int, ...]": ("a list of integers",
+                        lambda v: isinstance(v, list) and all(map(_is_int, v))),
+    "tuple[str, ...]": ("a list of strings",
+                        lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
+    "dict": ("an object", lambda v: isinstance(v, dict)),
+}
+
+
 def plan_from_json(text: str) -> ExperimentPlan:
+    """Parse a plan file; each field must have the JSON type of its annotation."""
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("plan file must hold a JSON object")
-    known = {f for f in ExperimentPlan.__dataclass_fields__}
-    for key in obj:
-        if key not in known:
+    plan_fields = ExperimentPlan.__dataclass_fields__
+    for key, value in obj.items():
+        if key not in plan_fields:
             raise ValueError(f"unknown plan field {key!r}")
+        kind, matches = _PLAN_JSON_TYPES[plan_fields[key].type]
+        if not matches(value):
+            raise ValueError(f"plan field {key!r} must be {kind}; got {value!r}")
     if "energies" not in obj:
         raise ValueError("plan is missing the energies list")
-    kwargs = dict(obj)
-    kwargs["energies"] = tuple(kwargs["energies"])
-    if "test_functions" in kwargs:
-        kwargs["test_functions"] = tuple(kwargs["test_functions"])
-    return ExperimentPlan(**kwargs)
+    return ExperimentPlan(**obj)
 
 
 def _stage_seed(plan: ExperimentPlan, energy: int, seed: int, stage: int) -> int:
@@ -389,7 +418,6 @@ class Theorem2Result(NamedTuple):
     c1_hat: float
     c2_hat: float
     rho_by_name: dict
-    integral_by_name: dict
     trivial_names: tuple
 
 
@@ -402,10 +430,8 @@ def check_theorem_2(field: SampledField,
     """
     lam = field.spec_lambda
     rho_by_name: dict[str, float] = {}
-    integral_by_name: dict[str, float] = {}
     trivial: list[str] = []
     for tf, denom, numer in integrals:
-        integral_by_name[tf.name] = denom
         if denom < 1e-30:
             if numer < 1e-30:
                 trivial.append(tf.name)
@@ -419,7 +445,7 @@ def check_theorem_2(field: SampledField,
         c1, c2 = min(values), max(values)
     else:
         c1, c2 = float("nan"), float("nan")
-    return Theorem2Result(c1, c2, rho_by_name, integral_by_name, tuple(trivial))
+    return Theorem2Result(c1, c2, rho_by_name, tuple(trivial))
 
 
 def check_yau_scaling(yau_by_energy: dict, window: float = 3.0,
@@ -477,7 +503,6 @@ class ChainStep(NamedTuple):
 class ChainTrace:
     """Full numeric trace of the lower and upper bound chains for one f."""
 
-    f_name: str
     radius: float
     n_balls: int
     overlap: int
@@ -643,7 +668,7 @@ def replicate_bound_chain(field: SampledField, nodal: NodalSet, table: BallTable
               "composite upper bound for the curve integral of f"),
     )
     trace = ChainTrace(
-        f_name=tf.name, radius=r, n_balls=n_balls, overlap=overlap,
+        radius=r, n_balls=n_balls, overlap=overlap,
         empty_balls=empty_balls, e1_chain=e1_chain, e2_chain=e2_chain,
         integral_f=integral_f, corr_lower=corr_lower, corr_upper=corr_upper,
         hypothesis_met=hypothesis_met, message=message, steps=steps,
@@ -659,6 +684,11 @@ def replicate_bound_chain(field: SampledField, nodal: NodalSet, table: BallTable
 # single runs
 
 
+def _column(*roles: str, default=None):
+    """A RunResult field of report.json, also written to each of roles ("csv", "aggregate")."""
+    return dataclass_field(default=default, metadata={"roles": ("report",) + roles})
+
+
 @dataclass(frozen=True)
 class RunResult:
     """Everything one (energy, seed) pipeline run contributes to the report.
@@ -667,46 +697,52 @@ class RunResult:
     radius too large for the energy) hold None and the reason appears in
     flags; gates never silently treat missing values as passing.  svg holds
     the run's picture when the plan asks for one; it is written to its own
-    file and stays out of the report and the CSV.
+    file and has no roles.
     """
 
-    energy: int
-    seed: int
-    grid: int
-    lam: float
-    radius: float
-    total_length: float
-    yau_ratio: float
-    segment_count: int
-    degenerate: bool
-    flags: tuple[str, ...]
-    d1: float | None = None
-    d2: float | None = None
-    sse_fraction: float | None = None
-    cover_count: int | None = None
-    overlap_max: int | None = None
-    e1_hat: float | None = None
-    e2_hat: float | None = None
-    t1_included: int | None = None
-    t1_excluded: int | None = None
-    c1_hat: float | None = None
-    c2_hat: float | None = None
-    rho_by_f: dict | None = None
-    chain_ok: bool | None = None
-    chain_hypothesis_met: int | None = None
-    chain_e1: float | None = None
-    chain_e2: float | None = None
-    good_fraction: float | None = None
-    good_count: int | None = None
-    sign_change_fraction: float | None = None
-    assembled_lower_bound: float | None = None
-    a3_hat: float | None = None
-    c7_max: float | None = None
-    c9_hat: float | None = None
-    strip_sup: float | None = None
-    strip_certificate: float | None = None
-    real_sup: float | None = None
-    svg: str | None = dataclass_field(default=None, repr=False, compare=False)
+    energy: int = _column("csv", default=MISSING)
+    seed: int = _column("csv", default=MISSING)
+    grid: int = _column("csv", default=MISSING)
+    lam: float = _column("csv", default=MISSING)
+    radius: float = _column("csv", default=MISSING)
+    total_length: float = _column("csv", default=MISSING)
+    yau_ratio: float = _column("csv", "aggregate", default=MISSING)
+    segment_count: int = _column("csv", default=MISSING)
+    degenerate: bool = _column("csv", default=MISSING)
+    d1: float | None = _column("csv", "aggregate")
+    d2: float | None = _column("csv", "aggregate")
+    sse_fraction: float | None = _column("csv", "aggregate")
+    cover_count: int | None = _column("csv")
+    overlap_max: int | None = _column("csv")
+    e1_hat: float | None = _column("csv", "aggregate")
+    e2_hat: float | None = _column("csv", "aggregate")
+    t1_included: int | None = _column("csv")
+    t1_excluded: int | None = _column("csv")
+    c1_hat: float | None = _column("csv", "aggregate")
+    c2_hat: float | None = _column("csv", "aggregate")
+    rho_by_f: dict | None = _column()
+    chain_ok: bool | None = _column("csv")
+    chain_hypothesis_met: int | None = _column("csv")
+    chain_e1: float | None = _column()
+    chain_e2: float | None = _column()
+    good_fraction: float | None = _column("csv", "aggregate")
+    good_count: int | None = _column("csv")
+    sign_change_fraction: float | None = _column("csv")
+    assembled_lower_bound: float | None = _column("csv")
+    a3_hat: float | None = _column("csv")
+    c7_max: float | None = _column("csv", "aggregate")
+    c9_hat: float | None = _column("csv", "aggregate")
+    strip_sup: float | None = _column("csv")
+    strip_certificate: float | None = _column()
+    real_sup: float | None = _column("csv")
+    flags: tuple[str, ...] = _column("csv", default=())
+    svg: str | None = dataclass_field(default=None, repr=False, compare=False,
+                                      metadata={"roles": ()})
+
+
+def _columns(role: str) -> tuple[str, ...]:
+    """Names of the RunResult fields with role ("report", "csv" or "aggregate"), in field order."""
+    return tuple(f.name for f in fields(RunResult) if role in f.metadata["roles"])
 
 
 def run_single(plan: ExperimentPlan, energy: int, seed: int) -> RunResult:
@@ -837,10 +873,6 @@ class VerificationReport:
         return all(v["pass"] for v in self.verdicts.values() if v["pass"] is not None)
 
 
-_AGGREGATE_FIELDS = ("yau_ratio", "d1", "d2", "sse_fraction", "e1_hat", "e2_hat",
-                     "c1_hat", "c2_hat", "good_fraction", "c7_max", "c9_hat")
-
-
 def run_plan(plan: ExperimentPlan, threads: int = 1,
              progress: Callable[[str], None] | None = None) -> VerificationReport:
     """Execute every (energy, seed) run of the plan and fold the report.
@@ -884,7 +916,7 @@ def _aggregate(plan: ExperimentPlan, runs: list[RunResult]) -> dict:
     for e in plan.energies:
         stats: dict[str, dict] = {}
         per_energy = [r for r in runs if r.energy == e]
-        for name in _AGGREGATE_FIELDS:
+        for name in _columns("aggregate"):
             vals = [getattr(r, name) for r in per_energy]
             vals = [v for v in vals if v is not None and not math.isnan(v)]
             if vals:
@@ -1042,11 +1074,8 @@ def _jsonify(value):
 
 
 def report_to_json(report: VerificationReport) -> str:
-    runs = []
-    for r in report.runs:
-        row = {name: _jsonify(getattr(r, name))
-               for name in RunResult.__dataclass_fields__ if name != "svg"}
-        runs.append(row)
+    runs = [{name: _jsonify(getattr(r, name)) for name in _columns("report")}
+            for r in report.runs]
     obj = {
         "plan": json.loads(report.plan.to_json()),
         "runs": runs,
@@ -1058,21 +1087,13 @@ def report_to_json(report: VerificationReport) -> str:
     return json.dumps(obj, sort_keys=True, indent=1, allow_nan=False)
 
 
-_CSV_FIELDS = ("energy", "seed", "grid", "lam", "radius", "total_length",
-               "yau_ratio", "segment_count", "degenerate", "d1", "d2",
-               "sse_fraction", "cover_count", "overlap_max", "e1_hat", "e2_hat",
-               "t1_included", "t1_excluded", "c1_hat", "c2_hat", "chain_ok",
-               "chain_hypothesis_met", "good_fraction", "good_count",
-               "sign_change_fraction", "assembled_lower_bound", "a3_hat",
-               "c7_max", "c9_hat", "strip_sup", "real_sup", "flags")
-
-
 def runs_to_csv(report: VerificationReport) -> str:
     """Per-run table; floats keep full precision via repr."""
-    lines = [",".join(_CSV_FIELDS)]
+    columns = _columns("csv")
+    lines = [",".join(columns)]
     for r in report.runs:
         cells = []
-        for name in _CSV_FIELDS:
+        for name in columns:
             v = getattr(r, name)
             if name == "flags":
                 cells.append(";".join(v))

@@ -91,7 +91,6 @@ class NodalSet:
     lengths: np.ndarray
     midpoints: np.ndarray
     source_resolution: int
-    source_lambda: float
 
     @property
     def count(self) -> int:
@@ -154,7 +153,7 @@ def extract_nodal(field) -> NodalSet:
     ii, jj = np.nonzero(active)
     if ii.size == 0:
         empty = np.empty((0, 2))
-        return NodalSet(empty, empty, np.empty(0), empty.copy(), n, field.spec_lambda)
+        return NodalSet(empty, empty, np.empty(0), empty.copy(), n)
     cval = case[ii, jj]
 
     ip = (ii + 1) % n
@@ -198,8 +197,7 @@ def extract_nodal(field) -> NodalSet:
 
     lengths = np.linalg.norm(bi - ai, axis=1)
     mids = (ai + bi) / 2.0
-    return NodalSet(wrap_point(ai), wrap_point(bi), lengths, wrap_point(mids),
-                    n, field.spec_lambda)
+    return NodalSet(wrap_point(ai), wrap_point(bi), lengths, wrap_point(mids), n)
 
 
 def clip_family(nodal: NodalSet, centers, r: float):
@@ -316,35 +314,54 @@ def integrate_over_nodal(nodal: NodalSet, f: Callable[[np.ndarray], np.ndarray])
     return float(np.sum(vals * nodal.lengths))
 
 
-def nodal_to_csv(nodal: NodalSet, path: str) -> None:
-    """Write the segment soup as CSV with columns ax,ay,bx,by,length, each value its float repr."""
+def write_float_csv(path: str, header: str, columns) -> None:
+    """Write float columns (1-D or (M, k) arrays of M rows) under header, each value its repr."""
     with open(path, "w", newline="") as fh:
-        fh.write("ax,ay,bx,by,length\n")
-        for k in range(0, nodal.count, 4096):
-            rows = np.column_stack([x[k:k + 4096] for x in (nodal.a, nodal.b, nodal.lengths)])
+        fh.write(header + "\n")
+        for k in range(0, len(columns[0]), 4096):
+            rows = np.column_stack([x[k:k + 4096] for x in columns])
             # repr of the row lists prints each float as its own repr.
             text = repr(rows.tolist())
             fh.write(text[2:-2].replace("], [", "\n").replace(", ", ",") + "\n")
 
 
-def nodal_from_csv(path: str) -> NodalSet:
-    """Load a segment soup written by nodal_to_csv.
+def read_float_csv(path: str, header: str, label: str) -> np.ndarray:
+    """The (M, k) rows of a CSV of k = len(header.split(",")) finite floats after one header line.
 
-    Source resolution and frequency are not part of the wire format; they
-    come back as 0 and nan (geometry only).  A header-only file is the empty set.
+    A header-only file gives M = 0.  A row that is not k finite numbers
+    raises ValueError naming the file as label and path.
     """
+    k = len(header.split(","))
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # loadtxt's "no data" warning
             rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
-        raise ValueError(f"nodal file {path}: {exc}") from None
+        raise ValueError(f"{label} {path}: {exc}") from None
     if rows.size == 0:
-        rows = np.empty((0, 5))
-    if rows.shape[1] != 5 or not np.all(np.isfinite(rows)):
-        raise ValueError(f"nodal file {path}: each row needs 5 finite numbers ax,ay,bx,by,length")
+        rows = np.empty((0, k))
+    if rows.shape[1] != k or not np.all(np.isfinite(rows)):
+        raise ValueError(f"{label} {path}: each row needs {k} finite numbers {header}")
+    return rows
+
+
+_NODAL_HEADER = "ax,ay,bx,by,length"
+
+
+def nodal_to_csv(nodal: NodalSet, path: str) -> None:
+    """Write the segment soup as CSV with columns ax,ay,bx,by,length."""
+    write_float_csv(path, _NODAL_HEADER, (nodal.a, nodal.b, nodal.lengths))
+
+
+def nodal_from_csv(path: str) -> NodalSet:
+    """Load a segment soup written by nodal_to_csv.
+
+    The source resolution is not part of the wire format; it comes back as
+    0 (geometry only).  A header-only file is the empty set.
+    """
+    rows = read_float_csv(path, _NODAL_HEADER, "nodal file")
     a = rows[:, 0:2]
     b = rows[:, 2:4]
     lengths = rows[:, 4]
     mids = wrap_point(a + wrap_delta(b - a) / 2.0)
-    return NodalSet(wrap_point(a), wrap_point(b), lengths, mids, 0, float("nan"))
+    return NodalSet(wrap_point(a), wrap_point(b), lengths, mids, 0)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nodal import NodalSet
+from .nodal import NodalSet, read_float_csv
 from .torus import wrap_delta
 
 CANVAS = 640
@@ -51,10 +51,6 @@ def render_svg(nodal: NodalSet | None = None,
 
 
 def balls_from_csv(path: str) -> tuple[np.ndarray, float]:
-    """Read centers and the common radius from a cover CSV."""
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if rows.size == 0:
-        return np.empty((0, 2)), 0.0
-    if rows.shape[1] < 3:
-        raise ValueError(f"ball file {path} needs columns center_x,center_y,radius")
-    return rows[:, :2], float(rows[0, 2])
+    """Read centers and the common radius from a cover CSV; a header-only file has no balls."""
+    rows = read_float_csv(path, "center_x,center_y,radius", "ball file")
+    return rows[:, :2], float(rows[0, 2]) if len(rows) else 0.0

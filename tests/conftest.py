@@ -35,4 +35,4 @@ def awkward_nodal():
     b = np.array([[0.001, 0.5001], [0.002, 1.0 - 1e-6], [0.01, 1e-17],
                   [0.2999, 0.0001], [0.101, 0.2], [0.5, 1e-310]])
     d = wrap_delta(b - a)
-    return NodalSet(a, b, np.linalg.norm(d, axis=1), wrap_point(a + d / 2.0), 0, float("nan"))
+    return NodalSet(a, b, np.linalg.norm(d, axis=1), wrap_point(a + d / 2.0), 0)

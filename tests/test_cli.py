@@ -303,6 +303,39 @@ def test_verify_invalid_plans_exit_one(tmp_path, capsys):
     assert ("stage seeds collide: E=25 seed 10 stage 0 and E=26 seed 0 stage 1"
             in capsys.readouterr().err)
 
+    # A field of the wrong JSON type is named before any run starts.
+    for body, field in [
+        ('{"energies": 5}', "energies"),
+        ('{"energies": [65, true]}', "energies"),
+        ('{"energies": [65], "rho": "x"}', "rho"),
+        ('{"energies": [65], "seeds_per_energy": "3"}', "seeds_per_energy"),
+        ('{"energies": [65], "seeds_per_energy": 1.0}', "seeds_per_energy"),
+        ('{"energies": [65], "grid_min": 300.5}', "grid_min"),
+        ('{"energies": [65], "base_seed": 1.5}', "base_seed"),
+        ('{"energies": [65], "tolerances": 5}', "tolerances"),
+        ('{"energies": [65], "tolerances": {"sse_band": 0.5}}', "sse_band"),
+        ('{"energies": [65], "tolerances": {"c9_window": [1, 2]}}', "c9_window"),
+        ('{"energies": [65], "tolerances": {"sse_band": [0.3, "x"]}}', "sse_band"),
+        ('{"energies": [65], "test_functions": ["one", ["x"]]}', "test_functions"),
+        ('{"energies": [65], "include_low_energy_control": "no"}',
+         "include_low_energy_control"),
+        ('{"energies": [65], "svg": 1}', "svg"),
+        # report.json cannot hold nan or inf, so they used to fail after every run.
+        ('{"energies": [65], "doubling_a2": NaN}', "doubling_a2"),
+        ('{"energies": [65], "doubling_a1": Infinity}', "doubling_a1"),
+        ('{"energies": [65], "tolerances": {"c9_window": NaN}}', "c9_window"),
+    ]:
+        mistyped = tmp_path / "mistyped.json"
+        mistyped.write_text(body)
+        out = tmp_path / "mistyped_out"
+        assert main(["verify", "--plan", str(mistyped), "--out", str(out)]) == 1, body
+        err = capsys.readouterr().err
+        assert err.startswith("[error]") and repr(field) in err and "Traceback" not in err, body
+        assert not out.exists()
+
+    # Ints in float fields are kept as given, so the plan keeps its bytes.
+    assert '"growth_delta": 1,' in plan_from_json('{"energies": [65], "growth_delta": 1}').to_json()
+
 
 def test_verify_rejects_under_resolved_doubling_plan(tmp_path, capsys, monkeypatch):
     def no_cover(*args, **kwargs):
@@ -375,6 +408,35 @@ def test_plot_rejects_a_malformed_nodal_csv(tmp_path, capsys, body, why):
     err = capsys.readouterr().err
     assert err.startswith("[error] nodal file") and str(path) in err and why in err
     assert "Traceback" not in err and not (tmp_path / "bad.svg").exists()
+
+
+@pytest.mark.parametrize("body,why", [
+    ("0.1,nan,0.1\n", "3 finite numbers"),
+    ("0.1,0.2\n", "3 finite numbers"),
+    ("0.1,0.2,0.1\n0.1,0.2\n", "columns"),
+    ("0.1,x,0.1\n", "could not convert"),
+])
+def test_plot_rejects_a_malformed_ball_csv(tmp_path, capsys, body, why):
+    nodal = tmp_path / "nodal.csv"
+    nodal.write_text("ax,ay,bx,by,length\n")
+    path = tmp_path / "bad_balls.csv"
+    path.write_text("center_x,center_y,radius\n" + body)
+    svg = tmp_path / "bad.svg"
+    assert main(["plot", "--nodal", str(nodal), "--balls", str(path), "--out", str(svg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("[error] ball file") and str(path) in err and why in err
+    assert "Traceback" not in err and not svg.exists()
+
+
+def test_plot_of_a_header_only_ball_csv_draws_no_balls(tmp_path, capsys, recwarn):
+    nodal = tmp_path / "nodal.csv"
+    nodal.write_text("ax,ay,bx,by,length\n")
+    balls = tmp_path / "balls.csv"
+    balls.write_text("center_x,center_y,radius\n")
+    svg = tmp_path / "empty.svg"
+    assert main(["plot", "--nodal", str(nodal), "--balls", str(balls), "--out", str(svg)]) == 0
+    assert not recwarn.list
+    assert "<circle" not in svg.read_text()
 
 
 def test_plot_of_a_header_only_nodal_csv_is_the_empty_set(tmp_path, capsys, recwarn):

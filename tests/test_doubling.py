@@ -5,18 +5,16 @@ import pytest
 
 from torusnodal.doubling import (
     classify_doubling,
-    dilate,
     lower_bound_assembly,
     report_to_json,
 )
 from torusnodal.eigenbasis import (
     SampledField,
-    evaluate,
     random_eigenfunction,
     sample_grid,
     sine_mode_spec,
 )
-from torusnodal.errors import ChartExceeded, DivisionByNegligibleMass, RadiusTooLarge
+from torusnodal.errors import DivisionByNegligibleMass, RadiusTooLarge
 from torusnodal.nodal import extract_nodal
 
 from test_nodal import full_scan_clip
@@ -31,33 +29,6 @@ def constant_one_field(lam: float, n: int = 256) -> SampledField:
     return SampledField(
         resolution=n, values=np.ones((n, n)), spec_lambda=lam, spec=None
     )
-
-
-def test_dilated_view_matches_spec_evaluation():
-    spec = random_eigenfunction(65, 7)
-    field = sample_grid(spec, 256)
-    center = np.array([0.3, 0.6])
-    r = 0.02
-    view = dilate(field, center, r)
-    assert view.mu == pytest.approx(r * field.spec_lambda)
-    ys = np.array([[0.0, 0.0], [1.0, 0.0], [-2.0, 3.0], [8.0, -5.0]])
-    got = view.evaluate(ys)
-    want = evaluate(spec, (center + r * ys) % 1.0)
-    assert np.max(np.abs(got - want)) < 1e-12
-
-
-def test_dilation_radius_cap():
-    field = sample_grid(random_eigenfunction(65, 0), 256)
-    with pytest.raises(RadiusTooLarge):
-        dilate(field, (0.5, 0.5), 1.0 / 40.0)
-    dilate(field, (0.5, 0.5), 1.0 / 41.0)  # just inside the chart cap
-
-
-def test_dilated_view_chart_bound():
-    field = sample_grid(random_eigenfunction(65, 0), 256)
-    view = dilate(field, (0.5, 0.5), 0.02)
-    with pytest.raises(ChartExceeded):
-        view.evaluate(np.array([[10.5, 0.0]]))
 
 
 def test_constant_field_doubles_like_area():

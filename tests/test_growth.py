@@ -5,15 +5,15 @@ import mpmath
 import numpy as np
 import pytest
 
-from torusnodal.doubling import dilate
 from torusnodal.eigenbasis import (
     constant_spec,
+    evaluate,
     random_eigenfunction,
-    sample_grid,
     sine_mode_spec,
 )
 from torusnodal.errors import ChartExceeded
 from torusnodal.growth import (
+    DilatedView,
     complex_strip_sup,
     growth_in_C_exponent,
     growth_report,
@@ -65,8 +65,7 @@ def test_real_doubling_exponent_single_mode_closed_form():
     # In the dilated chart v(y) = -sqrt(2) sin(2 pi r y1); the one-ball to
     # two-ball sup ratio at the origin is sin(4 pi r d)/sin(2 pi r d).
     r, d = 0.02, 0.25
-    field = sample_grid(sine_mode_spec(1), 512)
-    view = dilate(field, (0.5, 0.25), r)
+    view = DilatedView(sine_mode_spec(1), (0.5, 0.25), r)
     got = real_doubling_exponent(view, d, np.array([[0.0, 0.0]]))[0]
     expect = math.log(math.sin(4 * math.pi * r * d) / math.sin(2 * math.pi * r * d))
     expect /= view.mu
@@ -74,10 +73,27 @@ def test_real_doubling_exponent_single_mode_closed_form():
 
 
 def test_real_doubling_exponent_respects_chart():
-    field = sample_grid(sine_mode_spec(1), 512)
-    view = dilate(field, (0.5, 0.25), 0.02)
+    view = DilatedView(sine_mode_spec(1), (0.5, 0.25), 0.02)
     with pytest.raises(ChartExceeded):
         real_doubling_exponent(view, 0.25, np.array([[10.2, 0.0]]))
+
+
+def test_dilated_view_matches_spec_evaluation():
+    spec = random_eigenfunction(65, 7)
+    center = np.array([0.3, 0.6])
+    r = 0.02
+    view = DilatedView(spec, tuple(center), r)
+    assert view.mu == pytest.approx(r * spec.lam)
+    ys = np.array([[0.0, 0.0], [1.0, 0.0], [-2.0, 3.0], [8.0, -5.0]])
+    got = view.evaluate(ys)
+    want = evaluate(spec, (center + r * ys) % 1.0)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_dilated_view_chart_bound():
+    view = DilatedView(random_eigenfunction(65, 0), (0.5, 0.5), 0.02)
+    with pytest.raises(ChartExceeded):
+        view.evaluate(np.array([[10.5, 0.0]]))
 
 
 def test_flat_profile_has_zero_growth():

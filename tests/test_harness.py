@@ -16,15 +16,20 @@ from torusnodal.errors import (
     EmptySpectrum,
     NegativeTestFunction,
     RadiusUnderResolved,
+    ResolutionTooCoarse,
 )
-from torusnodal.eigenbasis import random_eigenfunction, sample_grid, sine_mode_spec
+from torusnodal.eigenbasis import (random_eigenfunction, require_sampling_grid, sample_grid,
+                                   sine_mode_spec)
 from torusnodal.nodal import clip_to_ball, extract_nodal
 from torusnodal import harness
 from torusnodal.harness import (
     TEST_FUNCTIONS,
     ExperimentPlan,
     FunctionIntegrals,
+    RunResult,
     TestFunction,
+    VerificationReport,
+    _aggregate,
     _verdicts,
     ball_table,
     check_theorem_1,
@@ -207,6 +212,18 @@ def test_plan_rejects_under_resolved_scale_radius(monkeypatch):
         ExperimentPlan(energies=(1105,), rho=0.9)
     assert str(plan.value) == f"{kernel.value} at E=1105"
     assert "spans 4.4 cells at resolution 544" in str(plan.value)
+
+
+def test_plan_and_sample_grid_share_the_sampling_bound(monkeypatch):
+    monkeypatch.setattr(harness, "build_cover", None)  # validation builds nothing
+    # One point per ceil(sqrt(E)) gives 64 points at E=1105, below ceil(10 sqrt(1105)) = 333.
+    with pytest.raises(ResolutionTooCoarse) as kernel:
+        sample_grid(random_eigenfunction(1105, 0), 64)
+    with pytest.raises(ValueError) as plan:
+        ExperimentPlan(energies=(1105,), grid_min=64, grid_per_sqrt_energy=1)
+    assert str(plan.value) == f"{kernel.value} at E=1105"
+    assert "grid 64 too coarse for energy 1105; need n >= 333" in str(plan.value)
+    require_sampling_grid(1105, 333)
 
 
 def test_require_resolved_radius_matches_ball_masses():
@@ -738,6 +755,35 @@ def test_runs_to_csv_layout():
     assert lines[0].startswith("energy,seed,grid,lam,radius,total_length")
     assert len(lines) == 3
     assert lines[1].split(",")[0] == "65"
+
+
+# The run schema as written by every earlier version: a change to any of
+# these lists changes the report.json or runs.csv bytes.
+RUNS_CSV_HEADER = [
+    "energy", "seed", "grid", "lam", "radius", "total_length", "yau_ratio", "segment_count",
+    "degenerate", "d1", "d2", "sse_fraction", "cover_count", "overlap_max", "e1_hat",
+    "e2_hat", "t1_included", "t1_excluded", "c1_hat", "c2_hat", "chain_ok",
+    "chain_hypothesis_met", "good_fraction", "good_count", "sign_change_fraction",
+    "assembled_lower_bound", "a3_hat", "c7_max", "c9_hat", "strip_sup", "real_sup", "flags",
+]
+REPORT_RUN_KEYS = sorted(RUNS_CSV_HEADER + ["rho_by_f", "chain_e1", "chain_e2",
+                                            "strip_certificate"])
+AGGREGATED_NAMES = ["yau_ratio", "d1", "d2", "sse_fraction", "e1_hat", "e2_hat",
+                    "c1_hat", "c2_hat", "good_fraction", "c7_max", "c9_hat"]
+
+
+def test_run_schema_is_frozen():
+    plan = ExperimentPlan(energies=(65,), seeds_per_energy=1, include_low_energy_control=False)
+    run = RunResult(**{f.name: 1.0 for f in dataclasses.fields(RunResult)
+                       if f.name not in ("energy", "flags", "rho_by_f", "svg")},
+                    energy=65, rho_by_f={"one": 1.0}, svg="<svg/>")
+    report = VerificationReport(plan, (run,), None, {}, {})
+    assert runs_to_csv(report).splitlines()[0].split(",") == RUNS_CSV_HEADER
+    [row] = json.loads(report_to_json(report))["runs"]
+    assert list(row) == REPORT_RUN_KEYS
+    assert list(_aggregate(plan, [run])["65"]) == AGGREGATED_NAMES
+    # Each field owns its own dataclasses.Field.
+    assert len({id(f) for f in dataclasses.fields(RunResult)}) == len(dataclasses.fields(RunResult))
 
 
 def test_control_run_shape():

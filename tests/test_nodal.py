@@ -147,15 +147,14 @@ def oracle_sets(e65_nodal, tmp_path):
     angle = 2 * np.pi * rng.random(400)
     delta = 0.2 * rng.random(400)[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
     long = NodalSet(a, wrap_point(a + delta), np.linalg.norm(delta, axis=1),
-                    wrap_point(a + delta / 2.0), 0, float("nan"))
+                    wrap_point(a + delta / 2.0), 0)
     # Ten segments make 3 x 3 buckets, so every window spans the torus
     # (w == B) and clip_family reads every bucket, unpruned.
-    coarse = NodalSet(*(x[:10] for x in (long.a, long.b, long.lengths, long.midpoints)),
-                      0, float("nan"))
+    coarse = NodalSet(*(x[:10] for x in (long.a, long.b, long.lengths, long.midpoints)), 0)
     return {
         "e65": e65_nodal,
         "csv": nodal_from_csv(str(path)),
-        "empty": NodalSet(empty, empty, np.empty(0), empty.copy(), 256, 1.0),
+        "empty": NodalSet(empty, empty, np.empty(0), empty.copy(), 256),
         "long": long,
         "coarse": coarse,
     }
@@ -284,7 +283,7 @@ def per_row_csv(nodal):
 
 def test_csv_writer_matches_the_per_row_reference(tmp_path, e65_nodal, awkward_nodal):
     empty = np.empty((0, 2))
-    for nodal in (e65_nodal, awkward_nodal, NodalSet(empty, empty, np.empty(0), empty, 0, 1.0)):
+    for nodal in (e65_nodal, awkward_nodal, NodalSet(empty, empty, np.empty(0), empty, 0)):
         path = tmp_path / "nodal.csv"
         nodal_to_csv(nodal, str(path))
         assert path.read_bytes() == per_row_csv(nodal).encode()
