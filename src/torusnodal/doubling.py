@@ -64,14 +64,15 @@ class DoublingReport:
         return float(np.mean(self.has_nodal_point[self.good]))
 
 
-def _sign_change_in_ball(field, center, radius: float) -> bool:
+def _sign_changes(field, centers: np.ndarray, radius: float) -> np.ndarray:
+    """Per center, whether the field takes both signs on the masked probe grid of the ball."""
     t = np.linspace(-radius, radius, SIGN_PROBE_SIDE)
     gx, gy = np.meshgrid(t, t, indexing="ij")
     mask = gx * gx + gy * gy <= radius * radius
-    pts = wrap_point(np.asarray(center, dtype=float)
-                     + np.stack([gx[mask], gy[mask]], axis=-1))
-    vals = field.interp(pts)
-    return bool(np.min(vals) < 0.0 < np.max(vals))
+    offsets = np.stack([gx[mask], gy[mask]], axis=-1)
+    pts = wrap_point(centers[:, None, :] + offsets)
+    vals = field.interp(pts.reshape(-1, 2)).reshape(pts.shape[:2])
+    return (np.min(vals, axis=1) < 0.0) & (0.0 < np.max(vals, axis=1))
 
 
 def require_resolved_doubling(lam: float, a1: float, n: int) -> None:
@@ -110,7 +111,7 @@ def classify_doubling(field, centers, a1: float = DEFAULT_A1,
         raise DivisionByNegligibleMass(f"inner mass {float(inner[k])!r} at center "
                                        f"{tuple(centers[k])} below working precision")
     ratios = ball_masses(field, centers, r_out) / inner
-    nodal = np.array([_sign_change_in_ball(field, p, r_core) for p in centers], dtype=bool)
+    nodal = _sign_changes(field, centers, r_core)
     good = ratios <= a2
     return DoublingReport(a1, a2, lam, r_in, r_out, centers, ratios, good, nodal)
 

@@ -192,8 +192,14 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    """An int or a finite float: report.json holds no nan or inf."""
-    return _is_int(value) or isinstance(value, float) and math.isfinite(value)
+    """An int that a float can hold, or a finite float: report.json holds no nan or inf."""
+    if _is_int(value):
+        try:
+            float(value)
+        except OverflowError:
+            return False
+        return True
+    return isinstance(value, float) and math.isfinite(value)
 
 
 @dataclass(frozen=True)

@@ -337,6 +337,27 @@ def test_verify_invalid_plans_exit_one(tmp_path, capsys):
     assert '"growth_delta": 1,' in plan_from_json('{"energies": [65], "growth_delta": 1}').to_json()
 
 
+# A JSON integer beyond float range, in a float plan field and in a float tolerance.
+_HUGE_INT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("body, field", [
+    ('{"energies": [65], "doubling_a1": %s}' % _HUGE_INT, "doubling_a1"),
+    ('{"energies": [65], "tolerances": {"c9_window": %s}}' % _HUGE_INT, "c9_window"),
+    ('{"energies": [65], "tolerances": {"sse_band": [0.3, %s]}}' % _HUGE_INT, "sse_band"),
+])
+def test_verify_rejects_ints_beyond_float_range(tmp_path, capsys, body, field):
+    plan = tmp_path / "huge.json"
+    plan.write_text(body)
+    with pytest.raises(ValueError, match=repr(field)):
+        plan_from_json(body)
+    out = tmp_path / "out"
+    assert main(["verify", "--plan", str(plan), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("[error]") and repr(field) in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_verify_rejects_under_resolved_doubling_plan(tmp_path, capsys, monkeypatch):
     def no_cover(*args, **kwargs):
         raise AssertionError("build_cover called for an invalid plan")

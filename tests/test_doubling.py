@@ -140,3 +140,23 @@ def test_report_json_round_trip(e65_field):
     assert blob["count"] == report.count
     assert blob["good_fraction"] == report.good_fraction
     assert len(blob["ratios"]) == report.count
+
+
+def test_sign_probe_matches_the_per_ball_probe(e65_field):
+    from torusnodal.covering import build_cover
+    from torusnodal.doubling import SIGN_PROBE_SIDE
+    from torusnodal.torus import wrap_point
+
+    # a1 = 0.5 shrinks the core balls until some miss the nodal set.
+    report = classify_doubling(e65_field, build_cover(10 * 0.5 / e65_field.spec_lambda,
+                                                      seed=11).centers, a1=0.5)
+    r = 0.5 / e65_field.spec_lambda
+    t = np.linspace(-r, r, SIGN_PROBE_SIDE)
+    gx, gy = np.meshgrid(t, t, indexing="ij")
+    mask = gx * gx + gy * gy <= r * r
+    want = []
+    for c in report.centers:
+        vals = e65_field.interp(wrap_point(c + np.stack([gx[mask], gy[mask]], axis=-1)))
+        want.append(bool(np.min(vals) < 0.0 < np.max(vals)))
+    assert report.has_nodal_point.tolist() == want
+    assert 0 < sum(want) < len(want)

@@ -5,15 +5,25 @@ import mpmath
 import numpy as np
 import pytest
 
+from torusnodal import growth
 from torusnodal.eigenbasis import (
+    TWO_PI,
+    _mode_sum,
     constant_spec,
     evaluate,
+    grid_sum,
     random_eigenfunction,
+    separable_sine_spec,
     sine_mode_spec,
 )
-from torusnodal.errors import ChartExceeded
+from torusnodal.errors import ChartExceeded, NonRealValue
 from torusnodal.growth import (
+    REFINE_PASSES,
+    REFINE_POINTS,
+    REFINE_SHRINK,
+    TENSOR_TOL,
     DilatedView,
+    _tensor_abs,
     complex_strip_sup,
     growth_in_C_exponent,
     growth_report,
@@ -136,3 +146,148 @@ def test_growth_exponent_scale_is_stable_across_seeds():
         values.append(np.median(spec_seeds))
     assert max(values) <= 2.0 * min(values)
     assert all(v > 0.2 for v in values)
+
+
+# Bit-for-bit oracle of the sup searches: the dense search, where every
+# masked grid point goes through the exact sum.
+
+def _dense_zoom(eval_abs, p, w, center, radius):
+    best = -math.inf
+    for _ in range(REFINE_PASSES):
+        t = np.linspace(-w, w, REFINE_POINTS)
+        pts = p + np.column_stack([np.repeat(t, t.size), np.tile(t, t.size)])
+        dx, dy = pts[:, 0] - center[0], pts[:, 1] - center[1]
+        pts = pts[np.sqrt(dx * dx + dy * dy) <= radius]
+        vals = eval_abs(pts)
+        k = int(np.argmax(vals))
+        if vals[k] > best:
+            best, p = float(vals[k]), pts[k]
+        w /= REFINE_SHRINK
+    return best
+
+
+def _dense_disk_sup(eval_abs, center, radius, step):
+    c = np.asarray(center, dtype=float)
+    k = max(8, int(math.ceil(2.0 * radius / step)) + 1)
+    t = np.linspace(-radius, radius, k)
+    gx, gy = np.meshgrid(t, t, indexing="ij")
+    mask = gx * gx + gy * gy <= radius * radius
+    pts = c + np.stack([gx[mask], gy[mask]], axis=-1)
+    vals = eval_abs(pts)
+    top = int(np.argmax(vals))
+    return max(float(vals[top]), _dense_zoom(eval_abs, pts[top], 2.0 * radius / (k - 1), c, radius))
+
+
+def _dense_c7(view, delta, centers):
+    def eval_abs(pts):
+        return np.abs(view.evaluate(pts))
+
+    step = (TWO_PI / view.mu) / 10.0 if view.mu > 0.0 else delta / 16.0
+    out = []
+    for p in centers:
+        s1 = _dense_disk_sup(eval_abs, p, delta, step)
+        logr = math.log(max(_dense_disk_sup(eval_abs, p, 2.0 * delta, step), s1) / s1)
+        out.append(0.0 if logr == 0.0 else logr / view.mu)
+    return np.array(out)
+
+
+def _dense_strip_sup(spec, tau):
+    xi = np.asarray(spec.modes, dtype=float)
+    n = max(64, 10 * math.ceil(math.sqrt(max(spec.energy, 1))))
+    corners = [np.array([sy * tau, sx * tau]) for sy in (-1.0, 1.0) for sx in (-1.0, 1.0)]
+    best = -math.inf
+    for y in corners[:1] if tau == 0.0 else corners:
+        coeffs = spec.coeffs * np.exp(-TWO_PI * (xi @ y))
+        sheet = np.abs(grid_sum(spec.modes, coeffs, n))
+        i, j = divmod(int(np.argmax(sheet)), n)
+        p0 = np.array([i / n, j / n])
+        refined = _dense_zoom(lambda pts: np.abs(_mode_sum(pts, xi, coeffs)), p0, 1.0 / n, p0, 10.0)
+        best = max(best, float(sheet[i, j]), refined)
+    return best
+
+
+ORACLE_SPECS = {f"E{e}-seed{s}": random_eigenfunction(e, 900 + s)
+                for e in (25, 50, 65, 325, 1105) for s in range(4)}
+# A whole ridge of maxima, all points tied, and a separable product.
+ORACLE_SPECS.update(sine=sine_mode_spec(1), constant=constant_spec(),
+                    separable=separable_sine_spec())
+VIEW_OFFSETS = np.array([[0.0, 0.0], [0.5, 0.5], [-0.5, 0.5], [0.5, -0.5], [-0.5, -0.5]])
+
+
+def _oracle_view(spec):
+    return DilatedView(spec, (0.5, 0.5), spec.lam ** -0.5 if spec.lam > 0.0 else 0.1)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+def test_sups_equal_the_dense_search_bit_for_bit(name):
+    spec = ORACLE_SPECS[name]
+    view = _oracle_view(spec)
+    got = real_doubling_exponent(view, 0.25, VIEW_OFFSETS)
+    assert got.tobytes() == _dense_c7(view, 0.25, VIEW_OFFSETS).tobytes()
+    for center in ((0.0, 0.0), (0.25, 0.0), (0.3, 0.7)):
+        assert torus_sup(spec, center) == _dense_disk_sup(
+            lambda pts: np.abs(evaluate(spec, pts)), center, 0.25,
+            1.0 / (10.0 * math.sqrt(max(spec.energy, 1))))
+    for tau in (0.0, 0.1, max(spec.energy, 1) ** -0.5):
+        assert complex_strip_sup(spec, tau).sampled == _dense_strip_sup(spec, tau)
+
+
+# The properties the confirm step relies on.
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 17, 441])
+def test_exact_rows_do_not_depend_on_the_batch(m):
+    spec = random_eigenfunction(1105, 3)
+    xi = np.asarray(spec.modes, dtype=float)
+    pts = np.random.default_rng(m).random((600, 2))
+    full = _mode_sum(pts, xi, spec.coeffs)
+    for s in range(len(pts) - m + 1):
+        assert _mode_sum(pts[s:s + m], xi, spec.coeffs).tobytes() == full[s:s + m].tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+def test_tensor_error_is_far_below_the_candidate_tolerance(name):
+    spec = ORACLE_SPECS[name]
+    xi = np.asarray(spec.modes, dtype=float)
+    t = np.linspace(-0.5, 0.5, 41)
+    xs, ys, mask = (0.3 + t)[None], (0.7 + t)[None], np.ones((1, t.size, t.size), dtype=bool)
+    pts = np.stack(np.meshgrid(xs[0], ys[0], indexing="ij"), axis=-1).reshape(-1, 2)
+    corner = spec.coeffs * np.exp(-TWO_PI * (xi @ np.array([0.1, -0.1])))
+    view = _oracle_view(spec)
+    for tensor, exact, coeffs in [
+        (_tensor_abs(xi, spec.coeffs, xs, ys, mask), np.abs(evaluate(spec, pts)), spec.coeffs),
+        (view.grid_abs(xs, ys, mask), np.abs(view.evaluate(pts)), spec.coeffs),
+        (_tensor_abs(xi, corner, xs, ys, mask, real=False), np.abs(_mode_sum(pts, xi, corner)),
+         corner),
+    ]:
+        scale = np.sum(np.abs(coeffs))
+        assert np.all(tensor[1] == TENSOR_TOL * scale)
+        assert np.max(np.abs(tensor[0].ravel() - exact)) / scale <= TENSOR_TOL / 1e3
+
+
+def test_tied_maxima_all_go_through_the_exact_sum(monkeypatch):
+    # u == 1 ties at every point, so the exact path sees the whole masked grid.
+    rows = []
+
+    def counting(spec, pts):
+        rows.append(len(pts))
+        return evaluate(spec, pts)
+
+    monkeypatch.setattr(growth, "evaluate", counting)
+    assert torus_sup(constant_spec()) == 1.0
+    t = np.linspace(-0.25, 0.25, 8)
+    assert rows[0] == np.count_nonzero(t[:, None] ** 2 + t[None, :] ** 2 <= 0.0625)
+
+
+def test_nonreal_check_covers_every_grid_point():
+    # Break conjugate symmetry after validation: the residue 2 eps cos(2 pi x)
+    # stays below IMAG_TOL on the candidate rows next to the crest x = 1/4
+    # and exceeds it away from the crest.
+    spec = sine_mode_spec(1)
+    eps = 2.5e-10
+    object.__setattr__(spec, "coeffs", spec.coeffs + 1j * eps)
+    t = np.linspace(-0.25, 0.25, 8)
+    evaluate(spec, np.array([[0.25 + t[3], 0.0], [0.25 + t[4], 0.0]]))
+    with pytest.raises(NonRealValue):
+        evaluate(spec, np.array([[0.25 + t[0], 0.0], [0.25 + t[4], 0.0]]))
+    with pytest.raises(NonRealValue):
+        torus_sup(spec, center=(0.25, 0.0))
