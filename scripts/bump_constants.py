@@ -35,14 +35,14 @@ def main() -> int:
         lo, hi = max(0.0, t[k] - step), min(0.999999, t[k] + step)
         if step < 1e-15:
             break
-    t_star = 0.5 * (lo + hi)
+    t_star = float(0.5 * (lo + hi))
     m = float(np.abs(g_prime(np.array([t_star])))[0])
     width = 0.25
     print(f"[bump] argmax t* = {t_star!r}")
     print(f"[bump] max |g'|  = {m!r}")
     print(f"[bump] Lipschitz = max|g'| / w = {m / width!r}  (frozen as 8.69)")
     t = np.linspace(0.0, 1.0, 2_000_001)
-    ring = np.trapezoid(g(t) * t, t)
+    ring = float(np.trapezoid(g(t) * t, t))
     print(f"[bump] area integral = 2 pi w^2 * int g t dt = "
           f"{2.0 * np.pi * width ** 2 * ring!r}")
     return 0

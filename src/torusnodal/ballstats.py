@@ -178,6 +178,8 @@ def ball_mass_scan(field, radius: float, centers: np.ndarray | None = None,
                    rho: float = float("nan"), n_random: int = 100,
                    seed: int = 0) -> BallMassReport:
     """Measure ball masses at a fixed radius over a center family."""
+    # Before default_centers, whose lattice has (2 / radius)^2 points.
+    require_resolved_radius(radius, field.resolution)
     if centers is None:
         centers = default_centers(radius, n_random=n_random, seed=seed)
     centers = np.asarray(centers, dtype=float)

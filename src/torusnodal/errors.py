@@ -41,15 +41,5 @@ class ChartExceeded(TorusNodalError):
     """Requested local coordinates fall outside the dilated view's chart."""
 
 
-class ChainStepViolated(TorusNodalError):
-    """A step of an inequality-chain replication failed beyond tolerance."""
-
-    def __init__(self, step: str, lhs: float, rhs: float):
-        self.step = step
-        self.lhs = lhs
-        self.rhs = rhs
-        super().__init__(f"chain step {step!r} violated: {lhs!r} > {rhs!r}")
-
-
 class NegativeTestFunction(TorusNodalError):
     """Weight functions for nodal line integrals must be nonnegative."""

@@ -38,6 +38,8 @@ REFINE_POINTS = 21
 REFINE_PASSES = 3
 REFINE_SHRINK = 10.0
 CHART_RADIUS = 10.0
+# Centers, in view coordinates, of the disks over which growth_report takes c7.
+VIEW_OFFSETS = np.array([[0.0, 0.0], [0.5, 0.5], [-0.5, 0.5], [0.5, -0.5], [-0.5, -0.5]])
 # Tensor values within this share of sum |c_xi| of a grid's tensor maximum are confirmed exactly.
 TENSOR_TOL = 1e-9
 
@@ -236,13 +238,12 @@ class GrowthReport:
     c9_hat: float
 
 
-def growth_in_C_exponent(spec: EigenfunctionSpec, tau: float,
-                         rho2: float = 0.25, center=(0.0, 0.0)) -> dict:
-    """Strip sup against the real sup on the rho2-ball, normalized by mu = lam * tau."""
+def growth_in_C_exponent(spec: EigenfunctionSpec, tau: float) -> dict:
+    """Strip sup against the real sup on B(0, 1/4), normalized by mu = lam * tau."""
     if not tau > 0.0:
         raise ValueError(f"tau must be positive to normalize the growth exponent, got {tau!r}")
     strip = complex_strip_sup(spec, tau)
-    real_sup = torus_sup(spec, center=center, radius=rho2)
+    real_sup = torus_sup(spec)
     mu_eff = spec.lam * tau
     logr = math.log(strip.sampled / real_sup)
     c9 = 0.0 if logr == 0.0 else logr / mu_eff
@@ -256,15 +257,14 @@ def growth_in_C_exponent(spec: EigenfunctionSpec, tau: float,
     }
 
 
-def growth_report(field, scale_r: float, delta: float, tau: float,
-                  view_center=(0.5, 0.5), view_offsets=None) -> GrowthReport:
-    """Assemble both growth estimates for a sampled field with known spec."""
+def growth_report(field, scale_r: float, delta: float, tau: float) -> GrowthReport:
+    """Assemble both growth estimates for a sampled field with known spec.
+
+    c7 is taken at VIEW_OFFSETS in the view of B((1/2, 1/2), scale_r).
+    """
     if field.spec is None:
         raise ValueError("growth report needs the generating spec for exact sups")
-    view = DilatedView(field.spec, tuple(view_center), scale_r)
-    if view_offsets is None:
-        view_offsets = np.array([[0.0, 0.0], [0.5, 0.5], [-0.5, 0.5],
-                                 [0.5, -0.5], [-0.5, -0.5]])
-    c7 = real_doubling_exponent(view, delta, view_offsets)
+    view = DilatedView(field.spec, (0.5, 0.5), scale_r)
+    c7 = real_doubling_exponent(view, delta, VIEW_OFFSETS)
     return GrowthReport(mu=view.mu, delta=delta, c7_values=c7, c7_max=float(np.max(c7)),
                         **growth_in_C_exponent(field.spec, tau))

@@ -1,12 +1,15 @@
 """Nodal set extraction and measurement on the periodic grid.
 
 The zero set of a sampled field is approximated by marching squares over
-all N^2 periodic cells with linear interpolation along cell edges.  The
-result is a segment soup: short straight segments, one or two per active
-cell, whose endpoints lie on cell edges and are shared exactly between
-neighboring cells.  Length in a metric ball is computed by exact
-segment-circle clipping in a local chart, and line integrals use the
-midpoint rule per (clipped) segment.
+all N^2 periodic cells with linear interpolation along cell edges.  Two
+lookup tables drive it: _SEGMENTS maps a cell's corner-sign case (and, for
+the saddle cases 5 and 10, its center sign) to up to two (edge, edge)
+pairs, and _EDGES maps an edge to the two corners it joins.  The result is
+a segment soup: short straight segments, one or two per active cell, whose
+endpoints lie on cell edges and are shared exactly between neighboring
+cells.  Length in a metric ball is computed by exact segment-circle
+clipping in a local chart, and line integrals use the midpoint rule per
+(clipped) segment.
 
 Balls are clipped a family at a time (clip_family) against a bucket index
 built lazily once per set, the segments sorted by which of B x B midpoint
@@ -37,31 +40,30 @@ ZERO_NUDGE = 1e-30
 # About this many (ball, candidate segment) pairs are clipped per batch.
 _BATCH_PAIRS = 1 << 15
 
-_B, _R, _T, _L = 0, 1, 2, 3
+# Corners in case-bit order, as (i, j) offsets from the cell's lower-left
+# grid point; case = s0 + 2*s1 + 4*s2 + 8*s3 over their signs (positive = 1).
+_CORNERS = np.array([(0, 0), (1, 0), (1, 1), (0, 1)])
 
-# case index = s00 + 2*s10 + 4*s11 + 8*s01 over the corner signs (positive = 1).
-# Cases 5 and 10 are saddles, resolved by the bilinear cell-center sign.
-_PLAIN_CASES: dict[int, tuple[int, int]] = {
-    1: (_B, _L),
-    2: (_B, _R),
-    3: (_L, _R),
-    4: (_R, _T),
-    6: (_B, _T),
-    7: (_T, _L),
-    8: (_T, _L),
-    9: (_B, _T),
-    11: (_R, _T),
-    12: (_L, _R),
-    13: (_B, _R),
-    14: (_B, _L),
-}
-_SADDLE_CASES: dict[tuple[int, bool], tuple[tuple[int, int], tuple[int, int]]] = {
-    # (case, center positive) -> two segments, each hugging one corner
-    (5, True): ((_B, _R), (_T, _L)),
-    (5, False): ((_B, _L), (_R, _T)),
-    (10, True): ((_B, _L), (_R, _T)),
-    (10, False): ((_B, _R), (_T, _L)),
-}
+# Edge e joins corners _EDGES[e] = (p, q), running along +x or +y from p.
+_B, _R, _T, _L = 0, 1, 2, 3
+_EDGES = np.array([(0, 1), (1, 2), (3, 2), (0, 3)])
+
+# _SEGMENTS[case, center positive] holds two (edge, edge) slots; (-1, -1) is
+# no segment.  Saddles 5 and 10 use both slots, split by the bilinear
+# center sign so each segment hugs one corner.  Negating every corner maps
+# case c to 15 - c and flips the center sign, but keeps the segments.
+_X = (-1, -1)
+_SEGMENTS = np.array([
+    [[_X, _X]] * 2,
+    [[(_B, _L), _X]] * 2,
+    [[(_B, _R), _X]] * 2,
+    [[(_L, _R), _X]] * 2,
+    [[(_R, _T), _X]] * 2,
+    [[(_B, _L), (_R, _T)], [(_B, _R), (_T, _L)]],
+    [[(_B, _T), _X]] * 2,
+    [[(_T, _L), _X]] * 2,
+])
+_SEGMENTS = np.concatenate([_SEGMENTS, _SEGMENTS[::-1, ::-1]])
 
 
 class _BucketIndex(NamedTuple):
@@ -112,88 +114,42 @@ class NodalSet:
         return _BucketIndex(nb, order, starts, max_len)
 
 
-def _edge_points(i, j, n, v00, v10, v11, v01):
-    """Crossing coordinates on the four cell edges (valid only where signs differ)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tb = v00 / (v00 - v10)
-        tr = v10 / (v10 - v11)
-        tt = v01 / (v01 - v11)
-        tl = v00 / (v00 - v01)
-    pts = np.empty((4, i.size, 2))
-    pts[_B, :, 0] = (i + np.clip(tb, 0.0, 1.0)) / n
-    pts[_B, :, 1] = j / n
-    pts[_R, :, 0] = (i + 1.0) / n
-    pts[_R, :, 1] = (j + np.clip(tr, 0.0, 1.0)) / n
-    pts[_T, :, 0] = (i + np.clip(tt, 0.0, 1.0)) / n
-    pts[_T, :, 1] = (j + 1.0) / n
-    pts[_L, :, 0] = i / n
-    pts[_L, :, 1] = (j + np.clip(tl, 0.0, 1.0)) / n
-    return pts
-
-
 def extract_nodal(field) -> NodalSet:
     """Run periodic marching squares over every cell of the sampled field.
 
     Exact grid zeros are nudged to +ZERO_NUDGE so each corner carries a
     strict sign; saddle cells are split according to the sign of the
-    bilinear interpolant at the cell center.  Segments are emitted in
-    row-major cell order, at most two per cell, none longer than sqrt(2)/N.
+    bilinear interpolant at the cell center.  Each endpoint lies on the edge
+    from corner p to corner q at t = v_p / (v_p - v_q).  Segments are
+    emitted in row-major cell order, then by slot, at most two per cell,
+    none longer than sqrt(2)/N.
     """
     n = field.resolution
-    g = np.array(field.values, dtype=float)
+    # One wrapped row and column appended: cell (i, j) has corners g[i:i+2, j:j+2].
+    g = np.pad(np.asarray(field.values, dtype=float), ((0, 1), (0, 1)), mode="wrap")
     g[g == 0.0] = ZERO_NUDGE
-
     s = (g > 0.0).astype(np.int8)
-    s10 = np.roll(s, -1, axis=0)
-    s01 = np.roll(s, -1, axis=1)
-    s11 = np.roll(s10, -1, axis=1)
-    case = s + 2 * s10 + 4 * s11 + 8 * s01
+    case = s[:-1, :-1] + 2 * s[1:, :-1] + 4 * s[1:, 1:] + 8 * s[:-1, 1:]
+    ii, jj = np.nonzero((case != 0) & (case != 15))
 
-    active = (case != 0) & (case != 15)
-    ii, jj = np.nonzero(active)
-    if ii.size == 0:
-        empty = np.empty((0, 2))
-        return NodalSet(empty, empty, np.empty(0), empty.copy(), n)
-    cval = case[ii, jj]
+    # (M, 4) corner values of the active cells, in case-bit order.
+    v = g.ravel()[(ii * (n + 1) + jj)[:, None] + _CORNERS @ (n + 1, 1)]
+    center_pos = (v[:, 0] + v[:, 1] + v[:, 2] + v[:, 3]) > 0.0
+    # Both slots of every cell, row-major, then the empty ones dropped.
+    edges = _SEGMENTS[case[ii, jj], center_pos.astype(np.intp)].reshape(-1, 2)
+    slot = np.flatnonzero(edges[:, 0] >= 0)
+    cell, edges = slot // 2, edges[slot]
 
-    ip = (ii + 1) % n
-    jp = (jj + 1) % n
-    v00 = g[ii, jj]
-    v10 = g[ip, jj]
-    v11 = g[ip, jp]
-    v01 = g[ii, jp]
-    pts = _edge_points(ii.astype(float), jj.astype(float), float(n), v00, v10, v11, v01)
-    center_pos = (v00 + v10 + v11 + v01) > 0.0
-
-    seg_i, seg_j, seg_sub = [], [], []
-    seg_a, seg_b = [], []
-
-    def emit(mask, ea, eb, sub):
-        idx = np.nonzero(mask)[0]
-        if idx.size == 0:
-            return
-        seg_i.append(ii[idx])
-        seg_j.append(jj[idx])
-        seg_sub.append(np.full(idx.size, sub, dtype=np.int8))
-        seg_a.append(pts[ea, idx])
-        seg_b.append(pts[eb, idx])
-
-    for c, (ea, eb) in _PLAIN_CASES.items():
-        emit(cval == c, ea, eb, 0)
-    for (c, pos), pairs in _SADDLE_CASES.items():
-        mask = (cval == c) & (center_pos == pos)
-        for sub, (ea, eb) in enumerate(pairs):
-            emit(mask, ea, eb, sub)
-
-    ai = np.concatenate(seg_a)
-    bi = np.concatenate(seg_b)
-    order = np.lexsort((
-        np.concatenate(seg_sub),
-        np.concatenate(seg_j),
-        np.concatenate(seg_i),
-    ))
-    ai = ai[order]
-    bi = bi[order]
+    # (K, 2) corners p and q of the edges holding each segment's two ends.
+    p, q = _EDGES[:, 0][edges], _EDGES[:, 1][edges]
+    vp = v.ravel()[4 * cell[:, None] + p]
+    t = np.clip(vp / (vp - v.ravel()[4 * cell[:, None] + q]), 0.0, 1.0)
+    ends = np.empty(p.shape + (2,))
+    for axis, base in enumerate((ii[cell], jj[cell])):
+        # (i + t) / n along the edge, (i + 0 or 1) / n across it.
+        off = _CORNERS[:, axis]
+        ends[..., axis] = (base[:, None] + off[p] + t * (off[q] - off[p])) / n
+    ai, bi = ends[:, 0], ends[:, 1]
 
     lengths = np.linalg.norm(bi - ai, axis=1)
     mids = (ai + bi) / 2.0

@@ -132,6 +132,22 @@ def test_ballstats_fixed_radius(tmp_path):
     assert np.all(rows[:, 2] == 0.12)
 
 
+@pytest.mark.parametrize("radius, message", [
+    ("0", "not an embedded ball"),
+    ("nan", "not an embedded ball"),
+    ("-0.1", "not an embedded ball"),
+    ("1e-300", "cells at resolution 256"),
+])
+def test_ballstats_rejects_a_bad_radius_before_placing_centers(tmp_path, capsys, radius, message):
+    # The radius is checked before default_centers builds its (2 / r)^2 lattice.
+    argv = ["ballstats", "--energy", "65", "--seed", "7", f"--radius={radius}",
+            "--out", str(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("[error] radius") and message in err
+    assert not list(tmp_path.glob("ballstats_*.csv"))
+
+
 # ---------------------------------------------------------------- cover
 
 

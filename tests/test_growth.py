@@ -22,6 +22,7 @@ from torusnodal.growth import (
     REFINE_POINTS,
     REFINE_SHRINK,
     TENSOR_TOL,
+    VIEW_OFFSETS,
     DilatedView,
     _tensor_abs,
     complex_strip_sup,
@@ -211,7 +212,6 @@ ORACLE_SPECS = {f"E{e}-seed{s}": random_eigenfunction(e, 900 + s)
 # A whole ridge of maxima, all points tied, and a separable product.
 ORACLE_SPECS.update(sine=sine_mode_spec(1), constant=constant_spec(),
                     separable=separable_sine_spec())
-VIEW_OFFSETS = np.array([[0.0, 0.0], [0.5, 0.5], [-0.5, 0.5], [0.5, -0.5], [-0.5, -0.5]])
 
 
 def _oracle_view(spec):

@@ -12,7 +12,6 @@ from torusnodal.ballstats import ScaleFunction, ball_masses, require_resolved_ra
 from torusnodal.covering import BallFamily, build_cover
 from torusnodal.errors import (
     BallTooLarge,
-    ChainStepViolated,
     EmptySpectrum,
     NegativeTestFunction,
     RadiusUnderResolved,
@@ -414,13 +413,8 @@ def test_chain_detects_tampered_cover(e65_field, e65_nodal, half_scale):
     fam = build_cover(half_scale(e65_field.spec_lambda), seed=0)
     starved = dataclasses.replace(fam, centers=fam.centers[:3])
     table = ball_table(e65_field, e65_nodal, half_scale, starved)
-    with pytest.raises(ChainStepViolated, match="nodal_coverage_superadditivity"):
-        replicate_bound_chain(e65_field, e65_nodal, table,
-                              integrals_of(e65_field, e65_nodal, "cos_x"))
-    trace = replicate_bound_chain(
-        e65_field, e65_nodal, table, integrals_of(e65_field, e65_nodal, "cos_x"),
-        raise_on_violation=False,
-    )
+    trace = replicate_bound_chain(e65_field, e65_nodal, table,
+                                  integrals_of(e65_field, e65_nodal, "cos_x"))
     assert trace.ok is False
     failing = {s.name for s in trace.steps if not s.holds}
     assert "nodal_coverage_superadditivity" in failing
@@ -475,7 +469,7 @@ def test_chain_matches_per_ball_reference(e65_field, e65_nodal, half_scale, sine
         scale = ScaleFunction(1.0)
     table = cover_table(field, nodal, scale)
     fi = integrals_of(field, nodal, name)
-    trace = replicate_bound_chain(field, nodal, table, fi, raise_on_violation=False)
+    trace = replicate_bound_chain(field, nodal, table, fi)
     ref = reference_ball_terms(nodal, table, fi.tf)
 
     r = table.mass.radius

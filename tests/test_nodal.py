@@ -3,9 +3,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from torusnodal.eigenbasis import (
+    SampledField,
     constant_spec,
     random_eigenfunction,
     sample_grid,
@@ -17,6 +18,10 @@ from torusnodal.doubling import DEFAULT_A1, OUTER_FACTOR
 from torusnodal.errors import BallTooLarge
 from torusnodal.harness import ExperimentPlan
 from torusnodal.nodal import (
+    _CORNERS,
+    _EDGES,
+    _SEGMENTS,
+    ZERO_NUDGE,
     NodalSet,
     ball_sums,
     clip_family,
@@ -27,6 +32,111 @@ from torusnodal.nodal import (
     nodal_to_csv,
 )
 from torusnodal.torus import wrap_delta, wrap_point
+
+
+_B, _R, _T, _L = 0, 1, 2, 3
+_PLAIN_CASES = {1: (_B, _L), 2: (_B, _R), 3: (_L, _R), 4: (_R, _T), 6: (_B, _T), 7: (_T, _L),
+                8: (_T, _L), 9: (_B, _T), 11: (_R, _T), 12: (_L, _R), 13: (_B, _R), 14: (_B, _L)}
+_SADDLE_CASES = {
+    (5, True): ((_B, _R), (_T, _L)),
+    (5, False): ((_B, _L), (_R, _T)),
+    (10, True): ((_B, _L), (_R, _T)),
+    (10, False): ((_B, _R), (_T, _L)),
+}
+
+
+def per_case_extract(field):
+    """Reference extractor: every edge point of every active cell, one mask per case, a lexsort."""
+    n = field.resolution
+    g = np.array(field.values, dtype=float)
+    g[g == 0.0] = ZERO_NUDGE
+    s = (g > 0.0).astype(np.int8)
+    s10 = np.roll(s, -1, axis=0)
+    s01 = np.roll(s, -1, axis=1)
+    s11 = np.roll(s10, -1, axis=1)
+    case = s + 2 * s10 + 4 * s11 + 8 * s01
+    ii, jj = np.nonzero((case != 0) & (case != 15))
+    if ii.size == 0:
+        empty = np.empty((0, 2))
+        return NodalSet(empty, empty, np.empty(0), empty.copy(), n)
+    cval = case[ii, jj]
+    ip, jp = (ii + 1) % n, (jj + 1) % n
+    v00, v10, v11, v01 = g[ii, jj], g[ip, jj], g[ip, jp], g[ii, jp]
+    i, j = ii.astype(float), jj.astype(float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tb, tr = v00 / (v00 - v10), v10 / (v10 - v11)
+        tt, tl = v01 / (v01 - v11), v00 / (v00 - v01)
+    pts = np.empty((4, ii.size, 2))
+    pts[_B] = np.column_stack([(i + np.clip(tb, 0.0, 1.0)) / n, j / n])
+    pts[_R] = np.column_stack([(i + 1.0) / n, (j + np.clip(tr, 0.0, 1.0)) / n])
+    pts[_T] = np.column_stack([(i + np.clip(tt, 0.0, 1.0)) / n, (j + 1.0) / n])
+    pts[_L] = np.column_stack([i / n, (j + np.clip(tl, 0.0, 1.0)) / n])
+    center_pos = (v00 + v10 + v11 + v01) > 0.0
+
+    cells, subs, ends = [], [], []
+    segments = [(cval == c, 0, pair) for c, pair in _PLAIN_CASES.items()]
+    for (c, pos), pairs in _SADDLE_CASES.items():
+        mask = (cval == c) & (center_pos == pos)
+        segments += [(mask, sub, pair) for sub, pair in enumerate(pairs)]
+    for mask, sub, (ea, eb) in segments:
+        idx = np.nonzero(mask)[0]
+        cells.append(idx)
+        subs.append(np.full(idx.size, sub))
+        ends.append((pts[ea, idx], pts[eb, idx]))
+    order = np.lexsort((np.concatenate(subs), np.concatenate(cells)))
+    ai = np.concatenate([a for a, _ in ends])[order]
+    bi = np.concatenate([b for _, b in ends])[order]
+    lengths = np.linalg.norm(bi - ai, axis=1)
+    return NodalSet(wrap_point(ai), wrap_point(bi), lengths, wrap_point((ai + bi) / 2.0), n)
+
+
+def assert_same_bytes(got, want, label):
+    for name in ("a", "b", "lengths", "midpoints"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), (label, name)
+    assert got.source_resolution == want.source_resolution, label
+
+
+def test_table_extractor_matches_the_per_case_reference(e65_field):
+    fields = {"e65": e65_field}
+    plan = ExperimentPlan(energies=(25,))
+    for energy in (25, 50, 65, 325, 1105):
+        for seed in (0, 1):
+            spec = random_eigenfunction(energy, seed)
+            fields[(energy, seed)] = sample_grid(spec, plan.grid_for(energy))
+    for name, spec in (("sine", sine_mode_spec(1)), ("separable", separable_sine_spec()),
+                       ("constant", constant_spec())):
+        for n in (16, 64, 256):
+            fields[(name, n)] = sample_grid(spec, n)
+    for label, field in fields.items():
+        assert_same_bytes(extract_nodal(field), per_case_extract(field), label)
+
+
+@settings(max_examples=300)
+@given(st.integers(min_value=2, max_value=8).flatmap(
+    lambda n: st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n)))
+def test_table_extractor_matches_the_reference_on_small_integer_grids(values):
+    # Exact zeros (nudged positive), both saddle center signs and cells
+    # that wrap across the seam, on grids as small as 2 x 2.
+    n = math.isqrt(len(values))
+    field = SampledField(n, np.reshape(values, (n, n)), 1.0)
+    assert_same_bytes(extract_nodal(field), per_case_extract(field), values)
+
+
+def test_segment_table_joins_corners_of_opposite_sign():
+    for case in range(16):
+        signs = [(case >> k) & 1 for k in range(4)]
+        for center in (0, 1):
+            slots = [tuple(pair) for pair in _SEGMENTS[case, center] if pair[0] >= 0]
+            want = 0 if case in (0, 15) else 2 if case in (5, 10) else 1
+            assert len(slots) == want, (case, center)
+            for edge in (e for pair in slots for e in pair):
+                p, q = _EDGES[edge]
+                assert signs[p] != signs[q], (case, center, edge)
+                assert np.sum(np.abs(_CORNERS[q] - _CORNERS[p])) == 1
+        # Outside the saddles the center sign changes nothing.
+        if case not in (5, 10):
+            assert np.array_equal(_SEGMENTS[case, 0], _SEGMENTS[case, 1]), case
 
 
 def test_sine_line_length_and_count():
