@@ -185,7 +185,7 @@ def cmd_verify(args) -> int:
         v = report.verdicts[name]
         status = "skip" if v["pass"] is None else ("pass" if v["pass"] else "FAIL")
         if status == "FAIL":
-            # The verdict's own fields: the observed values next to their limits.
+            # The verdict's own fields; the limits are in the plan's tolerances.
             status += " " + json.dumps({k: x for k, x in v.items() if k != "pass"},
                                        sort_keys=True)
         print(f"[verify] {name}: {status}")
@@ -297,7 +297,7 @@ def main(argv=None) -> int:
         print(f"[error] malformed JSON: line {exc.lineno} column {exc.colno}: "
               f"{exc.msg}", file=sys.stderr)
         return 1
-    except (TorusNodalError, ValueError, OSError) as exc:
+    except (TorusNodalError, ValueError, OSError, MemoryError) as exc:
         print(f"[error] {exc}", file=sys.stderr)
         return 1
 

@@ -188,7 +188,12 @@ def complex_strip_sup(spec: EigenfunctionSpec, tau: float) -> StripSup:
         raise ValueError(f"tau must be finite and nonnegative, got {tau!r}")
     xi = np.asarray(spec.modes, dtype=float)
     one_norms = np.sum(np.abs(xi), axis=1)
-    certificate = float(np.sum(np.abs(spec.coeffs) * np.exp(TWO_PI * one_norms * tau)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        certificate = float(np.sum(np.abs(spec.coeffs) * np.exp(TWO_PI * one_norms * tau)))
+    # The certificate bounds every sheet's sum, so a finite one keeps each sheet finite.
+    if not math.isfinite(certificate):
+        raise ValueError(f"strip certificate overflows a float at tau={tau!r}, E={spec.energy}; "
+                         f"use a narrower strip")
 
     n = max(64, 10 * math.ceil(math.sqrt(max(spec.energy, 1))))
     corners = [np.array([sy * tau, sx * tau]) for sy in (-1.0, 1.0) for sx in (-1.0, 1.0)]

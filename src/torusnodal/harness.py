@@ -17,6 +17,9 @@ folds everything into a deterministic VerificationReport:
 * replicate_bound_chain  every intermediate inequality linking the
                          per-ball constants to the global bounds, with
                          explicit modulus-of-continuity corrections
+* _verdicts              the gate table behind report.json's verdicts: one
+                         row per gate (its runs, skip note and verdict) and
+                         one skip rule for a gate without runs
 
 Theorem 1, the band fraction and every test function's chain read the
 same BallTable; none of them clips or integrates over a ball itself.
@@ -394,8 +397,8 @@ class Theorem1Result(NamedTuple):
     excluded: int
 
 
-def check_theorem_1(table: BallTable,
-                    inclusion_band: tuple[float, float] = (0.1, 10.0)) -> Theorem1Result:
+def check_theorem_1(table: BallTable, inclusion_band: tuple[float, float] =
+                    DEFAULT_TOLERANCES["theorem1_inclusion_band"]) -> Theorem1Result:
     """Ratio (1/lam) * nodal length in B(x, r) / Vol(B) over cover centers.
 
     Balls whose L2 mass ratio falls outside inclusion_band are excluded
@@ -454,8 +457,8 @@ def check_theorem_2(field: SampledField,
     return Theorem2Result(c1, c2, rho_by_name, tuple(trivial))
 
 
-def check_yau_scaling(yau_by_energy: dict, window: float = 3.0,
-                      median_drift: float = 0.15) -> dict:
+def check_yau_scaling(yau_by_energy: dict, window: float = DEFAULT_TOLERANCES["yau_window"],
+                      median_drift: float = DEFAULT_TOLERANCES["yau_median_drift"]) -> dict:
     """Linear-in-frequency scaling of total nodal length across an ensemble.
 
     Expects a mapping energy -> list of yau ratios (total length / lam)
@@ -777,7 +780,7 @@ def run_single(plan: ExperimentPlan, energy: int, seed: int) -> RunResult:
     fam = build_cover(r, _stage_seed(plan, energy, seed, 2))
     table = ball_table(field, nodal, scale, fam)
     tol = plan.tolerances
-    t1 = check_theorem_1(table, inclusion_band=tuple(tol["theorem1_inclusion_band"]))
+    t1 = check_theorem_1(table, inclusion_band=tol["theorem1_inclusion_band"])
     sse_fraction = table.mass.in_band_fraction(*tol["sse_band"])
     integrals = function_integrals(field, nodal, plan.test_functions)
     t2 = check_theorem_2(field, integrals)
@@ -853,7 +856,7 @@ def control_run(plan: ExperimentPlan) -> dict:
         "d1": scan.d1,
         "d2": scan.d2,
         "in_band_fraction": fraction,
-        "passes_band_gate": bool(fraction >= float(plan.tolerances["sse_min_fraction"])),
+        "passes_band_gate": fraction >= plan.tolerances["sse_min_fraction"],
     }
 
 
@@ -882,15 +885,17 @@ def run_plan(plan: ExperimentPlan, threads: int = 1,
     while the fold stays in plan order, so the report is identical either
     way.  The pool takes the highest energies (the longest runs) first and
     the control last, so a late heavy run does not leave the other workers
-    idle.
+    idle.  It has no more workers than tasks: a fork pool starts every
+    worker on the first submit.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1; got {threads!r}")
     jobs = [(plan, e, s) for e in plan.energies
             for s in range(plan.seeds_per_energy)]
+    workers = min(threads, len(jobs) + plan.include_low_energy_control)
     runs = []
     control = None
-    with (ProcessPoolExecutor(max_workers=threads) if threads > 1
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else contextlib.nullcontext()) as pool:
         if pool:
             futures = [None] * len(jobs)
@@ -930,136 +935,83 @@ def _aggregate(plan: ExperimentPlan, runs: list[RunResult]) -> dict:
     return out
 
 
+def _sse_band(runs: list[RunResult], energy: int, tol: dict) -> dict:
+    fractions = [r.sse_fraction for r in runs]
+    counts = [r.cover_count for r in runs]
+    pooled = sum(f * c for f, c in zip(fractions, counts)) / max(sum(counts), 1)
+    return {"pass": pooled >= tol["sse_min_fraction"], "pooled_fraction": pooled,
+            "min_run_fraction": min(fractions), "band": tol["sse_band"], "energy": energy}
+
+
+def _theorem1_comparability(runs: list[RunResult], tol: dict) -> dict:
+    e1, e2 = min(r.e1_hat for r in runs), max(r.e2_hat for r in runs)
+    # An in-band ball with no nodal length gives e1 = 0: no finite window.
+    window = e2 / e1 if e1 > 0.0 else None
+    return {"pass": (all(r.e1_hat > tol["theorem1_floor"] for r in runs)
+                     and all(r.e2_hat < tol["theorem1_ceiling"] for r in runs)
+                     and window is not None and window <= tol["theorem1_window"]),
+            "e1_pooled": e1, "e2_pooled": e2, "window_observed": window,
+            "excluded_balls": sum(r.t1_excluded for r in runs),
+            "included_balls": sum(r.t1_included for r in runs)}
+
+
 def _verdicts(plan: ExperimentPlan, runs: list[RunResult],
               control: dict | None) -> dict:
+    """Every gate, from one table of (name, its runs or whether they exist, skip note, verdict).
+
+    A gate without runs is skipped with its note and a pass of None; only
+    gates with runs call their verdict.
+    """
     tol = plan.tolerances
-    verdicts: dict[str, dict] = {}
     live = [r for r in runs if not r.degenerate]
     top = max(plan.energies)
     top_runs = [r for r in live if r.energy == top]
-
-    yau_by_energy = {}
-    for e in plan.energies:
-        vals = [r.yau_ratio for r in live if r.energy == e]
-        if vals:
-            yau_by_energy[e] = vals
-    if len(yau_by_energy) >= 3 and all(len(v) >= 10 for v in yau_by_energy.values()):
-        verdicts["yau_scaling"] = check_yau_scaling(
-            yau_by_energy, window=float(tol["yau_window"]),
-            median_drift=float(tol["yau_median_drift"]))
-    else:
-        verdicts["yau_scaling"] = {
-            "pass": None,
-            "note": "needs >= 3 energies with >= 10 non-degenerate runs each"}
-
-    band = tuple(tol["sse_band"])
-    min_fraction = float(tol["sse_min_fraction"])
-    if top_runs:
-        fractions = [r.sse_fraction for r in top_runs]
-        counts = [r.cover_count for r in top_runs]
-        pooled = (sum(f * c for f, c in zip(fractions, counts))
-                  / max(sum(counts), 1))
-        verdicts["sse_band"] = {
-            "pass": bool(pooled >= min_fraction),
-            "pooled_fraction": float(pooled),
-            "min_run_fraction": float(min(fractions)),
-            "band": list(band),
-            "energy": top,
-        }
-    else:
-        verdicts["sse_band"] = {"pass": None, "note": "no non-degenerate runs at top energy"}
-
-    if control is not None:
-        verdicts["control_fails_band"] = {
-            "pass": bool(not control["passes_band_gate"]),
-            "in_band_fraction": control["in_band_fraction"],
-            "d1": control["d1"],
-        }
-    else:
-        verdicts["control_fails_band"] = {"pass": None, "note": "control disabled"}
-
-    if top_runs:
-        e1s = [r.e1_hat for r in top_runs]
-        e2s = [r.e2_hat for r in top_runs]
-        floor = float(tol["theorem1_floor"])
-        ceiling = float(tol["theorem1_ceiling"])
-        window = float(tol["theorem1_window"])
-        pooled_e1, pooled_e2 = min(e1s), max(e2s)
-        # An in-band ball with no nodal length gives e1 = 0: no finite window.
-        observed = pooled_e2 / pooled_e1 if pooled_e1 > 0.0 else None
-        verdicts["theorem1_comparability"] = {
-            "pass": bool(all(e > floor for e in e1s)
-                         and all(e < ceiling for e in e2s)
-                         and observed is not None and observed <= window),
-            "e1_pooled": pooled_e1,
-            "e2_pooled": pooled_e2,
-            "window_observed": observed,
-            "excluded_balls": int(sum(r.t1_excluded for r in top_runs)),
-            "included_balls": int(sum(r.t1_included for r in top_runs)),
-        }
-        # A test function with area mass but no nodal mass gives c1 = 0.
-        spread = (max(r.c2_hat / r.c1_hat for r in top_runs)
-                  if all(r.c1_hat > 0.0 for r in top_runs) else None)
-        verdicts["theorem2_comparability"] = {
-            "pass": bool(spread is not None and spread <= float(tol["theorem2_window"])),
-            "max_spread": spread,
-        }
-        verdicts["chain_steps"] = {
-            "pass": bool(all(r.chain_ok for r in top_runs)),
-            "runs_checked": len(top_runs),
-            "hypothesis_met_counts": [r.chain_hypothesis_met for r in top_runs],
-        }
-    else:
-        for name in ("theorem1_comparability", "theorem2_comparability", "chain_steps"):
-            verdicts[name] = {"pass": None, "note": "no non-degenerate runs at top energy"}
-
+    yau = {e: vals for e in plan.energies
+           if (vals := [r.yau_ratio for r in live if r.energy == e])}
+    c9 = {str(e): float(np.median(vals)) for e in plan.energies
+          if (vals := [r.c9_hat for r in live if r.energy == e and r.c9_hat is not None])}
+    c9_ratio = max(c9.values()) / min(c9.values()) if c9 and min(c9.values()) > 0.0 else None
+    # A test function with area mass but no nodal mass gives c1 = 0: no finite spread.
+    spread = (max(r.c2_hat / r.c1_hat for r in top_runs)
+              if top_runs and all(r.c1_hat > 0.0 for r in top_runs) else None)
     exact = [r for r in live if r.rho_by_f is not None and "one" in r.rho_by_f]
-    if exact:
-        verdicts["theorem2_one_equals_yau"] = {
-            "pass": bool(all(r.rho_by_f["one"] == r.yau_ratio for r in exact)),
-            "runs_checked": len(exact),
-        }
-    else:
-        verdicts["theorem2_one_equals_yau"] = {"pass": None, "note": "f = one not in suite"}
-
     admissible = [r for r in live if r.good_fraction is not None]
-    if admissible:
-        verdicts["doubling_good_fraction"] = {
-            "pass": bool(all(r.good_fraction >= float(tol["good_fraction_min"])
-                             for r in admissible)),
-            "min_good_fraction": float(min(r.good_fraction for r in admissible)),
-            "runs_checked": len(admissible),
-        }
-        verdicts["doubling_sign_change"] = {
-            "pass": bool(all(r.sign_change_fraction == 1.0 for r in admissible)),
-            "min_fraction": float(min(r.sign_change_fraction for r in admissible)),
-        }
-        verdicts["assembly_consistent"] = {
-            "pass": bool(all(r.assembled_lower_bound <= r.total_length
-                             for r in admissible)),
-        }
-    else:
-        for name in ("doubling_good_fraction", "doubling_sign_change", "assembly_consistent"):
-            verdicts[name] = {"pass": None,
-                              "note": "no energy admits the doubling radius"}
-
-    c9_medians = {}
-    for e in plan.energies:
-        vals = [r.c9_hat for r in live if r.energy == e and r.c9_hat is not None]
-        if vals:
-            c9_medians[str(e)] = float(np.median(np.asarray(vals)))
-    if len(c9_medians) >= 2:
-        values = list(c9_medians.values())
-        ratio = max(values) / min(values) if min(values) > 0.0 else None
-        verdicts["growth_c9_uniform"] = {
-            "pass": bool(ratio is not None and ratio <= float(tol["c9_window"])),
-            "median_by_energy": c9_medians,
-            "ratio": ratio,
-        }
-    else:
-        verdicts["growth_c9_uniform"] = {"pass": None,
-                                         "note": "needs >= 2 energies with growth runs"}
-    return verdicts
+    no_top = "no non-degenerate runs at top energy"
+    no_doubling = "no energy admits the doubling radius"
+    gates = [
+        ("yau_scaling", len(yau) >= 3 and all(len(v) >= 10 for v in yau.values()),
+         "needs >= 3 energies with >= 10 non-degenerate runs each",
+         lambda: check_yau_scaling(yau, tol["yau_window"], tol["yau_median_drift"])),
+        ("sse_band", top_runs, no_top, lambda: _sse_band(top_runs, top, tol)),
+        ("control_fails_band", control is not None, "control disabled",
+         lambda: {"pass": not control["passes_band_gate"],
+                  "in_band_fraction": control["in_band_fraction"], "d1": control["d1"]}),
+        ("theorem1_comparability", top_runs, no_top,
+         lambda: _theorem1_comparability(top_runs, tol)),
+        ("theorem2_comparability", top_runs, no_top,
+         lambda: {"pass": spread is not None and spread <= tol["theorem2_window"],
+                  "max_spread": spread}),
+        ("chain_steps", top_runs, no_top,
+         lambda: {"pass": all(r.chain_ok for r in top_runs), "runs_checked": len(top_runs),
+                  "hypothesis_met_counts": [r.chain_hypothesis_met for r in top_runs]}),
+        ("theorem2_one_equals_yau", exact, "f = one not in suite",
+         lambda: {"pass": all(r.rho_by_f["one"] == r.yau_ratio for r in exact),
+                  "runs_checked": len(exact)}),
+        ("doubling_good_fraction", admissible, no_doubling,
+         lambda: {"pass": all(r.good_fraction >= tol["good_fraction_min"] for r in admissible),
+                  "min_good_fraction": min(r.good_fraction for r in admissible),
+                  "runs_checked": len(admissible)}),
+        ("doubling_sign_change", admissible, no_doubling,
+         lambda: {"pass": all(r.sign_change_fraction == 1.0 for r in admissible),
+                  "min_fraction": min(r.sign_change_fraction for r in admissible)}),
+        ("assembly_consistent", admissible, no_doubling,
+         lambda: {"pass": all(r.assembled_lower_bound <= r.total_length for r in admissible)}),
+        ("growth_c9_uniform", len(c9) >= 2, "needs >= 2 energies with growth runs",
+         lambda: {"pass": c9_ratio is not None and c9_ratio <= tol["c9_window"],
+                  "median_by_energy": c9, "ratio": c9_ratio}),
+    ]
+    return {name: verdict() if ready else {"pass": None, "note": note}
+            for name, ready, note, verdict in gates}
 
 
 def _jsonify(value):

@@ -225,6 +225,22 @@ def test_growth_rejects_nonpositive_tau(capsys):
     assert "tau must be positive" in capsys.readouterr().err
 
 
+def test_growth_rejects_a_strip_whose_certificate_overflows(capsys, recwarn):
+    assert main(["growth", "--energy", "65", "--seed", "1", "--tau", "10.3"]) == 1
+    err = capsys.readouterr().err
+    assert "tau=10.3" in err and "RuntimeWarning" not in err
+    assert not recwarn.list
+
+
+def test_grid_that_cannot_be_allocated_exits_one(tmp_path, capsys):
+    # 10^14 complex cells take 1.6e15 bytes, beyond a 47-bit address space, so
+    # the allocation fails at once instead of reserving memory.
+    assert main(["nodal", "--energy", "65", "--grid", "10000000", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("[error]") and "allocate" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, grid", [("nodal", "0"), ("growth", "-3")])
 def test_spec_commands_reject_grid_below_sampling_bound(tmp_path, capsys, command, grid):
     # 0 is a grid, not "use the default"; both are below ceil(10 sqrt(25)).

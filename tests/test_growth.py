@@ -72,6 +72,15 @@ def test_strip_tau_validation():
         complex_strip_sup(sine_mode_spec(1), float("nan"))
 
 
+def test_strip_rejects_an_overflowing_certificate(recwarn):
+    # At E=65, |xi|_1 reaches 11, so exp(2 pi |xi|_1 tau) overflows a float from tau ~ 10.27.
+    spec = random_eigenfunction(65, 1)
+    assert math.isfinite(complex_strip_sup(spec, 10.2).certificate)
+    with pytest.raises(ValueError, match=r"tau=10\.3, E=65"):
+        complex_strip_sup(spec, 10.3)
+    assert not recwarn.list
+
+
 def test_real_doubling_exponent_single_mode_closed_form():
     # In the dilated chart v(y) = -sqrt(2) sin(2 pi r y1); the one-ball to
     # two-ball sup ratio at the origin is sin(4 pi r d)/sin(2 pi r d).

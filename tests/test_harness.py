@@ -653,14 +653,14 @@ def test_run_plan_threads_match_serial_with_control():
     assert report_to_json(run_plan(plan, threads=2)) == report_to_json(serial)
 
 
-def test_run_plan_submits_highest_energies_first(monkeypatch):
-    submitted = []
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replaces the process pool with one that runs each job at submit time; returns its log."""
+    log = {"max_workers": [], "submitted": []}
 
     class InlinePool:
-        """Runs each job at submit time and records the submission order."""
-
         def __init__(self, max_workers):
-            pass
+            log["max_workers"].append(max_workers)
 
         def __enter__(self):
             return self
@@ -669,24 +669,40 @@ def test_run_plan_submits_highest_energies_first(monkeypatch):
             return False
 
         def submit(self, fn, *args):
-            submitted.append("control" if fn is harness.control_run
-                             else f"E={args[1]} seed={args[2]}")
+            log["submitted"].append("control" if fn is harness.control_run
+                                    else f"E={args[1]} seed={args[2]}")
             future = Future()
             future.set_result(fn(*args))
             return future
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    return log
+
+
+def test_run_plan_submits_highest_energies_first(inline_pool):
     # Degenerate energies (scale radius above 1/4) keep each run short.
     plan = ExperimentPlan(energies=(2, 8, 5), seeds_per_energy=2)
     messages = []
     report = run_plan(plan, threads=2, progress=messages.append)
     # The control goes last, into the worker that would idle behind the longest run.
-    assert submitted == ["E=8 seed=0", "E=8 seed=1", "E=5 seed=0", "E=5 seed=1",
-                         "E=2 seed=0", "E=2 seed=1", "control"]
+    assert inline_pool["submitted"] == ["E=8 seed=0", "E=8 seed=1", "E=5 seed=0", "E=5 seed=1",
+                                        "E=2 seed=0", "E=2 seed=1", "control"]
     assert report.control is not None
     assert messages == ["E=2 seed=0 done", "E=2 seed=1 done", "E=8 seed=0 done",
                         "E=8 seed=1 done", "E=5 seed=0 done", "E=5 seed=1 done"]
     assert report_to_json(report) == report_to_json(run_plan(plan))
+
+
+def test_run_plan_caps_workers_at_task_count(inline_pool):
+    # Two degenerate runs and the control are three tasks, whatever threads asks for.
+    plan = ExperimentPlan(energies=(8,), seeds_per_energy=2)
+    report = run_plan(plan, threads=64)
+    assert inline_pool["max_workers"] == [3]
+    assert report_to_json(report) == report_to_json(run_plan(plan))
+    # A lone task needs no pool at all.
+    run_plan(ExperimentPlan(energies=(2,), seeds_per_energy=1, include_low_energy_control=False),
+             threads=64)
+    assert inline_pool["max_workers"] == [3]
 
 
 def test_theorem1_verdict_fails_without_window_on_empty_ball():
@@ -778,6 +794,52 @@ def test_run_schema_is_frozen():
     assert list(_aggregate(plan, [run])["65"]) == AGGREGATED_NAMES
     # Each field owns its own dataclasses.Field.
     assert len({id(f) for f in dataclasses.fields(RunResult)}) == len(dataclasses.fields(RunResult))
+
+
+# The verdict records as written by every earlier version.
+SKIPPED_VERDICTS = {
+    "yau_scaling": "needs >= 3 energies with >= 10 non-degenerate runs each",
+    "sse_band": "no non-degenerate runs at top energy",
+    "control_fails_band": "control disabled",
+    "theorem1_comparability": "no non-degenerate runs at top energy",
+    "theorem2_comparability": "no non-degenerate runs at top energy",
+    "chain_steps": "no non-degenerate runs at top energy",
+    "theorem2_one_equals_yau": "f = one not in suite",
+    "doubling_good_fraction": "no energy admits the doubling radius",
+    "doubling_sign_change": "no energy admits the doubling radius",
+    "assembly_consistent": "no energy admits the doubling radius",
+    "growth_c9_uniform": "needs >= 2 energies with growth runs",
+}
+VERDICT_KEYS = {
+    "yau_scaling": ["median_by_energy", "median_drift", "median_drift_limit", "overall_ratio",
+                    "pass", "window"],
+    "sse_band": ["band", "energy", "min_run_fraction", "pass", "pooled_fraction"],
+    "control_fails_band": ["d1", "in_band_fraction", "pass"],
+    "theorem1_comparability": ["e1_pooled", "e2_pooled", "excluded_balls", "included_balls",
+                               "pass", "window_observed"],
+    "theorem2_comparability": ["max_spread", "pass"],
+    "chain_steps": ["hypothesis_met_counts", "pass", "runs_checked"],
+    "theorem2_one_equals_yau": ["pass", "runs_checked"],
+    "doubling_good_fraction": ["min_good_fraction", "pass", "runs_checked"],
+    "doubling_sign_change": ["min_fraction", "pass"],
+    "assembly_consistent": ["pass"],
+    "growth_c9_uniform": ["median_by_energy", "pass", "ratio"],
+}
+
+
+def test_verdict_records_are_frozen():
+    plan = ExperimentPlan(energies=(65, 325, 1105), seeds_per_energy=10)
+    assert _verdicts(plan, [], None) == {
+        name: {"pass": None, "note": note} for name, note in SKIPPED_VERDICTS.items()}
+    # Ten runs per energy that meet every gate, and a control that fails the band.
+    ones = {f.name: 1.0 for f in dataclasses.fields(RunResult)
+            if f.name not in ("energy", "seed", "degenerate", "flags", "rho_by_f", "svg")}
+    runs = [RunResult(**ones, energy=e, seed=s, degenerate=False, rho_by_f={"one": 1.0})
+            for e in plan.energies for s in range(10)]
+    control = {"passes_band_gate": False, "in_band_fraction": 0.5, "d1": 0.0}
+    verdicts = _verdicts(plan, runs, control)
+    assert {name: v["pass"] for name, v in verdicts.items()} == dict.fromkeys(VERDICT_KEYS, True)
+    assert {name: sorted(v) for name, v in verdicts.items()} == VERDICT_KEYS
 
 
 def test_control_run_shape():
