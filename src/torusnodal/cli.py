@@ -148,10 +148,9 @@ def cmd_doubling(args) -> int:
 
 def cmd_growth(args) -> int:
     spec, stem, n = _spec_and_grid(args)
-    field = sample_grid(spec, n)
+    scale_r = ScaleFunction(args.rho)(spec.lam)  # rejects lam = 0 before the default tau
     tau = args.tau if args.tau is not None else spec.energy ** -0.5
-    scale_r = ScaleFunction(args.rho)(spec.lam)
-    report = growth_report(field, scale_r, args.delta, tau)
+    report = growth_report(sample_grid(spec, n), scale_r, args.delta, tau)
     obj = {"E": spec.energy, **vars(report), "c7_values": report.c7_values.tolist()}
     text = json.dumps(obj, sort_keys=True, indent=1)
     if args.out:

@@ -75,15 +75,27 @@ def _sign_changes(field, centers: np.ndarray, radius: float) -> np.ndarray:
     return (np.min(vals, axis=1) < 0.0) & (0.0 < np.max(vals, axis=1))
 
 
+def _outer_radius(lam: float, a1: float) -> float:
+    """The outer doubling radius 20*a1/lam; raises unless lam > 0 and it lies below 1/4."""
+    if lam <= 0.0:
+        raise ValueError("doubling classification needs a positive frequency")
+    r_out = OUTER_FACTOR * a1 / lam
+    if r_out >= 0.25:
+        raise RadiusTooLarge(
+            f"outer doubling radius {r_out!r} >= 1/4; energy too low for a1 = {a1!r}")
+    return r_out
+
+
 def require_resolved_doubling(lam: float, a1: float, n: int) -> None:
-    """Raise RadiusUnderResolved unless the inner doubling radius is resolved.
+    """Raise unless lam > 0, the outer radius lies below 1/4 and the inner one is resolved.
 
     The inner radius 10*a1/lam must span MIN_CELLS_PER_RADIUS cells of the
-    n-point grid.  classify_doubling rejects it too, but only after the
-    caller has built the doubling cover at half the outer radius, and for
-    a tiny a1 that cover's candidate lattice does not fit in memory, so
-    callers check here first.
+    n-point grid.  classify_doubling rejects all three too, but only after the
+    caller has sampled the field and built the doubling cover at half the
+    outer radius, and for a tiny a1 that cover's candidate lattice does not
+    fit in memory, so callers check here first.
     """
+    _outer_radius(lam, a1)
     r_in = INNER_FACTOR * a1 / lam
     if r_in * n < MIN_CELLS_PER_RADIUS:
         raise RadiusUnderResolved(
@@ -95,14 +107,9 @@ def classify_doubling(field, centers, a1: float = DEFAULT_A1,
                       a2: float = DEFAULT_A2) -> DoublingReport:
     """Doubling ratios over the given centers at the wavelength scale a1/lam."""
     lam = field.spec_lambda
-    if lam <= 0.0:
-        raise ValueError("doubling classification needs a positive frequency")
-    r_out = OUTER_FACTOR * a1 / lam
+    r_out = _outer_radius(lam, a1)
     r_in = INNER_FACTOR * a1 / lam
     r_core = a1 / lam
-    if r_out >= 0.25:
-        raise RadiusTooLarge(
-            f"outer doubling radius {r_out!r} >= 1/4; energy too low for a1 = {a1!r}")
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     inner = ball_masses(field, centers, r_in)
     negligible = np.flatnonzero(inner < NEGLIGIBLE_MASS)

@@ -156,31 +156,34 @@ def _pin_blas_thread() -> None:
 def _mode_sum(pts: np.ndarray, xi: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Complex sum_xi c_xi exp(2 pi i xi . x) at every row x of pts.
 
-    The first call in a process sets OpenBLAS to one thread, and the process
-    keeps BLAS at one thread afterwards: on these small products a helper
-    thread only burns a second core.  The sums are the same floats either way.
+    Each row's sum is the same float in a batch of any size: BLAS sums two
+    rows or more row by row alike, but one row along another path, so a lone
+    row is summed as two equal rows.  The first call in a process sets
+    OpenBLAS to one thread, and the process keeps BLAS at one thread
+    afterwards: on these small products a helper thread only burns a second
+    core.  The sums are the same floats either way.
     """
     _pin_blas_thread()
-    return np.exp((TWO_PI * 1j) * (pts @ xi.T)) @ coeffs
+    rows = pts if len(pts) != 1 else np.repeat(pts, 2, axis=0)
+    return (np.exp((TWO_PI * 1j) * (rows @ xi.T)) @ coeffs)[:len(pts)]
 
 
-def evaluate(spec: EigenfunctionSpec, point) -> float | np.ndarray:
-    """Evaluate the trigonometric sum exactly at one point or an (M, 2) batch.
+def real_part(vals: np.ndarray, coeffs: np.ndarray, where=True) -> np.ndarray:
+    """vals.real, once the imaginary residue of every value at where is checked.
 
-    Raises NonRealValue if the imaginary residue exceeds IMAG_TOL relative
-    to the coefficient mass.
+    Raises NonRealValue if it exceeds IMAG_TOL sum |c_xi|, the coefficient mass.
     """
-    pts = np.atleast_2d(np.asarray(point, dtype=float))
-    if pts.ndim != 2 or pts.shape[1] != 2 or not np.all(np.isfinite(pts)):
-        raise ValueError("point must be a finite 2-vector or (M, 2) array")
-    vals = _mode_sum(pts, np.asarray(spec.modes, dtype=float), spec.coeffs)
-    scale = float(np.sum(np.abs(spec.coeffs)))
-    if np.max(np.abs(vals.imag)) > IMAG_TOL * scale:
+    if np.max(np.abs(vals.imag), where=where, initial=0.0) > IMAG_TOL * np.sum(np.abs(coeffs)):
         raise NonRealValue("evaluation produced a non-negligible imaginary part")
-    out = vals.real
-    if np.asarray(point).ndim == 1:
-        return float(out[0])
-    return out
+    return vals.real
+
+
+def evaluate(spec: EigenfunctionSpec, pts) -> np.ndarray:
+    """Evaluate the trigonometric sum exactly at an (M, 2) batch of points (see real_part)."""
+    pts = np.asarray(pts, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2 or not np.all(np.isfinite(pts)):
+        raise ValueError("points must be a finite (M, 2) array")
+    return real_part(_mode_sum(pts, np.asarray(spec.modes, dtype=float), spec.coeffs), spec.coeffs)
 
 
 @dataclass(frozen=True)
@@ -248,11 +251,8 @@ def sample_grid(spec: EigenfunctionSpec, n: int) -> SampledField:
     require_sampling_grid guarantees with margin).
     """
     require_sampling_grid(spec.energy, n)
-    vals = grid_sum(spec.modes, spec.coeffs, n)
-    scale = float(np.sum(np.abs(spec.coeffs)))
-    if np.max(np.abs(vals.imag)) > IMAG_TOL * scale:
-        raise NonRealValue("sampled grid has a non-negligible imaginary part")
-    return SampledField(n, np.ascontiguousarray(vals.real), spec.lam, spec)
+    vals = real_part(grid_sum(spec.modes, spec.coeffs, n), spec.coeffs)
+    return SampledField(n, np.ascontiguousarray(vals), spec.lam, spec)
 
 
 def spec_to_json(spec: EigenfunctionSpec) -> str:

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigenbasis import (IMAG_TOL, TWO_PI, EigenfunctionSpec, _mode_sum, _pin_blas_thread,
-                         evaluate, grid_sum)
-from .errors import ChartExceeded, NonRealValue
+from .eigenbasis import (TWO_PI, EigenfunctionSpec, _mode_sum, _pin_blas_thread, evaluate,
+                         grid_sum, real_part)
+from .errors import ChartExceeded
 from .torus import wrap_point
 
 REFINE_POINTS = 21
@@ -82,18 +82,15 @@ def _tensor_abs(xi: np.ndarray, coeffs: np.ndarray, xs: np.ndarray, ys: np.ndarr
     """|v| at the points (xs[d, i], ys[d, j]) of D tensor grids, and TENSOR_TOL sum |c_xi|.
 
     v = (E_x c) @ E_y^T takes one complex exp per axis point and mode (2 k K
-    per k x k grid, where the exact sum takes k^2 K).  With real=True the
-    imaginary residue is checked at every masked point, as `evaluate` does,
-    and |Re v| is returned.
+    per k x k grid, where the exact sum takes k^2 K).  With real=True it
+    returns |Re v|, the residue checked at every masked point by real_part.
     """
     _pin_blas_thread()
     ex = np.exp((TWO_PI * 1j) * (xs[..., None] * xi[:, 0])) * coeffs
     ey = np.exp((TWO_PI * 1j) * (ys[..., None] * xi[:, 1]))
     v = ex @ np.swapaxes(ey, 1, 2)
     scale = np.sum(np.abs(coeffs), axis=-1, keepdims=True)  # per grid for (D, 1, K) coeffs
-    if real and np.max(np.abs(v.imag), where=mask, initial=0.0) > IMAG_TOL * scale:
-        raise NonRealValue("evaluation produced a non-negligible imaginary part")
-    return np.abs(v.real if real else v), TENSOR_TOL * scale
+    return np.abs(real_part(v, coeffs, mask) if real else v), TENSOR_TOL * scale
 
 
 def _locate_confirm(exact_abs, grid_abs, xs, ys, mask):
@@ -101,14 +98,11 @@ def _locate_confirm(exact_abs, grid_abs, xs, ys, mask):
 
     grid_abs locates: only points within its tolerance of their grid's
     maximum go through exact_abs(pts, grid of each point), in one call for all
-    grids.  Exact rows do not depend on the batch for two rows or more, but one
-    row takes another BLAS path, so a lone candidate is doubled.
+    grids; exact rows do not depend on the batch.
     """
     vals, tol = grid_abs(xs, ys, mask)
     top = np.max(vals, axis=(1, 2), where=mask, initial=-math.inf)
     d, i, j = np.nonzero(mask & (vals >= top[:, None, None] - tol))
-    if len(d) == 1:
-        d, i, j = np.repeat(d, 2), np.repeat(i, 2), np.repeat(j, 2)
     pts = np.column_stack([xs[d, i], ys[d, j]])
     exact = exact_abs(pts, d)
     order = np.lexsort((-exact, d))  # by grid, then by falling value; stable, so first index first

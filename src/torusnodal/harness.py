@@ -212,7 +212,7 @@ class ExperimentPlan:
     Grids follow N(E) = max(grid_min, grid_per_sqrt_energy * ceil(sqrt(E)));
     every derived radius and resolution is validated against the module
     preconditions up front, so a plan that constructs at all can run, and
-    no two stages of the plan may draw from the same seed.
+    no two stages of the plan may draw from the same seed or a negative one.
     """
 
     energies: tuple[int, ...]
@@ -282,6 +282,11 @@ class ExperimentPlan:
                     require_resolved_doubling(lam, self.doubling_a1, n)
             except (BallTooLarge, RadiusUnderResolved, ResolutionTooCoarse) as exc:
                 raise ValueError(f"{exc} at E={e}") from None
+        r_ref = scale(2.0 * math.pi * math.sqrt(max(self.energies)))
+        if self.include_low_energy_control and r_ref >= 0.25:
+            raise ValueError(f"the control's radius, the scale radius {r_ref!r} at "
+                             f"E={max(self.energies)}, is not below 1/4; "
+                             f"set include_low_energy_control to false")
         owners: dict[int, str] = {}
         stages = [(e, s, t, f"E={e} seed {s} stage {t}") for e in self.energies
                   for s in range(self.seeds_per_energy) for t in range(4)]
@@ -289,6 +294,9 @@ class ExperimentPlan:
             stages.append((1, 0, 4, "the control (stage 4)"))
         for e, s, t, name in stages:
             value = _stage_seed(self, e, s, t)
+            if value < 0:
+                raise ValueError(f"base_seed {self.base_seed} gives {name} the negative "
+                                 f"seed {value}")
             if value in owners:
                 raise ValueError(f"stage seeds collide: {owners[value]} and {name} "
                                  f"both derive seed {value}")
@@ -351,7 +359,7 @@ class BallTable(NamedTuple):
     band fraction and the bound chain of each test function all read from here.
     The radius and frequency are those of the mass scan, r = scale(lam).
     Ball k's clipped pieces are rows offsets[k]:offsets[k + 1] of piece_len
-    and piece_mid.
+    and piece_mid; density[k] is its nodal density (lengths[k] / lam) / (pi r^2).
     """
 
     family: BallFamily
@@ -360,6 +368,7 @@ class BallTable(NamedTuple):
     piece_mid: np.ndarray
     offsets: np.ndarray
     lengths: np.ndarray
+    density: np.ndarray
     nonempty: np.ndarray
     piece_max: float
 
@@ -377,9 +386,11 @@ def ball_table(field: SampledField, nodal: NodalSet, scale: ScaleFunction,
     mass = ball_mass_scan(field, r, centers=family.centers)
     piece_len, piece_mid, offsets = clip_family(nodal, family.centers, r)
     lengths = ball_sums(piece_len, offsets)
+    density = (lengths / field.spec_lambda) / (math.pi * r * r)
     nonempty = np.diff(offsets) > 0
     piece_max = float(np.max(piece_len)) if piece_len.size else 0.0
-    return BallTable(family, mass, piece_len, piece_mid, offsets, lengths, nonempty, piece_max)
+    return BallTable(family, mass, piece_len, piece_mid, offsets, lengths, density, nonempty,
+                     piece_max)
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +417,8 @@ def check_theorem_1(table: BallTable, inclusion_band: tuple[float, float] =
     on mass equidistribution at the ball, so off-band balls carry no
     information either way and silently mixing them in would be wrong.
     """
-    r = table.mass.radius
-    vol = math.pi * r * r
     mass_ratios = table.mass.ratios
-    ratios = (table.lengths / table.mass.lam) / vol
+    ratios = table.density
     lo, hi = inclusion_band
     keep = (mass_ratios >= lo) & (mass_ratios <= hi)
     included = int(np.sum(keep))
@@ -598,9 +607,8 @@ def replicate_bound_chain(field: SampledField, nodal: NodalSet, table: BallTable
     slack_overlap = (tf.modulus(piece_max / 2.0) * float(np.sum(ball_length))
                      + overlap * tf.modulus(seg_max / 2.0) * total_length)
 
-    density = (ball_length / lam) / vol
-    e1_chain = float(np.min(density)) if n_balls else float("nan")
-    e2_chain = float(np.max(density)) if n_balls else float("nan")
+    e1_chain = float(np.min(table.density)) if n_balls else float("nan")
+    e2_chain = float(np.max(table.density)) if n_balls else float("nan")
     empty_balls = int(n_balls - np.sum(nonempty))
 
     # Cover-side corrections to the area integral.  sup estimates use

@@ -8,7 +8,8 @@ import pytest
 from torusnodal import cli, harness
 from torusnodal.cli import main
 from torusnodal.covering import build_cover
-from torusnodal.eigenbasis import random_eigenfunction, sample_grid, sine_mode_spec, spec_to_json
+from torusnodal.eigenbasis import (constant_spec, random_eigenfunction, sample_grid, sine_mode_spec,
+                                   spec_to_json)
 from torusnodal.harness import ExperimentPlan, _stage_seed, plan_from_json
 from torusnodal.nodal import extract_nodal
 from torusnodal.svgplot import render_svg
@@ -187,11 +188,32 @@ def test_doubling_command(tmp_path, capsys):
     assert blob["a1"] == 0.5
 
 
-def test_doubling_rejects_low_energy_default_scale(tmp_path, capsys):
+def no_sampling(*args, **kwargs):
+    raise AssertionError("sample_grid called for a rejected input")
+
+
+def test_doubling_rejects_low_energy_default_scale(tmp_path, capsys, monkeypatch):
+    # At E=65 the outer radius 50 / lam is 0.987: rejected before the field is sampled.
+    monkeypatch.setattr(cli, "sample_grid", no_sampling)
     assert main(
         ["doubling", "--energy", "65", "--seed", "7", "--out", str(tmp_path)]
     ) == 1
-    assert "[error]" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("[error] outer doubling radius 0.98") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, message", [
+    ("doubling", "doubling classification needs a positive frequency"),
+    ("growth", "scale function needs a positive frequency"),
+])
+def test_spec_commands_reject_the_constant_spec(tmp_path, capsys, monkeypatch, command, message):
+    # E=0 has lam = 0: no doubling radius, scale radius or default tau exists.
+    spec_path = tmp_path / "c.json"
+    spec_path.write_text(spec_to_json(constant_spec()))
+    monkeypatch.setattr(cli, "sample_grid", no_sampling)
+    assert main([command, "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"[error] {message}\n"
 
 
 def test_doubling_rejects_under_resolved_inner_radius(tmp_path, capsys, monkeypatch):
@@ -400,6 +422,19 @@ def test_verify_rejects_under_resolved_doubling_plan(tmp_path, capsys, monkeypat
     assert main(["verify", "--plan", str(plan), "--out", str(tmp_path / "out")]) == 1
     assert "inner doubling radius" in capsys.readouterr().err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_verify_rejects_a_negative_stage_seed_before_any_run(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_single called for an invalid plan")
+
+    monkeypatch.setattr(harness, "run_single", no_run)
+    plan = tmp_path / "negative.json"
+    plan.write_text('{"energies": [65], "seeds_per_energy": 1, "base_seed": -5}')
+    assert main(["verify", "--plan", str(plan), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("[error] base_seed -5 gives E=65 seed 0 stage 0") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_rejects_threads_below_one(tmp_path, capsys):

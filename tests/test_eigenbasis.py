@@ -112,6 +112,16 @@ def test_evaluate_matches_direct_mode_sum():
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+@pytest.mark.parametrize("pts", [
+    [0.1, 0.2],  # one point takes the (1, 2) batch
+    np.zeros((3, 3)),
+    [[0.1, 0.2], [np.nan, 0.3]],
+])
+def test_evaluate_takes_only_a_finite_batch_of_points(pts):
+    with pytest.raises(ValueError, match=r"finite \(M, 2\) array"):
+        evaluate(random_eigenfunction(65, 11), pts)
+
+
 needs_openblas = pytest.mark.skipif(_openblas_function("set_num_threads") is None,
                                     reason="numpy is not linked to OpenBLAS")
 

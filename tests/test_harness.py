@@ -189,6 +189,26 @@ def test_plan_validation_messages():
         ExperimentPlan(energies=(65,), seeds_per_energy=0)
 
 
+def test_plan_rejects_negative_stage_seeds():
+    # numpy's generators take no negative seed; the plan names the stage instead.
+    with pytest.raises(ValueError, match=r"base_seed -5 gives E=65 seed 0 stage 0 the negative"):
+        ExperimentPlan(energies=(65,), seeds_per_energy=1, base_seed=-5)
+    # Every survey seed is positive here; only the control's is not.
+    with pytest.raises(ValueError, match=r"base_seed -1 gives the control \(stage 4\) the "
+                                         r"negative seed -998990$"):
+        ExperimentPlan(energies=(1105,), seeds_per_energy=1, base_seed=-1)
+    ExperimentPlan(energies=(1105,), seeds_per_energy=1, base_seed=-1,
+                   include_low_energy_control=False)
+
+
+def test_plan_rejects_a_control_radius_not_below_a_quarter():
+    # The control covers at the scale radius of the top energy, 0.335 at E=2.
+    for kwargs in (dict(energies=(2,), seeds_per_energy=2), dict(energies=(65,), rho=0.2)):
+        with pytest.raises(ValueError, match=r"control's radius.*include_low_energy_control"):
+            ExperimentPlan(**kwargs)
+        ExperimentPlan(**kwargs, include_low_energy_control=False)
+
+
 def test_plan_rejects_under_resolved_doubling_radius(monkeypatch):
     monkeypatch.setattr(harness, "build_cover", None)  # validation builds nothing
     with pytest.raises(ValueError, match=r"inner doubling radius .* at E=1105"):
