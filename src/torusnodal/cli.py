@@ -20,7 +20,7 @@ import numpy as np
 from .ballstats import ScaleFunction, ball_mass_scan, report_summary_json, report_to_csv, sse_scan
 from .covering import build_cover, family_to_csv, family_to_json
 from .doubling import (DEFAULT_A1, DEFAULT_A2, OUTER_FACTOR, classify_doubling, lower_bound_assembly,
-                       require_resolved_doubling)
+                       require_doubling_constants, require_resolved_doubling)
 from .eigenbasis import (EigenfunctionSpec, enumerate_modes, random_eigenfunction,
                          sample_grid, spec_from_json, spec_to_json)
 from .errors import EmptySpectrum, TorusNodalError
@@ -98,11 +98,12 @@ def cmd_nodal(args) -> int:
 
 def cmd_ballstats(args) -> int:
     spec, stem, n = _spec_and_grid(args)
-    field = sample_grid(spec, n)
     if args.radius is not None:
-        report = ball_mass_scan(field, args.radius, seed=args.seed)
+        report = ball_mass_scan(sample_grid(spec, n), args.radius, seed=args.seed)
     else:
-        report = sse_scan(field, ScaleFunction(args.rho), seed=args.seed)
+        scale = ScaleFunction(args.rho)
+        scale(spec.lam)  # rejects lam = 0 before sampling
+        report = sse_scan(sample_grid(spec, n), scale, seed=args.seed)
     out = _ensure_out(args.out)
     path = os.path.join(out, f"ballstats_{stem}.csv")
     report_to_csv(report, path)
@@ -125,6 +126,7 @@ def cmd_cover(args) -> int:
 
 def cmd_doubling(args) -> int:
     spec, stem, n = _spec_and_grid(args)
+    require_doubling_constants(args.a1, args.a2)
     require_resolved_doubling(spec.lam, args.a1, n)
     field = sample_grid(spec, n)
     nodal = extract_nodal(field)

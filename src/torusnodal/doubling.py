@@ -75,6 +75,12 @@ def _sign_changes(field, centers: np.ndarray, radius: float) -> np.ndarray:
     return (np.min(vals, axis=1) < 0.0) & (0.0 < np.max(vals, axis=1))
 
 
+def require_doubling_constants(a1: float, a2: float) -> None:
+    """Raise unless the doubling scale a1 and the ratio bound a2 are both positive."""
+    if not (a1 > 0.0 and a2 > 0.0):
+        raise ValueError(f"doubling constants must be positive; got a1={a1!r}, a2={a2!r}")
+
+
 def _outer_radius(lam: float, a1: float) -> float:
     """The outer doubling radius 20*a1/lam; raises unless lam > 0 and it lies below 1/4."""
     if lam <= 0.0:
@@ -106,6 +112,7 @@ def require_resolved_doubling(lam: float, a1: float, n: int) -> None:
 def classify_doubling(field, centers, a1: float = DEFAULT_A1,
                       a2: float = DEFAULT_A2) -> DoublingReport:
     """Doubling ratios over the given centers at the wavelength scale a1/lam."""
+    require_doubling_constants(a1, a2)
     lam = field.spec_lambda
     r_out = _outer_radius(lam, a1)
     r_in = INNER_FACTOR * a1 / lam

@@ -228,11 +228,24 @@ class SampledField:
 
 
 def grid_sum(modes, coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Complex sum_xi c_xi exp(2 pi i xi . x) at every x = (i/n, j/n), by one inverse FFT."""
+    """Complex sum_xi c_xi exp(2 pi i xi . x) at every x = (i/n, j/n), by one inverse FFT.
+
+    The FFT is pruned to the spectrum: along axis 1 only the rows holding a
+    nonzero coefficient are transformed (at most one per mode, so 32 of 544
+    at E=1105), then the whole array along axis 0.  np.fft.ifft2 also does
+    axis 1 first, one row at a time, so each value is its float bit for bit.
+    The other rows all take the transform of a zero row, which is not all
+    +0.0 at sizes such as 89 or 202, so axis 0 sees ifft2's very array.
+    """
     c = np.zeros((n, n), dtype=np.complex128)
     for (a, b), coeff in zip(modes, coeffs):
         c[a % n, b % n] += coeff
-    return np.fft.ifft2(c) * (n * n)
+    rows = np.flatnonzero(np.any(c, axis=1))
+    sheet = np.repeat(np.fft.ifft(np.zeros((1, n), dtype=np.complex128)), n, axis=0)
+    sheet[rows] = np.fft.ifft(c[rows], axis=1)
+    np.fft.ifft(sheet, axis=0, out=sheet)  # in place: two n x n arrays at the peak, not three
+    sheet *= n * n
+    return sheet
 
 
 def require_sampling_grid(energy: int, n: int) -> None:

@@ -47,7 +47,7 @@ from .ballstats import (BallMassReport, ScaleFunction, ball_mass_scan, require_r
                         sse_extremes)
 from .covering import BallFamily, build_cover
 from .doubling import (DEFAULT_A1, DEFAULT_A2, OUTER_FACTOR, classify_doubling, lower_bound_assembly,
-                       require_resolved_doubling)
+                       require_doubling_constants, require_resolved_doubling)
 from .eigenbasis import (SampledField, enumerate_modes, random_eigenfunction,
                          require_sampling_grid, sample_grid, sine_mode_spec)
 from .errors import (BallTooLarge, DivisionByNegligibleMass, EmptySpectrum, NegativeTestFunction,
@@ -251,8 +251,7 @@ class ExperimentPlan:
         resolve_test_functions(self.test_functions)
         if not self.test_functions:
             raise ValueError("plan needs at least one test function")
-        if self.doubling_a1 <= 0.0 or self.doubling_a2 <= 0.0:
-            raise ValueError("doubling constants must be positive")
+        require_doubling_constants(self.doubling_a1, self.doubling_a2)
         if not 0.0 < self.growth_delta <= 1.0:
             raise ValueError("growth_delta must lie in (0, 1]")
         merged = dict(DEFAULT_TOLERANCES)

@@ -271,14 +271,25 @@ def integrate_over_nodal(nodal: NodalSet, f: Callable[[np.ndarray], np.ndarray])
 
 
 def write_float_csv(path: str, header: str, columns) -> None:
-    """Write float columns (1-D or (M, k) arrays of M rows) under header, each value its repr."""
+    """Write float columns (1-D or (M, k) arrays of M rows) under header, each value its repr.
+
+    Rows go out 4096 at a time.  In a chunk each distinct float is formatted
+    once: values are deduplicated on their bit patterns, since 0.0 and -0.0
+    are equal floats with different reprs.  A marching-squares endpoint is
+    shared by two segments and one of its coordinates is a grid line, so a
+    segment soup has few distinct values.
+    """
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         for k in range(0, len(columns[0]), 4096):
-            rows = np.column_stack([x[k:k + 4096] for x in columns])
-            # repr of the row lists prints each float as its own repr.
-            text = repr(rows.tolist())
-            fh.write(text[2:-2].replace("], [", "\n").replace(", ", ",") + "\n")
+            rows = np.column_stack([x[k:k + 4096] for x in columns]).astype(np.float64, copy=False)
+            bits, inverse = np.unique(rows.view(np.int64).ravel(), return_inverse=True)
+            inverse = inverse.reshape(rows.shape)
+            text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+            cells = np.full((rows.shape[0], 2 * rows.shape[1]), ",", dtype=object)
+            cells[:, 0::2] = text[inverse]
+            cells[:, -1] = "\n"
+            fh.write("".join(cells.ravel().tolist()))
 
 
 def read_float_csv(path: str, header: str, label: str) -> np.ndarray:

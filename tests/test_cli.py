@@ -205,6 +205,7 @@ def test_doubling_rejects_low_energy_default_scale(tmp_path, capsys, monkeypatch
 @pytest.mark.parametrize("command, message", [
     ("doubling", "doubling classification needs a positive frequency"),
     ("growth", "scale function needs a positive frequency"),
+    ("ballstats", "scale function needs a positive frequency"),
 ])
 def test_spec_commands_reject_the_constant_spec(tmp_path, capsys, monkeypatch, command, message):
     # E=0 has lam = 0: no doubling radius, scale radius or default tau exists.
@@ -214,6 +215,16 @@ def test_spec_commands_reject_the_constant_spec(tmp_path, capsys, monkeypatch, c
     assert main([command, "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err == f"[error] {message}\n"
+
+
+@pytest.mark.parametrize("flag, value", [("--a1", "-1"), ("--a2", "0"), ("--a2", "nan")])
+def test_doubling_rejects_non_positive_constants(tmp_path, capsys, monkeypatch, flag, value):
+    # The plan's rule, checked before the field is sampled.
+    monkeypatch.setattr(cli, "sample_grid", no_sampling)
+    assert main(["doubling", "--energy", "1105", "--seed", "0", flag, value,
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("[error] doubling constants must be positive") and "Traceback" not in err
 
 
 def test_doubling_rejects_under_resolved_inner_radius(tmp_path, capsys, monkeypatch):

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from torusnodal.eigenbasis import (
+    TWO_PI,
     EigenfunctionSpec,
     _openblas_function,
     constant_spec,
     enumerate_modes,
     evaluate,
+    grid_sum,
     random_eigenfunction,
     sample_grid,
     separable_sine_spec,
@@ -22,6 +24,7 @@ from torusnodal.eigenbasis import (
     spec_to_json,
 )
 from torusnodal.errors import EmptySpectrum, NonRealValue, ResolutionTooCoarse
+from torusnodal.harness import ExperimentPlan
 
 # Energies with spectra of known size, validated against the brute-force
 # oracle below before being frozen here.
@@ -201,6 +204,53 @@ def test_sample_grid_matches_pointwise_evaluation():
     pts = np.column_stack([gx.ravel(), gy.ravel()])
     direct = evaluate(spec, pts).reshape(n, n)
     assert np.max(np.abs(field.values - direct)) < 1e-12
+
+
+def ifft2_grid_sum(modes, coeffs, n):
+    """Reference: the whole spectral grid through one unpruned 2-D inverse FFT."""
+    c = np.zeros((n, n), dtype=np.complex128)
+    for (a, b), coeff in zip(modes, coeffs):
+        c[a % n, b % n] += coeff
+    return np.fft.ifft2(c) * (n * n)
+
+
+def assert_grid_sum_matches_ifft2(modes, coeffs, n):
+    # tobytes, not ==: a -0.0 where the reference has 0.0 must show.
+    got, want = grid_sum(modes, coeffs, n), ifft2_grid_sum(modes, coeffs, n)
+    assert got.tobytes() == want.tobytes(), f"n={n}"
+
+
+@pytest.mark.parametrize("energy", [25, 50, 65, 325, 1105])
+def test_pruned_grid_sum_matches_ifft2_on_plan_spectra(energy):
+    tau = energy ** -0.5
+    n_strip = max(64, 10 * math.ceil(math.sqrt(energy)))  # growth's corner-sheet grid
+    for seed in range(3):
+        spec = random_eigenfunction(energy, seed)
+        assert_grid_sum_matches_ifft2(spec.modes, spec.coeffs, ExperimentPlan.grid_for(
+            ExperimentPlan, energy))
+        xi = np.array(spec.modes, dtype=float)
+        for corner in ([-tau, -tau], [tau, -tau], [-tau, tau], [tau, tau]):
+            damped = spec.coeffs * np.exp(-TWO_PI * (xi @ np.array(corner)))
+            assert_grid_sum_matches_ifft2(spec.modes, damped, n_strip)
+
+
+def test_pruned_grid_sum_matches_ifft2_on_fixtures():
+    # 89, 101, 202 and 254 are sizes whose zero-row transform holds -0.0;
+    # the fixtures' grids hold many exact zeros.
+    assert np.signbit(np.fft.ifft(np.zeros(89, dtype=complex)).view(float)).any()
+    for spec in (sine_mode_spec(1), sine_mode_spec(3), separable_sine_spec(), constant_spec()):
+        for n in (16, 17, 64, 89, 101, 128, 202, 254, 256, 544):
+            assert_grid_sum_matches_ifft2(spec.modes, spec.coeffs, n)
+
+
+def test_pruned_grid_sum_matches_ifft2_when_a_row_cancels():
+    # Modes (1, 2) and (1, 2 + n) alias to one cell and cancel, leaving row 1
+    # all zeros; row 3 holds two entries, the second the first's negative.
+    n = 32
+    modes = ((1, 2), (1, 2 + n), (3, 1), (3, -1), (0, 5))
+    coeffs = np.array([0.5 + 0.25j, -0.5 - 0.25j, 0.3 - 0.1j, -0.3 + 0.1j, 0.7 + 0j])
+    assert_grid_sum_matches_ifft2(modes, coeffs, n)
+    assert not np.any(grid_sum(modes[:2], coeffs[:2], n))
 
 
 def test_sample_grid_parseval_identity():

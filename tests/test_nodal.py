@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -30,6 +31,8 @@ from torusnodal.nodal import (
     integrate_over_nodal,
     nodal_from_csv,
     nodal_to_csv,
+    read_float_csv,
+    write_float_csv,
 )
 from torusnodal.torus import wrap_delta, wrap_point
 
@@ -399,6 +402,83 @@ def test_csv_writer_matches_the_per_row_reference(tmp_path, e65_nodal, awkward_n
         assert path.read_bytes() == per_row_csv(nodal).encode()
     back = nodal_from_csv(str(tmp_path / "nodal.csv"))
     assert back.count == 0
+
+
+def per_row_float_csv(header, columns):
+    """Reference writer for write_float_csv: one repr per value, row by row."""
+    lines = [header + "\n"]
+    for k in range(len(columns[0])):
+        cells = [v for x in columns for v in np.atleast_1d(x[k])]
+        lines.append(",".join(repr(float(v)) for v in cells) + "\n")
+    return "".join(lines)
+
+
+def assert_float_csv_round_trip(tmp_path, columns):
+    """write_float_csv writes the reference's bytes, and read_float_csv gives every bit back."""
+    width = sum(1 if np.ndim(x) == 1 else np.shape(x)[1] for x in columns)
+    header = ",".join(f"c{j}" for j in range(width))
+    path = str(tmp_path / "floats.csv")
+    write_float_csv(path, header, columns)
+    with open(path, "rb") as fh:
+        assert fh.read() == per_row_float_csv(header, columns).encode()
+    want = np.column_stack(columns).reshape(-1, width)
+    assert read_float_csv(path, header, "test file").view(np.int64).tolist() \
+        == want.view(np.int64).tolist()
+
+
+# Signed zeros, which a dedup on float values rather than bit patterns
+# would merge, subnormals, and neighbors one ulp apart.
+AWKWARD_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, 0.1,
+                  0.1 + 2**-56, 1 / 3, -1 / 3, 1.0 - 2**-53, 0.5, 544.0, 1e300]
+
+
+@pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097, 8193])
+def test_float_csv_matches_the_per_row_reference_across_chunks(tmp_path, rows):
+    # Few distinct values, so each chunk and each column repeats them, on
+    # both sides of every 4096-row boundary.
+    rng = np.random.default_rng(rows)
+    pool = np.array(AWKWARD_FLOATS)
+    pairs = pool[rng.integers(len(pool), size=(rows, 2))]
+    single = pool[rng.integers(len(pool), size=rows)]
+    assert_float_csv_round_trip(tmp_path, (pairs, single))
+    assert_float_csv_round_trip(tmp_path, (single,))
+
+
+def test_float_csv_keeps_signed_zeros_apart_in_one_row(tmp_path):
+    zeros = np.array([[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]])
+    assert_float_csv_round_trip(tmp_path, (zeros, np.array([0.0, -0.0, 0.0])))
+    text = (tmp_path / "floats.csv").read_text()
+    assert text.splitlines()[1:] == ["0.0,-0.0,0.0", "-0.0,0.0,-0.0", "-0.0,-0.0,0.0"]
+
+
+finite_floats = st.one_of(st.sampled_from(AWKWARD_FLOATS),
+                          st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(st.lists(st.tuples(finite_floats, finite_floats, finite_floats), max_size=30))
+def test_float_csv_matches_the_per_row_reference_on_mixed_columns(tmp_path_factory, rows):
+    # (M, 2) centers and a 1-D column, as family_to_csv passes them.
+    values = np.array(rows, dtype=float).reshape(-1, 3)
+    assert_float_csv_round_trip(tmp_path_factory.mktemp("csv"),
+                                (values[:, :2], np.ascontiguousarray(values[:, 2])))
+
+
+def test_nodal_csv_writer_peak_memory_is_bounded(tmp_path):
+    # The writer formats 4096 rows at a time: at E=1105 (51,228 segments)
+    # its peak stays near 2.4 MB, where a one-shot dedup of all rows
+    # needs several times that.
+    nodal = extract_nodal(sample_grid(random_eigenfunction(1105, 0),
+                                      ExperimentPlan.grid_for(ExperimentPlan, 1105)))
+    path = str(tmp_path / "nodal.csv")
+    nodal_to_csv(nodal, path)
+    tracemalloc.start()
+    try:
+        nodal_to_csv(nodal, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nodal.count > 40_000
+    assert peak < 3_000_000, f"writer peak {peak} bytes"
 
 
 def test_refinement_stability(e65_field):
