@@ -17,15 +17,14 @@ import math
 
 import numpy as np
 
+from torusnodal.doubling import sign_changes
 from torusnodal.eigenbasis import random_eigenfunction, sample_grid
-from torusnodal.torus import wrap_point
 
 
 def sign_change_fractions(energy: int, n_seeds: int, grid: int,
                           a1_values: list[float]) -> dict[float, tuple[int, int]]:
     lam = 2.0 * math.pi * math.sqrt(energy)
     tally = {a1: [0, 0] for a1 in a1_values}
-    side = 32
     for seed in range(n_seeds):
         field = sample_grid(random_eigenfunction(energy, seed), grid)
         for a1 in a1_values:
@@ -38,13 +37,8 @@ def sign_change_fractions(energy: int, n_seeds: int, grid: int,
             centers = np.stack([gx.ravel(), gy.ravel()], axis=-1)
             rng = np.random.default_rng(seed * 1000 + 7)
             centers = np.concatenate([centers, rng.uniform(size=(100, 2))])
-            u = np.linspace(-radius, radius, side)
-            px, py = np.meshgrid(u, u, indexing="ij")
-            mask = px * px + py * py <= radius * radius
-            offsets = np.stack([px[mask], py[mask]], axis=-1)
-            pts = wrap_point(centers[:, None, :] + offsets[None, :, :])
-            vals = field.interp(pts.reshape(-1, 2)).reshape(centers.shape[0], -1)
-            changed = (vals.min(axis=1) < 0.0) & (vals.max(axis=1) > 0.0)
+            # The classifier's own probe, so a1 is calibrated on what it checks.
+            changed = sign_changes(field, centers, radius)
             tally[a1][0] += int(np.sum(changed))
             tally[a1][1] += int(centers.shape[0])
     return {a1: (hit, tot) for a1, (hit, tot) in tally.items()}

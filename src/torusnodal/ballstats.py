@@ -164,36 +164,32 @@ class BallMassReport:
         return float(np.mean((self.ratios >= lo) & (self.ratios <= hi)))
 
 
-def default_centers(r: float, n_random: int = 100, seed: int = 0) -> np.ndarray:
-    """Uniform lattice at spacing <= r/2 joined with seeded random centers."""
+def default_centers(r: float, seed: int = 0) -> np.ndarray:
+    """Uniform lattice at spacing <= r/2 joined with 100 seeded random centers."""
     m = math.ceil(2.0 / r)
     k = np.arange(m) / m
     lattice = np.stack(np.meshgrid(k, k, indexing="ij"), axis=-1).reshape(-1, 2)
     rng = np.random.default_rng(seed)
-    extra = rng.uniform(0.0, 1.0, size=(n_random, 2))
+    extra = rng.uniform(0.0, 1.0, size=(100, 2))
     return np.vstack([lattice, extra])
 
 
 def ball_mass_scan(field, radius: float, centers: np.ndarray | None = None,
-                   rho: float = float("nan"), n_random: int = 100,
-                   seed: int = 0) -> BallMassReport:
+                   rho: float = float("nan"), seed: int = 0) -> BallMassReport:
     """Measure ball masses at a fixed radius over a center family."""
     # Before default_centers, whose lattice has (2 / radius)^2 points.
     require_resolved_radius(radius, field.resolution)
     if centers is None:
-        centers = default_centers(radius, n_random=n_random, seed=seed)
+        centers = default_centers(radius, seed=seed)
     centers = np.asarray(centers, dtype=float)
     masses = ball_masses(field, centers, radius)
     vol = math.pi * radius * radius
     return BallMassReport(field.spec_lambda, rho, radius, centers, masses, masses / vol)
 
 
-def sse_scan(field, scale: ScaleFunction, centers: np.ndarray | None = None,
-             n_random: int = 100, seed: int = 0) -> BallMassReport:
+def sse_scan(field, scale: ScaleFunction, seed: int = 0) -> BallMassReport:
     """Small-scale equidistribution scan at the field's own scale r(lam)."""
-    radius = scale(field.spec_lambda)
-    return ball_mass_scan(field, radius, centers=centers, rho=scale.rho,
-                          n_random=n_random, seed=seed)
+    return ball_mass_scan(field, scale(field.spec_lambda), rho=scale.rho, seed=seed)
 
 
 def _mass_bounds(field, centers, r: float) -> tuple[np.ndarray, np.ndarray]:
@@ -235,17 +231,15 @@ def _mass_bounds(field, centers, r: float) -> tuple[np.ndarray, np.ndarray]:
     return lo / (n * n), hi / (n * n)
 
 
-def sse_extremes(field, scale: ScaleFunction, n_random: int = 100,
-                 seed: int = 0) -> tuple[float, float]:
-    """(d1, d2) of sse_scan(field, scale, n_random=n_random, seed=seed), same floats.
+def sse_extremes(field, r: float, seed: int) -> tuple[float, float]:
+    """(d1, d2) of ball_mass_scan(field, r, seed=seed), same floats.
 
     Measures the balls of lowest lo and highest hi, then every ball whose
     bounds admit a mass as small or as large: a mass does not depend on its
     family, and x -> x / (pi r^2) is monotone.
     """
-    r = scale(field.spec_lambda)
     require_resolved_radius(r, field.resolution)
-    centers = default_centers(r, n_random=n_random, seed=seed)
+    centers = default_centers(r, seed=seed)
     lo, hi = _mass_bounds(field, centers, r)
     first = [np.argmin(lo), np.argmax(hi)]
     masses = ball_masses(field, centers[first], r)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .ballstats import ScaleFunction, ball_mass_scan, report_summary_json, report_to_csv, sse_scan
 from .covering import build_cover, family_to_csv, family_to_json
-from .doubling import (DEFAULT_A1, DEFAULT_A2, OUTER_FACTOR, classify_doubling, lower_bound_assembly,
+from .doubling import (DEFAULT_A1, DEFAULT_A2, doubling_stage, report_to_json as doubling_json,
                        require_doubling_constants, require_resolved_doubling)
 from .eigenbasis import (EigenfunctionSpec, enumerate_modes, random_eigenfunction,
                          sample_grid, spec_from_json, spec_to_json)
@@ -129,14 +129,9 @@ def cmd_doubling(args) -> int:
     require_doubling_constants(args.a1, args.a2)
     require_resolved_doubling(spec.lam, args.a1, n)
     field = sample_grid(spec, n)
-    nodal = extract_nodal(field)
-    r_out = OUTER_FACTOR * args.a1 / spec.lam
-    family = build_cover(r_out / 2.0, args.seed)
-    report = classify_doubling(field, family.centers, a1=args.a1, a2=args.a2)
-    assembly = lower_bound_assembly(report, nodal)
+    report, assembly = doubling_stage(field, extract_nodal(field), args.a1, args.a2, args.seed)
     out = _ensure_out(args.out)
     path = os.path.join(out, f"doubling_{stem}.json")
-    from .doubling import report_to_json as doubling_json
     with open(path, "w") as fh:
         fh.write(doubling_json(report))
     print(f"[doubling] wrote {path} balls={report.count} "

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ballstats import MIN_CELLS_PER_RADIUS, ball_masses
-from .covering import OVERLAP_VOLUME_BOUND
+from .covering import OVERLAP_VOLUME_BOUND, build_cover
 from .errors import DivisionByNegligibleMass, RadiusTooLarge, RadiusUnderResolved
 from .nodal import NodalSet, ball_sums, clip_family
 from .torus import wrap_point
@@ -64,7 +64,7 @@ class DoublingReport:
         return float(np.mean(self.has_nodal_point[self.good]))
 
 
-def _sign_changes(field, centers: np.ndarray, radius: float) -> np.ndarray:
+def sign_changes(field, centers: np.ndarray, radius: float) -> np.ndarray:
     """Per center, whether the field takes both signs on the masked probe grid of the ball."""
     t = np.linspace(-radius, radius, SIGN_PROBE_SIDE)
     gx, gy = np.meshgrid(t, t, indexing="ij")
@@ -81,12 +81,17 @@ def require_doubling_constants(a1: float, a2: float) -> None:
         raise ValueError(f"doubling constants must be positive; got a1={a1!r}, a2={a2!r}")
 
 
+def doubling_admissible(lam: float, a1: float) -> bool:
+    """Whether the outer doubling radius 20*a1/lam lies below 1/4, for lam > 0."""
+    return OUTER_FACTOR * a1 / lam < 0.25
+
+
 def _outer_radius(lam: float, a1: float) -> float:
-    """The outer doubling radius 20*a1/lam; raises unless lam > 0 and it lies below 1/4."""
+    """The outer doubling radius 20*a1/lam; raises unless lam > 0 and it is admissible."""
     if lam <= 0.0:
         raise ValueError("doubling classification needs a positive frequency")
     r_out = OUTER_FACTOR * a1 / lam
-    if r_out >= 0.25:
+    if not doubling_admissible(lam, a1):
         raise RadiusTooLarge(
             f"outer doubling radius {r_out!r} >= 1/4; energy too low for a1 = {a1!r}")
     return r_out
@@ -96,10 +101,9 @@ def require_resolved_doubling(lam: float, a1: float, n: int) -> None:
     """Raise unless lam > 0, the outer radius lies below 1/4 and the inner one is resolved.
 
     The inner radius 10*a1/lam must span MIN_CELLS_PER_RADIUS cells of the
-    n-point grid.  classify_doubling rejects all three too, but only after the
-    caller has sampled the field and built the doubling cover at half the
-    outer radius, and for a tiny a1 that cover's candidate lattice does not
-    fit in memory, so callers check here first.
+    n-point grid.  classify_doubling rejects all three too, but only after
+    doubling_stage has built its cover, whose candidate lattice does not fit
+    in memory for a tiny a1, so callers check here first.
     """
     _outer_radius(lam, a1)
     r_in = INNER_FACTOR * a1 / lam
@@ -125,7 +129,7 @@ def classify_doubling(field, centers, a1: float = DEFAULT_A1,
         raise DivisionByNegligibleMass(f"inner mass {float(inner[k])!r} at center "
                                        f"{tuple(centers[k])} below working precision")
     ratios = ball_masses(field, centers, r_out) / inner
-    nodal = _sign_changes(field, centers, r_core)
+    nodal = sign_changes(field, centers, r_core)
     good = ratios <= a2
     return DoublingReport(a1, a2, lam, r_in, r_out, centers, ratios, good, nodal)
 
@@ -151,6 +155,14 @@ def lower_bound_assembly(report: DoublingReport, nodal: NodalSet) -> dict:
         "good_count": int(np.sum(report.good)),
         "lengths": lengths,
     }
+
+
+def doubling_stage(field, nodal: NodalSet, a1: float, a2: float,
+                   seed: int) -> tuple[DoublingReport, dict]:
+    """Classify the cover at half the outer radius, drawn from seed, and assemble its bound."""
+    family = build_cover(_outer_radius(field.spec_lambda, a1) / 2.0, seed)
+    report = classify_doubling(field, family.centers, a1=a1, a2=a2)
+    return report, lower_bound_assembly(report, nodal)
 
 
 def report_to_json(report: DoublingReport) -> str:

@@ -30,6 +30,22 @@ TWO_PI = 2.0 * math.pi
 IMAG_TOL = 1e-10
 
 
+def is_int(value) -> bool:
+    """Whether a parsed JSON value is an integer (bool is not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """An int that a float can hold, or a finite float: JSON output holds no nan or inf."""
+    if is_int(value):
+        try:
+            float(value)
+        except OverflowError:
+            return False
+        return True
+    return isinstance(value, float) and math.isfinite(value)
+
+
 def enumerate_modes(energy: int) -> list[tuple[int, int]]:
     """Return all (a, b) in Z^2 with a^2 + b^2 == energy, lexicographically.
 
@@ -72,6 +88,8 @@ class EigenfunctionSpec:
             raise EmptySpectrum("eigenfunction needs at least one mode")
         if len(self.modes) != len(self.coeffs):
             raise ValueError("modes and coeffs length mismatch")
+        if not np.all(np.isfinite(self.coeffs)):
+            raise ValueError("coefficients must be finite")
         if len(set(self.modes)) != len(self.modes):
             raise ValueError("duplicate modes")
         for a, b in self.modes:
@@ -279,13 +297,26 @@ def spec_to_json(spec: EigenfunctionSpec) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
+def _pair_list(value, ok) -> bool:
+    """Whether value is a list of two-element lists whose entries all pass ok."""
+    return isinstance(value, list) and all(
+        isinstance(p, list) and len(p) == 2 and all(map(ok, p)) for p in value)
+
+
 def spec_from_json(text: str) -> EigenfunctionSpec:
-    """Parse and re-validate a serialized eigenfunction."""
+    """Parse and re-validate a serialized eigenfunction; integers must be JSON integers."""
     obj = json.loads(text)
-    modes = tuple((int(a), int(b)) for a, b in obj["modes"])
+    if not (isinstance(obj, dict) and {"energy", "modes", "coeffs"} <= obj.keys()):
+        raise ValueError("spec must be a JSON object with energy, modes and coeffs")
+    if not is_int(obj["energy"]):
+        raise ValueError(f"spec energy must be an integer; got {obj['energy']!r}")
+    if not _pair_list(obj["modes"], is_int):
+        raise ValueError(f"spec modes must be a list of integer pairs; got {obj['modes']!r}")
+    if not _pair_list(obj["coeffs"], is_number):
+        raise ValueError("spec coeffs must be a list of [re, im] finite number pairs")
     coeffs = np.array([complex(re, im) for re, im in obj["coeffs"]])
-    spec = EigenfunctionSpec(int(obj["energy"]), modes, coeffs)
-    lam = obj.get("lambda")
-    if lam is not None and abs(float(lam) - spec.lam) > 1e-9 * max(1.0, spec.lam):
+    spec = EigenfunctionSpec(obj["energy"], obj["modes"], coeffs)
+    lam = obj.get("lambda", spec.lam)
+    if not (is_number(lam) and abs(lam - spec.lam) <= 1e-9 * max(1.0, spec.lam)):
         raise ValueError("serialized lambda inconsistent with energy")
     return spec

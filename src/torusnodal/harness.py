@@ -46,9 +46,9 @@ import numpy as np
 from .ballstats import (BallMassReport, ScaleFunction, ball_mass_scan, require_resolved_radius,
                         sse_extremes)
 from .covering import BallFamily, build_cover
-from .doubling import (DEFAULT_A1, DEFAULT_A2, OUTER_FACTOR, classify_doubling, lower_bound_assembly,
+from .doubling import (DEFAULT_A1, DEFAULT_A2, doubling_admissible, doubling_stage,
                        require_doubling_constants, require_resolved_doubling)
-from .eigenbasis import (SampledField, enumerate_modes, random_eigenfunction,
+from .eigenbasis import (SampledField, enumerate_modes, is_int, is_number, random_eigenfunction,
                          require_sampling_grid, sample_grid, sine_mode_spec)
 from .errors import (BallTooLarge, DivisionByNegligibleMass, EmptySpectrum, NegativeTestFunction,
                      RadiusUnderResolved, ResolutionTooCoarse)
@@ -126,16 +126,10 @@ TEST_FUNCTIONS: dict[str, TestFunction] = {
 
 
 def resolve_test_functions(names) -> tuple[TestFunction, ...]:
-    out = []
-    for item in names:
-        if isinstance(item, TestFunction):
-            out.append(item)
-        elif item in TEST_FUNCTIONS:
-            out.append(TEST_FUNCTIONS[item])
-        else:
-            raise ValueError(f"unknown test function {item!r}; "
-                             f"known: {sorted(TEST_FUNCTIONS)}")
-    return tuple(out)
+    for name in names:
+        if name not in TEST_FUNCTIONS:
+            raise ValueError(f"unknown test function {name!r}; known: {sorted(TEST_FUNCTIONS)}")
+    return tuple(TEST_FUNCTIONS[name] for name in names)
 
 
 @functools.cache
@@ -160,11 +154,11 @@ class FunctionIntegrals(NamedTuple):
 
 
 def function_integrals(field: SampledField, nodal: NodalSet,
-                       test_functions) -> tuple[FunctionIntegrals, ...]:
+                       test_functions: tuple[TestFunction, ...]) -> tuple[FunctionIntegrals, ...]:
     """Both integrals of every test function, computed once per run."""
     return tuple(FunctionIntegrals(tf, torus_integral(tf, field.resolution),
                                    integrate_over_nodal(nodal, tf.fn))
-                 for tf in resolve_test_functions(test_functions))
+                 for tf in test_functions)
 
 
 # ---------------------------------------------------------------------------
@@ -188,21 +182,6 @@ DEFAULT_TOLERANCES: dict[str, float | tuple[float, float]] = {
 _QUADRATURE_SLACK = 1e-6
 # Points per side of the square lattice behind the chain's sup and inf estimates.
 _LATTICE_SIDE = 9
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    """An int that a float can hold, or a finite float: report.json holds no nan or inf."""
-    if _is_int(value):
-        try:
-            float(value)
-        except OverflowError:
-            return False
-        return True
-    return isinstance(value, float) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -260,10 +239,10 @@ class ExperimentPlan:
                 raise ValueError(f"unknown tolerance {key!r}")
             if isinstance(DEFAULT_TOLERANCES[key], tuple):
                 if not (isinstance(value, (list, tuple)) and len(value) == 2
-                        and all(map(_is_number, value))):
+                        and all(map(is_number, value))):
                     raise ValueError(f"tolerance {key!r} must be a pair of finite numbers; got {value!r}")
                 merged[key] = tuple(value)
-            elif _is_number(value):
+            elif is_number(value):
                 merged[key] = float(value)
             else:
                 raise ValueError(f"tolerance {key!r} must be a finite number; got {value!r}")
@@ -277,7 +256,7 @@ class ExperimentPlan:
                 require_sampling_grid(e, n)
                 if r < 0.25:
                     require_resolved_radius(r, n)
-                if OUTER_FACTOR * self.doubling_a1 / lam < 0.25:
+                if doubling_admissible(lam, self.doubling_a1):
                     require_resolved_doubling(lam, self.doubling_a1, n)
             except (BallTooLarge, RadiusUnderResolved, ResolutionTooCoarse) as exc:
                 raise ValueError(f"{exc} at E={e}") from None
@@ -314,11 +293,11 @@ class ExperimentPlan:
 
 # Plan field annotation (a string: annotations are postponed) -> (its JSON type, a test of it)
 _PLAN_JSON_TYPES: dict[str, tuple[str, Callable[[object], bool]]] = {
-    "int": ("an integer", _is_int),
-    "float": ("a finite number", _is_number),
+    "int": ("an integer", is_int),
+    "float": ("a finite number", is_number),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
     "tuple[int, ...]": ("a list of integers",
-                        lambda v: isinstance(v, list) and all(map(_is_int, v))),
+                        lambda v: isinstance(v, list) and all(map(is_int, v))),
     "tuple[str, ...]": ("a list of strings",
                         lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
     "dict": ("an object", lambda v: isinstance(v, dict)),
@@ -356,7 +335,7 @@ class BallTable(NamedTuple):
 
     ball_table clips the whole cover in one clip_family call; theorem 1, the
     band fraction and the bound chain of each test function all read from here.
-    The radius and frequency are those of the mass scan, r = scale(lam).
+    The radius is the cover's, r = family.radius.
     Ball k's clipped pieces are rows offsets[k]:offsets[k + 1] of piece_len
     and piece_mid; density[k] is its nodal density (lengths[k] / lam) / (pi r^2).
     """
@@ -372,12 +351,9 @@ class BallTable(NamedTuple):
     piece_max: float
 
 
-def ball_table(field: SampledField, nodal: NodalSet, scale: ScaleFunction,
-               family: BallFamily) -> BallTable:
-    """Masses and clipped nodal pieces of every ball B(x, scale(lam)) of family."""
-    r = scale(field.spec_lambda)
-    if abs(family.radius - r) > 1e-12:
-        raise ValueError(f"cover radius {family.radius!r} does not match scale radius {r!r}")
+def ball_table(field: SampledField, nodal: NodalSet, family: BallFamily) -> BallTable:
+    """Masses and clipped nodal pieces of every ball B(x, r) of family, r its radius."""
+    r = family.radius
     if family.count < 1 or family.overlap_max < 1:
         raise ValueError(
             f"cover family must have at least one ball and overlap >= 1; "
@@ -763,8 +739,7 @@ def run_single(plan: ExperimentPlan, energy: int, seed: int) -> RunResult:
     field = sample_grid(spec, n)
     nodal = extract_nodal(field)
     lam = spec.lam
-    scale = plan.scale()
-    r = scale(lam)
+    r = plan.scale()(lam)
     flags: list[str] = []
 
     degenerate = r >= 0.25 or len(spec.modes) < 8
@@ -783,13 +758,13 @@ def run_single(plan: ExperimentPlan, energy: int, seed: int) -> RunResult:
         return RunResult(**base, flags=tuple(flags),
                          svg=render_svg(nodal) if plan.svg else None)
 
-    d1, d2 = sse_extremes(field, scale, n_random=100, seed=_stage_seed(plan, energy, seed, 1))
+    d1, d2 = sse_extremes(field, r, _stage_seed(plan, energy, seed, 1))
     fam = build_cover(r, _stage_seed(plan, energy, seed, 2))
-    table = ball_table(field, nodal, scale, fam)
+    table = ball_table(field, nodal, fam)
     tol = plan.tolerances
     t1 = check_theorem_1(table, inclusion_band=tol["theorem1_inclusion_band"])
     sse_fraction = table.mass.in_band_fraction(*tol["sse_band"])
-    integrals = function_integrals(field, nodal, plan.test_functions)
+    integrals = function_integrals(field, nodal, resolve_test_functions(plan.test_functions))
     t2 = check_theorem_2(field, integrals)
 
     chain_ok = True
@@ -803,19 +778,12 @@ def run_single(plan: ExperimentPlan, energy: int, seed: int) -> RunResult:
         chain_e1, chain_e2 = trace.e1_chain, trace.e2_chain
 
     doubling_kwargs: dict = {}
-    r_out = OUTER_FACTOR * plan.doubling_a1 / lam
-    if r_out < 0.25:
-        fam_d = build_cover(r_out / 2.0, _stage_seed(plan, energy, seed, 3))
-        rep = classify_doubling(field, fam_d.centers,
-                                a1=plan.doubling_a1, a2=plan.doubling_a2)
-        assembly = lower_bound_assembly(rep, nodal)
+    if doubling_admissible(lam, plan.doubling_a1):
+        rep, assembly = doubling_stage(field, nodal, plan.doubling_a1, plan.doubling_a2,
+                                       _stage_seed(plan, energy, seed, 3))
         doubling_kwargs = dict(
-            good_fraction=rep.good_fraction,
-            good_count=assembly["good_count"],
-            sign_change_fraction=rep.nodal_fraction_among_good,
-            assembled_lower_bound=assembly["assembled_lower_bound"],
-            a3_hat=assembly["a3_hat"],
-        )
+            good_fraction=rep.good_fraction, sign_change_fraction=rep.nodal_fraction_among_good,
+            **{key: assembly[key] for key in ("good_count", "assembled_lower_bound", "a3_hat")})
     else:
         flags.append("doubling_radius_too_large_at_this_energy")
 
@@ -846,9 +814,7 @@ def control_run(plan: ExperimentPlan) -> dict:
     must fail; the control documents that the band is a real condition,
     not an artifact of the pipeline.
     """
-    scale = plan.scale()
-    lam_top = 2.0 * math.pi * math.sqrt(max(plan.energies))
-    r_ref = scale(lam_top)
+    r_ref = plan.scale()(2.0 * math.pi * math.sqrt(max(plan.energies)))
     spec = sine_mode_spec(1)
     n = max(plan.grid_for(1), math.ceil(24.0 / r_ref))
     field = sample_grid(spec, n)

@@ -141,7 +141,7 @@ def test_sse_extremes_match_sse_scan_within_certified_bounds(energy):
             masses = ball_masses(field, centers, report.radius)
             lo, hi = _mass_bounds(field, centers, report.radius)
             assert np.all(lo <= masses) and np.all(masses <= hi), r
-            assert sse_extremes(field, scale, seed=seed + 10) == (report.d1, report.d2), r
+            assert sse_extremes(field, report.radius, seed + 10) == (report.d1, report.d2), r
 
 
 def test_mass_bounds_on_a_single_cell_field():
@@ -170,7 +170,7 @@ def test_sse_extremes_on_tied_masses():
     for field in (flat, sample_grid(sine_mode_spec(1), n)):
         for seed in (0, 3):
             report = sse_scan(field, ScaleFunction(0.5), seed=seed)
-            assert sse_extremes(field, ScaleFunction(0.5), seed=seed) == (report.d1, report.d2)
+            assert sse_extremes(field, report.radius, seed) == (report.d1, report.d2)
 
 
 def test_sse_extremes_measures_few_balls(monkeypatch, e65_field, half_scale):
@@ -184,7 +184,7 @@ def test_sse_extremes_measures_few_balls(monkeypatch, e65_field, half_scale):
         return real(field, centers, r)
 
     monkeypatch.setattr(ballstats, "ball_masses", counting)
-    assert sse_extremes(e65_field, half_scale, seed=0) == (report.d1, report.d2)
+    assert sse_extremes(e65_field, report.radius, 0) == (report.d1, report.d2)
     assert sum(measured) < report.count / 3
 
 
@@ -207,11 +207,11 @@ def test_scale_function_contract():
 
 
 def test_default_centers_layout():
-    centers = default_centers(0.1, n_random=50, seed=1)
-    assert centers.shape == (450, 2)  # 20x20 lattice + 50 random draws
+    centers = default_centers(0.1, seed=1)
+    assert centers.shape == (500, 2)  # 20x20 lattice + 100 random draws
     assert np.all(centers >= 0.0) and np.all(centers < 1.0)
-    assert np.array_equal(centers, default_centers(0.1, n_random=50, seed=1))
-    assert not np.array_equal(centers, default_centers(0.1, n_random=50, seed=2))
+    assert np.array_equal(centers, default_centers(0.1, seed=1))
+    assert not np.array_equal(centers, default_centers(0.1, seed=2))
 
 
 def test_report_order_statistics(e65_field, half_scale):

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from torusnodal import cli, harness
+from torusnodal import cli, doubling, harness
 from torusnodal.cli import main
 from torusnodal.covering import build_cover
 from torusnodal.eigenbasis import (constant_spec, random_eigenfunction, sample_grid, sine_mode_spec,
@@ -98,6 +98,32 @@ def test_nodal_from_spec_file(tmp_path, capsys):
     rows = np.loadtxt(csv_path, delimiter=",", skiprows=1)
     assert rows.shape[1] == 5
     assert abs(rows[:, 4].sum() - 2.0) < 1e-9
+
+
+def _spec_blob(**changes) -> str:
+    """The E=5 seed-0 spec file with some of its JSON values replaced."""
+    obj = json.loads(spec_to_json(random_eigenfunction(5, 0)))
+    obj.update(changes)
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{}", "spec must be a JSON object with energy, modes and coeffs"),
+    ("[1, 2]", "spec must be a JSON object with energy, modes and coeffs"),
+    (_spec_blob(energy=5.7), "spec energy must be an integer; got 5.7"),
+    (_spec_blob(modes=[[-2, -1], [-2, 1], [-1, -2], [-1, 2], [1, -2], [1, 2], [2, -1],
+                       [2.9, 1]]), "spec modes must be a list of integer pairs"),
+    (_spec_blob(coeffs=[[float("nan"), 0.0]] * 8), "spec coeffs must be a list of [re, im] finite"),
+])
+def test_nodal_rejects_a_malformed_spec_file(tmp_path, capsys, monkeypatch, text, message):
+    # None may end in a traceback, run 5.7 or 2.9 truncated as E=5 or mode
+    # (2, 1), or extract an empty nodal set from a NaN coefficient.
+    spec_path = tmp_path / "bad.json"
+    spec_path.write_text(text)
+    monkeypatch.setattr(cli, "sample_grid", no_sampling)
+    assert main(["nodal", "--spec", str(spec_path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"[error] {message}") and "Traceback" not in err
 
 
 def test_nodal_from_energy_seed(tmp_path, capsys):
@@ -234,7 +260,7 @@ def test_doubling_rejects_under_resolved_inner_radius(tmp_path, capsys, monkeypa
     def no_cover(*args, **kwargs):
         raise AssertionError("build_cover called for an under-resolved radius")
 
-    monkeypatch.setattr(cli, "build_cover", no_cover)
+    monkeypatch.setattr(doubling, "build_cover", no_cover)
     assert main(["doubling", "--energy", "1105", "--seed", "0", "--a1", "0.01",
                  "--out", str(tmp_path)]) == 1
     assert "inner doubling radius" in capsys.readouterr().err
@@ -428,6 +454,7 @@ def test_verify_rejects_under_resolved_doubling_plan(tmp_path, capsys, monkeypat
         raise AssertionError("build_cover called for an invalid plan")
 
     monkeypatch.setattr(harness, "build_cover", no_cover)
+    monkeypatch.setattr(doubling, "build_cover", no_cover)
     plan = tmp_path / "tiny_a1.json"
     plan.write_text('{"energies": [1105], "seeds_per_energy": 1, "doubling_a1": 0.01}')
     assert main(["verify", "--plan", str(plan), "--out", str(tmp_path / "out")]) == 1

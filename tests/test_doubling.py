@@ -1,10 +1,17 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from torusnodal import harness
+from torusnodal.covering import build_cover
 from torusnodal.doubling import (
+    DEFAULT_A1,
+    DEFAULT_A2,
+    OUTER_FACTOR,
     classify_doubling,
+    doubling_stage,
     lower_bound_assembly,
     report_to_json,
 )
@@ -15,6 +22,7 @@ from torusnodal.eigenbasis import (
     sine_mode_spec,
 )
 from torusnodal.errors import DivisionByNegligibleMass, RadiusTooLarge
+from torusnodal.harness import ExperimentPlan, _stage_seed, run_single
 from torusnodal.nodal import extract_nodal
 
 from test_nodal import full_scan_clip
@@ -160,3 +168,69 @@ def test_sign_probe_matches_the_per_ball_probe(e65_field):
         want.append(bool(np.min(vals) < 0.0 < np.max(vals)))
     assert report.has_nodal_point.tolist() == want
     assert 0 < sum(want) < len(want)
+
+
+def inline_doubling_stage(field, nodal, a1, a2, seed):
+    """The stage wired inline from its three calls; doubling_stage must match it bit for bit."""
+    r_out = OUTER_FACTOR * a1 / field.spec_lambda
+    family = build_cover(r_out / 2.0, seed)
+    report = classify_doubling(field, family.centers, a1=a1, a2=a2)
+    return report, lower_bound_assembly(report, nodal)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_doubling_stage_matches_the_inline_wiring(seed):
+    plan = ExperimentPlan(energies=(1105,), seeds_per_energy=3)
+    field = sample_grid(random_eigenfunction(1105, _stage_seed(plan, 1105, seed, 0)),
+                        plan.grid_for(1105))
+    nodal = extract_nodal(field)
+    stage_seed = _stage_seed(plan, 1105, seed, 3)
+    # Every ball is good at a2 = 16 here; a2 = 4 also leaves zero-length bad balls.
+    good_counts = []
+    for a2 in (DEFAULT_A2, 4.0):
+        report, assembly = doubling_stage(field, nodal, DEFAULT_A1, a2, stage_seed)
+        want_report, want = inline_doubling_stage(field, nodal, DEFAULT_A1, a2, stage_seed)
+        for f in dataclasses.fields(report):
+            got_value, want_value = getattr(report, f.name), getattr(want_report, f.name)
+            assert np.asarray(got_value).tobytes() == np.asarray(want_value).tobytes(), f.name
+        assert assembly.keys() == want.keys()
+        for key in assembly:
+            assert np.asarray(assembly[key]).tobytes() == np.asarray(want[key]).tobytes(), key
+        good_counts.append(assembly["good_count"])
+    assert 0 < good_counts[1] < good_counts[0]
+
+
+def quarter_a1(lam):
+    """The largest a1 whose outer radius 20 a1 / lam lies below 1/4, and the float after it."""
+    a1 = lam / 80.0
+    while 20.0 * a1 / lam >= 0.25:
+        a1 = np.nextafter(a1, 0.0)
+    while 20.0 * a1 / lam < 0.25:
+        a1 = np.nextafter(a1, np.inf)
+    return float(np.nextafter(a1, 0.0)), float(a1)
+
+
+def test_plan_validation_checks_doubling_up_to_the_quarter(monkeypatch):
+    lam = 2.0 * np.pi * np.sqrt(65.0)
+    below, at = quarter_a1(lam)
+    assert 20.0 * below / lam < 0.25 <= 20.0 * at / lam
+    checked = []
+    monkeypatch.setattr(harness, "require_resolved_doubling",
+                        lambda lam, a1, n: checked.append(a1))
+    ExperimentPlan(energies=(65,), doubling_a1=below)
+    ExperimentPlan(energies=(65,), doubling_a1=at)
+    assert checked == [below]  # the run skips doubling at 1/4, so the plan checks nothing
+
+
+def test_run_single_runs_doubling_only_below_the_quarter():
+    below, at = quarter_a1(2.0 * np.pi * np.sqrt(65.0))
+    runs = {a1: run_single(ExperimentPlan(energies=(65,), seeds_per_energy=1, doubling_a1=a1,
+                                          include_low_energy_control=False), 65, 0)
+            for a1 in (below, at)}
+    assert runs[below].good_count > 0
+    assert "doubling_radius_too_large_at_this_energy" not in runs[below].flags
+    assert runs[at].good_count is None
+    assert "doubling_radius_too_large_at_this_energy" in runs[at].flags
+    field = sample_grid(random_eigenfunction(65, 7), 256)
+    with pytest.raises(RadiusTooLarge):
+        doubling_stage(field, extract_nodal(field), at, DEFAULT_A2, 0)

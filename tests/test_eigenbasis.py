@@ -2,6 +2,7 @@ import ctypes
 import json
 import math
 import multiprocessing
+import re
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -102,6 +103,17 @@ def test_spec_validation_rejects_bad_inputs():
 
     with pytest.raises(ValueError):
         EigenfunctionSpec(energy=5, modes=modes, coeffs=coeffs * 2.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_spec_rejects_non_finite_coefficients(bad):
+    # Every comparison with NaN is false, so a NaN pair would pass both the
+    # conjugate-symmetry and the unit-norm check.
+    spec = random_eigenfunction(5, 0)
+    coeffs = np.asarray(spec.coeffs).copy()
+    coeffs[0] = coeffs[-1] = bad
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        EigenfunctionSpec(energy=5, modes=spec.modes, coeffs=coeffs)
 
 
 def test_evaluate_matches_direct_mode_sum():
@@ -297,8 +309,27 @@ def test_spec_json_is_deterministic():
 
 
 def test_json_rejects_garbage():
-    with pytest.raises((ValueError, KeyError, json.JSONDecodeError)):
+    with pytest.raises(ValueError, match="energy, modes and coeffs"):
         spec_from_json('{"energy": 65}')
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(energy=5.0), "spec energy must be an integer"),
+    (dict(energy=True), "spec energy must be an integer"),
+    (dict(modes=[[2, 1]] * 7 + [[2, 1, 0]]), "spec modes must be a list of integer pairs"),
+    (dict(modes=[[2, True]] * 8), "spec modes must be a list of integer pairs"),
+    (dict(modes=None), "spec modes must be a list of integer pairs"),
+    (dict(coeffs=[["0.5", 0.0]] * 8), "spec coeffs must be a list of [re, im] finite number pairs"),
+    (dict(coeffs=[[float("inf"), 0.0]] * 8), "spec coeffs must be a list of [re, im] finite"),
+    (dict(coeffs=7), "spec coeffs must be a list of [re, im] finite number pairs"),
+    (dict(**{"lambda": [14.0]}), "serialized lambda inconsistent with energy"),
+    (dict(**{"lambda": float("nan")}), "serialized lambda inconsistent with energy"),
+])
+def test_spec_from_json_rejects_wrong_types(change, message):
+    obj = json.loads(spec_to_json(random_eigenfunction(5, 0)))
+    obj.update(change)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        spec_from_json(json.dumps(obj))
 
 
 @given(

@@ -74,12 +74,12 @@ DESK_RUN_65_7 = {
 
 def cover_table(field, nodal, scale, seed=0):
     """Ball table over the seeded cover at the scale radius."""
-    return ball_table(field, nodal, scale, build_cover(scale(field.spec_lambda), seed))
+    return ball_table(field, nodal, build_cover(scale(field.spec_lambda), seed))
 
 
 def integrals_of(field, nodal, f):
     """Both integrals of one test function (or registry name)."""
-    return function_integrals(field, nodal, (f,))[0]
+    return function_integrals(field, nodal, (TEST_FUNCTIONS.get(f, f),))[0]
 
 
 def single_ball_table(field, nodal, scale, center):
@@ -91,7 +91,7 @@ def single_ball_table(field, nodal, scale, center):
         covers=False,
         probe_resolution=512,
     )
-    return ball_table(field, nodal, scale, fam)
+    return ball_table(field, nodal, fam)
 
 
 # ---------------------------------------------------------------- registry
@@ -103,6 +103,9 @@ def test_registry_membership():
     assert [tf.name for tf in fns] == ["one", "bump"]
     with pytest.raises(ValueError):
         resolve_test_functions(("one", "sawtooth"))
+    # Plans hold registry names only; an instance would not survive to_json.
+    with pytest.raises(ValueError, match="unknown test function"):
+        ExperimentPlan(energies=(65,), test_functions=(TEST_FUNCTIONS["one"],))
 
 
 def test_registry_values_are_nonnegative():
@@ -321,7 +324,7 @@ def test_theorem1_exclusion_band():
 def test_theorem2_unit_weight_reproduces_length_ratio(e65_field, e65_nodal):
     frozen = BASELINE["theorem2"]
     t2 = check_theorem_2(e65_field, function_integrals(
-        e65_field, e65_nodal, ("one", "cos_x", "cos_y", "bump")))
+        e65_field, e65_nodal, resolve_test_functions(("one", "cos_x", "cos_y", "bump"))))
     yau = e65_nodal.total_length / e65_field.spec_lambda
     assert t2.rho_by_name["one"] == yau  # bit-exact by construction
     assert t2.c1_hat == pytest.approx(frozen["c1_hat"], rel=1e-9)
@@ -432,7 +435,7 @@ def test_chain_rough_weight_reports_unmet_hypothesis(e65_field, e65_nodal):
 def test_chain_detects_tampered_cover(e65_field, e65_nodal, half_scale):
     fam = build_cover(half_scale(e65_field.spec_lambda), seed=0)
     starved = dataclasses.replace(fam, centers=fam.centers[:3])
-    table = ball_table(e65_field, e65_nodal, half_scale, starved)
+    table = ball_table(e65_field, e65_nodal, starved)
     trace = replicate_bound_chain(e65_field, e65_nodal, table,
                                   integrals_of(e65_field, e65_nodal, "cos_x"))
     assert trace.ok is False
@@ -526,13 +529,10 @@ def test_chain_names_first_negative_ball_like_per_ball_reference(e65_field, e65_
 
 
 def test_chain_validates_family_geometry(e65_field, e65_nodal, half_scale):
-    fam = build_cover(0.2, seed=0)  # wrong radius for this scale
-    with pytest.raises(ValueError, match="does not match scale radius"):
-        ball_table(e65_field, e65_nodal, half_scale, fam)
     good = build_cover(half_scale(e65_field.spec_lambda), seed=0)
     broken = dataclasses.replace(good, overlap_max=0)
     with pytest.raises(ValueError, match="overlap"):
-        ball_table(e65_field, e65_nodal, half_scale, broken)
+        ball_table(e65_field, e65_nodal, broken)
 
 
 def test_ball_table_matches_per_ball_full_scan(e65_field, e65_nodal, half_scale):
