@@ -13,6 +13,10 @@ once per family.  Each ball's two sums (full cells, then cut cells) are
 np.sum's pairwise reduction over that ball's own cells in row-major window
 order (nodal.ball_sums), so every mass is the same float whatever family
 the ball is measured in.
+
+Callers that only compare masses use CertifiedMasses, which runs
+ball_masses only on the balls whose comparison a certified bracket cannot
+decide, and decides every other ball as the exact floats would.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -49,6 +54,18 @@ class ScaleFunction:
         if lam <= 0.0:
             raise ValueError("scale function needs a positive frequency")
         return float(lam ** (-self.rho))
+
+
+def median(values) -> float:
+    """np.median of a sequence of floats, bit for bit, without np.median's import of numpy.ma.
+
+    NaN if any value is NaN, else np.mean of the middle one or two sorted
+    values (np.mean, unlike (a + b) / 2, turns -0.0 into 0.0).
+    """
+    s = np.sort(np.asarray(values, dtype=float).ravel())
+    if s.size == 0 or np.isnan(s[-1]):
+        return float("nan")
+    return float(np.mean(s[(s.size - 1) // 2:s.size // 2 + 1]))
 
 
 # 4x4 subcell center offsets in units of one grid cell.
@@ -154,14 +171,11 @@ class BallMassReport:
 
     @property
     def median(self) -> float:
-        return float(np.median(self.ratios))
+        return median(self.ratios)
 
     @property
     def count(self) -> int:
         return int(self.ratios.size)
-
-    def in_band_fraction(self, lo: float, hi: float) -> float:
-        return float(np.mean((self.ratios >= lo) & (self.ratios <= hi)))
 
 
 def default_centers(r: float, seed: int = 0) -> np.ndarray:
@@ -231,22 +245,84 @@ def _mass_bounds(field, centers, r: float) -> tuple[np.ndarray, np.ndarray]:
     return lo / (n * n), hi / (n * n)
 
 
-def sse_extremes(field, r: float, seed: int) -> tuple[float, float]:
-    """(d1, d2) of ball_mass_scan(field, r, seed=seed), same floats.
+class CertifiedMasses:
+    """The masses of one family of balls B(c, r), measured only where a decision needs them.
 
-    Measures the balls of lowest lo and highest hi, then every ball whose
-    bounds admit a mass as small or as large: a mass does not depend on its
-    family, and x -> x / (pi r^2) is monotone.
+    lo and hi hold the _mass_bounds bracket of every ball; masses() runs
+    ball_masses on a ball the first time a caller asks for it, and never
+    again.  Correctly rounded division by a positive float is monotone, so
+    fl(lo / v) <= fl(mass / v) <= fl(hi / v), and every decision below is
+    the one the exact floats give.  A bracket whose lower end is <= 0
+    decides nothing.
     """
+
+    def __init__(self, field, centers, r: float):
+        require_resolved_radius(r, field.resolution)
+        self.field = field
+        self.centers = np.asarray(centers, dtype=float).reshape(-1, 2)
+        self.radius = r
+        self.volume = math.pi * r * r
+        self.lo, self.hi = _mass_bounds(field, self.centers, r)
+        self._mass = np.zeros(len(self.centers))
+        self._measured = np.zeros(len(self.centers), dtype=bool)
+
+    def masses(self, which) -> np.ndarray:
+        """ball_masses of the balls selected by which (indices or a mask), each measured once."""
+        idx = np.arange(len(self.centers))[which]
+        todo = np.zeros_like(self._measured)
+        todo[idx] = True
+        todo &= ~self._measured
+        if todo.any():
+            self._mass[todo] = ball_masses(self.field, self.centers[todo], self.radius)
+            self._measured |= todo
+        return self._mass[idx]
+
+    def bracket(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi) per ball, both NaN where lo <= 0, so that band_mask cannot decide there."""
+        unsure = ~(self.lo > 0.0)
+        return np.where(unsure, np.nan, self.lo), np.where(unsure, np.nan, self.hi)
+
+    def ratios_in_band(self, band: tuple[float, float]) -> np.ndarray:
+        """Per ball, whether its mass ratio mass / (pi r^2) lies in band, ends included."""
+        lo, hi = self.bracket()
+        return band_mask(lo / self.volume, hi / self.volume, band,
+                         lambda k: self.masses(k) / self.volume)
+
+    def extreme_ratios(self) -> tuple[float, float]:
+        """(least, greatest) mass ratio of the family, the floats ball_mass_scan reports.
+
+        Measures the balls of lowest lo and highest hi, then every ball whose
+        bracket admits a mass as small or as large; masses are >= 0, so that
+        includes every ball with lo <= 0.
+        """
+        ends = self.masses([np.argmin(self.lo), np.argmax(self.hi)])
+        rest = ((self.lo <= min(ends.min(), self.hi.min()))
+                | (self.hi >= max(ends.max(), self.lo.max())))
+        ratios = np.concatenate([ends, self.masses(rest)]) / self.volume
+        return float(np.min(ratios)), float(np.max(ratios))
+
+
+def band_mask(lo: np.ndarray, hi: np.ndarray, band: tuple[float, float],
+              exact: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Per ball, whether its float x lies in band (ends included), given lo <= x <= hi.
+
+    The bracket decides where it lies wholly inside or wholly outside the
+    band; exact(indices) gives x for the other balls.  A NaN bracket
+    decides nothing.
+    """
+    a, b = band
+    inside = (lo >= a) & (hi <= b)
+    open_ = np.flatnonzero(~inside & ~((hi < a) | (lo > b)))
+    if open_.size:
+        x = exact(open_)
+        inside[open_] = (x >= a) & (x <= b)
+    return inside
+
+
+def sse_extremes(field, r: float, seed: int) -> tuple[float, float]:
+    """(d1, d2) of ball_mass_scan(field, r, seed=seed), the same floats, by CertifiedMasses."""
     require_resolved_radius(r, field.resolution)
-    centers = default_centers(r, seed=seed)
-    lo, hi = _mass_bounds(field, centers, r)
-    first = [np.argmin(lo), np.argmax(hi)]
-    masses = ball_masses(field, centers[first], r)
-    rest = (lo <= min(masses.min(), hi.min())) | (hi >= max(masses.max(), lo.max()))
-    masses = np.concatenate([masses, ball_masses(field, centers[rest], r)])
-    ratios = masses / (math.pi * r * r)
-    return float(np.min(ratios)), float(np.max(ratios))
+    return CertifiedMasses(field, default_centers(r, seed=seed), r).extreme_ratios()
 
 
 def report_to_csv(report: BallMassReport, path: str) -> None:

@@ -61,13 +61,18 @@ def _paint_counts(centers: np.ndarray, r: float, probe: int) -> np.ndarray:
     return canvas[:probe, :probe]
 
 
+def cover_admissible(r: float) -> bool:
+    """Whether build_cover takes radius r: 0 < r < 1/4, where the doubling volume argument embeds."""
+    return 0.0 < r < 0.25
+
+
 def build_cover(r: float, seed: int, probe: int = DEFAULT_PROBE) -> BallFamily:
     """Greedy maximal disjoint family at half radius r/2, doubled to cover.
 
-    Deterministic in (r, seed, probe).  Raises RadiusTooLarge for r >= 1/4,
-    where the doubling volume argument would no longer embed.
+    Deterministic in (r, seed, probe).  Raises RadiusTooLarge unless
+    cover_admissible(r).
     """
-    if not 0.0 < r < 0.25:
+    if not cover_admissible(r):
         raise RadiusTooLarge(f"cover radius must lie in (0, 1/4), got {r!r}")
     if probe < 1:
         raise ValueError(f"probe resolution must be at least 1, got {probe!r}")

@@ -2,7 +2,7 @@
 
 Around a center p the field is compared on the concentric balls of radius
 10*a1/lam and 20*a1/lam: the ball is good when the outer-to-inner mass
-ratio stays below a2.  Good balls are where nodal geometry is controlled;
+ratio stays at most a2.  Good balls are where nodal geometry is controlled;
 each is probed for a sign change of the field on the core ball of radius
 a1/lam, and their nodal lengths assemble into a global lower bound after
 dividing by the covering overlap factor.
@@ -12,16 +12,22 @@ every core ball contained a sign change across a 50-seed ensemble at
 energy 65 (see scripts/calibrate_doubling.py); a2 = 16 is the flat volume
 ratio of the doubled ball.  Both are recorded in every report.  The
 dilated chart v(y) = u(c + r y) of the growth exponents lives in growth.
+
+classify_doubling decides ratio <= a2 from certified mass brackets
+(ballstats.CertifiedMasses), fl(hi_out / lo_in) <= a2 or fl(lo_out / hi_in)
+> a2, and measures by quadrature only the balls in between.  A report's
+ratios are measured when first read, as the doubling command's JSON does.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .ballstats import MIN_CELLS_PER_RADIUS, ball_masses
+from .ballstats import MIN_CELLS_PER_RADIUS, CertifiedMasses, band_mask
 from .covering import OVERLAP_VOLUME_BOUND, build_cover
 from .errors import DivisionByNegligibleMass, RadiusTooLarge, RadiusUnderResolved
 from .nodal import NodalSet, ball_sums, clip_family
@@ -37,17 +43,34 @@ NEGLIGIBLE_MASS = 1e-30
 
 @dataclass(frozen=True)
 class DoublingReport:
-    """Per-center doubling ratios and sign-change flags for one field."""
+    """Per-center doubling classes and sign-change flags for one field.
+
+    inner and outer hold the masses of the balls of radius 10*a1/lam and
+    20*a1/lam around the centers, measured only where a decision needed them.
+    """
 
     a1: float
     a2: float
     lam: float
-    inner_radius: float
-    outer_radius: float
     centers: np.ndarray
-    ratios: np.ndarray
     good: np.ndarray
     has_nodal_point: np.ndarray
+    inner: CertifiedMasses = dataclass_field(repr=False)
+    outer: CertifiedMasses = dataclass_field(repr=False)
+
+    @property
+    def inner_radius(self) -> float:
+        return self.inner.radius
+
+    @property
+    def outer_radius(self) -> float:
+        return self.outer.radius
+
+    @property
+    def ratios(self) -> np.ndarray:
+        """Outer over inner mass of every ball, measured by quadrature when first read."""
+        every = np.arange(self.count)
+        return self.outer.masses(every) / self.inner.masses(every)
 
     @property
     def count(self) -> int:
@@ -122,16 +145,20 @@ def classify_doubling(field, centers, a1: float = DEFAULT_A1,
     r_in = INNER_FACTOR * a1 / lam
     r_core = a1 / lam
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    inner = ball_masses(field, centers, r_in)
-    negligible = np.flatnonzero(inner < NEGLIGIBLE_MASS)
+    inner = CertifiedMasses(field, centers, r_in)
+    outer = CertifiedMasses(field, centers, r_out)
+    # A mass is at least its lower bound, so only balls with lo below the floor can fail.
+    low = np.flatnonzero(inner.lo < NEGLIGIBLE_MASS)
+    negligible = low[inner.masses(low) < NEGLIGIBLE_MASS]
     if negligible.size:
         k = negligible[0]
-        raise DivisionByNegligibleMass(f"inner mass {float(inner[k])!r} at center "
+        raise DivisionByNegligibleMass(f"inner mass {float(inner.masses([k])[0])!r} at center "
                                        f"{tuple(centers[k])} below working precision")
-    ratios = ball_masses(field, centers, r_out) / inner
+    (in_lo, in_hi), (out_lo, out_hi) = inner.bracket(), outer.bracket()
+    good = band_mask(out_lo / in_hi, out_hi / in_lo, (-math.inf, a2),
+                     lambda k: outer.masses(k) / inner.masses(k))
     nodal = sign_changes(field, centers, r_core)
-    good = ratios <= a2
-    return DoublingReport(a1, a2, lam, r_in, r_out, centers, ratios, good, nodal)
+    return DoublingReport(a1, a2, lam, centers, good, nodal, inner, outer)
 
 
 def lower_bound_assembly(report: DoublingReport, nodal: NodalSet) -> dict:

@@ -5,8 +5,8 @@ Runs the full pipeline over an ensemble of random eigenfunctions
 evaluates the comparability checks behind the headline claims, and
 folds everything into a deterministic VerificationReport:
 
-* ball_table             L2 mass ratio and clipped nodal pieces of every
-                         cover ball of one run
+* ball_table             certified L2 masses and clipped nodal pieces of
+                         every cover ball of one run
 * function_integrals     area and nodal line integral of every test
                          function of one run
 * check_yau_scaling      total nodal length vs frequency across energies
@@ -23,6 +23,9 @@ folds everything into a deterministic VerificationReport:
 
 Theorem 1, the band fraction and every test function's chain read the
 same BallTable; none of them clips or integrates over a ball itself.
+Every mass comparison (the theorem-1 inclusion band, the SSE band, the
+control's band and extremes) goes through ballstats.CertifiedMasses, which
+runs the ball quadrature only where a mass bracket cannot decide.
 Theorem 2 and the chains read the same FunctionIntegrals; neither
 integrates f over the torus or the nodal set itself.
 
@@ -43,9 +46,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .ballstats import (BallMassReport, ScaleFunction, ball_mass_scan, require_resolved_radius,
+from .ballstats import (CertifiedMasses, ScaleFunction, median, require_resolved_radius,
                         sse_extremes)
-from .covering import BallFamily, build_cover
+from .covering import BallFamily, build_cover, cover_admissible
 from .doubling import (DEFAULT_A1, DEFAULT_A2, doubling_admissible, doubling_stage,
                        require_doubling_constants, require_resolved_doubling)
 from .eigenbasis import (SampledField, enumerate_modes, is_int, is_number, random_eigenfunction,
@@ -254,14 +257,14 @@ class ExperimentPlan:
             r = scale(lam)
             try:
                 require_sampling_grid(e, n)
-                if r < 0.25:
+                if cover_admissible(r):
                     require_resolved_radius(r, n)
                 if doubling_admissible(lam, self.doubling_a1):
                     require_resolved_doubling(lam, self.doubling_a1, n)
             except (BallTooLarge, RadiusUnderResolved, ResolutionTooCoarse) as exc:
                 raise ValueError(f"{exc} at E={e}") from None
         r_ref = scale(2.0 * math.pi * math.sqrt(max(self.energies)))
-        if self.include_low_energy_control and r_ref >= 0.25:
+        if self.include_low_energy_control and not cover_admissible(r_ref):
             raise ValueError(f"the control's radius, the scale radius {r_ref!r} at "
                              f"E={max(self.energies)}, is not below 1/4; "
                              f"set include_low_energy_control to false")
@@ -335,13 +338,14 @@ class BallTable(NamedTuple):
 
     ball_table clips the whole cover in one clip_family call; theorem 1, the
     band fraction and the bound chain of each test function all read from here.
-    The radius is the cover's, r = family.radius.
+    The radius is the cover's, r = family.radius.  mass holds each ball's
+    certified mass bracket and measures a ball only when a band needs it.
     Ball k's clipped pieces are rows offsets[k]:offsets[k + 1] of piece_len
     and piece_mid; density[k] is its nodal density (lengths[k] / lam) / (pi r^2).
     """
 
     family: BallFamily
-    mass: BallMassReport
+    mass: CertifiedMasses
     piece_len: np.ndarray
     piece_mid: np.ndarray
     offsets: np.ndarray
@@ -352,13 +356,13 @@ class BallTable(NamedTuple):
 
 
 def ball_table(field: SampledField, nodal: NodalSet, family: BallFamily) -> BallTable:
-    """Masses and clipped nodal pieces of every ball B(x, r) of family, r its radius."""
+    """Mass brackets and clipped nodal pieces of every ball B(x, r) of family, r its radius."""
     r = family.radius
     if family.count < 1 or family.overlap_max < 1:
         raise ValueError(
             f"cover family must have at least one ball and overlap >= 1; "
             f"got count={family.count} overlap_max={family.overlap_max}")
-    mass = ball_mass_scan(field, r, centers=family.centers)
+    mass = CertifiedMasses(field, family.centers, r)
     piece_len, piece_mid, offsets = clip_family(nodal, family.centers, r)
     lengths = ball_sums(piece_len, offsets)
     density = (lengths / field.spec_lambda) / (math.pi * r * r)
@@ -378,7 +382,6 @@ class Theorem1Result(NamedTuple):
     e1_hat: float
     e2_hat: float
     ratios: np.ndarray
-    mass_ratios: np.ndarray
     included: int
     excluded: int
 
@@ -392,17 +395,14 @@ def check_theorem_1(table: BallTable, inclusion_band: tuple[float, float] =
     on mass equidistribution at the ball, so off-band balls carry no
     information either way and silently mixing them in would be wrong.
     """
-    mass_ratios = table.mass.ratios
     ratios = table.density
-    lo, hi = inclusion_band
-    keep = (mass_ratios >= lo) & (mass_ratios <= hi)
+    keep = table.mass.ratios_in_band(inclusion_band)
     included = int(np.sum(keep))
     if included:
         e1, e2 = float(np.min(ratios[keep])), float(np.max(ratios[keep]))
     else:
         e1, e2 = float("nan"), float("nan")
-    return Theorem1Result(e1, e2, ratios[keep], mass_ratios,
-                          included, int(mass_ratios.size - included))
+    return Theorem1Result(e1, e2, ratios[keep], included, int(keep.size - included))
 
 
 class Theorem2Result(NamedTuple):
@@ -460,8 +460,7 @@ def check_yau_scaling(yau_by_energy: dict, window: float = DEFAULT_TOLERANCES["y
                              f"E={e} has {len(vals)}")
     all_vals = np.concatenate([np.asarray(v, dtype=float)
                                for v in yau_by_energy.values()])
-    medians = {int(e): float(np.median(np.asarray(v, dtype=float)))
-               for e, v in yau_by_energy.items()}
+    medians = {int(e): median(v) for e, v in yau_by_energy.items()}
     lowest = float(np.min(all_vals))
     overall = float(np.max(all_vals)) / lowest if lowest > 0.0 else None
     med_vals = list(medians.values())
@@ -549,8 +548,8 @@ def replicate_bound_chain(field: SampledField, nodal: NodalSet, table: BallTable
     """
     tf, integral_f, total_integral = integrals
     lam = field.spec_lambda
-    r = table.mass.radius
     fam = table.family
+    r = fam.radius
     vol = math.pi * r * r
     n_balls = fam.count
     overlap = fam.overlap_max
@@ -742,8 +741,9 @@ def run_single(plan: ExperimentPlan, energy: int, seed: int) -> RunResult:
     r = plan.scale()(lam)
     flags: list[str] = []
 
-    degenerate = r >= 0.25 or len(spec.modes) < 8
-    if r >= 0.25:
+    too_large = not cover_admissible(r)
+    degenerate = too_large or len(spec.modes) < 8
+    if too_large:
         flags.append("scale_radius_exceeds_quarter")
     if len(spec.modes) < 8:
         flags.append("too_few_modes_for_ensemble_statistics")
@@ -763,7 +763,7 @@ def run_single(plan: ExperimentPlan, energy: int, seed: int) -> RunResult:
     table = ball_table(field, nodal, fam)
     tol = plan.tolerances
     t1 = check_theorem_1(table, inclusion_band=tol["theorem1_inclusion_band"])
-    sse_fraction = table.mass.in_band_fraction(*tol["sse_band"])
+    sse_fraction = float(np.mean(table.mass.ratios_in_band(tol["sse_band"])))
     integrals = function_integrals(field, nodal, resolve_test_functions(plan.test_functions))
     t2 = check_theorem_2(field, integrals)
 
@@ -819,15 +819,16 @@ def control_run(plan: ExperimentPlan) -> dict:
     n = max(plan.grid_for(1), math.ceil(24.0 / r_ref))
     field = sample_grid(spec, n)
     fam = build_cover(r_ref, _stage_seed(plan, 1, 0, 4))
-    scan = ball_mass_scan(field, r_ref, centers=fam.centers)
-    fraction = scan.in_band_fraction(*plan.tolerances["sse_band"])
+    masses = CertifiedMasses(field, fam.centers, r_ref)
+    fraction = float(np.mean(masses.ratios_in_band(plan.tolerances["sse_band"])))
+    d1, d2 = masses.extreme_ratios()
     return {
         "energy": 1,
         "grid": n,
         "radius_ref": r_ref,
-        "ball_count": scan.count,
-        "d1": scan.d1,
-        "d2": scan.d2,
+        "ball_count": fam.count,
+        "d1": d1,
+        "d2": d2,
         "in_band_fraction": fraction,
         "passes_band_gate": fraction >= plan.tolerances["sse_min_fraction"],
     }
@@ -901,7 +902,7 @@ def _aggregate(plan: ExperimentPlan, runs: list[RunResult]) -> dict:
             if vals:
                 arr = np.asarray(vals, dtype=float)
                 stats[name] = {"min": float(np.min(arr)),
-                               "median": float(np.median(arr)),
+                               "median": median(arr),
                                "max": float(np.max(arr)),
                                "count": int(arr.size)}
         out[str(e)] = stats
@@ -941,7 +942,7 @@ def _verdicts(plan: ExperimentPlan, runs: list[RunResult],
     top_runs = [r for r in live if r.energy == top]
     yau = {e: vals for e in plan.energies
            if (vals := [r.yau_ratio for r in live if r.energy == e])}
-    c9 = {str(e): float(np.median(vals)) for e in plan.energies
+    c9 = {str(e): median(vals) for e in plan.energies
           if (vals := [r.c9_hat for r in live if r.energy == e and r.c9_hat is not None])}
     c9_ratio = max(c9.values()) / min(c9.values()) if c9 and min(c9.values()) > 0.0 else None
     # A test function with area mass but no nodal mass gives c1 = 0: no finite spread.

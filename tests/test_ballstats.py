@@ -5,16 +5,18 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from torusnodal import ballstats
 from torusnodal.ballstats import (
+    CertifiedMasses,
     ScaleFunction,
     _mass_bounds,
     ball_mass_scan,
     ball_masses,
     default_centers,
     mass_in_ball,
+    median,
     report_summary_json,
     report_to_csv,
     sse_extremes,
@@ -164,6 +166,68 @@ def test_mass_bounds_on_a_single_cell_field():
     assert np.any(full) and np.any(empty) and np.any(~full & ~empty)
 
 
+@pytest.mark.parametrize("energy", [65, 325, 1105])
+def test_mass_bounds_bracket_the_doubling_and_quarter_radii(energy):
+    # The doubling radii 10 a1 / lam and 20 a1 / lam wherever they are admissible
+    # and resolved, and a radius just below the cover's limit 1/4.
+    n = max(256, 16 * math.ceil(math.sqrt(energy)))
+    field = sample_grid(random_eigenfunction(energy, 0), n)
+    lam = field.spec_lambda
+    radii = [np.nextafter(0.25, 0.0)]
+    for a1 in (0.5, 1.0, 2.5):
+        r_in, r_out = INNER_FACTOR * a1 / lam, OUTER_FACTOR * a1 / lam
+        if r_out < 0.25 and r_in * n >= 20.0:
+            radii += [r_in, r_out]
+    assert len(radii) > 1
+    for r in radii:
+        centers = np.vstack([build_cover(r / 2.0, 1).centers, SEAM_CENTERS])
+        masses = ball_masses(field, centers, r)
+        lo, hi = _mass_bounds(field, centers, r)
+        assert np.all(lo <= masses) and np.all(masses <= hi), r
+
+
+def test_band_decisions_equal_the_exact_ones_at_observed_edges(monkeypatch, e65_field,
+                                                               half_scale):
+    r = half_scale(e65_field.spec_lambda)
+    centers = build_cover(r, 0).centers
+    exact = ball_masses(e65_field, centers, r) / (math.pi * r * r)
+    measured = []
+    real = ballstats.ball_masses
+
+    def counting(field, centers, r):
+        measured.append(len(centers))
+        return real(field, centers, r)
+
+    monkeypatch.setattr(ballstats, "ball_masses", counting)
+    for x in (exact.min(), exact.max(), exact[len(exact) // 2]):
+        below, above = np.nextafter(x, -np.inf), np.nextafter(x, np.inf)
+        for band in ((x, 10.0), (0.1, x), (above, 10.0), (0.1, below)):
+            measured.clear()
+            got = CertifiedMasses(e65_field, centers, r).ratios_in_band(band)
+            assert np.array_equal(got, (exact >= band[0]) & (exact <= band[1])), band
+            # The ball on the edge forces the quadrature; most balls need none.
+            assert 0 < sum(measured) < len(centers) / 2, band
+
+
+@settings(max_examples=150)
+@example([-0.0])
+@example([-0.0, -0.0])
+@example([0.0, -0.0, -0.0])
+@example([-0.0, 0.0])
+@example([5e-324, -5e-324])
+@example([1.0, math.nan, 2.0])
+@example([3.0, 1.0, 2.0, 2.0])
+@given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                           1.0, -1.0, math.nan]),
+                          st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300,
+                                    max_value=1e300)),
+                min_size=1, max_size=12))
+def test_median_is_np_median_bit_for_bit(values):
+    want, got = np.median(np.array(values)), median(values)
+    assert math.isnan(want) == math.isnan(got)
+    assert math.isnan(got) or np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 def test_sse_extremes_on_tied_masses():
     n = 256
     flat = dataclasses.replace(sample_grid(constant_spec(), n), spec_lambda=2.0 * math.pi * 5.0)
@@ -221,8 +285,10 @@ def test_report_order_statistics(e65_field, half_scale):
     assert report.d1 == float(np.min(report.ratios))
     assert report.d2 == float(np.max(report.ratios))
     assert np.all(report.masses >= 0.0)
-    inside = report.in_band_fraction(report.d1, report.d2)
-    assert inside == 1.0
+    # A band whose ends are the exact extremes holds every ball, and the
+    # bracket cannot decide the two balls on its ends.
+    masses = CertifiedMasses(e65_field, report.centers, report.radius)
+    assert masses.ratios_in_band((report.d1, report.d2)).all()
 
 
 def test_sse_scan_regression(e65_field, half_scale):

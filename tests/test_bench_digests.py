@@ -20,7 +20,7 @@ def passrun():
     return module
 
 
-@pytest.mark.parametrize("name", ["desk", "low", "tour"])
+@pytest.mark.parametrize("name", ["desk", "desk-2w", "low", "tour"])
 def test_benchmark_pass_reproduces_the_committed_digests(passrun, name, tmp_path, monkeypatch):
     # Every output byte of a seed-0 benchmark pass is frozen in
     # perfbench/digests.json; a kernel change that moves one float fails here.

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from torusnodal import cli, doubling, harness
+from torusnodal import ballstats, cli, doubling, harness
 from torusnodal.cli import main
 from torusnodal.covering import build_cover
 from torusnodal.eigenbasis import (constant_spec, random_eigenfunction, sample_grid, sine_mode_spec,
@@ -203,7 +203,15 @@ def test_cover_rejects_empty_probe_lattice(tmp_path, capsys):
 # ---------------------------------------------------------------- doubling
 
 
-def test_doubling_command(tmp_path, capsys):
+def test_doubling_command(tmp_path, capsys, monkeypatch):
+    measured = {}
+    real = ballstats.ball_masses
+
+    def counting(field, centers, r):
+        measured[r] = measured.get(r, 0) + len(centers)
+        return real(field, centers, r)
+
+    monkeypatch.setattr(ballstats, "ball_masses", counting)
     assert main(
         ["doubling", "--energy", "65", "--seed", "7", "--a1", "0.5",
          "--out", str(tmp_path)]
@@ -212,6 +220,8 @@ def test_doubling_command(tmp_path, capsys):
     assert "good_fraction=" in out
     blob = json.loads(next(tmp_path.glob("doubling_*.json")).read_text())
     assert blob["a1"] == 0.5
+    # The JSON's ratios are exact: every ball is measured at both radii, once.
+    assert measured == {blob["inner_radius"]: blob["count"], blob["outer_radius"]: blob["count"]}
 
 
 def no_sampling(*args, **kwargs):
@@ -322,6 +332,19 @@ def test_verify_tiny_plan(tmp_path, capsys):
     report = json.loads((out_dir / "report.json").read_text())
     assert report["plan"]["energies"] == [65]
     assert (out_dir / "runs.csv").read_text().startswith("energy,seed,")
+
+
+def test_verify_leaves_numpy_ma_unimported(tmp_path):
+    # np.median and np.unique import numpy.ma on first use, about 13 ms in a
+    # fresh process; verify uses neither.
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({"energies": [1105], "seeds_per_energy": 1}))
+    code = ("import sys; from torusnodal.cli import main; "
+            f"code = main(['verify', '--plan', {str(plan_path)!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}]); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
 
 
 def test_verify_svg_plan_writes_run_images(tmp_path, monkeypatch):

@@ -1,10 +1,9 @@
-import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from torusnodal import harness
+from torusnodal import ballstats, harness
 from torusnodal.covering import build_cover
 from torusnodal.doubling import (
     DEFAULT_A1,
@@ -77,6 +76,41 @@ def test_doubling_names_first_center_with_vanishing_inner_mass():
         classify_doubling(field, centers, a1=0.5)
     assert str(err.value) == (f"inner mass 0.0 at center {tuple(centers[1])} "
                               f"below working precision")
+
+
+def test_doubling_decisions_equal_the_exact_ones_at_observed_ratios(monkeypatch, e65_field):
+    r_out = 20 * 0.5 / e65_field.spec_lambda
+    centers = build_cover(r_out / 2.0, seed=11).centers
+    ratios = classify_doubling(e65_field, centers, a1=0.5).ratios
+    measured = []
+    real = ballstats.ball_masses
+
+    def counting(field, centers, r):
+        measured.append(len(centers))
+        return real(field, centers, r)
+
+    monkeypatch.setattr(ballstats, "ball_masses", counting)
+    for x in (ratios.min(), ratios.max(), np.median(ratios)):
+        for a2 in (x, np.nextafter(x, -np.inf)):
+            measured.clear()
+            report = classify_doubling(e65_field, centers, a1=0.5, a2=a2)
+            assert np.array_equal(report.good, ratios <= a2), a2
+            # The ball whose ratio is a2 forces the quadrature at both radii; most need none.
+            assert 0 < sum(measured) < len(centers), a2
+
+
+def test_a_bracket_reaching_zero_decides_no_doubling_ratio():
+    # Around x = 0.35 the inner ball (radius 0.1) sees only the faint half, whose
+    # mass lies below the bracket's slack, while the outer ball (radius 0.2)
+    # reaches the bright half.  The quotient of brackets, taken over a lower
+    # end <= 0, would call the ball good.
+    n = 256
+    values = np.ones((n, n))
+    values[: n // 2] = 1e-6
+    field = SampledField(resolution=n, values=values, spec_lambda=50.0, spec=None)
+    report = classify_doubling(field, np.array([[0.35, 0.5], [0.75, 0.5]]), a1=0.5)
+    assert report.inner.lo[0] <= 0.0 < report.inner.masses([0])[0]
+    assert report.good.tolist() == (report.ratios <= DEFAULT_A2).tolist() == [False, True]
 
 
 def test_sign_change_detection_tracks_distance_to_zero_line():
@@ -178,6 +212,11 @@ def inline_doubling_stage(field, nodal, a1, a2, seed):
     return report, lower_bound_assembly(report, nodal)
 
 
+# Every value of a DoublingReport that the doubling command's JSON or verify reads.
+REPORT_VALUES = ("a1", "a2", "lam", "inner_radius", "outer_radius", "centers", "ratios", "good",
+                 "has_nodal_point")
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_doubling_stage_matches_the_inline_wiring(seed):
     plan = ExperimentPlan(energies=(1105,), seeds_per_energy=3)
@@ -190,9 +229,9 @@ def test_doubling_stage_matches_the_inline_wiring(seed):
     for a2 in (DEFAULT_A2, 4.0):
         report, assembly = doubling_stage(field, nodal, DEFAULT_A1, a2, stage_seed)
         want_report, want = inline_doubling_stage(field, nodal, DEFAULT_A1, a2, stage_seed)
-        for f in dataclasses.fields(report):
-            got_value, want_value = getattr(report, f.name), getattr(want_report, f.name)
-            assert np.asarray(got_value).tobytes() == np.asarray(want_value).tobytes(), f.name
+        for name in REPORT_VALUES:
+            got_value, want_value = getattr(report, name), getattr(want_report, name)
+            assert np.asarray(got_value).tobytes() == np.asarray(want_value).tobytes(), name
         assert assembly.keys() == want.keys()
         for key in assembly:
             assert np.asarray(assembly[key]).tobytes() == np.asarray(want[key]).tobytes(), key

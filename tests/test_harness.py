@@ -20,7 +20,7 @@ from torusnodal.errors import (
 from torusnodal.eigenbasis import (random_eigenfunction, require_sampling_grid, sample_grid,
                                    sine_mode_spec)
 from torusnodal.nodal import clip_to_ball, extract_nodal
-from torusnodal import harness
+from torusnodal import ballstats, harness
 from torusnodal.harness import (
     TEST_FUNCTIONS,
     ExperimentPlan,
@@ -47,6 +47,8 @@ from torusnodal.harness import (
 )
 
 from test_nodal import full_scan_clip
+
+DESK_PLAN = __file__.rsplit("/", 1)[0] + "/../plans/desk.json"
 
 BASELINE = json.loads(
     open(__file__.rsplit("/", 1)[0] + "/baselines/fixture_e65_seed7.json").read()
@@ -291,7 +293,8 @@ def test_theorem1_single_mode_closed_form():
     from torusnodal.nodal import extract_nodal
 
     nodal = extract_nodal(field)
-    t1 = check_theorem_1(single_ball_table(field, nodal, ScaleFunction(0.5), (0.5, 0.3)))
+    table = single_ball_table(field, nodal, ScaleFunction(0.5), (0.5, 0.3))
+    t1 = check_theorem_1(table)
     expect = 4.0 * (2 * math.pi) ** -1.5
     assert t1.e1_hat == pytest.approx(expect, rel=1e-9)
     assert t1.e2_hat == pytest.approx(expect, rel=1e-9)
@@ -302,7 +305,7 @@ def test_theorem1_single_mode_closed_form():
     r = ScaleFunction(0.5)(field.spec_lambda)
     arg = 4 * math.pi * r
     want_mass = float(1 - 2 * mpmath.besselj(1, arg) / arg)
-    assert t1.mass_ratios[0] == pytest.approx(want_mass, rel=1e-3)
+    assert table.mass.masses([0])[0] / table.mass.volume == pytest.approx(want_mass, rel=1e-3)
 
 
 def test_theorem1_exclusion_band():
@@ -560,6 +563,37 @@ def test_run_single_clips_the_cover_in_one_family_call(monkeypatch):
     run = run_single(ExperimentPlan(energies=(65,)), 65, 7)
     assert run.cover_count == 37
     assert calls == [run.cover_count]
+
+
+def test_run_single_decides_desk_doubling_and_bands_without_quadrature(monkeypatch):
+    # Only sse_extremes, which needs the extreme masses as floats, measures
+    # balls by quadrature on the desk plan's E=1105 fields.
+    plan = plan_from_json(open(DESK_PLAN).read())
+    measured = {"sse": 0, "other": []}
+    in_sse = []
+    real_masses, real_sse = ballstats.ball_masses, harness.sse_extremes
+
+    def counting(field, centers, r):
+        if in_sse:
+            measured["sse"] += len(centers)
+        else:
+            measured["other"].append((r, len(centers)))
+        return real_masses(field, centers, r)
+
+    def flagged(*args):
+        in_sse.append(True)
+        try:
+            return real_sse(*args)
+        finally:
+            in_sse.pop()
+
+    monkeypatch.setattr(ballstats, "ball_masses", counting)
+    monkeypatch.setattr(harness, "sse_extremes", flagged)
+    for seed in range(plan.seeds_per_energy):
+        run = run_single(plan, 1105, seed)
+        assert run.good_count is not None and run.t1_included == run.cover_count
+    assert measured["sse"] > 0
+    assert measured["other"] == []
 
 
 def test_run_single_integrates_each_function_once(monkeypatch):
