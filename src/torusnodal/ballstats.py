@@ -14,13 +14,15 @@ np.sum's pairwise reduction over that ball's own cells in row-major window
 order (nodal.ball_sums), so every mass is the same float whatever family
 the ball is measured in.
 
-Callers that only compare masses use CertifiedMasses, which runs
-ball_masses only on the balls whose comparison a certified bracket cannot
-decide, and decides every other ball as the exact floats would.
+CertifiedMasses holds the masses of a family of balls and measures each one
+at most once, where a decision's certified bracket cannot decide or a
+caller reads it.  sse_scan(field, r, seed) is the one scan: the balls
+B(c, r) over default_centers(r, seed).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -150,34 +152,6 @@ def mass_in_ball(field, center, r: float) -> float:
     return float(ball_masses(field, [center], r)[0])
 
 
-@dataclass(frozen=True)
-class BallMassReport:
-    """Mass ratios of one field over a family of equal-radius balls."""
-
-    lam: float
-    rho: float
-    radius: float
-    centers: np.ndarray
-    masses: np.ndarray
-    ratios: np.ndarray
-
-    @property
-    def d1(self) -> float:
-        return float(np.min(self.ratios))
-
-    @property
-    def d2(self) -> float:
-        return float(np.max(self.ratios))
-
-    @property
-    def median(self) -> float:
-        return median(self.ratios)
-
-    @property
-    def count(self) -> int:
-        return int(self.ratios.size)
-
-
 def default_centers(r: float, seed: int = 0) -> np.ndarray:
     """Uniform lattice at spacing <= r/2 joined with 100 seeded random centers."""
     m = math.ceil(2.0 / r)
@@ -188,22 +162,11 @@ def default_centers(r: float, seed: int = 0) -> np.ndarray:
     return np.vstack([lattice, extra])
 
 
-def ball_mass_scan(field, radius: float, centers: np.ndarray | None = None,
-                   rho: float = float("nan"), seed: int = 0) -> BallMassReport:
-    """Measure ball masses at a fixed radius over a center family."""
-    # Before default_centers, whose lattice has (2 / radius)^2 points.
-    require_resolved_radius(radius, field.resolution)
-    if centers is None:
-        centers = default_centers(radius, seed=seed)
-    centers = np.asarray(centers, dtype=float)
-    masses = ball_masses(field, centers, radius)
-    vol = math.pi * radius * radius
-    return BallMassReport(field.spec_lambda, rho, radius, centers, masses, masses / vol)
-
-
-def sse_scan(field, scale: ScaleFunction, seed: int = 0) -> BallMassReport:
-    """Small-scale equidistribution scan at the field's own scale r(lam)."""
-    return ball_mass_scan(field, scale(field.spec_lambda), rho=scale.rho, seed=seed)
+def sse_scan(field, r: float, seed: int = 0) -> CertifiedMasses:
+    """The small-scale equidistribution family: B(c, r) for c in default_centers(r, seed)."""
+    # Before default_centers, whose lattice has (2 / r)^2 points.
+    require_resolved_radius(r, field.resolution)
+    return CertifiedMasses(field, default_centers(r, seed=seed), r)
 
 
 def _mass_bounds(field, centers, r: float) -> tuple[np.ndarray, np.ndarray]:
@@ -248,12 +211,12 @@ def _mass_bounds(field, centers, r: float) -> tuple[np.ndarray, np.ndarray]:
 class CertifiedMasses:
     """The masses of one family of balls B(c, r), measured only where a decision needs them.
 
-    lo and hi hold the _mass_bounds bracket of every ball; masses() runs
-    ball_masses on a ball the first time a caller asks for it, and never
-    again.  Correctly rounded division by a positive float is monotone, so
-    fl(lo / v) <= fl(mass / v) <= fl(hi / v), and every decision below is
-    the one the exact floats give.  A bracket whose lower end is <= 0
-    decides nothing.
+    lo and hi are the _mass_bounds bracket of every ball, built when a
+    decision first reads them; masses() runs ball_masses on a ball the first
+    time a caller asks for it, and never again.  Correctly rounded division
+    by a positive float is monotone, so fl(lo / v) <= fl(mass / v) <=
+    fl(hi / v), and every decision below is the one the exact floats give.
+    A bracket whose lower end is <= 0 decides nothing.
     """
 
     def __init__(self, field, centers, r: float):
@@ -262,12 +225,18 @@ class CertifiedMasses:
         self.centers = np.asarray(centers, dtype=float).reshape(-1, 2)
         self.radius = r
         self.volume = math.pi * r * r
-        self.lo, self.hi = _mass_bounds(field, self.centers, r)
         self._mass = np.zeros(len(self.centers))
         self._measured = np.zeros(len(self.centers), dtype=bool)
 
-    def masses(self, which) -> np.ndarray:
-        """ball_masses of the balls selected by which (indices or a mask), each measured once."""
+    @functools.cached_property
+    def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        return _mass_bounds(self.field, self.centers, self.radius)
+
+    lo = property(lambda self: self._bounds[0])
+    hi = property(lambda self: self._bounds[1])
+
+    def masses(self, which=slice(None)) -> np.ndarray:
+        """ball_masses of the balls which selects (all by default), each measured only once."""
         idx = np.arange(len(self.centers))[which]
         todo = np.zeros_like(self._measured)
         todo[idx] = True
@@ -289,7 +258,7 @@ class CertifiedMasses:
                          lambda k: self.masses(k) / self.volume)
 
     def extreme_ratios(self) -> tuple[float, float]:
-        """(least, greatest) mass ratio of the family, the floats ball_mass_scan reports.
+        """(least, greatest) mass ratio of the family: the min and max of masses() / volume.
 
         Measures the balls of lowest lo and highest hi, then every ball whose
         bracket admits a mass as small or as large; masses are >= 0, so that
@@ -319,26 +288,17 @@ def band_mask(lo: np.ndarray, hi: np.ndarray, band: tuple[float, float],
     return inside
 
 
-def sse_extremes(field, r: float, seed: int) -> tuple[float, float]:
-    """(d1, d2) of ball_mass_scan(field, r, seed=seed), the same floats, by CertifiedMasses."""
-    require_resolved_radius(r, field.resolution)
-    return CertifiedMasses(field, default_centers(r, seed=seed), r).extreme_ratios()
-
-
-def report_to_csv(report: BallMassReport, path: str) -> None:
+def report_to_csv(family: CertifiedMasses, path: str) -> None:
+    masses = family.masses()
     write_float_csv(path, "center_x,center_y,radius,mass,ratio",
-                    (report.centers, np.full(report.count, float(report.radius)),
-                     report.masses, report.ratios))
+                    (family.centers, np.full(masses.size, float(family.radius)), masses,
+                     masses / family.volume))
 
 
-def report_summary_json(report: BallMassReport) -> str:
-    obj = {
-        "lambda": report.lam,
-        "rho": None if math.isnan(report.rho) else report.rho,
-        "radius": report.radius,
-        "d1": report.d1,
-        "d2": report.d2,
-        "median": report.median,
-        "count": report.count,
-    }
+def report_summary_json(family: CertifiedMasses, rho: float | None) -> str:
+    """The ballstats summary over every ball; rho is None for a fixed radius."""
+    ratios = family.masses() / family.volume
+    obj = {"lambda": family.field.spec_lambda, "rho": rho, "radius": family.radius,
+           "d1": float(np.min(ratios)), "d2": float(np.max(ratios)), "median": median(ratios),
+           "count": int(ratios.size)}
     return json.dumps(obj, sort_keys=True)

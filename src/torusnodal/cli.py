@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .ballstats import ScaleFunction, ball_mass_scan, report_summary_json, report_to_csv, sse_scan
+from .ballstats import ScaleFunction, report_summary_json, report_to_csv, sse_scan
 from .covering import build_cover, family_to_csv, family_to_json
 from .doubling import (DEFAULT_A1, DEFAULT_A2, doubling_stage, report_to_json as doubling_json,
                        require_doubling_constants, require_resolved_doubling)
@@ -98,17 +98,15 @@ def cmd_nodal(args) -> int:
 
 def cmd_ballstats(args) -> int:
     spec, stem, n = _spec_and_grid(args)
-    if args.radius is not None:
-        report = ball_mass_scan(sample_grid(spec, n), args.radius, seed=args.seed)
-    else:
-        scale = ScaleFunction(args.rho)
-        scale(spec.lam)  # rejects lam = 0 before sampling
-        report = sse_scan(sample_grid(spec, n), scale, seed=args.seed)
+    rho = None if args.radius is not None else args.rho
+    # The scale rule rejects lam = 0 before sampling.
+    r = args.radius if rho is None else ScaleFunction(rho)(spec.lam)
+    family = sse_scan(sample_grid(spec, n), r, seed=args.seed)
     out = _ensure_out(args.out)
     path = os.path.join(out, f"ballstats_{stem}.csv")
-    report_to_csv(report, path)
+    report_to_csv(family, path)
     print(f"[ballstats] wrote {path}")
-    print(f"[ballstats] {report_summary_json(report)}")
+    print(f"[ballstats] {report_summary_json(family, rho)}")
     return 0
 
 

@@ -69,8 +69,7 @@ class DoublingReport:
     @property
     def ratios(self) -> np.ndarray:
         """Outer over inner mass of every ball, measured by quadrature when first read."""
-        every = np.arange(self.count)
-        return self.outer.masses(every) / self.inner.masses(every)
+        return self.outer.masses() / self.inner.masses()
 
     @property
     def count(self) -> int:
@@ -124,9 +123,9 @@ def require_resolved_doubling(lam: float, a1: float, n: int) -> None:
     """Raise unless lam > 0, the outer radius lies below 1/4 and the inner one is resolved.
 
     The inner radius 10*a1/lam must span MIN_CELLS_PER_RADIUS cells of the
-    n-point grid.  classify_doubling rejects all three too, but only after
-    doubling_stage has built its cover, whose candidate lattice does not fit
-    in memory for a tiny a1, so callers check here first.
+    n-point grid.  doubling_stage checks this before it builds its cover,
+    whose candidate lattice does not fit in memory for a tiny a1; the
+    doubling command and plan validation check it before sampling a field.
     """
     _outer_radius(lam, a1)
     r_in = INNER_FACTOR * a1 / lam
@@ -187,6 +186,8 @@ def lower_bound_assembly(report: DoublingReport, nodal: NodalSet) -> dict:
 def doubling_stage(field, nodal: NodalSet, a1: float, a2: float,
                    seed: int) -> tuple[DoublingReport, dict]:
     """Classify the cover at half the outer radius, drawn from seed, and assemble its bound."""
+    require_doubling_constants(a1, a2)
+    require_resolved_doubling(field.spec_lambda, a1, field.resolution)
     family = build_cover(_outer_radius(field.spec_lambda, a1) / 2.0, seed)
     report = classify_doubling(field, family.centers, a1=a1, a2=a2)
     return report, lower_bound_assembly(report, nodal)

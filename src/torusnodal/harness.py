@@ -23,9 +23,9 @@ folds everything into a deterministic VerificationReport:
 
 Theorem 1, the band fraction and every test function's chain read the
 same BallTable; none of them clips or integrates over a ball itself.
-Every mass comparison (the theorem-1 inclusion band, the SSE band, the
-control's band and extremes) goes through ballstats.CertifiedMasses, which
-runs the ball quadrature only where a mass bracket cannot decide.
+Every mass comparison (the SSE extremes and band, the theorem-1 inclusion
+band, the control's band and extremes) goes through ballstats.CertifiedMasses,
+which runs the ball quadrature only where a mass bracket cannot decide.
 Theorem 2 and the chains read the same FunctionIntegrals; neither
 integrates f over the torus or the nodal set itself.
 
@@ -46,8 +46,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .ballstats import (CertifiedMasses, ScaleFunction, median, require_resolved_radius,
-                        sse_extremes)
+from .ballstats import CertifiedMasses, ScaleFunction, median, require_resolved_radius, sse_scan
 from .covering import BallFamily, build_cover, cover_admissible
 from .doubling import (DEFAULT_A1, DEFAULT_A2, doubling_admissible, doubling_stage,
                        require_doubling_constants, require_resolved_doubling)
@@ -758,7 +757,7 @@ def run_single(plan: ExperimentPlan, energy: int, seed: int) -> RunResult:
         return RunResult(**base, flags=tuple(flags),
                          svg=render_svg(nodal) if plan.svg else None)
 
-    d1, d2 = sse_extremes(field, r, _stage_seed(plan, energy, seed, 1))
+    d1, d2 = sse_scan(field, r, _stage_seed(plan, energy, seed, 1)).extreme_ratios()
     fam = build_cover(r, _stage_seed(plan, energy, seed, 2))
     table = ball_table(field, nodal, fam)
     tol = plan.tolerances

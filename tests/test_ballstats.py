@@ -12,14 +12,12 @@ from torusnodal.ballstats import (
     CertifiedMasses,
     ScaleFunction,
     _mass_bounds,
-    ball_mass_scan,
     ball_masses,
     default_centers,
     mass_in_ball,
     median,
     report_summary_json,
     report_to_csv,
-    sse_extremes,
     sse_scan,
 )
 from torusnodal.covering import build_cover
@@ -129,21 +127,29 @@ SEAM_CENTERS = [[0.0, 0.0], [1.0 - 1e-12, 1.0 - 1e-12], [0.0, 0.5], [0.5, 0.0],
                 [1.0 - 1e-12, 0.3], [0.3, 1.0 - 1e-12]]
 
 
+def full_scan_ratios(field, r: float, seed: int) -> np.ndarray:
+    """The reference scan: every ball over default_centers(r, seed) measured, over pi r^2."""
+    return ball_masses(field, default_centers(r, seed), r) / (math.pi * r * r)
+
+
+def full_scan_extremes(field, r: float, seed: int) -> tuple[float, float]:
+    ratios = full_scan_ratios(field, r, seed)
+    return float(np.min(ratios)), float(np.max(ratios))
+
+
 @pytest.mark.parametrize("energy", [25, 65, 325, 1105])
 def test_sse_extremes_match_sse_scan_within_certified_bounds(energy):
     n = max(256, 16 * math.ceil(math.sqrt(energy)))
     for seed in (0, 1, 2):
         field = sample_grid(random_eigenfunction(energy, seed), n)
-        lam = field.spec_lambda
-        r_min, r_max = 20.0 / n, lam ** -0.5
+        r_min, r_max = 20.0 / n, field.spec_lambda ** -0.5
         for r in (r_min * (1.0 + 1e-9), math.sqrt(r_min * r_max), r_max):
-            scale = ScaleFunction(-math.log(r) / math.log(lam))
-            report = sse_scan(field, scale, seed=seed + 10)
-            centers = np.vstack([report.centers, SEAM_CENTERS, [[0.5 / n, 0.25]]])
-            masses = ball_masses(field, centers, report.radius)
-            lo, hi = _mass_bounds(field, centers, report.radius)
+            centers = np.vstack([default_centers(r, seed + 10), SEAM_CENTERS, [[0.5 / n, 0.25]]])
+            masses = ball_masses(field, centers, r)
+            lo, hi = _mass_bounds(field, centers, r)
             assert np.all(lo <= masses) and np.all(masses <= hi), r
-            assert sse_extremes(field, report.radius, seed + 10) == (report.d1, report.d2), r
+            got = sse_scan(field, r, seed + 10).extreme_ratios()
+            assert got == full_scan_extremes(field, r, seed + 10), r
 
 
 def test_mass_bounds_on_a_single_cell_field():
@@ -232,14 +238,14 @@ def test_sse_extremes_on_tied_masses():
     n = 256
     flat = dataclasses.replace(sample_grid(constant_spec(), n), spec_lambda=2.0 * math.pi * 5.0)
     for field in (flat, sample_grid(sine_mode_spec(1), n)):
+        r = ScaleFunction(0.5)(field.spec_lambda)
         for seed in (0, 3):
-            report = sse_scan(field, ScaleFunction(0.5), seed=seed)
-            assert sse_extremes(field, report.radius, seed) == (report.d1, report.d2)
+            assert sse_scan(field, r, seed).extreme_ratios() == full_scan_extremes(field, r, seed)
 
 
 def test_sse_extremes_measures_few_balls(monkeypatch, e65_field, half_scale):
-    report = sse_scan(e65_field, half_scale, seed=0)
-    assert report.count == 325
+    r = half_scale(e65_field.spec_lambda)
+    want = full_scan_extremes(e65_field, r, 0)
     measured = []
     real = ballstats.ball_masses
 
@@ -248,8 +254,10 @@ def test_sse_extremes_measures_few_balls(monkeypatch, e65_field, half_scale):
         return real(field, centers, r)
 
     monkeypatch.setattr(ballstats, "ball_masses", counting)
-    assert sse_extremes(e65_field, report.radius, 0) == (report.d1, report.d2)
-    assert sum(measured) < report.count / 3
+    family = sse_scan(e65_field, r, 0)
+    assert len(family.centers) == 325
+    assert family.extreme_ratios() == want
+    assert sum(measured) < len(family.centers) / 3
 
 
 def test_mass_rejects_bad_radii(e65_field):
@@ -279,48 +287,46 @@ def test_default_centers_layout():
 
 
 def test_report_order_statistics(e65_field, half_scale):
-    report = sse_scan(e65_field, half_scale, seed=0)
-    assert report.count == len(report.masses) == len(report.ratios)
-    assert report.d1 <= report.median <= report.d2
-    assert report.d1 == float(np.min(report.ratios))
-    assert report.d2 == float(np.max(report.ratios))
-    assert np.all(report.masses >= 0.0)
+    r = half_scale(e65_field.spec_lambda)
+    family = sse_scan(e65_field, r, 0)
+    masses = family.masses()
+    ratios = masses / family.volume
+    assert np.array_equal(ratios, full_scan_ratios(e65_field, r, 0))
+    d1, d2 = float(np.min(ratios)), float(np.max(ratios))
+    assert d1 <= median(ratios) <= d2
+    assert family.extreme_ratios() == (d1, d2)
+    assert np.all(masses >= 0.0)
     # A band whose ends are the exact extremes holds every ball, and the
     # bracket cannot decide the two balls on its ends.
-    masses = CertifiedMasses(e65_field, report.centers, report.radius)
-    assert masses.ratios_in_band((report.d1, report.d2)).all()
+    assert sse_scan(e65_field, r, 0).ratios_in_band((d1, d2)).all()
 
 
 def test_sse_scan_regression(e65_field, half_scale):
     frozen = BASELINE["sse"]
-    report = sse_scan(e65_field, half_scale, seed=0)
-    assert report.count == frozen["count"]
-    assert report.radius == pytest.approx(frozen["radius"], rel=1e-12)
-    assert report.d1 == pytest.approx(frozen["d1"], rel=1e-9)
-    assert report.d2 == pytest.approx(frozen["d2"], rel=1e-9)
-    assert report.median == pytest.approx(frozen["median"], rel=1e-9)
-
-
-def test_ball_mass_scan_with_rho_matches_sse(e65_field, half_scale):
-    a = sse_scan(e65_field, half_scale, seed=3)
-    b = ball_mass_scan(e65_field, a.radius, rho=0.5, seed=3)
-    assert np.array_equal(a.masses, b.masses)
-    assert a.rho == b.rho == 0.5
+    family = sse_scan(e65_field, half_scale(e65_field.spec_lambda), 0)
+    ratios = family.masses() / family.volume
+    assert ratios.size == frozen["count"]
+    assert family.radius == pytest.approx(frozen["radius"], rel=1e-12)
+    assert float(np.min(ratios)) == pytest.approx(frozen["d1"], rel=1e-9)
+    assert float(np.max(ratios)) == pytest.approx(frozen["d2"], rel=1e-9)
+    assert median(ratios) == pytest.approx(frozen["median"], rel=1e-9)
 
 
 def test_report_csv_and_json(tmp_path, e65_field, half_scale):
-    report = sse_scan(e65_field, half_scale, seed=0)
+    family = sse_scan(e65_field, half_scale(e65_field.spec_lambda), 0)
     csv_path = tmp_path / "ballstats.csv"
-    report_to_csv(report, str(csv_path))
+    report_to_csv(family, str(csv_path))
     rows = np.loadtxt(csv_path, delimiter=",", skiprows=1)
-    assert rows.shape == (report.count, 5)
-    assert np.allclose(rows[:, 3], report.masses, rtol=0, atol=0)
+    masses = family.masses()
+    assert rows.shape == (masses.size, 5)
+    assert np.allclose(rows[:, 3], masses, rtol=0, atol=0)
 
-    summary = json.loads(report_summary_json(report))
+    summary = json.loads(report_summary_json(family, 0.5))
     for key in ("lambda", "rho", "radius", "count", "d1", "d2", "median"):
         assert key in summary
-    assert summary["count"] == report.count
-    assert summary["d1"] == pytest.approx(report.d1)
+    assert summary["count"] == masses.size and summary["rho"] == 0.5
+    assert summary["d1"] == pytest.approx(float(np.min(masses / family.volume)))
+
 
 
 @given(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -173,6 +174,26 @@ def test_ballstats_rejects_a_bad_radius_before_placing_centers(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("[error] radius") and message in err
     assert not list(tmp_path.glob("ballstats_*.csv"))
+
+
+@pytest.mark.parametrize("args, csv_sha, summary_sha", [
+    (["--energy", "65", "--seed", "7", "--radius", "0.12"],
+     "d7095428c2e540d3a75de63e0fadbab6408e60747acb90d05aa87d3c652f557f",
+     "86184b0bb66b549ba922d3ea2275a58e62cecde38072da6ee0ce4a1dcb876180"),
+    (["--energy", "325", "--seed", "2", "--rho", "0.4"],
+     "d0abd3dec852747137ff3c24d8f56eaf5fa9f36c8200e440c2453ec1a3911690",
+     "252acf06851381262a5dd5e21a5dc87448821686be3d16ad3901ddeecf498db9"),
+])
+def test_ballstats_bytes_are_frozen(tmp_path, capsys, monkeypatch, args, csv_sha, summary_sha):
+    # Both paths read every mass, so neither builds a mass bracket.
+    brackets = []
+    monkeypatch.setattr(ballstats, "_mass_bounds", lambda *a: brackets.append(a))
+    assert main(["ballstats", *args, "--out", str(tmp_path)]) == 0
+    csv = next(tmp_path.glob("ballstats_*.csv")).read_bytes()
+    summary = capsys.readouterr().out.splitlines()[-1].removeprefix("[ballstats] ")
+    assert hashlib.sha256(csv).hexdigest() == csv_sha
+    assert hashlib.sha256(summary.encode()).hexdigest() == summary_sha
+    assert brackets == []
 
 
 # ---------------------------------------------------------------- cover

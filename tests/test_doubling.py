@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from torusnodal import ballstats, harness
+from torusnodal import ballstats, doubling, harness
 from torusnodal.covering import build_cover
 from torusnodal.doubling import (
     DEFAULT_A1,
@@ -20,7 +20,7 @@ from torusnodal.eigenbasis import (
     sample_grid,
     sine_mode_spec,
 )
-from torusnodal.errors import DivisionByNegligibleMass, RadiusTooLarge
+from torusnodal.errors import DivisionByNegligibleMass, RadiusTooLarge, RadiusUnderResolved
 from torusnodal.harness import ExperimentPlan, _stage_seed, run_single
 from torusnodal.nodal import extract_nodal
 
@@ -273,3 +273,17 @@ def test_run_single_runs_doubling_only_below_the_quarter():
     field = sample_grid(random_eigenfunction(65, 7), 256)
     with pytest.raises(RadiusTooLarge):
         doubling_stage(field, extract_nodal(field), at, DEFAULT_A2, 0)
+
+
+def test_doubling_stage_checks_its_inputs_before_building_a_cover(monkeypatch, e65_field):
+    # A tiny a1 would size the cover's candidate lattice as ceil(8 / r)^2 with
+    # r = 10 a1 / lam, and a negative a1 would reach build_cover's radius check.
+    def no_cover(*args, **kwargs):
+        raise AssertionError("build_cover called for a rejected input")
+
+    monkeypatch.setattr(doubling, "build_cover", no_cover)
+    nodal = extract_nodal(e65_field)
+    with pytest.raises(RadiusUnderResolved, match="inner doubling radius"):
+        doubling_stage(e65_field, nodal, 1e-300, DEFAULT_A2, 0)
+    with pytest.raises(ValueError, match="doubling constants must be positive"):
+        doubling_stage(e65_field, nodal, -1.0, DEFAULT_A2, 0)

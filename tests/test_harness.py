@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from torusnodal.ballstats import ScaleFunction, ball_masses, require_resolved_radius
 from torusnodal.covering import BallFamily, build_cover
+from torusnodal.doubling import INNER_FACTOR, OUTER_FACTOR
 from torusnodal.errors import (
     BallTooLarge,
     EmptySpectrum,
@@ -566,34 +567,58 @@ def test_run_single_clips_the_cover_in_one_family_call(monkeypatch):
 
 
 def test_run_single_decides_desk_doubling_and_bands_without_quadrature(monkeypatch):
-    # Only sse_extremes, which needs the extreme masses as floats, measures
+    # Only the SSE family, whose extremes are reported as floats, measures
     # balls by quadrature on the desk plan's E=1105 fields.
     plan = plan_from_json(open(DESK_PLAN).read())
     measured = {"sse": 0, "other": []}
-    in_sse = []
-    real_masses, real_sse = ballstats.ball_masses, harness.sse_extremes
+    sse_families, in_sse = [], []
+    real_ball_masses, real_masses = ballstats.ball_masses, ballstats.CertifiedMasses.masses
+    real_scan = harness.sse_scan
 
     def counting(field, centers, r):
-        if in_sse:
+        if in_sse and in_sse[-1]:
             measured["sse"] += len(centers)
         else:
             measured["other"].append((r, len(centers)))
-        return real_masses(field, centers, r)
+        return real_ball_masses(field, centers, r)
 
-    def flagged(*args):
-        in_sse.append(True)
+    def flagged(self, which=slice(None)):
+        in_sse.append(any(self is family for family in sse_families))
         try:
-            return real_sse(*args)
+            return real_masses(self, which)
         finally:
             in_sse.pop()
 
+    def scan(*args):
+        sse_families.append(real_scan(*args))
+        return sse_families[-1]
+
     monkeypatch.setattr(ballstats, "ball_masses", counting)
-    monkeypatch.setattr(harness, "sse_extremes", flagged)
+    monkeypatch.setattr(ballstats.CertifiedMasses, "masses", flagged)
+    monkeypatch.setattr(harness, "sse_scan", scan)
     for seed in range(plan.seeds_per_energy):
         run = run_single(plan, 1105, seed)
         assert run.good_count is not None and run.t1_included == run.cover_count
+    assert len(sse_families) == plan.seeds_per_energy
     assert measured["sse"] > 0
     assert measured["other"] == []
+
+
+def test_run_single_brackets_each_family_once(monkeypatch):
+    # The SSE family, the cover and the inner and outer doubling families.
+    plan = plan_from_json(open(DESK_PLAN).read())
+    radii = []
+    real = ballstats._mass_bounds
+
+    def counting(field, centers, r):
+        radii.append(r)
+        return real(field, centers, r)
+
+    monkeypatch.setattr(ballstats, "_mass_bounds", counting)
+    run = run_single(plan, 1105, 0)
+    lam = run.lam
+    assert radii == [run.radius, run.radius, INNER_FACTOR * plan.doubling_a1 / lam,
+                     OUTER_FACTOR * plan.doubling_a1 / lam]
 
 
 def test_run_single_integrates_each_function_once(monkeypatch):
