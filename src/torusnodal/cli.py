@@ -38,6 +38,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: a non-negative integer, checked before any work starts."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _ensure_out(path: str) -> str:
     os.makedirs(path, exist_ok=True)
     return path
@@ -210,7 +221,7 @@ def cmd_plot(args) -> int:
 def _add_spec_source(p: _Parser) -> None:
     p.add_argument("--spec", help="eigenfunction spec JSON file")
     p.add_argument("--energy", type=int, help="energy level E (with --seed)")
-    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    p.add_argument("--seed", type=_seed, default=0, help="random seed (default 0)")
     p.add_argument("--grid", type=int, default=None,
                    help="grid resolution (default max(256, 16*ceil(sqrt(E))))")
 
@@ -227,7 +238,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gen", help="generate a random eigenfunction spec")
     p.add_argument("--energy", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(handler=cmd_gen)
 
@@ -247,7 +258,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("cover", help="maximal disjoint-ball cover")
     p.add_argument("--radius", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--probe", type=int, default=512)
     p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(handler=cmd_cover)

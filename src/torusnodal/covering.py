@@ -28,6 +28,8 @@ from .torus import periodic_distance, wrap_delta
 CANDIDATE_SPACING_FACTOR = 8
 DEFAULT_PROBE = 512
 OVERLAP_VOLUME_BOUND = 16
+_CANVAS_DEPTH = 255  # balls one uint8 canvas cell can count
+_BATCH_CELLS = 1 << 14  # center-hole pairs per batched distance
 
 
 @dataclass(frozen=True)
@@ -47,18 +49,35 @@ class BallFamily:
 
 def _paint_counts(centers: np.ndarray, r: float, probe: int) -> np.ndarray:
     """Per-probe-point count of containing full-radius balls."""
+    counts = np.zeros((probe, probe), dtype=np.int32)
+    _paint_onto(counts, centers, r, probe)
+    return counts
+
+
+def _paint_onto(counts: np.ndarray, centers: np.ndarray, r: float, probe: int) -> None:
+    """Add each ball's full-radius disk to counts, the int32 probe-lattice counts."""
     i0 = np.floor((centers - r) * probe).astype(np.int64) - 1
     i1 = np.ceil((centers + r) * probe).astype(np.int64) + 1
     # Windows end at i1, at most probe wide (none painted twice); points before i0 lie outside.
     w = min(probe, int(np.max(i1 - i0, initial=0)) + 1)
     ix = i1[:, :, None] + np.arange(1 - w, 1)
     sq = np.square(wrap_delta(ix / probe - centers[:, :, None]))
-    canvas = np.zeros((probe + w, probe + w), dtype=np.int32)
-    for (x0, y0), sx, sy in zip((ix[:, :, 0] % probe).tolist(), sq[:, 0], sq[:, 1]):
-        canvas[x0:x0 + w, y0:y0 + w] += sx[:, None] + sy[None, :] <= r * r
-    canvas[:w] += canvas[probe:]
-    canvas[:, :w] += canvas[:, probe:]
-    return canvas[:probe, :probe]
+    corners = (ix[:, :, 0] % probe).tolist()
+    # A byte canvas cell counts at most 255 balls, so the canvas is folded
+    # into counts after every 255 balls.
+    dist2 = np.empty((w, w))
+    inside = np.empty((w, w), dtype=bool)
+    for b0 in range(0, len(corners), _CANVAS_DEPTH):
+        b1 = b0 + _CANVAS_DEPTH
+        canvas = np.zeros((probe + w, probe + w), dtype=np.uint8)
+        for (x0, y0), sx, sy in zip(corners[b0:b1], sq[b0:b1, 0], sq[b0:b1, 1]):
+            np.copyto(dist2, sy)
+            np.add(dist2, sx[:, None], out=dist2)
+            np.less_equal(dist2, r * r, out=inside)
+            canvas[x0:x0 + w, y0:y0 + w] += inside.view(np.uint8)
+        canvas[:w] += canvas[probe:]
+        canvas[:probe, :w] += canvas[:probe, probe:]
+        counts += canvas[:probe, :probe]
 
 
 def cover_admissible(r: float) -> bool:
@@ -80,40 +99,54 @@ def build_cover(r: float, seed: int, probe: int = DEFAULT_PROBE) -> BallFamily:
     k = np.arange(m) / m
     order = np.random.default_rng(seed).permutation(m * m)
 
-    # free[i, j]: candidate (k[i], k[j]) is still more than r from every
-    # accepted center.  Distances run from the accepted center to the
+    # free[i * m + j]: candidate (k[i], k[j]) is still more than r from
+    # every accepted center.  Distances run from the accepted center to the
     # candidate and compare the square root against r: wrap_delta is not
-    # odd in the last bit, so either change can flip a near-tie.
-    free = np.ones((m, m), dtype=bool)
+    # odd in the last bit, so either change can flip a near-tie.  win[i] is
+    # the window of lattice indices around i (at most 21 of the m >= 33)
+    # and sq[i] the squared offsets wrap_delta(k[i] - k[win[i]]).
     reach = np.arange(-(math.ceil(r * m) + 1), math.ceil(r * m) + 2)
+    win = (np.arange(m)[:, None] + reach) % m
+    sq = np.square(wrap_delta(k[:, None] - k[win]))
+    win_rows = win * m
+    free = bytearray(b"\x01") * (m * m)
+    free_view = np.frombuffer(free, dtype=np.uint8)
     accepted = []
     for idx in order.tolist():
-        i, j = divmod(idx, m)
-        if not free[i, j]:
-            continue
-        c = np.array([k[i], k[j]])
-        accepted.append(c)
-        wi, wj = (i + reach) % m, (j + reach) % m
-        dx, dy = wrap_delta(k[i] - k[wi]), wrap_delta(k[j] - k[wj])
-        free[np.ix_(wi, wj)] &= np.sqrt(dx[:, None] * dx[:, None] + dy * dy) > r
+        if free[idx]:
+            accepted.append(idx)
+            i, j = divmod(idx, m)
+            near = np.sqrt(sq[i][:, None] + sq[j]) <= r
+            free_view[(win_rows[i][:, None] + win[j])[near]] = 0
+    acc = np.array(accepted)
+    centers = np.column_stack([k[acc // m], k[acc % m]])
 
     # Promote uncovered probe points (each is > r from every center, hence a
-    # legal addition) in row-major order, then paint only the promoted balls
-    # onto the greedy family's counts.
-    centers = np.array(accepted)
+    # legal addition) in row-major order: drop the holes within r of a
+    # greedy center, then walk the rest, each promoted point striking the
+    # later ones within r of it.  Only the promoted balls are painted again.
     counts = _paint_counts(centers, r, probe)
-    for i, j in np.argwhere(counts == 0):
-        p = np.array([i / probe, j / probe])
-        if np.min(periodic_distance(centers, p)) > r:
-            centers = np.vstack([centers, p])
-    if len(centers) > len(accepted):
-        counts += _paint_counts(centers[len(accepted):], r, probe)
+    holes = np.flatnonzero(counts == 0)
+    points = np.column_stack([holes // probe, holes % probe]) / probe
+    far = np.empty(len(points), dtype=bool)
+    step = max(1, _BATCH_CELLS // len(centers))
+    for b0 in range(0, len(points), step):
+        far[b0:b0 + step] = np.min(periodic_distance(centers, points[b0:b0 + step, None]),
+                                   axis=1) > r
+    points = points[far]
+    promoted = []
+    while len(points):
+        promoted.append(points[0])
+        points = points[1:][periodic_distance(points[0], points[1:]) > r]
+    if promoted:
+        centers = np.vstack([centers, *promoted])
+        _paint_onto(counts, centers[-len(promoted):], r, probe)
 
     return BallFamily(
         centers=centers,
         radius=r,
         overlap_max=int(counts.max()),
-        covers=bool(np.all(counts >= 1)),
+        covers=bool(counts.min() >= 1),
         probe_resolution=probe,
     )
 

@@ -341,6 +341,9 @@ class BallTable(NamedTuple):
     certified mass bracket and measures a ball only when a band needs it.
     Ball k's clipped pieces are rows offsets[k]:offsets[k + 1] of piece_len
     and piece_mid; density[k] is its nodal density (lengths[k] / lam) / (pi r^2).
+    sup_lattice and inf_lattice hold the bound chain's square lattices around
+    every center, ball k's rows k * 81:(k + 1) * 81, at half sides
+    _sup_half_side(family) and r / 2.
     """
 
     family: BallFamily
@@ -352,6 +355,21 @@ class BallTable(NamedTuple):
     density: np.ndarray
     nonempty: np.ndarray
     piece_max: float
+    sup_lattice: np.ndarray
+    inf_lattice: np.ndarray
+
+
+def _sup_half_side(family: BallFamily) -> float:
+    """Half side of the sup lattice: the radius plus half a probe cell's diagonal."""
+    return family.radius + math.sqrt(2.0) / (2.0 * family.probe_resolution)
+
+
+def _lattice_points(centers: np.ndarray, half_side: float) -> np.ndarray:
+    """The 9x9 square lattice of half side half_side around each center, 81 rows per center."""
+    t = np.linspace(-half_side, half_side, _LATTICE_SIDE)
+    gx, gy = np.meshgrid(t, t, indexing="ij")
+    pts = centers[:, None, :] + np.stack([gx.ravel(), gy.ravel()], axis=-1)
+    return pts.reshape(-1, 2)
 
 
 def ball_table(field: SampledField, nodal: NodalSet, family: BallFamily) -> BallTable:
@@ -368,7 +386,8 @@ def ball_table(field: SampledField, nodal: NodalSet, family: BallFamily) -> Ball
     nonempty = np.diff(offsets) > 0
     piece_max = float(np.max(piece_len)) if piece_len.size else 0.0
     return BallTable(family, mass, piece_len, piece_mid, offsets, lengths, density, nonempty,
-                     piece_max)
+                     piece_max, _lattice_points(family.centers, _sup_half_side(family)),
+                     _lattice_points(family.centers, r / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -517,14 +536,6 @@ def _step(name: str, lhs: float, rhs: float, slack: float, note: str = "") -> Ch
     return ChainStep(name, lhs, rhs, slack, bool(lhs <= rhs + slack + eps), note)
 
 
-def _lattice_values(tf: TestFunction, centers: np.ndarray, half_side: float) -> np.ndarray:
-    """f on the square lattice of half side half_side around each center, one row each."""
-    t = np.linspace(-half_side, half_side, _LATTICE_SIDE)
-    gx, gy = np.meshgrid(t, t, indexing="ij")
-    pts = centers[:, None, :] + np.stack([gx.ravel(), gy.ravel()], axis=-1)
-    return tf(pts.reshape(-1, 2)).reshape(len(centers), -1)
-
-
 def _lattice_gap(half_side: float) -> float:
     return (2.0 * half_side / (_LATTICE_SIDE - 1)) * math.sqrt(2.0) / 2.0
 
@@ -588,13 +599,12 @@ def replicate_bound_chain(field: SampledField, nodal: NodalSet, table: BallTable
     # a 9x9 lattice on the bounding square plus the Lipschitz gap, so they
     # upper-bound the true sup over the ball; inf estimates subtract the
     # gap, so they lower-bound the true inf over the half-radius core.
-    probe_eps = math.sqrt(2.0) / (2.0 * fam.probe_resolution)
-    sup_half_side = r + probe_eps
-    sup_est = (np.max(_lattice_values(tf, fam.centers, sup_half_side), axis=1)
+    sup_half_side = _sup_half_side(fam)
+    sup_est = (np.max(tf(table.sup_lattice).reshape(n_balls, -1), axis=1)
                + tf.lipschitz * _lattice_gap(sup_half_side))
-    inf_est = (np.min(_lattice_values(tf, fam.centers, r / 2.0), axis=1)
+    inf_est = (np.min(tf(table.inf_lattice).reshape(n_balls, -1), axis=1)
                - tf.lipschitz * _lattice_gap(r / 2.0))
-    enlarged_vol = math.pi * (r + probe_eps) ** 2
+    enlarged_vol = math.pi * sup_half_side ** 2
     corr_lower = (float(np.sum((sup_est - f_min)[nonempty])) * vol
                   + float(np.sum(sup_est[~nonempty])) * vol
                   + float(np.sum(sup_est)) * (enlarged_vol - vol)

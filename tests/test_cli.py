@@ -54,6 +54,29 @@ def test_missing_required_argument_exits_one():
     assert proc.returncode == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--energy", "65"],
+    ["nodal", "--energy", "65"],
+    ["ballstats", "--energy", "65"],
+    ["cover", "--radius", "0.15"],
+    ["doubling", "--energy", "1105"],
+    ["growth", "--energy", "65"],
+])
+def test_negative_seed_is_a_named_usage_error(tmp_path, capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started for a negative seed")
+
+    for module, name in ((cli, "sample_grid"), (cli, "build_cover"),
+                         (cli, "random_eigenfunction"), (doubling, "build_cover")):
+        monkeypatch.setattr(module, name, no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "-1", "--out", str(tmp_path)])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "argument --seed: must be a non-negative integer, got -1" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------- modes
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from torusnodal.covering import (
     family_to_csv,
     family_to_json,
 )
+from torusnodal.doubling import DEFAULT_A1, _outer_radius
 from torusnodal.errors import RadiusTooLarge
 from torusnodal.torus import periodic_distance, wrap_delta
 
@@ -89,6 +91,88 @@ def test_cover_matches_brute_force_greedy(r, seed):
         assert promoted == 1
 
 
+def parent_build_cover(r: float, seed: int, probe: int = DEFAULT_PROBE):
+    """The boolean-array greedy build_cover replaced: the oracle for its bytes.
+
+    Returns (centers, overlap_max, covers).
+    """
+    m = math.ceil(CANDIDATE_SPACING_FACTOR / r)
+    k = np.arange(m) / m
+    order = np.random.default_rng(seed).permutation(m * m)
+    free = np.ones((m, m), dtype=bool)
+    reach = np.arange(-(math.ceil(r * m) + 1), math.ceil(r * m) + 2)
+    accepted = []
+    for idx in order.tolist():
+        i, j = divmod(idx, m)
+        if not free[i, j]:
+            continue
+        c = np.array([k[i], k[j]])
+        accepted.append(c)
+        wi, wj = (i + reach) % m, (j + reach) % m
+        dx, dy = wrap_delta(k[i] - k[wi]), wrap_delta(k[j] - k[wj])
+        free[np.ix_(wi, wj)] &= np.sqrt(dx[:, None] * dx[:, None] + dy * dy) > r
+    centers = np.array(accepted)
+    counts = _paint_counts(centers, r, probe)
+    for i, j in np.argwhere(counts == 0):
+        p = np.array([i / probe, j / probe])
+        if np.min(periodic_distance(centers, p)) > r:
+            centers = np.vstack([centers, p])
+    if len(centers) > len(accepted):
+        counts += _paint_counts(centers[len(accepted):], r, probe)
+    return centers, int(counts.max()), bool(np.all(counts >= 1))
+
+
+def scale_radius(energy: int) -> float:
+    return ScaleFunction(0.5)(2.0 * math.pi * math.sqrt(energy))
+
+
+# The E=1105 doubling cover's radius (half the outer radius at the default
+# a1) and the desk plan's control cover (the E=1105 scale radius, stage seed
+# 1013).
+DOUBLING_1105_RADIUS = _outer_radius(2.0 * math.pi * math.sqrt(1105), DEFAULT_A1) / 2.0
+ORACLE_RADII = [scale_radius(e) for e in (25, 50, 65, 325, 1105)] + [
+    DOUBLING_1105_RADIUS, 0.03, 0.22]
+
+
+def assert_same_cover(r, seed, probe=DEFAULT_PROBE):
+    centers, overlap_max, covers = parent_build_cover(r, seed, probe)
+    fam = build_cover(r, seed, probe)
+    assert fam.centers.tobytes() == centers.tobytes()
+    assert fam.overlap_max == overlap_max
+    assert fam.covers == covers
+
+
+@pytest.mark.parametrize("r", ORACLE_RADII)
+@pytest.mark.parametrize("seed", range(5))
+def test_cover_is_byte_identical_to_parent_kernel(r, seed):
+    assert_same_cover(r, seed)
+
+
+def test_control_cover_is_byte_identical_to_parent_kernel():
+    assert_same_cover(scale_radius(1105), 1013)
+
+
+@pytest.mark.parametrize("r", [scale_radius(65), DOUBLING_1105_RADIUS])
+@pytest.mark.parametrize("probe", [1, 2, 3, 7, 64])
+def test_cover_is_byte_identical_to_parent_kernel_on_coarse_probes(r, probe):
+    for seed in range(3):
+        assert_same_cover(r, seed, probe)
+
+
+def test_cover_memory_is_bounded():
+    # tracemalloc peak at the control radius: 3.05 MB for the kernel kept in
+    # parent_build_cover with its int32-canvas painter, 2.11 MB for build_cover.
+    r = scale_radius(1105)
+    build_cover(r, 0)
+    tracemalloc.start()
+    try:
+        build_cover(r, 1013)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000, f"build_cover peak {peak} bytes"
+
+
 def loop_paint_counts(centers: np.ndarray, r: float, probe: int) -> np.ndarray:
     """The per-ball painter _paint_counts replaced: one fancy-index add per ball.
 
@@ -132,6 +216,19 @@ def test_paint_counts_match_loop_painter_and_brute_force(probe):
         assert np.array_equal(got, brute_force_counts(centers, r, probe)), r
         assert np.array_equal(_paint_counts(centers[:1], r, probe),
                               loop_paint_counts(centers[:1], r, probe)), r
+
+
+@pytest.mark.parametrize("probe", [1, 2])
+def test_paint_counts_past_one_byte(probe):
+    # 320 balls hold (1/2, 1/2) and 300 hold the origin, across the seams:
+    # more than a byte canvas cell counts before it is folded away.
+    rng = np.random.default_rng(7)
+    centers = np.vstack([0.5 + rng.uniform(-0.05, 0.05, (320, 2)),
+                         rng.uniform(-0.05, 0.05, (300, 2)) % 1.0])
+    got = _paint_counts(centers, 0.2, probe)
+    want = brute_force_counts(centers, 0.2, probe)
+    assert want.max() == (320 if probe == 2 else 300)
+    assert np.array_equal(got, want)
 
 
 def test_cover_half_radius_balls_are_disjoint():
