@@ -22,7 +22,7 @@ from .covering import build_cover, family_to_csv, family_to_json
 from .doubling import (DEFAULT_A1, DEFAULT_A2, doubling_stage, report_to_json as doubling_json,
                        require_doubling_constants, require_resolved_doubling)
 from .eigenbasis import (EigenfunctionSpec, enumerate_modes, random_eigenfunction,
-                         sample_grid, spec_from_json, spec_to_json)
+                         require_sampling_grid, sample_grid, spec_from_json, spec_to_json)
 from .errors import EmptySpectrum, TorusNodalError
 from .growth import growth_report
 from .harness import ExperimentPlan, plan_from_json, report_to_json, run_plan, runs_to_csv
@@ -66,7 +66,7 @@ def _spec_and_grid(args) -> tuple[EigenfunctionSpec, str, int]:
         spec = random_eigenfunction(args.energy, args.seed)
         stem = f"E{args.energy}_seed{args.seed}"
     # Only a missing --grid means the plan grid rule (at the class defaults);
-    # sample_grid rejects any grid too coarse, 0 included.
+    # require_sampling_grid rejects any grid too coarse, 0 included.
     n = args.grid if args.grid is not None else ExperimentPlan.grid_for(ExperimentPlan, spec.energy)
     return spec, stem, n
 
@@ -156,7 +156,8 @@ def cmd_growth(args) -> int:
     spec, stem, n = _spec_and_grid(args)
     scale_r = ScaleFunction(args.rho)(spec.lam)  # rejects lam = 0 before the default tau
     tau = args.tau if args.tau is not None else spec.energy ** -0.5
-    report = growth_report(sample_grid(spec, n), scale_r, args.delta, tau)
+    require_sampling_grid(spec.energy, n)
+    report = growth_report(spec, scale_r, args.delta, tau)
     obj = {"E": spec.energy, **vars(report), "c7_values": report.c7_values.tolist()}
     text = json.dumps(obj, sort_keys=True, indent=1)
     if args.out:

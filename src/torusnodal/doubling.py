@@ -39,6 +39,8 @@ OUTER_FACTOR = 20.0
 INNER_FACTOR = 10.0
 SIGN_PROBE_SIDE = 32
 NEGLIGIBLE_MASS = 1e-30
+# Good balls clipped per clip_family call by lower_bound_assembly; only their lengths are kept.
+_ASSEMBLY_BALLS = 6
 
 
 @dataclass(frozen=True)
@@ -168,10 +170,13 @@ def lower_bound_assembly(report: DoublingReport, nodal: NodalSet) -> dict:
     length.  Also reports the implied per-ball constant
     a3 = min over good balls of (length * lam).
     """
-    piece_len, _, offsets = clip_family(nodal, report.centers[report.good], report.inner_radius)
+    good = report.centers[report.good]
+    good_lengths = np.zeros(len(good))
+    for k in range(0, len(good), _ASSEMBLY_BALLS):
+        piece_len, _, offsets = clip_family(nodal, good[k:k + _ASSEMBLY_BALLS], report.inner_radius)
+        good_lengths[k:k + _ASSEMBLY_BALLS] = ball_sums(piece_len, offsets)
     lengths = np.zeros(report.count)
-    lengths[report.good] = ball_sums(piece_len, offsets)
-    good_lengths = lengths[report.good]
+    lengths[report.good] = good_lengths
     bound = float(np.sum(good_lengths)) / OVERLAP_VOLUME_BOUND
     a3 = float(np.min(good_lengths) * report.lam) if good_lengths.size else float("nan")
     return {

@@ -245,24 +245,47 @@ class SampledField:
                 + v01 * (1 - fx) * fy + v11 * fx * fy)
 
 
-def grid_sum(modes, coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Complex sum_xi c_xi exp(2 pi i xi . x) at every x = (i/n, j/n), by one inverse FFT.
+# Columns per block of the axis-0 inverse FFT.
+_FFT_COLUMNS = 64
 
-    The FFT is pruned to the spectrum: along axis 1 only the rows holding a
-    nonzero coefficient are transformed (at most one per mode, so 32 of 544
-    at E=1105), then the whole array along axis 0.  np.fft.ifft2 also does
-    axis 1 first, one row at a time, so each value is its float bit for bit.
-    The other rows all take the transform of a zero row, which is not all
-    +0.0 at sizes such as 89 or 202, so axis 0 sees ifft2's very array.
+
+def _column_blocks(modes, coeffs: np.ndarray, n: int):
+    """Yield (j0, j1, block): columns j0:j1 of sum_xi c_xi exp(2 pi i xi . x) at x = (i/n, j/n).
+
+    The inverse FFT is pruned to the spectrum: along axis 1 only the rows
+    holding a nonzero coefficient are transformed (at most one per mode, so
+    32 of 544 at E=1105), then each block of _FFT_COLUMNS columns along
+    axis 0, scaled by n^2 as a complex product, as in ifft2(c) * n^2.
+    np.fft.ifft2 also does axis 1 first, one row at a time, and then each
+    column on its own, so each value is its float bit for bit.  The other
+    rows all take the transform of a zero row, which is not all +0.0 at
+    sizes such as 89 or 202, so axis 0 sees ifft2's very columns.  Only the
+    occupied rows and one (n, _FFT_COLUMNS) block are held, never an n x n
+    spectrum.
     """
-    c = np.zeros((n, n), dtype=np.complex128)
-    for (a, b), coeff in zip(modes, coeffs):
-        c[a % n, b % n] += coeff
-    rows = np.flatnonzero(np.any(c, axis=1))
-    sheet = np.repeat(np.fft.ifft(np.zeros((1, n), dtype=np.complex128)), n, axis=0)
-    sheet[rows] = np.fft.ifft(c[rows], axis=1)
-    np.fft.ifft(sheet, axis=0, out=sheet)  # in place: two n x n arrays at the peak, not three
-    sheet *= n * n
+    rows, slot = np.unique([a % n for a, _ in modes], return_inverse=True)
+    c = np.zeros((len(rows), n), dtype=np.complex128)
+    for k, (_, b), coeff in zip(slot, modes, coeffs):
+        c[k, b % n] += coeff
+    occupied = np.any(c, axis=1)
+    rows = rows[occupied]
+    transformed = np.fft.ifft(c[occupied], axis=1)
+    zero_row = np.fft.ifft(np.zeros(n, dtype=np.complex128))
+    for j0 in range(0, n, _FFT_COLUMNS):
+        j1 = min(j0 + _FFT_COLUMNS, n)
+        block = np.empty((n, j1 - j0), dtype=np.complex128)
+        block[:] = zero_row[j0:j1]
+        block[rows] = transformed[:, j0:j1]
+        np.fft.ifft(block, axis=0, out=block)
+        block *= n * n
+        yield j0, j1, block
+
+
+def grid_sum(modes, coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Complex sum_xi c_xi exp(2 pi i xi . x) at every x = (i/n, j/n), by _column_blocks."""
+    sheet = np.empty((n, n), dtype=np.complex128)
+    for j0, j1, block in _column_blocks(modes, coeffs, n):
+        sheet[:, j0:j1] = block
     return sheet
 
 
@@ -279,11 +302,14 @@ def sample_grid(spec: EigenfunctionSpec, n: int) -> SampledField:
     Placing the coefficients on the discrete spectral grid and inverting
     with an FFT reproduces the exact trigonometric sum at every grid point
     (no aliasing once n exceeds twice the largest mode component, which
-    require_sampling_grid guarantees with margin).
+    require_sampling_grid guarantees with margin).  Each column block is
+    checked by real_part and written into the field as it comes.
     """
     require_sampling_grid(spec.energy, n)
-    vals = real_part(grid_sum(spec.modes, spec.coeffs, n), spec.coeffs)
-    return SampledField(n, np.ascontiguousarray(vals), spec.lam, spec)
+    vals = np.empty((n, n))
+    for j0, j1, block in _column_blocks(spec.modes, spec.coeffs, n):
+        vals[:, j0:j1] = real_part(block, spec.coeffs)
+    return SampledField(n, vals, spec.lam, spec)
 
 
 def spec_to_json(spec: EigenfunctionSpec) -> str:

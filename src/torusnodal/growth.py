@@ -256,14 +256,13 @@ def growth_in_C_exponent(spec: EigenfunctionSpec, tau: float) -> dict:
     }
 
 
-def growth_report(field, scale_r: float, delta: float, tau: float) -> GrowthReport:
-    """Assemble both growth estimates for a sampled field with known spec.
+def growth_report(spec: EigenfunctionSpec, scale_r: float, delta: float,
+                  tau: float) -> GrowthReport:
+    """Assemble both growth estimates of an eigenfunction from its exact mode sum.
 
     c7 is taken at VIEW_OFFSETS in the view of B((1/2, 1/2), scale_r).
     """
-    if field.spec is None:
-        raise ValueError("growth report needs the generating spec for exact sups")
-    view = DilatedView(field.spec, (0.5, 0.5), scale_r)
+    view = DilatedView(spec, (0.5, 0.5), scale_r)
     c7 = real_doubling_exponent(view, delta, VIEW_OFFSETS)
     return GrowthReport(mu=view.mu, delta=delta, c7_values=c7, c7_max=float(np.max(c7)),
-                        **growth_in_C_exponent(field.spec, tau))
+                        **growth_in_C_exponent(spec, tau))

@@ -796,7 +796,7 @@ def run_single(plan: ExperimentPlan, energy: int, seed: int) -> RunResult:
     else:
         flags.append("doubling_radius_too_large_at_this_energy")
 
-    growth = growth_report(field, r, plan.growth_delta, energy ** -0.5)
+    growth = growth_report(spec, r, plan.growth_delta, energy ** -0.5)
 
     return RunResult(
         **base, flags=tuple(flags),

@@ -40,6 +40,9 @@ ZERO_NUDGE = 1e-30
 # About this many (ball, candidate segment) pairs are clipped per batch.
 _BATCH_PAIRS = 1 << 15
 
+# About this many grid cells are marched per block of rows.
+_BLOCK_CELLS = 1 << 16
+
 # Corners in case-bit order, as (i, j) offsets from the cell's lower-left
 # grid point; case = s0 + 2*s1 + 4*s2 + 8*s3 over their signs (positive = 1).
 _CORNERS = np.array([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -122,11 +125,26 @@ def extract_nodal(field) -> NodalSet:
     bilinear interpolant at the cell center.  Each endpoint lies on the edge
     from corner p to corner q at t = v_p / (v_p - v_q).  Segments are
     emitted in row-major cell order, then by slot, at most two per cell,
-    none longer than sqrt(2)/N.
+    none longer than sqrt(2)/N.  Cells are marched a block of about
+    _BLOCK_CELLS at a time, each block reading its own wrapped copy of its
+    rows, so no field-sized temporary is made and field.values is not
+    written.
     """
     n = field.resolution
-    # One wrapped row and column appended: cell (i, j) has corners g[i:i+2, j:j+2].
-    g = np.pad(np.asarray(field.values, dtype=float), ((0, 1), (0, 1)), mode="wrap")
+    values = np.asarray(field.values, dtype=float)
+    step = max(1, _BLOCK_CELLS // n)
+    parts = [_march_rows(values, i0, min(i0 + step, n), n) for i0 in range(0, n, step)]
+    a, b, lengths, mids = (np.concatenate(x) for x in zip(*parts))
+    return NodalSet(a, b, lengths, mids, n)
+
+
+def _march_rows(values: np.ndarray, i0: int, i1: int, n: int):
+    """(a, b, lengths, midpoints) of the segments in the cells of rows i0:i1, row-major."""
+    # One wrapped row and column appended: local cell (i, j) has corners g[i:i+2, j:j+2].
+    g = np.empty((i1 - i0 + 1, n + 1))
+    g[:-1, :-1] = values[i0:i1]
+    g[-1, :-1] = values[i1 % n]
+    g[:, -1] = g[:, 0]
     g[g == 0.0] = ZERO_NUDGE
     s = (g > 0.0).astype(np.int8)
     case = s[:-1, :-1] + 2 * s[1:, :-1] + 4 * s[1:, 1:] + 8 * s[:-1, 1:]
@@ -145,7 +163,7 @@ def extract_nodal(field) -> NodalSet:
     vp = v.ravel()[4 * cell[:, None] + p]
     t = np.clip(vp / (vp - v.ravel()[4 * cell[:, None] + q]), 0.0, 1.0)
     ends = np.empty(p.shape + (2,))
-    for axis, base in enumerate((ii[cell], jj[cell])):
+    for axis, base in enumerate((ii[cell] + i0, jj[cell])):
         # (i + t) / n along the edge, (i + 0 or 1) / n across it.
         off = _CORNERS[:, axis]
         ends[..., axis] = (base[:, None] + off[p] + t * (off[q] - off[p])) / n
@@ -153,7 +171,7 @@ def extract_nodal(field) -> NodalSet:
 
     lengths = np.linalg.norm(bi - ai, axis=1)
     mids = (ai + bi) / 2.0
-    return NodalSet(wrap_point(ai), wrap_point(bi), lengths, wrap_point(mids), n)
+    return wrap_point(ai), wrap_point(bi), lengths, wrap_point(mids)
 
 
 def clip_family(nodal: NodalSet, centers, r: float):

@@ -17,6 +17,9 @@ SEGMENT_STROKE = "#1a466b"
 BALL_STROKE = "#c2452d"
 FRAME_STROKE = "#777777"
 
+# Segments formatted per chunk of the path.
+_SEGMENT_CHUNK = 4096
+
 
 def render_svg(nodal: NodalSet | None = None,
                centers: np.ndarray | None = None,
@@ -24,30 +27,32 @@ def render_svg(nodal: NodalSet | None = None,
     """Render segments and circles to an SVG string.
 
     Segments crossing the torus seam are drawn in the chart of their first
-    endpoint, so nothing smears across the square.
+    endpoint, so nothing smears across the square.  The path is formatted
+    _SEGMENT_CHUNK segments at a time and the document joined once.
     """
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS}" '
-        f'height="{CANVAS}" viewBox="-0.01 -0.01 1.02 1.02">',
+        f'height="{CANVAS}" viewBox="-0.01 -0.01 1.02 1.02">\n',
         '<rect x="0" y="0" width="1" height="1" fill="white" '
-        f'stroke="{FRAME_STROKE}" stroke-width="0.002"/>',
+        f'stroke="{FRAME_STROKE}" stroke-width="0.002"/>\n',
     ]
     if nodal is not None and nodal.count:
-        a = nodal.a
-        b = a + wrap_delta(nodal.b - nodal.a)
-        xy = np.column_stack([a[:, 0], 1.0 - a[:, 1], b[:, 0], 1.0 - b[:, 1]])
-        moves = ("M%.6f %.6fL%.6f %.6f" * nodal.count) % tuple(xy.ravel().tolist())
-        parts.append(f'<path d="{moves}" fill="none" '
-                     f'stroke="{SEGMENT_STROKE}" stroke-width="0.0025" '
-                     'stroke-linecap="round"/>')
+        parts.append('<path d="')
+        for k in range(0, nodal.count, _SEGMENT_CHUNK):
+            a = nodal.a[k:k + _SEGMENT_CHUNK]
+            b = a + wrap_delta(nodal.b[k:k + _SEGMENT_CHUNK] - a)
+            xy = np.column_stack([a[:, 0], 1.0 - a[:, 1], b[:, 0], 1.0 - b[:, 1]])
+            parts.append(("M%.6f %.6fL%.6f %.6f" * len(a)) % tuple(xy.ravel().tolist()))
+        parts.append(f'" fill="none" stroke="{SEGMENT_STROKE}" stroke-width="0.0025" '
+                     'stroke-linecap="round"/>\n')
     if centers is not None and radius is not None:
         centers = np.atleast_2d(np.asarray(centers, dtype=float))
         for c in centers:
             parts.append(f'<circle cx="{c[0]:.6f}" cy="{1.0 - c[1]:.6f}" '
                          f'r="{radius:.6f}" fill="none" '
-                         f'stroke="{BALL_STROKE}" stroke-width="0.0012"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+                         f'stroke="{BALL_STROKE}" stroke-width="0.0012"/>\n')
+    parts.append("</svg>\n")
+    return "".join(parts)
 
 
 def balls_from_csv(path: str) -> tuple[np.ndarray, float]:

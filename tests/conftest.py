@@ -23,6 +23,17 @@ def e65_nodal(e65_field):
 
 
 @pytest.fixture(scope="session")
+def e1105_field():
+    """The tour's field: E=1105, seed 0, at its plan grid 544."""
+    return sample_grid(random_eigenfunction(1105, 0), 544)
+
+
+@pytest.fixture(scope="session")
+def e1105_nodal(e1105_field):
+    return extract_nodal(e1105_field)
+
+
+@pytest.fixture(scope="session")
 def half_scale():
     return ScaleFunction(0.5)
 

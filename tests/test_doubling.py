@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -22,8 +23,9 @@ from torusnodal.eigenbasis import (
 )
 from torusnodal.errors import DivisionByNegligibleMass, RadiusTooLarge, RadiusUnderResolved
 from torusnodal.harness import ExperimentPlan, _stage_seed, run_single
-from torusnodal.nodal import extract_nodal
+from torusnodal.nodal import ball_sums, clip_family, extract_nodal
 
+from test_eigenbasis import traced_peak
 from test_nodal import full_scan_clip
 
 BASELINE = json.loads(
@@ -169,6 +171,53 @@ def test_assembly_lengths_match_per_ball_full_scan(e65_field, e65_nodal):
     want = [float(np.sum(full_scan_clip(e65_nodal, c, report.inner_radius)[0])) if good else 0.0
             for c, good in zip(report.centers, report.good)]
     assert lengths.tolist() == want
+
+
+def parent_lower_bound_assembly(report, nodal):
+    """The lower_bound_assembly that the sliced clip replaced: every good ball in one clip_family."""
+    piece_len, _, offsets = clip_family(nodal, report.centers[report.good], report.inner_radius)
+    lengths = np.zeros(report.count)
+    lengths[report.good] = ball_sums(piece_len, offsets)
+    good_lengths = lengths[report.good]
+    bound = float(np.sum(good_lengths)) / doubling.OVERLAP_VOLUME_BOUND
+    a3 = float(np.min(good_lengths) * report.lam) if good_lengths.size else float("nan")
+    return {
+        "assembled_lower_bound": bound,
+        "total_length": nodal.total_length,
+        "a3_hat": a3,
+        "good_count": int(np.sum(report.good)),
+        "lengths": lengths,
+    }
+
+
+@pytest.fixture(scope="module")
+def e1105_report(e1105_field, e1105_nodal):
+    return doubling_stage(e1105_field, e1105_nodal, DEFAULT_A1, DEFAULT_A2, 3)[0]
+
+
+def test_assembly_matches_the_parent_kernel(e65_field, e65_nodal, e1105_nodal, e1105_report):
+    mixed = classify_doubling(e65_field, build_cover(10 * 0.5 / e65_field.spec_lambda,
+                                                     seed=11).centers, a1=0.5, a2=4.0)
+    assert 0 < np.sum(mixed.good) < mixed.count
+    cases = [(mixed, e65_nodal, "mixed")]
+    for report, nodal in ((mixed, e65_nodal), (e1105_report, e1105_nodal)):
+        for good in (False, True):
+            cases.append((dataclasses.replace(report, good=np.full(report.count, good)), nodal,
+                          f"all good={good}"))
+    for report, nodal, label in cases:
+        got, want = lower_bound_assembly(report, nodal), parent_lower_bound_assembly(report, nodal)
+        assert got.keys() == want.keys(), label
+        for key in got:
+            assert np.asarray(got[key]).tobytes() == np.asarray(want[key]).tobytes(), (label, key)
+
+
+def test_assembly_memory_is_bounded(e1105_nodal, e1105_report):
+    # tracemalloc peak over the 50 good balls at E=1105, seed 0, N=544: 3.60 MB,
+    # against 9.39 MB for parent_lower_bound_assembly's pieces of all of them.
+    assert np.all(e1105_report.good)
+    peak = traced_peak(lambda: lower_bound_assembly(e1105_report, e1105_nodal))
+    assert peak < 5_000_000 <= traced_peak(
+        lambda: parent_lower_bound_assembly(e1105_report, e1105_nodal)), peak
 
 
 def test_report_json_round_trip(e65_field):

@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import re
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -12,12 +13,15 @@ from hypothesis import given, strategies as st
 from torusnodal.eigenbasis import (
     TWO_PI,
     EigenfunctionSpec,
+    SampledField,
     _openblas_function,
     constant_spec,
     enumerate_modes,
     evaluate,
     grid_sum,
     random_eigenfunction,
+    real_part,
+    require_sampling_grid,
     sample_grid,
     separable_sine_spec,
     sine_mode_spec,
@@ -218,6 +222,38 @@ def test_sample_grid_matches_pointwise_evaluation():
     assert np.max(np.abs(field.values - direct)) < 1e-12
 
 
+def traced_peak(fn) -> int:
+    """tracemalloc peak, in bytes, of one call of fn after a warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def parent_grid_sum(modes, coeffs, n):
+    """The grid_sum that the column-block kernel replaced: a dense n x n spectrum,
+    its occupied rows along axis 1, then the whole array along axis 0."""
+    c = np.zeros((n, n), dtype=np.complex128)
+    for (a, b), coeff in zip(modes, coeffs):
+        c[a % n, b % n] += coeff
+    rows = np.flatnonzero(np.any(c, axis=1))
+    sheet = np.repeat(np.fft.ifft(np.zeros((1, n), dtype=np.complex128)), n, axis=0)
+    sheet[rows] = np.fft.ifft(c[rows], axis=1)
+    np.fft.ifft(sheet, axis=0, out=sheet)
+    sheet *= n * n
+    return sheet
+
+
+def parent_sample_grid(spec, n):
+    """The sample_grid that the column-block kernel replaced: the non-real check on the whole sheet."""
+    require_sampling_grid(spec.energy, n)
+    vals = real_part(parent_grid_sum(spec.modes, spec.coeffs, n), spec.coeffs)
+    return SampledField(n, np.ascontiguousarray(vals), spec.lam, spec)
+
+
 def ifft2_grid_sum(modes, coeffs, n):
     """Reference: the whole spectral grid through one unpruned 2-D inverse FFT."""
     c = np.zeros((n, n), dtype=np.complex128)
@@ -230,6 +266,7 @@ def assert_grid_sum_matches_ifft2(modes, coeffs, n):
     # tobytes, not ==: a -0.0 where the reference has 0.0 must show.
     got, want = grid_sum(modes, coeffs, n), ifft2_grid_sum(modes, coeffs, n)
     assert got.tobytes() == want.tobytes(), f"n={n}"
+    assert got.tobytes() == parent_grid_sum(modes, coeffs, n).tobytes(), f"n={n}"
 
 
 @pytest.mark.parametrize("energy", [25, 50, 65, 325, 1105])
@@ -262,7 +299,50 @@ def test_pruned_grid_sum_matches_ifft2_when_a_row_cancels():
     modes = ((1, 2), (1, 2 + n), (3, 1), (3, -1), (0, 5))
     coeffs = np.array([0.5 + 0.25j, -0.5 - 0.25j, 0.3 - 0.1j, -0.3 + 0.1j, 0.7 + 0j])
     assert_grid_sum_matches_ifft2(modes, coeffs, n)
+    assert_grid_sum_matches_ifft2(modes[:2], coeffs[:2], n)
     assert not np.any(grid_sum(modes[:2], coeffs[:2], n))
+
+
+def oracle_specs():
+    """(label, spec, n) of the plan fields, the control and grids off both block sizes."""
+    for energy in (25, 50, 65, 325, 1105):
+        for seed in (0, 1):
+            yield (energy, seed), random_eigenfunction(energy, seed), ExperimentPlan.grid_for(
+                ExperimentPlan, energy)
+    yield "control", sine_mode_spec(1), 347  # the desk plan's control grid
+    for n in (89, 202, 347):  # 347 is a multiple of neither 64 columns nor 188 cell rows
+        yield ("e65", n), random_eigenfunction(65, 3), n
+        for spec in (sine_mode_spec(3), separable_sine_spec(), constant_spec()):
+            yield (spec.energy, n), spec, n
+
+
+def test_sample_grid_matches_the_parent_kernel():
+    for label, spec, n in oracle_specs():
+        got, want = sample_grid(spec, n), parent_sample_grid(spec, n)
+        assert got.values.flags.c_contiguous, label
+        assert got.values.tobytes() == want.values.tobytes(), label
+        assert got.values.shape == want.values.shape and got.spec is spec, label
+
+
+def test_sample_grid_rejects_a_spec_made_non_real_like_the_parent_kernel():
+    # A coefficient changed after validation breaks conjugate symmetry.
+    spec = random_eigenfunction(65, 2)
+    coeffs = spec.coeffs.copy()
+    coeffs[0] += 0.1j
+    object.__setattr__(spec, "coeffs", coeffs)
+    with pytest.raises(NonRealValue) as got:
+        sample_grid(spec, 89)
+    with pytest.raises(NonRealValue) as want:
+        parent_sample_grid(spec, 89)
+    assert str(got.value) == str(want.value)
+
+
+def test_sample_grid_memory_is_bounded():
+    # tracemalloc peak at E=1105, seed 0, N=544 (a 2.37 MB field): 3.77 MB,
+    # against 9.75 MB for parent_sample_grid's dense complex spectrum and sheet.
+    spec = random_eigenfunction(1105, 0)
+    peak = traced_peak(lambda: sample_grid(spec, 544))
+    assert peak < 4_000_000 <= traced_peak(lambda: parent_sample_grid(spec, 544)), peak
 
 
 def test_sample_grid_parseval_identity():

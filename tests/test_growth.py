@@ -133,7 +133,7 @@ def test_growth_in_C_exponent_positive_for_oscillation():
 
 def test_growth_report_regression(e65_field):
     frozen = BASELINE["growth"]
-    report = growth_report(e65_field, 0.14050174776480118, 0.25, 65**-0.5)
+    report = growth_report(e65_field.spec, 0.14050174776480118, 0.25, 65**-0.5)
     assert report.mu == pytest.approx(frozen["mu"], rel=1e-12)
     assert report.c7_max == pytest.approx(frozen["c7_max"], rel=1e-9)
     assert report.c9_hat == pytest.approx(frozen["c9_hat"], rel=1e-9)
