@@ -100,9 +100,10 @@ def sign_changes(field, centers: np.ndarray, radius: float) -> np.ndarray:
 
 
 def require_doubling_constants(a1: float, a2: float) -> None:
-    """Raise unless the doubling scale a1 and the ratio bound a2 are both positive."""
-    if not (a1 > 0.0 and a2 > 0.0):
-        raise ValueError(f"doubling constants must be positive; got a1={a1!r}, a2={a2!r}")
+    """Raise unless the doubling scale a1 and the ratio bound a2 are both positive and finite."""
+    if not (0.0 < a1 < math.inf and 0.0 < a2 < math.inf):
+        raise ValueError(f"doubling constants must be positive and finite; "
+                         f"got a1={a1!r}, a2={a2!r}")
 
 
 def doubling_admissible(lam: float, a1: float) -> bool:

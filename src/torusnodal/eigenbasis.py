@@ -140,18 +140,6 @@ def sine_mode_spec(k: int = 1) -> EigenfunctionSpec:
     return EigenfunctionSpec(k * k, ((-k, 0), (k, 0)), np.array([1j * c, -1j * c]))
 
 
-def separable_sine_spec() -> EigenfunctionSpec:
-    """The fixture 2 sin(2 pi x) sin(2 pi y): energy 2, nodal set 4 circles."""
-    modes = ((-1, -1), (-1, 1), (1, -1), (1, 1))
-    coeffs = np.array([-0.5, 0.5, 0.5, -0.5], dtype=complex)
-    return EigenfunctionSpec(2, modes, coeffs)
-
-
-def constant_spec() -> EigenfunctionSpec:
-    """The degenerate fixture u == 1 (not an eigenfunction; lam = 0)."""
-    return EigenfunctionSpec(0, ((0, 0),), np.array([1.0 + 0j]))
-
-
 def _openblas_function(verb: str):
     """OpenBLAS's `verb` (e.g. set_num_threads) in the copy mapped into this process, or None."""
     try:

@@ -3,12 +3,24 @@ import pytest
 from hypothesis import settings
 
 from torusnodal.ballstats import ScaleFunction
-from torusnodal.eigenbasis import random_eigenfunction, sample_grid
+from torusnodal.eigenbasis import EigenfunctionSpec, random_eigenfunction, sample_grid
 from torusnodal.nodal import NodalSet, extract_nodal
 from torusnodal.torus import wrap_delta, wrap_point
 
 settings.register_profile("suite", deadline=None, max_examples=25)
 settings.load_profile("suite")
+
+
+def separable_sine_spec() -> EigenfunctionSpec:
+    """The fixture 2 sin(2 pi x) sin(2 pi y): energy 2, nodal set 4 circles."""
+    modes = ((-1, -1), (-1, 1), (1, -1), (1, 1))
+    coeffs = np.array([-0.5, 0.5, 0.5, -0.5], dtype=complex)
+    return EigenfunctionSpec(2, modes, coeffs)
+
+
+def constant_spec() -> EigenfunctionSpec:
+    """The degenerate fixture u == 1 (not an eigenfunction; lam = 0)."""
+    return EigenfunctionSpec(0, ((0, 0),), np.array([1.0 + 0j]))
 
 
 @pytest.fixture(scope="session")

@@ -18,16 +18,16 @@ import pytest
 from torusnodal.ballstats import ScaleFunction
 from torusnodal.covering import build_cover
 from torusnodal.eigenbasis import (
-    constant_spec,
     random_eigenfunction,
     sample_grid,
-    separable_sine_spec,
     sine_mode_spec,
 )
 from torusnodal.growth import complex_strip_sup, growth_in_C_exponent
 from torusnodal.harness import plan_from_json, report_to_json, run_plan
 from torusnodal.nodal import extract_nodal, integrate_over_nodal
 from torusnodal.torus import wrap_delta
+
+from conftest import constant_spec, separable_sine_spec
 
 HERE = os.path.dirname(__file__)
 PLAN_PATH = os.path.join(HERE, "..", "plans", "desk.json")

@@ -22,10 +22,11 @@ from torusnodal.ballstats import (
 )
 from torusnodal.covering import build_cover
 from torusnodal.doubling import INNER_FACTOR, OUTER_FACTOR
-from torusnodal.eigenbasis import (SampledField, constant_spec, random_eigenfunction, sample_grid,
-                                  sine_mode_spec)
+from torusnodal.eigenbasis import SampledField, random_eigenfunction, sample_grid, sine_mode_spec
 from torusnodal.errors import BallTooLarge, RadiusUnderResolved
 from torusnodal.torus import wrap_delta
+
+from conftest import constant_spec
 
 BASELINE = json.loads(
     open(__file__.rsplit("/", 1)[0] + "/baselines/fixture_e65_seed7.json").read()

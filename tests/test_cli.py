@@ -9,11 +9,12 @@ import pytest
 from torusnodal import ballstats, cli, doubling, harness
 from torusnodal.cli import main
 from torusnodal.covering import build_cover
-from torusnodal.eigenbasis import (constant_spec, random_eigenfunction, sample_grid, sine_mode_spec,
-                                   spec_to_json)
+from torusnodal.eigenbasis import random_eigenfunction, sample_grid, sine_mode_spec, spec_to_json
 from torusnodal.harness import ExperimentPlan, _stage_seed, plan_from_json
 from torusnodal.nodal import extract_nodal
 from torusnodal.svgplot import render_svg
+
+from conftest import constant_spec
 
 
 def write_plan(tmp_path, **kwargs) -> str:
@@ -297,14 +298,18 @@ def test_spec_commands_reject_the_constant_spec(tmp_path, capsys, monkeypatch, c
     assert err == f"[error] {message}\n"
 
 
-@pytest.mark.parametrize("flag, value", [("--a1", "-1"), ("--a2", "0"), ("--a2", "nan")])
+@pytest.mark.parametrize("flag, value", [("--a1", "-1"), ("--a2", "0"), ("--a2", "nan"),
+                                         ("--a2", "inf"), ("--a1", "inf")])
 def test_doubling_rejects_non_positive_constants(tmp_path, capsys, monkeypatch, flag, value):
-    # The plan's rule, checked before the field is sampled.
+    # The plan's rule, checked before the field is sampled: an infinite
+    # constant would reach doubling JSON as Infinity, which is not JSON.
     monkeypatch.setattr(cli, "sample_grid", no_sampling)
+    out = tmp_path / "out"
     assert main(["doubling", "--energy", "1105", "--seed", "0", flag, value,
-                 "--out", str(tmp_path)]) == 1
+                 "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("[error] doubling constants must be positive") and "Traceback" not in err
+    assert err.startswith("[error] doubling constants must be positive and finite")
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_doubling_rejects_under_resolved_inner_radius(tmp_path, capsys, monkeypatch):
@@ -619,6 +624,19 @@ def test_plot_rejects_a_malformed_ball_csv(tmp_path, capsys, body, why):
     err = capsys.readouterr().err
     assert err.startswith("[error] ball file") and str(path) in err and why in err
     assert "Traceback" not in err and not svg.exists()
+
+
+def test_plot_rejects_a_ball_csv_with_mixed_radii(tmp_path, capsys):
+    # The SVG draws every ball at one radius, so a second radius is an error.
+    nodal = tmp_path / "nodal.csv"
+    nodal.write_text("ax,ay,bx,by,length\n")
+    path = tmp_path / "mixed.csv"
+    path.write_text("center_x,center_y,radius\n0.1,0.2,0.1\n0.5,0.5,0.2\n")
+    svg = tmp_path / "mixed.svg"
+    assert main(["plot", "--nodal", str(nodal), "--balls", str(path), "--out", str(svg)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"[error] ball file {path}: rows carry more than one radius\n"
+    assert not svg.exists()
 
 
 def test_plot_of_a_header_only_ball_csv_draws_no_balls(tmp_path, capsys, recwarn):

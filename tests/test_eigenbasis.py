@@ -15,7 +15,6 @@ from torusnodal.eigenbasis import (
     EigenfunctionSpec,
     SampledField,
     _openblas_function,
-    constant_spec,
     enumerate_modes,
     evaluate,
     grid_sum,
@@ -23,13 +22,14 @@ from torusnodal.eigenbasis import (
     real_part,
     require_sampling_grid,
     sample_grid,
-    separable_sine_spec,
     sine_mode_spec,
     spec_from_json,
     spec_to_json,
 )
 from torusnodal.errors import EmptySpectrum, NonRealValue, ResolutionTooCoarse
 from torusnodal.harness import ExperimentPlan
+
+from conftest import constant_spec, separable_sine_spec
 
 # Energies with spectra of known size, validated against the brute-force
 # oracle below before being frozen here.

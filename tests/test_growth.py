@@ -9,11 +9,9 @@ from torusnodal import growth
 from torusnodal.eigenbasis import (
     TWO_PI,
     _mode_sum,
-    constant_spec,
     evaluate,
     grid_sum,
     random_eigenfunction,
-    separable_sine_spec,
     sine_mode_spec,
 )
 from torusnodal.errors import ChartExceeded, NonRealValue
@@ -31,6 +29,8 @@ from torusnodal.growth import (
     real_doubling_exponent,
     torus_sup,
 )
+
+from conftest import constant_spec, separable_sine_spec
 
 BASELINE = json.loads(
     open(__file__.rsplit("/", 1)[0] + "/baselines/fixture_e65_seed7.json").read()

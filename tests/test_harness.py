@@ -30,6 +30,7 @@ from torusnodal.harness import (
     TestFunction,
     VerificationReport,
     _aggregate,
+    _step,
     _verdicts,
     ball_table,
     check_theorem_1,
@@ -379,27 +380,63 @@ def test_yau_scaling_gate_logic():
 # ---------------------------------------------------------------- chain
 
 
+# The chain links that hold by construction, a per-ball min or max against the
+# values it was taken over; chain_identities restates each as (lhs, rhs).
+IDENTITY_STEPS = ("ball_min_value", "ball_max_value", "per_ball_nodal_floor",
+                  "per_ball_nodal_ceiling", "weighted_floor_sum", "weighted_ceiling_sum")
+
+
+def chain_identities(field, table, trace, ref):
+    """(lhs, rhs) of each IDENTITY_STEPS link, from the per-ball reference terms."""
+    lam = field.spec_lambda
+    vol = math.pi * table.family.radius ** 2
+    ne = table.nonempty
+    sum_min = float(np.sum(ref["f_min"] * ref["length"]))
+    sum_max = float(np.sum(ref["f_max"] * ref["length"]))
+    sum_integral = float(np.sum(ref["integral"]))
+    return {
+        "ball_min_value": (sum_min, sum_integral),
+        "ball_max_value": (sum_integral, sum_max),
+        "per_ball_nodal_floor": (trace.e1_chain * lam * vol, float(np.min(ref["length"]))),
+        "per_ball_nodal_ceiling": (float(np.max(ref["length"])), trace.e2_chain * lam * vol),
+        "weighted_floor_sum": (trace.e1_chain * vol * float(np.sum(ref["f_min"][ne])),
+                               sum_min / lam),
+        "weighted_ceiling_sum": (sum_max / lam,
+                                 trace.e2_chain * vol * float(np.sum(ref["f_max"][ne]))),
+    }
+
+
 def test_chain_regression_against_baseline(e65_field, e65_nodal, half_scale):
     frozen = BASELINE["chain_cos_x"]
     table = cover_table(e65_field, e65_nodal, half_scale)
-    trace = replicate_bound_chain(e65_field, e65_nodal, table,
-                                  integrals_of(e65_field, e65_nodal, "cos_x"))
-    assert trace.ok is True
-    assert trace.hypothesis_met is False
-    assert trace.n_balls == frozen["n_balls"]
-    assert trace.overlap == frozen["overlap"]
-    assert trace.empty_balls == frozen["empty_balls"]
+    fi = integrals_of(e65_field, e65_nodal, "cos_x")
+    trace = replicate_bound_chain(e65_field, e65_nodal, table, fi)
+    assert trace.ok is bool(frozen["ok"]) is True
+    assert trace.hypothesis_met is bool(frozen["hypothesis_met"]) is False
+    assert table.family.count == frozen["n_balls"]
+    assert table.family.overlap_max == frozen["overlap"]
+    assert int(np.sum(~table.nonempty)) == frozen["empty_balls"]
     assert trace.e1_chain == pytest.approx(frozen["e1_chain"], rel=1e-9)
     assert trace.e2_chain == pytest.approx(frozen["e2_chain"], rel=1e-9)
-    assert trace.integral_f == pytest.approx(frozen["integral_f"], rel=1e-9)
+    assert fi.area == pytest.approx(frozen["integral_f"], rel=1e-9)
     assert trace.corr_lower == pytest.approx(frozen["corr_lower"], rel=1e-9)
     assert trace.corr_upper == pytest.approx(frozen["corr_upper"], rel=1e-9)
-    assert [s.name for s in trace.steps] == [s["name"] for s in frozen["steps"]]
-    for got, want in zip(trace.steps, frozen["steps"]):
+    by_name = {want["name"]: want for want in frozen["steps"]}
+    assert set(IDENTITY_STEPS) <= set(by_name)
+    assert [s.name for s in trace.steps] == [name for name in by_name
+                                             if name not in IDENTITY_STEPS]
+    for got in trace.steps:
+        want = by_name[got.name]
         assert got.holds is bool(want["holds"])
         assert got.lhs == pytest.approx(want["lhs"], rel=1e-9)
         assert got.rhs == pytest.approx(want["rhs"], rel=1e-9)
         assert got.slack == pytest.approx(want["slack"], rel=1e-9)
+    ref = reference_ball_terms(e65_nodal, table, fi.tf)
+    for name, (lhs, rhs) in chain_identities(e65_field, table, trace, ref).items():
+        want = by_name[name]
+        assert want["holds"] is True and want["slack"] == 0.0, name
+        assert lhs == pytest.approx(want["lhs"], rel=1e-9), name
+        assert rhs == pytest.approx(want["rhs"], rel=1e-9), name
     assert "asymptotic hypothesis unmet" in trace.message
 
 
@@ -413,7 +450,7 @@ def test_chain_unit_weight_meets_hypothesis(e65_field, e65_nodal, half_scale):
     # With the hypothesis met the lower conclusion is informative: a strictly
     # positive bound below the measured integral.
     lower = [s for s in trace.steps if s.name == "lower_conclusion"][0]
-    assert 0.0 < lower.lhs <= trace.integral_f
+    assert 0.0 < lower.lhs <= integrals_of(e65_field, e65_nodal, "one").area
 
 
 def test_chain_rough_weight_reports_unmet_hypothesis(e65_field, e65_nodal):
@@ -448,11 +485,12 @@ def test_chain_detects_tampered_cover(e65_field, e65_nodal, half_scale):
 
 
 def reference_ball_terms(nodal, table, tf):
-    """Per-ball f-minima, f-maxima, integrals and 9x9-lattice sup/inf, one ball at a time."""
+    """Per-ball lengths, f-minima, f-maxima, integrals and lattice sup/inf, one ball at a time."""
     fam = table.family
     r = table.mass.radius
     probe_eps = math.sqrt(2.0) / (2.0 * fam.probe_resolution)
-    terms = {name: np.zeros(fam.count) for name in ("f_min", "f_max", "integral", "sup", "inf")}
+    terms = {name: np.zeros(fam.count)
+             for name in ("length", "f_min", "f_max", "integral", "sup", "inf")}
 
     def lattice(c, half):
         t = np.linspace(-half, half, 9)
@@ -462,6 +500,7 @@ def reference_ball_terms(nodal, table, tf):
 
     for k, c in enumerate(fam.centers):
         piece_len, piece_mid = clip_to_ball(nodal, c, r)[:2]
+        terms["length"][k] = float(np.sum(piece_len))
         if piece_len.size:
             vals = tf(piece_mid)
             if np.min(vals) < -1e-9:
@@ -485,15 +524,15 @@ def sine_pair():
 
 
 @pytest.mark.parametrize("name", sorted(TEST_FUNCTIONS))
-@pytest.mark.parametrize("case", ["e65", "sine"])
-def test_chain_matches_per_ball_reference(e65_field, e65_nodal, half_scale, sine_pair,
-                                          case, name):
-    if case == "e65":
-        field, nodal, scale = e65_field, e65_nodal, half_scale
-    else:
+@pytest.mark.parametrize("case", ["e65", "sine", "e1105"])
+def test_chain_matches_per_ball_reference(request, half_scale, case, name):
+    if case == "sine":
         # Radius 1/(2 pi): cover balls between the two nodal lines clip nothing.
-        field, nodal = sine_pair
+        field, nodal = request.getfixturevalue("sine_pair")
         scale = ScaleFunction(1.0)
+    else:
+        field, nodal = (request.getfixturevalue(f"{case}_{part}") for part in ("field", "nodal"))
+        scale = half_scale
     table = cover_table(field, nodal, scale)
     fi = integrals_of(field, nodal, name)
     trace = replicate_bound_chain(field, nodal, table, fi)
@@ -511,12 +550,18 @@ def test_chain_matches_per_ball_reference(e65_field, e65_nodal, half_scale, sine
                                 + quad)
     steps = {s.name: s for s in trace.steps}
     assert steps["nodal_coverage_superadditivity"].rhs == float(np.sum(ref["integral"]))
-    assert steps["ball_min_value"].lhs == float(np.sum(ref["f_min"] * table.lengths))
-    assert steps["ball_max_value"].rhs == float(np.sum(ref["f_max"] * table.lengths))
     assert steps["cover_captures_integral"].rhs == vol * float(np.sum(ref["f_min"][ne]))
     assert steps["disjoint_cores_bound_integral"].lhs == vol * float(np.sum(ref["f_max"][ne]))
-    assert trace.empty_balls == int(np.sum(~ne))
-    assert (trace.empty_balls > 0) is (case == "sine")
+    assert bool(np.any(~ne)) is (case == "sine")
+
+    # The links that hold by construction, under the chain's own 1e-9 rule;
+    # the per-ball floor and ceiling hold both ways.
+    identities = chain_identities(field, table, trace, ref)
+    for step_name, (lhs, rhs) in identities.items():
+        assert _step(step_name, lhs, rhs, 0.0).holds, (step_name, lhs, rhs)
+    for step_name in ("per_ball_nodal_floor", "per_ball_nodal_ceiling"):
+        rhs, lhs = identities[step_name]
+        assert _step(step_name, lhs, rhs, 0.0).holds, (step_name, lhs, rhs)
 
 
 def test_chain_names_first_negative_ball_like_per_ball_reference(e65_field, e65_nodal,

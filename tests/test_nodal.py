@@ -7,10 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from torusnodal.eigenbasis import (
     SampledField,
-    constant_spec,
     random_eigenfunction,
     sample_grid,
-    separable_sine_spec,
     sine_mode_spec,
 )
 from torusnodal.covering import build_cover
@@ -35,6 +33,7 @@ from torusnodal.nodal import (
 )
 from torusnodal.torus import wrap_delta, wrap_point
 
+from conftest import constant_spec, separable_sine_spec
 from test_eigenbasis import oracle_specs, traced_peak
 
 _B, _R, _T, _L = 0, 1, 2, 3
