@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -38,24 +37,17 @@ from .torus import wrap_delta
 MIN_CELLS_PER_RADIUS = 20.0
 
 
-@dataclass(frozen=True)
-class ScaleFunction:
-    """Power-law small scale r(lam) = lam^(-rho).
+def scale_radius(lam: float, rho: float) -> float:
+    """The power-law small scale r = lam^(-rho), for rho in (0, 1] and lam > 0.
 
     Exponents in (0, 1] are admissible in general; the planar torus
     experiments restrict to (0, 1) at plan validation.
     """
-
-    rho: float
-
-    def __post_init__(self):
-        if not 0.0 < self.rho <= 1.0:
-            raise ValueError(f"rho must lie in (0, 1], got {self.rho!r}")
-
-    def __call__(self, lam: float) -> float:
-        if lam <= 0.0:
-            raise ValueError("scale function needs a positive frequency")
-        return float(lam ** (-self.rho))
+    if not 0.0 < rho <= 1.0:
+        raise ValueError(f"rho must lie in (0, 1], got {rho!r}")
+    if lam <= 0.0:
+        raise ValueError("scale function needs a positive frequency")
+    return float(lam ** (-rho))
 
 
 def median(values) -> float:

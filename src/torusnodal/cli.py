@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .ballstats import ScaleFunction, report_summary_json, report_to_csv, sse_scan
+from .ballstats import report_summary_json, report_to_csv, scale_radius, sse_scan
 from .covering import build_cover, family_to_csv, family_to_json
 from .doubling import (DEFAULT_A1, DEFAULT_A2, doubling_stage, report_to_json as doubling_json,
                        require_doubling_constants, require_resolved_doubling)
@@ -111,7 +111,7 @@ def cmd_ballstats(args) -> int:
     spec, stem, n = _spec_and_grid(args)
     rho = None if args.radius is not None else args.rho
     # The scale rule rejects lam = 0 before sampling.
-    r = args.radius if rho is None else ScaleFunction(rho)(spec.lam)
+    r = args.radius if rho is None else scale_radius(spec.lam, rho)
     family = sse_scan(sample_grid(spec, n), r, seed=args.seed)
     out = _ensure_out(args.out)
     path = os.path.join(out, f"ballstats_{stem}.csv")
@@ -138,23 +138,26 @@ def cmd_doubling(args) -> int:
     require_doubling_constants(args.a1, args.a2)
     require_resolved_doubling(spec.lam, args.a1, n)
     field = sample_grid(spec, n)
-    report, assembly = doubling_stage(field, extract_nodal(field), args.a1, args.a2, args.seed)
+    nodal = extract_nodal(field)
+    report, assembly = doubling_stage(field, nodal, args.a1, args.a2, args.seed)
+    total_length = nodal.total_length
+    del nodal  # the JSON below measures every ball, the command's memory peak
     out = _ensure_out(args.out)
     path = os.path.join(out, f"doubling_{stem}.json")
     with open(path, "w") as fh:
         fh.write(doubling_json(report))
-    print(f"[doubling] wrote {path} balls={report.count} "
+    print(f"[doubling] wrote {path} balls={len(report.centers)} "
           f"good_fraction={report.good_fraction!r} "
           f"sign_change={report.nodal_fraction_among_good!r} "
           f"assembled_lower_bound={assembly['assembled_lower_bound']!r} "
-          f"total_length={assembly['total_length']!r} "
+          f"total_length={total_length!r} "
           f"a3_hat={assembly['a3_hat']!r}")
     return 0
 
 
 def cmd_growth(args) -> int:
     spec, stem, n = _spec_and_grid(args)
-    scale_r = ScaleFunction(args.rho)(spec.lam)  # rejects lam = 0 before the default tau
+    scale_r = scale_radius(spec.lam, args.rho)  # rejects lam = 0 before the default tau
     tau = args.tau if args.tau is not None else spec.energy ** -0.5
     require_sampling_grid(spec.energy, n)
     report = growth_report(spec, scale_r, args.delta, tau)

@@ -61,25 +61,13 @@ class DoublingReport:
     outer: CertifiedMasses = dataclass_field(repr=False)
 
     @property
-    def inner_radius(self) -> float:
-        return self.inner.radius
-
-    @property
-    def outer_radius(self) -> float:
-        return self.outer.radius
-
-    @property
     def ratios(self) -> np.ndarray:
         """Outer over inner mass of every ball, measured by quadrature when first read."""
         return self.outer.masses() / self.inner.masses()
 
     @property
-    def count(self) -> int:
-        return int(self.centers.shape[0])
-
-    @property
     def good_fraction(self) -> float:
-        return float(np.mean(self.good)) if self.count else 0.0
+        return float(np.mean(self.good)) if self.good.size else 0.0
 
     @property
     def nodal_fraction_among_good(self) -> float:
@@ -174,15 +162,14 @@ def lower_bound_assembly(report: DoublingReport, nodal: NodalSet) -> dict:
     good = report.centers[report.good]
     good_lengths = np.zeros(len(good))
     for k in range(0, len(good), _ASSEMBLY_BALLS):
-        piece_len, _, offsets = clip_family(nodal, good[k:k + _ASSEMBLY_BALLS], report.inner_radius)
+        piece_len, _, offsets = clip_family(nodal, good[k:k + _ASSEMBLY_BALLS], report.inner.radius)
         good_lengths[k:k + _ASSEMBLY_BALLS] = ball_sums(piece_len, offsets)
-    lengths = np.zeros(report.count)
+    lengths = np.zeros(len(report.centers))
     lengths[report.good] = good_lengths
     bound = float(np.sum(good_lengths)) / OVERLAP_VOLUME_BOUND
     a3 = float(np.min(good_lengths) * report.lam) if good_lengths.size else float("nan")
     return {
         "assembled_lower_bound": bound,
-        "total_length": nodal.total_length,
         "a3_hat": a3,
         "good_count": int(np.sum(report.good)),
         "lengths": lengths,
@@ -204,9 +191,9 @@ def report_to_json(report: DoublingReport) -> str:
         "a1": report.a1,
         "a2": report.a2,
         "lambda": report.lam,
-        "inner_radius": report.inner_radius,
-        "outer_radius": report.outer_radius,
-        "count": report.count,
+        "inner_radius": report.inner.radius,
+        "outer_radius": report.outer.radius,
+        "count": len(report.centers),
         "good_fraction": report.good_fraction,
         "ratios": [float(x) for x in report.ratios],
         "good": [bool(x) for x in report.good],

@@ -194,17 +194,11 @@ def evaluate(spec: EigenfunctionSpec, pts) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SampledField:
-    """Grid samples of a field on the torus: values[i, j] = u(i/N, j/N).
-
-    spec is retained when the field came from sample_grid, so downstream
-    consumers that need off-grid values at full accuracy (sup norms) can
-    evaluate the trigonometric sum instead of interpolating.
-    """
+    """Grid samples of a field on the torus: values[i, j] = u(i/N, j/N)."""
 
     resolution: int
     values: np.ndarray
     spec_lambda: float
-    spec: EigenfunctionSpec | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -297,7 +291,7 @@ def sample_grid(spec: EigenfunctionSpec, n: int) -> SampledField:
     vals = np.empty((n, n))
     for j0, j1, block in _column_blocks(spec.modes, spec.coeffs, n):
         vals[:, j0:j1] = real_part(block, spec.coeffs)
-    return SampledField(n, vals, spec.lam, spec)
+    return SampledField(n, vals, spec.lam)
 
 
 def spec_to_json(spec: EigenfunctionSpec) -> str:

@@ -46,7 +46,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .ballstats import CertifiedMasses, ScaleFunction, median, require_resolved_radius, sse_scan
+from .ballstats import CertifiedMasses, median, require_resolved_radius, scale_radius, sse_scan
 from .covering import BallFamily, build_cover, cover_admissible
 from .doubling import (DEFAULT_A1, DEFAULT_A2, doubling_admissible, doubling_stage,
                        require_doubling_constants, require_resolved_doubling)
@@ -249,11 +249,10 @@ class ExperimentPlan:
             else:
                 raise ValueError(f"tolerance {key!r} must be a finite number; got {value!r}")
         object.__setattr__(self, "tolerances", merged)
-        scale = ScaleFunction(self.rho)
         for e in self.energies:
             n = self.grid_for(e)
             lam = 2.0 * math.pi * math.sqrt(e)
-            r = scale(lam)
+            r = scale_radius(lam, self.rho)
             try:
                 require_sampling_grid(e, n)
                 if cover_admissible(r):
@@ -262,7 +261,7 @@ class ExperimentPlan:
                     require_resolved_doubling(lam, self.doubling_a1, n)
             except (BallTooLarge, RadiusUnderResolved, ResolutionTooCoarse) as exc:
                 raise ValueError(f"{exc} at E={e}") from None
-        r_ref = scale(2.0 * math.pi * math.sqrt(max(self.energies)))
+        r_ref = scale_radius(2.0 * math.pi * math.sqrt(max(self.energies)), self.rho)
         if self.include_low_energy_control and not cover_admissible(r_ref):
             raise ValueError(f"the control's radius, the scale radius {r_ref!r} at "
                              f"E={max(self.energies)}, is not below 1/4; "
@@ -284,9 +283,6 @@ class ExperimentPlan:
 
     def grid_for(self, energy: int) -> int:
         return max(self.grid_min, self.grid_per_sqrt_energy * math.ceil(math.sqrt(energy)))
-
-    def scale(self) -> ScaleFunction:
-        return ScaleFunction(self.rho)
 
     def to_json(self) -> str:
         return json.dumps({f: getattr(self, f) for f in self.__dataclass_fields__},
@@ -511,8 +507,6 @@ class ChainStep(NamedTuple):
 class ChainTrace:
     """Full numeric trace of the lower and upper bound chains for one f."""
 
-    e1_chain: float
-    e2_chain: float
     corr_lower: float
     corr_upper: float
     hypothesis_met: bool
@@ -583,8 +577,8 @@ def replicate_bound_chain(field: SampledField, nodal: NodalSet, table: BallTable
     slack_cover = piece_slack + tf.modulus(seg_max / 2.0) * total_length
     slack_overlap = piece_slack + overlap * tf.modulus(seg_max / 2.0) * total_length
 
-    e1_chain = float(np.min(table.density)) if n_balls else float("nan")
-    e2_chain = float(np.max(table.density)) if n_balls else float("nan")
+    e1_chain = float(np.min(table.density))
+    e2_chain = float(np.max(table.density))
 
     # Cover-side corrections to the area integral.  sup estimates use
     # a 9x9 lattice on the bounding square plus the Lipschitz gap, so they
@@ -639,10 +633,7 @@ def replicate_bound_chain(field: SampledField, nodal: NodalSet, table: BallTable
         _step("upper_conclusion", total_integral / lam, upper_conclusion, 0.0,
               "composite upper bound for the curve integral of f"),
     )
-    return ChainTrace(
-        e1_chain=e1_chain, e2_chain=e2_chain, corr_lower=corr_lower, corr_upper=corr_upper,
-        hypothesis_met=hypothesis_met, message=message, steps=steps,
-    )
+    return ChainTrace(corr_lower, corr_upper, hypothesis_met, message, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +708,7 @@ def run_single(plan: ExperimentPlan, energy: int, seed: int) -> RunResult:
     field = sample_grid(spec, n)
     nodal = extract_nodal(field)
     lam = spec.lam
-    r = plan.scale()(lam)
+    r = scale_radius(lam, plan.rho)
     flags: list[str] = []
 
     too_large = not cover_admissible(r)
@@ -769,7 +760,7 @@ def run_single(plan: ExperimentPlan, energy: int, seed: int) -> RunResult:
         c1_hat=t2.c1_hat, c2_hat=t2.c2_hat, rho_by_f=dict(t2.rho_by_name),
         chain_ok=all(t.ok for t in traces),
         chain_hypothesis_met=sum(t.hypothesis_met for t in traces),
-        chain_e1=traces[-1].e1_chain, chain_e2=traces[-1].e2_chain,
+        chain_e1=float(np.min(table.density)), chain_e2=float(np.max(table.density)),
         **doubling_kwargs,
         c7_max=growth.c7_max, c9_hat=growth.c9_hat,
         strip_sup=growth.strip_sup, strip_certificate=growth.strip_certificate,
@@ -786,7 +777,7 @@ def control_run(plan: ExperimentPlan) -> dict:
     must fail; the control documents that the band is a real condition,
     not an artifact of the pipeline.
     """
-    r_ref = plan.scale()(2.0 * math.pi * math.sqrt(max(plan.energies)))
+    r_ref = scale_radius(2.0 * math.pi * math.sqrt(max(plan.energies)), plan.rho)
     spec = sine_mode_spec(1)
     n = max(plan.grid_for(1), math.ceil(24.0 / r_ref))
     field = sample_grid(spec, n)

@@ -95,7 +95,6 @@ class NodalSet:
     b: np.ndarray
     lengths: np.ndarray
     midpoints: np.ndarray
-    source_resolution: int
 
     @property
     def count(self) -> int:
@@ -135,7 +134,7 @@ def extract_nodal(field) -> NodalSet:
     step = max(1, _BLOCK_CELLS // n)
     parts = [_march_rows(values, i0, min(i0 + step, n), n) for i0 in range(0, n, step)]
     a, b, lengths, mids = (np.concatenate(x) for x in zip(*parts))
-    return NodalSet(a, b, lengths, mids, n)
+    return NodalSet(a, b, lengths, mids)
 
 
 def _march_rows(values: np.ndarray, i0: int, i1: int, n: int):
@@ -339,14 +338,10 @@ def nodal_to_csv(nodal: NodalSet, path: str) -> None:
 
 
 def nodal_from_csv(path: str) -> NodalSet:
-    """Load a segment soup written by nodal_to_csv.
-
-    The source resolution is not part of the wire format; it comes back as
-    0 (geometry only).  A header-only file is the empty set.
-    """
+    """Load a segment soup written by nodal_to_csv; a header-only file is the empty set."""
     rows = read_float_csv(path, _NODAL_HEADER, "nodal file")
     a = rows[:, 0:2]
     b = rows[:, 2:4]
     lengths = rows[:, 4]
     mids = wrap_point(a + wrap_delta(b - a) / 2.0)
-    return NodalSet(wrap_point(a), wrap_point(b), lengths, mids, 0)
+    return NodalSet(wrap_point(a), wrap_point(b), lengths, mids)

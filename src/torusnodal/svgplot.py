@@ -56,8 +56,10 @@ def render_svg(nodal: NodalSet | None = None,
 
 
 def balls_from_csv(path: str) -> tuple[np.ndarray, float]:
-    """Read centers and the common radius from a cover CSV; a header-only file has no balls."""
+    """Centers and the common positive radius of a cover CSV; a header-only file has no balls."""
     rows = read_float_csv(path, "center_x,center_y,radius", "ball file")
     if np.unique(rows[:, 2]).size > 1:
         raise ValueError(f"ball file {path}: rows carry more than one radius")
+    if np.any(rows[:, 2] <= 0.0):
+        raise ValueError(f"ball file {path}: radius {float(rows[0, 2])!r} is not positive")
     return rows[:, :2], float(rows[0, 2]) if len(rows) else 0.0

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from torusnodal.ballstats import ScaleFunction
 from torusnodal.eigenbasis import EigenfunctionSpec, random_eigenfunction, sample_grid
 from torusnodal.nodal import NodalSet, extract_nodal
 from torusnodal.torus import wrap_delta, wrap_point
@@ -46,11 +45,6 @@ def e1105_nodal(e1105_field):
 
 
 @pytest.fixture(scope="session")
-def half_scale():
-    return ScaleFunction(0.5)
-
-
-@pytest.fixture(scope="session")
 def awkward_nodal():
     """Segments across the seam, with -0.0, subnormal and tiny coordinates."""
     a = np.array([[1.0 - 2.0**-53, 0.5], [-0.0, 1e-300], [5e-324, 0.25],
@@ -58,4 +52,4 @@ def awkward_nodal():
     b = np.array([[0.001, 0.5001], [0.002, 1.0 - 1e-6], [0.01, 1e-17],
                   [0.2999, 0.0001], [0.101, 0.2], [0.5, 1e-310]])
     d = wrap_delta(b - a)
-    return NodalSet(a, b, np.linalg.norm(d, axis=1), wrap_point(a + d / 2.0), 0)
+    return NodalSet(a, b, np.linalg.norm(d, axis=1), wrap_point(a + d / 2.0))

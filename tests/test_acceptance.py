@@ -15,7 +15,6 @@ import mpmath
 import numpy as np
 import pytest
 
-from torusnodal.ballstats import ScaleFunction
 from torusnodal.covering import build_cover
 from torusnodal.eigenbasis import (
     random_eigenfunction,

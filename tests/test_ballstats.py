@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 from torusnodal import ballstats
 from torusnodal.ballstats import (
     CertifiedMasses,
-    ScaleFunction,
     _mass_bounds,
     ball_masses,
     default_centers,
@@ -18,6 +17,7 @@ from torusnodal.ballstats import (
     median,
     report_summary_json,
     report_to_csv,
+    scale_radius,
     sse_scan,
 )
 from torusnodal.covering import build_cover
@@ -69,7 +69,7 @@ def test_mass_is_independent_of_y_for_vertical_stripes(sine_field):
 
 
 def test_mass_refines_consistently(e65_field):
-    fine = sample_grid(e65_field.spec, 512)
+    fine = sample_grid(random_eigenfunction(65, 7), 512)
     for center in [(0.2, 0.3), (0.7, 0.9), (0.0, 0.5)]:
         coarse_mass = mass_in_ball(e65_field, center, 0.1)
         fine_mass = mass_in_ball(fine, center, 0.1)
@@ -193,9 +193,8 @@ def test_mass_bounds_bracket_the_doubling_and_quarter_radii(energy):
         assert np.all(lo <= masses) and np.all(masses <= hi), r
 
 
-def test_band_decisions_equal_the_exact_ones_at_observed_edges(monkeypatch, e65_field,
-                                                               half_scale):
-    r = half_scale(e65_field.spec_lambda)
+def test_band_decisions_equal_the_exact_ones_at_observed_edges(monkeypatch, e65_field):
+    r = scale_radius(e65_field.spec_lambda, 0.5)
     centers = build_cover(r, 0).centers
     exact = ball_masses(e65_field, centers, r) / (math.pi * r * r)
     measured = []
@@ -239,13 +238,13 @@ def test_sse_extremes_on_tied_masses():
     n = 256
     flat = dataclasses.replace(sample_grid(constant_spec(), n), spec_lambda=2.0 * math.pi * 5.0)
     for field in (flat, sample_grid(sine_mode_spec(1), n)):
-        r = ScaleFunction(0.5)(field.spec_lambda)
+        r = scale_radius(field.spec_lambda, 0.5)
         for seed in (0, 3):
             assert sse_scan(field, r, seed).extreme_ratios() == full_scan_extremes(field, r, seed)
 
 
-def test_sse_extremes_measures_few_balls(monkeypatch, e65_field, half_scale):
-    r = half_scale(e65_field.spec_lambda)
+def test_sse_extremes_measures_few_balls(monkeypatch, e65_field):
+    r = scale_radius(e65_field.spec_lambda, 0.5)
     want = full_scan_extremes(e65_field, r, 0)
     measured = []
     real = ballstats.ball_masses
@@ -269,14 +268,16 @@ def test_mass_rejects_bad_radii(e65_field):
 
 
 def test_scale_function_contract():
-    scale = ScaleFunction(0.5)
     lam = 2 * np.pi * np.sqrt(65.0)
-    assert scale(lam) == pytest.approx(lam**-0.5)
+    assert scale_radius(lam, 0.5) == lam**-0.5
+    # rho is checked before lam, so a bad pair names rho.
     for bad in (0.0, -0.2, 1.5):
-        with pytest.raises(ValueError):
-            ScaleFunction(bad)
+        with pytest.raises(ValueError, match=rf"^rho must lie in \(0, 1\], got {bad!r}$"):
+            scale_radius(0.0, bad)
+    with pytest.raises(ValueError, match="^scale function needs a positive frequency$"):
+        scale_radius(0.0, 0.5)
     # rho = 1 is a legal scale function even though survey plans stay below it.
-    assert ScaleFunction(1.0)(lam) == pytest.approx(1.0 / lam)
+    assert scale_radius(lam, 1.0) == pytest.approx(1.0 / lam)
 
 
 def test_default_centers_layout():
@@ -287,8 +288,8 @@ def test_default_centers_layout():
     assert not np.array_equal(centers, default_centers(0.1, seed=2))
 
 
-def test_report_order_statistics(e65_field, half_scale):
-    r = half_scale(e65_field.spec_lambda)
+def test_report_order_statistics(e65_field):
+    r = scale_radius(e65_field.spec_lambda, 0.5)
     family = sse_scan(e65_field, r, 0)
     masses = family.masses()
     ratios = masses / family.volume
@@ -302,9 +303,9 @@ def test_report_order_statistics(e65_field, half_scale):
     assert sse_scan(e65_field, r, 0).ratios_in_band((d1, d2)).all()
 
 
-def test_sse_scan_regression(e65_field, half_scale):
+def test_sse_scan_regression(e65_field):
     frozen = BASELINE["sse"]
-    family = sse_scan(e65_field, half_scale(e65_field.spec_lambda), 0)
+    family = sse_scan(e65_field, scale_radius(e65_field.spec_lambda, 0.5), 0)
     ratios = family.masses() / family.volume
     assert ratios.size == frozen["count"]
     assert family.radius == pytest.approx(frozen["radius"], rel=1e-12)
@@ -313,8 +314,8 @@ def test_sse_scan_regression(e65_field, half_scale):
     assert median(ratios) == pytest.approx(frozen["median"], rel=1e-9)
 
 
-def test_report_csv_and_json(tmp_path, e65_field, half_scale):
-    family = sse_scan(e65_field, half_scale(e65_field.spec_lambda), 0)
+def test_report_csv_and_json(tmp_path, e65_field):
+    family = sse_scan(e65_field, scale_radius(e65_field.spec_lambda, 0.5), 0)
     csv_path = tmp_path / "ballstats.csv"
     report_to_csv(family, str(csv_path))
     rows = np.loadtxt(csv_path, delimiter=",", skiprows=1)

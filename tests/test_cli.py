@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from torusnodal import ballstats, cli, doubling, harness
+from torusnodal.ballstats import scale_radius
 from torusnodal.cli import main
 from torusnodal.covering import build_cover
 from torusnodal.eigenbasis import random_eigenfunction, sample_grid, sine_mode_spec, spec_to_json
@@ -220,6 +221,28 @@ def test_ballstats_bytes_are_frozen(tmp_path, capsys, monkeypatch, args, csv_sha
     assert brackets == []
 
 
+# Hashes of the JSON file and of stdout (output directory written as "out") of
+# doubling and growth on the E=65 field of seed 7.  Every doubling ratio is
+# measured; at a2 = 16 all 69 balls are good, at a2 = 4 32 of them.
+@pytest.mark.parametrize("args, json_sha, stdout_sha", [
+    (["doubling", "--energy", "65", "--seed", "7", "--a1", "0.5"],
+     "86d16fb8983a8afce11c5ba0c47165fcda196370558516af22931f0f4838b717",
+     "0a366f4411a2f65f4c1f4a2c6a6023248ff83f3d5236150ac239f663e107b157"),
+    (["doubling", "--energy", "65", "--seed", "7", "--a1", "0.5", "--a2", "4"],
+     "ec50050412b015cd25c0aa9e768f14c05fd0e77111d36e2467fe13a7e092b6e7",
+     "aa9a55424c5e530840a125dc13d0b3bf0e39cb62dd6e35c4ad9b376428dafad2"),
+    (["growth", "--energy", "65", "--seed", "7"],
+     "bcb2b483a5d9417e7c00982fc0ddae98fa04509a24e8dc80fdca8dfebea509ad",
+     "4dd52dd2e8e7be8d20a18537d74a2dbeb81b1f72781f0dd79304c0f9c2dbf262"),
+])
+def test_doubling_and_growth_bytes_are_frozen(tmp_path, capsys, args, json_sha, stdout_sha):
+    assert main([*args, "--out", str(tmp_path)]) == 0
+    (path,) = tmp_path.glob("*.json")
+    stdout = capsys.readouterr().out.replace(str(tmp_path), "out")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == json_sha
+    assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_sha
+
+
 # ---------------------------------------------------------------- cover
 
 
@@ -417,7 +440,7 @@ def test_verify_svg_plan_writes_run_images(tmp_path, monkeypatch):
     for seed in (0, 1):
         spec = random_eigenfunction(65, _stage_seed(plan, 65, seed, 0))
         nodal = extract_nodal(sample_grid(spec, plan.grid_for(65)))
-        fam = build_cover(plan.scale()(spec.lam), _stage_seed(plan, 65, seed, 2))
+        fam = build_cover(scale_radius(spec.lam, plan.rho), _stage_seed(plan, 65, seed, 2))
         svg = (out_dir / f"run_E65_seed{seed}.svg").read_text()
         assert svg.lstrip().startswith("<svg")
         assert svg == render_svg(nodal, fam.centers, fam.radius)
@@ -613,6 +636,8 @@ def test_plot_rejects_a_malformed_nodal_csv(tmp_path, capsys, body, why):
     ("0.1,0.2\n", "3 finite numbers"),
     ("0.1,0.2,0.1\n0.1,0.2\n", "columns"),
     ("0.1,x,0.1\n", "could not convert"),
+    ("0.1,0.2,-0.1\n", ": radius -0.1 is not positive\n"),
+    ("0.1,0.2,0.0\n0.5,0.5,0.0\n", ": radius 0.0 is not positive\n"),
 ])
 def test_plot_rejects_a_malformed_ball_csv(tmp_path, capsys, body, why):
     nodal = tmp_path / "nodal.csv"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusnodal.ballstats import ScaleFunction
+from torusnodal.ballstats import scale_radius
 from torusnodal.covering import (
     CANDIDATE_SPACING_FACTOR,
     DEFAULT_PROBE,
@@ -69,7 +69,7 @@ def reference_greedy(r: float, seed: int, probe: int = DEFAULT_PROBE):
     return accepted[:n], int(counts.max()), bool(np.all(counts >= 1)), n - greedy
 
 
-E25_SCALE_RADIUS = ScaleFunction(0.5)(2.0 * math.pi * 5.0)
+E25_SCALE_RADIUS = scale_radius(2.0 * math.pi * 5.0, 0.5)
 
 
 @pytest.mark.parametrize("r", [E25_SCALE_RADIUS, 0.07, 0.13, 0.22])
@@ -122,15 +122,15 @@ def parent_build_cover(r: float, seed: int, probe: int = DEFAULT_PROBE):
     return centers, int(counts.max()), bool(np.all(counts >= 1))
 
 
-def scale_radius(energy: int) -> float:
-    return ScaleFunction(0.5)(2.0 * math.pi * math.sqrt(energy))
+def half_scale_radius(energy: int) -> float:
+    return scale_radius(2.0 * math.pi * math.sqrt(energy), 0.5)
 
 
 # The E=1105 doubling cover's radius (half the outer radius at the default
 # a1) and the desk plan's control cover (the E=1105 scale radius, stage seed
 # 1013).
 DOUBLING_1105_RADIUS = _outer_radius(2.0 * math.pi * math.sqrt(1105), DEFAULT_A1) / 2.0
-ORACLE_RADII = [scale_radius(e) for e in (25, 50, 65, 325, 1105)] + [
+ORACLE_RADII = [half_scale_radius(e) for e in (25, 50, 65, 325, 1105)] + [
     DOUBLING_1105_RADIUS, 0.03, 0.22]
 
 
@@ -149,10 +149,10 @@ def test_cover_is_byte_identical_to_parent_kernel(r, seed):
 
 
 def test_control_cover_is_byte_identical_to_parent_kernel():
-    assert_same_cover(scale_radius(1105), 1013)
+    assert_same_cover(half_scale_radius(1105), 1013)
 
 
-@pytest.mark.parametrize("r", [scale_radius(65), DOUBLING_1105_RADIUS])
+@pytest.mark.parametrize("r", [half_scale_radius(65), DOUBLING_1105_RADIUS])
 @pytest.mark.parametrize("probe", [1, 2, 3, 7, 64])
 def test_cover_is_byte_identical_to_parent_kernel_on_coarse_probes(r, probe):
     for seed in range(3):
@@ -162,7 +162,7 @@ def test_cover_is_byte_identical_to_parent_kernel_on_coarse_probes(r, probe):
 def test_cover_memory_is_bounded():
     # tracemalloc peak at the control radius: 3.05 MB for the kernel kept in
     # parent_build_cover with its int32-canvas painter, 2.11 MB for build_cover.
-    r = scale_radius(1105)
+    r = half_scale_radius(1105)
     build_cover(r, 0)
     tracemalloc.start()
     try:

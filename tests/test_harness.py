@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from torusnodal.ballstats import ScaleFunction, ball_masses, require_resolved_radius
+from torusnodal.ballstats import ball_masses, require_resolved_radius, scale_radius
 from torusnodal.covering import BallFamily, build_cover
 from torusnodal.doubling import INNER_FACTOR, OUTER_FACTOR
 from torusnodal.errors import (
@@ -76,9 +76,9 @@ DESK_RUN_65_7 = {
 }
 
 
-def cover_table(field, nodal, scale, seed=0):
-    """Ball table over the seeded cover at the scale radius."""
-    return ball_table(field, nodal, build_cover(scale(field.spec_lambda), seed))
+def cover_table(field, nodal, rho=0.5, seed=0):
+    """Ball table over the seeded cover at the scale radius of exponent rho."""
+    return ball_table(field, nodal, build_cover(scale_radius(field.spec_lambda, rho), seed))
 
 
 def integrals_of(field, nodal, f):
@@ -86,11 +86,11 @@ def integrals_of(field, nodal, f):
     return function_integrals(field, nodal, (TEST_FUNCTIONS.get(f, f),))[0]
 
 
-def single_ball_table(field, nodal, scale, center):
-    """Ball table of one ball at the scale radius."""
+def single_ball_table(field, nodal, center):
+    """Ball table of one ball at the scale radius of exponent 1/2."""
     fam = BallFamily(
         centers=np.array([center]),
-        radius=scale(field.spec_lambda),
+        radius=scale_radius(field.spec_lambda, 0.5),
         overlap_max=1,
         covers=False,
         probe_resolution=512,
@@ -231,7 +231,7 @@ def test_plan_rejects_under_resolved_doubling_radius(monkeypatch):
 def test_plan_rejects_under_resolved_scale_radius(monkeypatch):
     monkeypatch.setattr(harness, "build_cover", None)  # validation builds nothing
     # At rho 0.9 the E=1105 scale radius spans 4.4 cells of the 544-point grid.
-    r = ScaleFunction(0.9)(2.0 * math.pi * math.sqrt(1105))
+    r = scale_radius(2.0 * math.pi * math.sqrt(1105), 0.9)
     with pytest.raises(RadiusUnderResolved) as kernel:
         require_resolved_radius(r, 544)
     with pytest.raises(ValueError) as plan:
@@ -295,7 +295,7 @@ def test_theorem1_single_mode_closed_form():
     from torusnodal.nodal import extract_nodal
 
     nodal = extract_nodal(field)
-    table = single_ball_table(field, nodal, ScaleFunction(0.5), (0.5, 0.3))
+    table = single_ball_table(field, nodal, (0.5, 0.3))
     t1 = check_theorem_1(table)
     expect = 4.0 * (2 * math.pi) ** -1.5
     assert t1.e1_hat == pytest.approx(expect, rel=1e-9)
@@ -304,7 +304,7 @@ def test_theorem1_single_mode_closed_form():
     # Mass ratio of this ball against the Bessel closed form.
     import mpmath
 
-    r = ScaleFunction(0.5)(field.spec_lambda)
+    r = scale_radius(field.spec_lambda, 0.5)
     arg = 4 * math.pi * r
     want_mass = float(1 - 2 * mpmath.besselj(1, arg) / arg)
     assert table.mass.masses([0])[0] / table.mass.volume == pytest.approx(want_mass, rel=1e-3)
@@ -316,7 +316,7 @@ def test_theorem1_exclusion_band():
 
     nodal = extract_nodal(field)
     t1 = check_theorem_1(
-        single_ball_table(field, nodal, ScaleFunction(0.5), (0.5, 0.3)),
+        single_ball_table(field, nodal, (0.5, 0.3)),
         inclusion_band=(0.99, 1.01),
     )
     assert t1.included == 0 and t1.excluded == 1
@@ -386,9 +386,10 @@ IDENTITY_STEPS = ("ball_min_value", "ball_max_value", "per_ball_nodal_floor",
                   "per_ball_nodal_ceiling", "weighted_floor_sum", "weighted_ceiling_sum")
 
 
-def chain_identities(field, table, trace, ref):
+def chain_identities(field, table, ref):
     """(lhs, rhs) of each IDENTITY_STEPS link, from the per-ball reference terms."""
     lam = field.spec_lambda
+    e1, e2 = float(np.min(table.density)), float(np.max(table.density))
     vol = math.pi * table.family.radius ** 2
     ne = table.nonempty
     sum_min = float(np.sum(ref["f_min"] * ref["length"]))
@@ -397,18 +398,16 @@ def chain_identities(field, table, trace, ref):
     return {
         "ball_min_value": (sum_min, sum_integral),
         "ball_max_value": (sum_integral, sum_max),
-        "per_ball_nodal_floor": (trace.e1_chain * lam * vol, float(np.min(ref["length"]))),
-        "per_ball_nodal_ceiling": (float(np.max(ref["length"])), trace.e2_chain * lam * vol),
-        "weighted_floor_sum": (trace.e1_chain * vol * float(np.sum(ref["f_min"][ne])),
-                               sum_min / lam),
-        "weighted_ceiling_sum": (sum_max / lam,
-                                 trace.e2_chain * vol * float(np.sum(ref["f_max"][ne]))),
+        "per_ball_nodal_floor": (e1 * lam * vol, float(np.min(ref["length"]))),
+        "per_ball_nodal_ceiling": (float(np.max(ref["length"])), e2 * lam * vol),
+        "weighted_floor_sum": (e1 * vol * float(np.sum(ref["f_min"][ne])), sum_min / lam),
+        "weighted_ceiling_sum": (sum_max / lam, e2 * vol * float(np.sum(ref["f_max"][ne]))),
     }
 
 
-def test_chain_regression_against_baseline(e65_field, e65_nodal, half_scale):
+def test_chain_regression_against_baseline(e65_field, e65_nodal):
     frozen = BASELINE["chain_cos_x"]
-    table = cover_table(e65_field, e65_nodal, half_scale)
+    table = cover_table(e65_field, e65_nodal)
     fi = integrals_of(e65_field, e65_nodal, "cos_x")
     trace = replicate_bound_chain(e65_field, e65_nodal, table, fi)
     assert trace.ok is bool(frozen["ok"]) is True
@@ -416,8 +415,8 @@ def test_chain_regression_against_baseline(e65_field, e65_nodal, half_scale):
     assert table.family.count == frozen["n_balls"]
     assert table.family.overlap_max == frozen["overlap"]
     assert int(np.sum(~table.nonempty)) == frozen["empty_balls"]
-    assert trace.e1_chain == pytest.approx(frozen["e1_chain"], rel=1e-9)
-    assert trace.e2_chain == pytest.approx(frozen["e2_chain"], rel=1e-9)
+    assert float(np.min(table.density)) == pytest.approx(frozen["e1_chain"], rel=1e-9)
+    assert float(np.max(table.density)) == pytest.approx(frozen["e2_chain"], rel=1e-9)
     assert fi.area == pytest.approx(frozen["integral_f"], rel=1e-9)
     assert trace.corr_lower == pytest.approx(frozen["corr_lower"], rel=1e-9)
     assert trace.corr_upper == pytest.approx(frozen["corr_upper"], rel=1e-9)
@@ -432,7 +431,7 @@ def test_chain_regression_against_baseline(e65_field, e65_nodal, half_scale):
         assert got.rhs == pytest.approx(want["rhs"], rel=1e-9)
         assert got.slack == pytest.approx(want["slack"], rel=1e-9)
     ref = reference_ball_terms(e65_nodal, table, fi.tf)
-    for name, (lhs, rhs) in chain_identities(e65_field, table, trace, ref).items():
+    for name, (lhs, rhs) in chain_identities(e65_field, table, ref).items():
         want = by_name[name]
         assert want["holds"] is True and want["slack"] == 0.0, name
         assert lhs == pytest.approx(want["lhs"], rel=1e-9), name
@@ -440,8 +439,8 @@ def test_chain_regression_against_baseline(e65_field, e65_nodal, half_scale):
     assert "asymptotic hypothesis unmet" in trace.message
 
 
-def test_chain_unit_weight_meets_hypothesis(e65_field, e65_nodal, half_scale):
-    table = cover_table(e65_field, e65_nodal, half_scale)
+def test_chain_unit_weight_meets_hypothesis(e65_field, e65_nodal):
+    table = cover_table(e65_field, e65_nodal)
     trace = replicate_bound_chain(e65_field, e65_nodal, table,
                                   integrals_of(e65_field, e65_nodal, "one"))
     assert trace.ok is True
@@ -465,7 +464,7 @@ def test_chain_rough_weight_reports_unmet_hypothesis(e65_field, e65_nodal):
     )
     lam = e65_field.spec_lambda
     rho = math.log(5.0) / math.log(lam)  # scale radius approximately 0.2
-    table = cover_table(e65_field, e65_nodal, ScaleFunction(rho), seed=1)
+    table = cover_table(e65_field, e65_nodal, rho, seed=1)
     trace = replicate_bound_chain(e65_field, e65_nodal, table,
                                   integrals_of(e65_field, e65_nodal, rough))
     assert trace.ok is True
@@ -473,8 +472,8 @@ def test_chain_rough_weight_reports_unmet_hypothesis(e65_field, e65_nodal):
     assert "asymptotic hypothesis unmet" in trace.message
 
 
-def test_chain_detects_tampered_cover(e65_field, e65_nodal, half_scale):
-    fam = build_cover(half_scale(e65_field.spec_lambda), seed=0)
+def test_chain_detects_tampered_cover(e65_field, e65_nodal):
+    fam = build_cover(scale_radius(e65_field.spec_lambda, 0.5), seed=0)
     starved = dataclasses.replace(fam, centers=fam.centers[:3])
     table = ball_table(e65_field, e65_nodal, starved)
     trace = replicate_bound_chain(e65_field, e65_nodal, table,
@@ -525,15 +524,15 @@ def sine_pair():
 
 @pytest.mark.parametrize("name", sorted(TEST_FUNCTIONS))
 @pytest.mark.parametrize("case", ["e65", "sine", "e1105"])
-def test_chain_matches_per_ball_reference(request, half_scale, case, name):
+def test_chain_matches_per_ball_reference(request, case, name):
     if case == "sine":
         # Radius 1/(2 pi): cover balls between the two nodal lines clip nothing.
         field, nodal = request.getfixturevalue("sine_pair")
-        scale = ScaleFunction(1.0)
+        rho = 1.0
     else:
         field, nodal = (request.getfixturevalue(f"{case}_{part}") for part in ("field", "nodal"))
-        scale = half_scale
-    table = cover_table(field, nodal, scale)
+        rho = 0.5
+    table = cover_table(field, nodal, rho)
     fi = integrals_of(field, nodal, name)
     trace = replicate_bound_chain(field, nodal, table, fi)
     ref = reference_ball_terms(nodal, table, fi.tf)
@@ -556,7 +555,7 @@ def test_chain_matches_per_ball_reference(request, half_scale, case, name):
 
     # The links that hold by construction, under the chain's own 1e-9 rule;
     # the per-ball floor and ceiling hold both ways.
-    identities = chain_identities(field, table, trace, ref)
+    identities = chain_identities(field, table, ref)
     for step_name, (lhs, rhs) in identities.items():
         assert _step(step_name, lhs, rhs, 0.0).holds, (step_name, lhs, rhs)
     for step_name in ("per_ball_nodal_floor", "per_ball_nodal_ceiling"):
@@ -564,12 +563,11 @@ def test_chain_matches_per_ball_reference(request, half_scale, case, name):
         assert _step(step_name, lhs, rhs, 0.0).holds, (step_name, lhs, rhs)
 
 
-def test_chain_names_first_negative_ball_like_per_ball_reference(e65_field, e65_nodal,
-                                                                 half_scale):
+def test_chain_names_first_negative_ball_like_per_ball_reference(e65_field, e65_nodal):
     # Negative only on a band of x, so some balls pass before one fails.
     signed = TestFunction("signed", lambda pts: np.cos(2 * np.pi * (pts[:, 0] + 0.1)),
                           2 * np.pi, 2.0)
-    table = cover_table(e65_field, e65_nodal, half_scale)
+    table = cover_table(e65_field, e65_nodal)
     with pytest.raises(NegativeTestFunction) as want:
         reference_ball_terms(e65_nodal, table, signed)
     with pytest.raises(NegativeTestFunction) as got:
@@ -577,16 +575,21 @@ def test_chain_names_first_negative_ball_like_per_ball_reference(e65_field, e65_
     assert str(got.value) == str(want.value)
 
 
-def test_chain_validates_family_geometry(e65_field, e65_nodal, half_scale):
-    good = build_cover(half_scale(e65_field.spec_lambda), seed=0)
-    broken = dataclasses.replace(good, overlap_max=0)
-    with pytest.raises(ValueError, match="overlap"):
-        ball_table(e65_field, e65_nodal, broken)
+def test_chain_validates_family_geometry(e65_field, e65_nodal):
+    # A table always has a ball, so the chain's min and max of its densities are defined.
+    good = build_cover(scale_radius(e65_field.spec_lambda, 0.5), seed=0)
+    for broken in (dataclasses.replace(good, overlap_max=0),
+                   dataclasses.replace(good, centers=np.empty((0, 2)))):
+        with pytest.raises(ValueError) as err:
+            ball_table(e65_field, e65_nodal, broken)
+        assert str(err.value) == ("cover family must have at least one ball and overlap >= 1; "
+                                  f"got count={broken.count} overlap_max={broken.overlap_max}")
+    assert good.count > 0 and good.overlap_max > 0
 
 
-def test_ball_table_matches_per_ball_full_scan(e65_field, e65_nodal, half_scale):
-    table = cover_table(e65_field, e65_nodal, half_scale)
-    r = half_scale(e65_field.spec_lambda)
+def test_ball_table_matches_per_ball_full_scan(e65_field, e65_nodal):
+    table = cover_table(e65_field, e65_nodal)
+    r = scale_radius(e65_field.spec_lambda, 0.5)
     assert len(table.offsets) == table.family.count + 1
     for k, c in enumerate(table.family.centers):
         piece_len, piece_mid, _ = full_scan_clip(e65_nodal, c, r)
@@ -664,6 +667,22 @@ def test_run_single_brackets_each_family_once(monkeypatch):
     lam = run.lam
     assert radii == [run.radius, run.radius, INNER_FACTOR * plan.doubling_a1 / lam,
                      OUTER_FACTOR * plan.doubling_a1 / lam]
+
+
+def test_run_single_reads_the_chain_constants_from_its_table(monkeypatch):
+    tables = []
+    real = harness.ball_table
+
+    def keeping(*args):
+        tables.append(real(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(harness, "ball_table", keeping)
+    run = run_single(plan_from_json(open(DESK_PLAN).read()), 1105, 0)
+    (table,) = tables
+    assert run.chain_e1 == float(np.min(table.density))
+    assert run.chain_e2 == float(np.max(table.density))
+    assert run.chain_e1 < run.chain_e2
 
 
 def test_run_single_integrates_each_function_once(monkeypatch):

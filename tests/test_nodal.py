@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from torusnodal.ballstats import scale_radius
 from torusnodal.eigenbasis import (
     SampledField,
     random_eigenfunction,
@@ -60,7 +61,7 @@ def per_case_extract(field):
     ii, jj = np.nonzero((case != 0) & (case != 15))
     if ii.size == 0:
         empty = np.empty((0, 2))
-        return NodalSet(empty, empty, np.empty(0), empty.copy(), n)
+        return NodalSet(empty, empty, np.empty(0), empty.copy())
     cval = case[ii, jj]
     ip, jp = (ii + 1) % n, (jj + 1) % n
     v00, v10, v11, v01 = g[ii, jj], g[ip, jj], g[ip, jp], g[ii, jp]
@@ -89,7 +90,7 @@ def per_case_extract(field):
     ai = np.concatenate([a for a, _ in ends])[order]
     bi = np.concatenate([b for _, b in ends])[order]
     lengths = np.linalg.norm(bi - ai, axis=1)
-    return NodalSet(wrap_point(ai), wrap_point(bi), lengths, wrap_point((ai + bi) / 2.0), n)
+    return NodalSet(wrap_point(ai), wrap_point(bi), lengths, wrap_point((ai + bi) / 2.0))
 
 
 def parent_extract_nodal(field):
@@ -115,14 +116,13 @@ def parent_extract_nodal(field):
     ai, bi = ends[:, 0], ends[:, 1]
     lengths = np.linalg.norm(bi - ai, axis=1)
     mids = (ai + bi) / 2.0
-    return NodalSet(wrap_point(ai), wrap_point(bi), lengths, wrap_point(mids), n)
+    return NodalSet(wrap_point(ai), wrap_point(bi), lengths, wrap_point(mids))
 
 
 def assert_same_bytes(got, want, label):
     for name in ("a", "b", "lengths", "midpoints"):
         x, y = getattr(got, name), getattr(want, name)
         assert x.shape == y.shape and x.tobytes() == y.tobytes(), (label, name)
-    assert got.source_resolution == want.source_resolution, label
 
 
 def test_table_extractor_matches_the_per_case_reference(e65_field):
@@ -139,7 +139,7 @@ def test_table_extractor_matches_the_per_case_reference(e65_field):
         got = extract_nodal(field)
         assert_same_bytes(got, per_case_extract(field), label)
         assert_same_bytes(got, parent_extract_nodal(field), label)
-        assert got.count > 0 or field.spec.energy == 0, label  # only the constant's set is empty
+        assert got.count > 0 or field.spec_lambda == 0.0, label  # only the constant's set is empty
 
 
 @settings(max_examples=300)
@@ -223,8 +223,8 @@ def test_extraction_is_deterministic(e65_field):
     assert np.array_equal(one.lengths, two.lengths)
 
 
-def test_segment_geometry_invariants(e65_nodal):
-    n = e65_nodal.source_resolution
+def test_segment_geometry_invariants(e65_field, e65_nodal):
+    n = e65_field.resolution
     # Marching squares on an n-grid cannot produce segments longer than a
     # cell diagonal.
     assert np.max(e65_nodal.lengths) <= math.sqrt(2.0) / n + 1e-12
@@ -307,14 +307,14 @@ def oracle_sets(e65_nodal, tmp_path):
     angle = 2 * np.pi * rng.random(400)
     delta = 0.2 * rng.random(400)[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
     long = NodalSet(a, wrap_point(a + delta), np.linalg.norm(delta, axis=1),
-                    wrap_point(a + delta / 2.0), 0)
+                    wrap_point(a + delta / 2.0))
     # Ten segments make 3 x 3 buckets, so every window spans the torus
     # (w == B) and clip_family reads every bucket, unpruned.
-    coarse = NodalSet(*(x[:10] for x in (long.a, long.b, long.lengths, long.midpoints)), 0)
+    coarse = NodalSet(*(x[:10] for x in (long.a, long.b, long.lengths, long.midpoints)))
     return {
         "e65": e65_nodal,
         "csv": nodal_from_csv(str(path)),
-        "empty": NodalSet(empty, empty, np.empty(0), empty.copy(), 256),
+        "empty": NodalSet(empty, empty, np.empty(0), empty.copy()),
         "long": long,
         "coarse": coarse,
     }
@@ -355,7 +355,7 @@ def test_family_clip_matches_full_scan_on_run_families(energy):
     field = sample_grid(random_eigenfunction(energy, 4), plan.grid_for(energy))
     nodal = extract_nodal(field)
     lam = field.spec_lambda
-    r = plan.scale()(lam)
+    r = scale_radius(lam, plan.rho)
     assert_family_matches_full_scan(nodal, build_cover(r, 4).centers, r, "cover")
     a1 = DEFAULT_A1 if OUTER_FACTOR * DEFAULT_A1 / lam < 0.25 else 0.5
     doubling = build_cover(OUTER_FACTOR * a1 / lam / 2.0, 5).centers
@@ -443,7 +443,7 @@ def per_row_csv(nodal):
 
 def test_csv_writer_matches_the_per_row_reference(tmp_path, e65_nodal, awkward_nodal):
     empty = np.empty((0, 2))
-    for nodal in (e65_nodal, awkward_nodal, NodalSet(empty, empty, np.empty(0), empty, 0)):
+    for nodal in (e65_nodal, awkward_nodal, NodalSet(empty, empty, np.empty(0), empty)):
         path = tmp_path / "nodal.csv"
         nodal_to_csv(nodal, str(path))
         assert path.read_bytes() == per_row_csv(nodal).encode()
@@ -523,7 +523,7 @@ def test_nodal_csv_writer_peak_memory_is_bounded(tmp_path, e1105_nodal):
 def test_refinement_stability(e65_field):
     # Doubling the sampling grid moves the measured length by well under 1%.
     coarse = extract_nodal(e65_field)
-    fine = extract_nodal(sample_grid(e65_field.spec, 512))
+    fine = extract_nodal(sample_grid(random_eigenfunction(65, 7), 512))
     assert fine.total_length == pytest.approx(coarse.total_length, rel=1e-2)
 
 

@@ -1,6 +1,7 @@
 import re
 
 import numpy as np
+import pytest
 
 from torusnodal.covering import build_cover, family_to_csv
 from torusnodal.eigenbasis import random_eigenfunction, sample_grid, sine_mode_spec
@@ -96,12 +97,22 @@ def test_balls_csv_round_trip(tmp_path):
     assert np.array_equal(centers, fam.centers)
 
 
+@pytest.mark.parametrize("radius", ["-0.1", "0.0", "-0.0"])
+def test_balls_csv_rejects_a_non_positive_radius(tmp_path, radius):
+    # SVG forbids a negative r, and a zero r draws nothing.
+    path = tmp_path / "balls.csv"
+    path.write_text(f"center_x,center_y,radius\n0.1,0.2,{radius}\n0.5,0.5,{radius}\n")
+    with pytest.raises(ValueError) as err:
+        balls_from_csv(str(path))
+    assert str(err.value) == f"ball file {path}: radius {float(radius)!r} is not positive"
+
+
 def test_svg_matches_the_parent_kernel(e65_nodal, awkward_nodal, e1105_nodal):
     # 51,228 segments at E=1105 span 13 chunks, the last one partial.
     fam = build_cover(0.15, seed=0)
     empty = np.empty((0, 2))
-    for nodal in (e65_nodal, awkward_nodal, e1105_nodal, NodalSet(empty, empty, np.empty(0),
-                                                                  empty, 0), None):
+    for nodal in (e65_nodal, awkward_nodal, e1105_nodal, NodalSet(empty, empty, np.empty(0), empty),
+                  None):
         for overlay in ((), (fam.centers, fam.radius), (fam.centers, None), (np.empty((0, 2)), 0.1)):
             assert render_svg(nodal, *overlay) == parent_render_svg(nodal, *overlay)
 
