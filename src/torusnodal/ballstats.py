@@ -7,11 +7,12 @@ fraction.  Ratios are taken against the flat ball volume pi r^2, so a
 perfectly equidistributed field scores 1 at every center.
 
 ball_masses evaluates the rule for a whole family of equal-radius balls in
-batched array passes: each ball reads a square window of a periodically
-padded copy of u^2, and the per-center offsets along each axis are computed
-once per family.  Each ball's two sums (full cells, then cut cells) are
-np.sum's pairwise reduction over that ball's own cells in row-major window
-order (nodal.ball_sums), so every mass is the same float whatever family
+batched array passes: each ball reads a square window of u^2 from a band of
+squared rows with periodic margins, one band per run of window start rows,
+and the per-center offsets along each axis are computed once per band.
+Each ball's two sums (full cells, then cut cells) are np.sum's pairwise
+reduction over that ball's own cells in row-major window order
+(nodal.ball_sums), so every mass is the same float whatever family or band
 the ball is measured in.
 
 CertifiedMasses holds the masses of a family of balls and measures each one
@@ -79,15 +80,38 @@ def require_resolved_radius(r: float, n: int) -> None:
             f"radius {r!r} spans {r * n:.1f} cells at resolution {n}; need >= {MIN_CELLS_PER_RADIUS}")
 
 
+def _square_rows(values: np.ndarray, row0: int, rows: int, left: int, right: int) -> np.ndarray:
+    """u^2 on grid rows row0 .. row0 + rows - 1 and columns -left .. n + right - 1, both mod n.
+
+    left and right are at most n.  Every cell is the square of its grid
+    value, as in a squared periodic pad of the whole field.
+    """
+    n = values.shape[1]
+    band = np.empty((rows, left + n + right))
+    done = 0
+    while done < rows:
+        i = (row0 + done) % n
+        m = min(n - i, rows - done)
+        band[done:done + m, left:left + n] = values[i:i + m]
+        done += m
+    band[:, :left] = band[:, n:n + left]
+    band[:, left + n:] = band[:, left:left + right]
+    return np.square(band, out=band)
+
+
 def ball_masses(field, centers, r: float) -> np.ndarray:
     """Quadrature of u^2 over every ball B(c, r), c a row of centers.
 
     Ball k reads the cells i0..i1 along each axis, i0 = floor((c - r - h) n)
     - 1 and i1 = ceil((c + r + h) n) + 1 with h the half cell, reduced mod n;
     the radius guard keeps that window narrower than the torus.  Every
-    window is read at the family's widest size; the extra cells lie past
+    window is read at the family's widest size w; the extra cells lie past
     i1, more than r + 2/n from the center, so they are neither full nor
-    cut.
+    cut.  The balls are taken in order of their window's first row; the
+    balls whose first rows lie within _BATCH_CELLS / (n + w) rows of each
+    other share a band, their rows of u^2 squared once with w rows and
+    columns of periodic margin, so every window is a slice of a sliding view
+    of the band.  The masses go back in family order.
     """
     n = field.resolution
     require_resolved_radius(r, n)
@@ -97,45 +121,54 @@ def ball_masses(field, centers, r: float) -> np.ndarray:
         return np.zeros(0)
     h = 0.5 / n
     half_diag = h * math.sqrt(2.0)
+    r2 = r * r
 
-    # Per center and axis: window start and the (B, W) offsets to the center.
+    # Per center and axis: window start; per band, the (B, W) offsets to the center.
     i0 = np.floor((centers - r - h) * n).astype(np.int64) - 1
     i1 = np.ceil((centers + r + h) * n).astype(np.int64) + 1
     w = int(np.max(i1 - i0)) + 1
-    idx = i0[:, :, None] + np.arange(w)
-    delta = wrap_delta((idx % n) / n - centers[:, :, None])
-    dx, dy = delta[:, 0], delta[:, 1]
-    sqx, sqy = np.square(dx), np.square(dy)
     start = i0 % n
-
-    u2 = np.pad(field.values, ((0, w), (0, w)), mode="wrap")
-    np.square(u2, out=u2)
-    windows = sliding_window_view(u2, (w, w))
-    r2 = r * r
+    order = np.argsort(start[:, 0], kind="stable")
+    first_row = start[order, 0]
+    band_rows = max(1, _BATCH_CELLS // (n + w))
 
     masses = np.empty(count)
     step = max(1, _BATCH_CELLS // (w * w))
-    for b0 in range(0, count, step):
-        b = slice(b0, b0 + step)
-        dist = np.sqrt(sqx[b, :, None] + sqy[b, None, :])
-        full = dist <= r - half_diag
-        cut = np.flatnonzero((dist < r + half_diag) & ~full)
-        win = windows[start[b, 0], start[b, 1]]
-        inner = win[full]
-        # Cut cell (k, i, j) of the batch: count its subcell centers in the ball.
-        k, ij = np.divmod(cut, w * w)
-        at_x, at_y = k * w + ij // w, k * w + ij % w
-        sx = [np.square(dx[b] + o / n).ravel()[at_x] for o in _SUB]
-        sy = [np.square(dy[b] + o / n).ravel()[at_y] for o in _SUB]
-        inside = np.zeros(cut.size, dtype=np.int64)
-        for sub_x in sx:
-            for sub_y in sy:
-                inside += sub_x + sub_y <= r2
-        # inside / 16 is exactly the mean over the 16 subcells.
-        edge = win.ravel()[cut] * (inside / 16.0)
-        f_off = np.concatenate([[0], np.cumsum(np.count_nonzero(full, axis=(1, 2)))])
-        c_off = np.searchsorted(cut, np.arange(full.shape[0] + 1) * (w * w))
-        masses[b] = (ball_sums(inner, f_off) + ball_sums(edge, c_off)) / (n * n)
+    k0 = 0
+    while k0 < count:
+        k1 = int(np.searchsorted(first_row, first_row[k0] + band_rows))
+        row0 = int(first_row[k0])
+        u2 = _square_rows(field.values, row0, int(first_row[k1 - 1]) - row0 + w, 0, w)
+        windows = sliding_window_view(u2, (w, w))
+        band = order[k0:k1]
+        idx = i0[band, :, None] + np.arange(w)
+        delta = wrap_delta((idx % n) / n - centers[band, :, None])
+        dx, dy = delta[:, 0], delta[:, 1]
+        sqx, sqy = np.square(dx), np.square(dy)
+        at_row, at_col = start[band, 0] - row0, start[band, 1]
+        for b0 in range(0, band.size, step):
+            b = slice(b0, b0 + step)
+            dist = np.sqrt(sqx[b, :, None] + sqy[b, None, :])
+            full = dist <= r - half_diag
+            cut = np.flatnonzero((dist < r + half_diag) & ~full)
+            win = windows[at_row[b], at_col[b]]
+            inner = win[full]
+            # Cut cell (k, i, j) of the batch: count its subcell centers in the ball.
+            k, ij = np.divmod(cut, w * w)
+            at_x, at_y = k * w + ij // w, k * w + ij % w
+            sx = [np.square(dx[b] + o / n).ravel()[at_x] for o in _SUB]
+            sy = [np.square(dy[b] + o / n).ravel()[at_y] for o in _SUB]
+            inside = np.zeros(cut.size, dtype=np.int64)
+            for sub_x in sx:
+                for sub_y in sy:
+                    inside += sub_x + sub_y <= r2
+            # inside / 16 is exactly the mean over the 16 subcells.
+            edge = win.ravel()[cut] * (inside / 16.0)
+            f_off = np.concatenate([[0], np.cumsum(np.count_nonzero(full, axis=(1, 2)))])
+            c_off = np.searchsorted(cut, np.arange(full.shape[0] + 1) * (w * w))
+            masses[band[b]] = (ball_sums(inner, f_off) + ball_sums(edge, c_off)) / (n * n)
+        del u2, windows  # before the next band is squared
+        k0 = k1
     return masses
 
 
@@ -167,37 +200,73 @@ def _mass_bounds(field, centers, r: float) -> tuple[np.ndarray, np.ndarray]:
     lo sums u^2 over the cells within r - h sqrt2 - slop (h the half cell),
     which ball_masses counts in full, hi over those within r + h sqrt2 + slop,
     the only ones it weights above 0, row by row from row-wise prefix sums.
+    Each disk's row sums fill a centers x rows matrix, summed along its rows.
+    When the prefix sums of all rows take more than about 4 * _BATCH_CELLS
+    cells, they are built one block of about _BATCH_CELLS cells at a time,
+    and each block fills the matrix entries of the rows it holds.
     """
     n = field.resolution
     centers = np.asarray(centers, dtype=float).reshape(-1, 2) % 1.0
+    count = len(centers)
     half_diag = 0.5 / n * math.sqrt(2.0)
     slop = 1e-9  # adds 2 r slop to squared distances, whose float error is below 1e-15
     reach = r + half_diag + slop
     k = math.ceil(reach * n) + 1
-    rows = np.floor(centers[:, :1] * n).astype(np.int64) + np.arange(-k, k + 1)
-    dx2 = np.square(rows / n - centers[:, :1])
-    cy = centers[:, 1:] * n
-    # pre[i, k + 1 + j]: row i of u^2 summed periodically over columns -k - 1 .. j.
     span = 2 * k + 1
-    pre = np.pad(field.values, ((0, 0), (k + 1, k)), mode="wrap")
-    np.square(pre, out=pre)
-    np.cumsum(pre, axis=1, out=pre)
-    base = rows % n * (n + span) + k
+    disks = ((r - half_diag - slop, np.ceil, np.floor), (reach, np.floor, np.ceil))
+    # Entry (b, j) of the matrices is row row0[b] + j, unwrapped: row (phase[b] + j) mod n.
+    row0 = np.floor(centers[:, 0] * n).astype(np.int64) - k
+    phase = row0 % n
+    block = n if n * (n + span) <= 4 * _BATCH_CELLS else max(1, _BATCH_CELLS // (n + span))
+    sums = np.empty((len(disks), count, span))
+    top = 0.0
+    for i0 in range(0, n, block):
+        i1 = min(i0 + block, n)
+        # pre[i, k + 1 + j]: row i0 + i of u^2 summed periodically over columns -k - 1 .. j.
+        pre = _square_rows(field.values, i0, i1 - i0, k + 1, k)
+        np.cumsum(pre, axis=1, out=pre)
+        top = max(top, float(pre[:, -1].max()))
+        if block == n:  # every entry, as a centers x rows matrix
+            rows = row0[:, None] + np.arange(span)
+            diffs = _row_sums(pre, n, rows, centers[:, :1], centers[:, 1:] * n,
+                              rows % n * (n + span) + k, disks)
+            sums[:] = list(diffs)
+            continue
+        # Ball b's entries in rows i0 .. i1 - 1 are j in [i0, i1) - phase[b] (run b) and
+        # that plus n (run count + b); values per run are repeated over its entries.
+        ja = np.clip(np.concatenate([i0 - phase, i0 + n - phase]), 0, span)
+        sizes = np.clip(np.concatenate([i1 - phase, i1 + n - phase]), 0, span) - ja
+        j = np.repeat(ja - (np.cumsum(sizes) - sizes), sizes) + np.arange(int(np.sum(sizes)))
+        entry = np.repeat(np.tile(np.arange(count) * span, 2), sizes) + j
+        base = (np.repeat(np.concatenate([phase, phase - n]), sizes) + j - i0) * (n + span) + k
+        diffs = _row_sums(pre, n, np.repeat(np.tile(row0, 2), sizes) + j,
+                          np.repeat(np.tile(centers[:, 0], 2), sizes),
+                          np.repeat(np.tile(centers[:, 1] * n, 2), sizes), base, disks)
+        for out, diff in zip(sums, diffs):
+            out.ravel()[entry] = diff
 
-    def disk_sum(rad: float, round_lo, round_hi) -> np.ndarray:
+    # Per row the cumsums err by (n + span) eps of the row's total; ball_masses'
+    # sums over < span^2 cells err by span^2 eps of the span rows' totals.
+    slack = 4.0 * (n + span + span * span) * span * np.finfo(float).eps * top
+    lo = np.sum(sums[0], axis=1) - slack
+    hi = np.sum(sums[1], axis=1) + slack
+    return lo / (n * n), hi / (n * n)
+
+
+def _row_sums(pre, n: int, rows, cx, cy, base, disks):
+    """Per disk of disks, its sum of u^2 over each unwrapped grid row of rows, from prefix sums pre.
+
+    cx and cy are the center's coordinates (cy in cells); pre.flat[base + 1 + j]
+    is the row's prefix sum through column j.
+    """
+    dx2 = np.square(rows / n - cx)
+    for rad, round_lo, round_hi in disks:
         t2 = rad * rad - dx2
         t = np.sqrt(np.maximum(t2, 0.0)) * n
         j0, j1 = round_lo(cy - t), round_hi(cy + t)
         start = base + j0.astype(np.int64)
         stop = start + ((j1 - j0 + 1) * (t2 >= 0.0)).astype(np.int64)
-        return np.sum(np.take(pre, stop) - np.take(pre, start), axis=1)
-
-    # Per row the cumsums err by (n + span) eps of the row's total; ball_masses'
-    # sums over < span^2 cells err by span^2 eps of the span rows' totals.
-    slack = 4.0 * (n + span + span * span) * span * np.finfo(float).eps * pre[:, -1].max()
-    lo = disk_sum(r - half_diag - slop, np.ceil, np.floor) - slack
-    hi = disk_sum(reach, np.floor, np.ceil) + slack
-    return lo / (n * n), hi / (n * n)
+        yield np.take(pre, stop) - np.take(pre, start)
 
 
 class CertifiedMasses:

@@ -96,8 +96,7 @@ def cmd_gen(args) -> int:
 
 def cmd_nodal(args) -> int:
     spec, stem, n = _spec_and_grid(args)
-    field = sample_grid(spec, n)
-    nodal = extract_nodal(field)
+    nodal = extract_nodal(sample_grid(spec, n))  # the field is not held past extraction
     out = _ensure_out(args.out)
     path = os.path.join(out, f"nodal_{stem}_N{n}.csv")
     nodal_to_csv(nodal, path)

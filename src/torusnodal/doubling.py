@@ -41,6 +41,8 @@ SIGN_PROBE_SIDE = 32
 NEGLIGIBLE_MASS = 1e-30
 # Good balls clipped per clip_family call by lower_bound_assembly; only their lengths are kept.
 _ASSEMBLY_BALLS = 6
+# About this many probe points are interpolated per batch of centers by sign_changes.
+_SIGN_POINTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -82,9 +84,14 @@ def sign_changes(field, centers: np.ndarray, radius: float) -> np.ndarray:
     gx, gy = np.meshgrid(t, t, indexing="ij")
     mask = gx * gx + gy * gy <= radius * radius
     offsets = np.stack([gx[mask], gy[mask]], axis=-1)
-    pts = wrap_point(centers[:, None, :] + offsets)
-    vals = field.interp(pts.reshape(-1, 2)).reshape(pts.shape[:2])
-    return (np.min(vals, axis=1) < 0.0) & (0.0 < np.max(vals, axis=1))
+    centers = np.asarray(centers, dtype=float).reshape(-1, 2)
+    out = np.empty(len(centers), dtype=bool)
+    step = max(1, _SIGN_POINTS // len(offsets))  # the interpolation's temporaries stay small
+    for b0 in range(0, len(centers), step):
+        pts = wrap_point(centers[b0:b0 + step, None, :] + offsets)
+        vals = field.interp(pts.reshape(-1, 2)).reshape(pts.shape[:2])
+        out[b0:b0 + step] = (np.min(vals, axis=1) < 0.0) & (0.0 < np.max(vals, axis=1))
+    return out
 
 
 def require_doubling_constants(a1: float, a2: float) -> None:

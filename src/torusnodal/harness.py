@@ -5,8 +5,9 @@ Runs the full pipeline over an ensemble of random eigenfunctions
 evaluates the comparability checks behind the headline claims, and
 folds everything into a deterministic VerificationReport:
 
-* ball_table             certified L2 masses and clipped nodal pieces of
-                         every cover ball of one run
+* ball_table             certified L2 masses, nodal lengths and each test
+                         function's terms of every cover ball of one run,
+                         reduced from one clip batch of pieces at a time
 * function_integrals     area and nodal line integral of every test
                          function of one run
 * check_yau_scaling      total nodal length vs frequency across energies
@@ -22,7 +23,8 @@ folds everything into a deterministic VerificationReport:
                          one skip rule for a gate without runs
 
 Theorem 1, the band fraction and every test function's chain read the
-same BallTable; none of them clips or integrates over a ball itself.
+same BallTable; none of them clips or integrates over a ball itself, and
+no array of the family's clipped pieces is held.
 Every mass comparison (the SSE extremes and band, the theorem-1 inclusion
 band, the control's band and extremes) goes through ballstats.CertifiedMasses,
 which runs the ball quadrature only where a mass bracket cannot decide.
@@ -40,7 +42,7 @@ import contextlib
 import functools
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import MISSING, dataclass, field as dataclass_field, fields
 from typing import Callable, NamedTuple
 
@@ -55,7 +57,7 @@ from .eigenbasis import (SampledField, enumerate_modes, is_int, is_number, rando
 from .errors import (BallTooLarge, DivisionByNegligibleMass, EmptySpectrum, NegativeTestFunction,
                      RadiusUnderResolved, ResolutionTooCoarse)
 from .growth import growth_report
-from .nodal import NodalSet, ball_sums, clip_family, extract_nodal, integrate_over_nodal
+from .nodal import NodalSet, ball_sums, clip_batches, extract_nodal, integrate_over_nodal
 from .svgplot import render_svg
 from .torus import periodic_distance
 
@@ -328,31 +330,42 @@ def _stage_seed(plan: ExperimentPlan, energy: int, seed: int, stage: int) -> int
 # per-ball table
 
 
+class BallTerms(NamedTuple):
+    """Per-ball reductions of one test function f over a BallTable's balls.
+
+    f_min, f_max and integral are the min, max and sum of f(mid) * len over
+    each ball's clipped pieces (0 for a ball without pieces); sup_lattice and
+    inf_lattice are the max and min of f over the ball's 9x9 square lattices
+    of half sides _sup_half_side(family) and r / 2.
+    """
+
+    f_min: np.ndarray
+    f_max: np.ndarray
+    integral: np.ndarray
+    sup_lattice: np.ndarray
+    inf_lattice: np.ndarray
+
+
 class BallTable(NamedTuple):
     """Per-ball quantities of one field and nodal set over one cover family.
 
-    ball_table clips the whole cover in one clip_family call; theorem 1, the
-    band fraction and the bound chain of each test function all read from here.
-    The radius is the cover's, r = family.radius.  mass holds each ball's
-    certified mass bracket and measures a ball only when a band needs it.
-    Ball k's clipped pieces are rows offsets[k]:offsets[k + 1] of piece_len
-    and piece_mid; density[k] is its nodal density (lengths[k] / lam) / (pi r^2).
-    sup_lattice and inf_lattice hold the bound chain's square lattices around
-    every center, ball k's rows k * 81:(k + 1) * 81, at half sides
-    _sup_half_side(family) and r / 2.
+    ball_table reduces the clipped pieces to these numbers one clip batch at
+    a time, so no array of the family's pieces is ever held; theorem 1, the
+    band fraction and the bound chain of each test function all read from
+    here.  The radius is the cover's, r = family.radius.  mass holds each
+    ball's certified mass bracket and measures a ball only when a band needs
+    it.  density[k] is ball k's nodal density (lengths[k] / lam) / (pi r^2),
+    piece_max the longest clipped piece, and terms[f] the BallTerms of each
+    test function f the table was built for.
     """
 
     family: BallFamily
     mass: CertifiedMasses
-    piece_len: np.ndarray
-    piece_mid: np.ndarray
-    offsets: np.ndarray
     lengths: np.ndarray
     density: np.ndarray
     nonempty: np.ndarray
     piece_max: float
-    sup_lattice: np.ndarray
-    inf_lattice: np.ndarray
+    terms: dict
 
 
 def _sup_half_side(family: BallFamily) -> float:
@@ -368,22 +381,47 @@ def _lattice_points(centers: np.ndarray, half_side: float) -> np.ndarray:
     return pts.reshape(-1, 2)
 
 
-def ball_table(field: SampledField, nodal: NodalSet, family: BallFamily) -> BallTable:
-    """Mass brackets and clipped nodal pieces of every ball B(x, r) of family, r its radius."""
+def ball_table(field: SampledField, nodal: NodalSet, family: BallFamily,
+               test_functions: tuple[TestFunction, ...]) -> BallTable:
+    """Mass brackets, nodal lengths and test-function terms of every ball B(x, r) of family.
+
+    Each clip batch's pieces are reduced ball by ball and dropped: each
+    ball's length and f-integral are np.sum over that ball's pieces alone
+    (nodal.ball_sums), and its f-min and f-max and lattice extremes are
+    exact, so every number is the one a whole-family clip gives.
+    """
     r = family.radius
     if family.count < 1 or family.overlap_max < 1:
         raise ValueError(
             f"cover family must have at least one ball and overlap >= 1; "
             f"got count={family.count} overlap_max={family.overlap_max}")
     mass = CertifiedMasses(field, family.centers, r)
-    piece_len, piece_mid, offsets = clip_family(nodal, family.centers, r)
-    lengths = ball_sums(piece_len, offsets)
+    count = family.count
+    lengths = np.empty(count)
+    nonempty = np.empty(count, dtype=bool)
+    piece_max = 0.0
+    terms = {tf: BallTerms(*(np.zeros(count) for _ in BallTerms._fields))
+             for tf in test_functions}
+    sup_half, inf_half = _sup_half_side(family), r / 2.0
+    for b0, b1, piece_len, piece_mid, owners in clip_batches(nodal, family.centers, r):
+        offsets = np.searchsorted(owners, np.arange(b0, b1 + 1))
+        lengths[b0:b1] = ball_sums(piece_len, offsets)
+        filled = np.diff(offsets) > 0
+        nonempty[b0:b1] = filled
+        piece_max = max(piece_max, float(np.max(piece_len, initial=0.0)))
+        starts = offsets[:-1][filled]
+        sup_pts = _lattice_points(family.centers[b0:b1], sup_half)
+        inf_pts = _lattice_points(family.centers[b0:b1], inf_half)
+        for tf, t in terms.items():
+            vals = tf(piece_mid)
+            if starts.size:
+                t.f_min[b0:b1][filled] = np.minimum.reduceat(vals, starts)
+                t.f_max[b0:b1][filled] = np.maximum.reduceat(vals, starts)
+            t.integral[b0:b1] = ball_sums(vals * piece_len, offsets)
+            t.sup_lattice[b0:b1] = np.max(tf(sup_pts).reshape(b1 - b0, -1), axis=1)
+            t.inf_lattice[b0:b1] = np.min(tf(inf_pts).reshape(b1 - b0, -1), axis=1)
     density = (lengths / field.spec_lambda) / (math.pi * r * r)
-    nonempty = np.diff(offsets) > 0
-    piece_max = float(np.max(piece_len)) if piece_len.size else 0.0
-    return BallTable(family, mass, piece_len, piece_mid, offsets, lengths, density, nonempty,
-                     piece_max, _lattice_points(family.centers, _sup_half_side(family)),
-                     _lattice_points(family.centers, r / 2.0))
+    return BallTable(family, mass, lengths, density, nonempty, piece_max, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -550,26 +588,19 @@ def replicate_bound_chain(field: SampledField, nodal: NodalSet, table: BallTable
     fam = table.family
     r = fam.radius
     vol = math.pi * r * r
-    n_balls = fam.count
     overlap = fam.overlap_max
 
     total_length = nodal.total_length
     seg_max = float(np.max(nodal.lengths)) if nodal.count else 0.0
 
-    # f once over every clipped piece; ball k's values are one slice of it.
+    # f's per-ball terms, reduced from the clipped pieces by ball_table.
     nonempty = table.nonempty
-    vals = tf(table.piece_mid)
-    starts = table.offsets[:-1][nonempty]
-    f_min = np.zeros(n_balls)
-    f_max = np.zeros(n_balls)
-    if starts.size:
-        f_min[nonempty] = np.minimum.reduceat(vals, starts)
-        f_max[nonempty] = np.maximum.reduceat(vals, starts)
+    terms = table.terms[tf]
+    f_min, f_max = terms.f_min, terms.f_max
     negative = np.flatnonzero(f_min < -1e-9)
     if negative.size:
         raise NegativeTestFunction(
             f"test function {tf.name!r} dips to {float(f_min[negative[0]])!r}")
-    ball_integral = ball_sums(vals * table.piece_len, table.offsets)
 
     # Midpoint-rule error budget for curve integrals: each quadrature node
     # sits within half a piece of every point of its piece.
@@ -585,10 +616,8 @@ def replicate_bound_chain(field: SampledField, nodal: NodalSet, table: BallTable
     # upper-bound the true sup over the ball; inf estimates subtract the
     # gap, so they lower-bound the true inf over the half-radius core.
     sup_half_side = _sup_half_side(fam)
-    sup_est = (np.max(tf(table.sup_lattice).reshape(n_balls, -1), axis=1)
-               + tf.lipschitz * _lattice_gap(sup_half_side))
-    inf_est = (np.min(tf(table.inf_lattice).reshape(n_balls, -1), axis=1)
-               - tf.lipschitz * _lattice_gap(r / 2.0))
+    sup_est = terms.sup_lattice + tf.lipschitz * _lattice_gap(sup_half_side)
+    inf_est = terms.inf_lattice - tf.lipschitz * _lattice_gap(r / 2.0)
     enlarged_vol = math.pi * sup_half_side ** 2
     corr_lower = (float(np.sum((sup_est - f_min)[nonempty])) * vol
                   + float(np.sum(sup_est[~nonempty])) * vol
@@ -597,7 +626,7 @@ def replicate_bound_chain(field: SampledField, nodal: NodalSet, table: BallTable
     corr_upper = (float(np.sum((f_max - inf_est)[nonempty])) * (vol / 4.0)
                   + _QUADRATURE_SLACK * (tf.spread + 1.0))
 
-    sum_ball_integral = float(np.sum(ball_integral))
+    sum_ball_integral = float(np.sum(terms.integral))
     sum_f_min = float(np.sum(f_min[nonempty]))
     sum_f_max = float(np.sum(f_max[nonempty]))
 
@@ -730,11 +759,12 @@ def run_single(plan: ExperimentPlan, energy: int, seed: int) -> RunResult:
 
     d1, d2 = sse_scan(field, r, _stage_seed(plan, energy, seed, 1)).extreme_ratios()
     fam = build_cover(r, _stage_seed(plan, energy, seed, 2))
-    table = ball_table(field, nodal, fam)
+    test_functions = resolve_test_functions(plan.test_functions)
+    table = ball_table(field, nodal, fam, test_functions)
     tol = plan.tolerances
     t1 = check_theorem_1(table, inclusion_band=tol["theorem1_inclusion_band"])
     sse_fraction = float(np.mean(table.mass.ratios_in_band(tol["sse_band"])))
-    integrals = function_integrals(field, nodal, resolve_test_functions(plan.test_functions))
+    integrals = function_integrals(field, nodal, test_functions)
     t2 = check_theorem_2(field, integrals)
 
     traces = [replicate_bound_chain(field, nodal, table, fi) for fi in integrals]
@@ -820,10 +850,11 @@ def run_plan(plan: ExperimentPlan, threads: int = 1,
 
     Runs are independent; with threads > 1 they execute in a process pool
     while the fold stays in plan order, so the report is identical either
-    way.  The pool takes the highest energies (the longest runs) first and
-    the control last, so a late heavy run does not leave the other workers
-    idle.  It has no more workers than tasks: a fork pool starts every
-    worker on the first submit.
+    way; progress hears of each run as it finishes, in plan order serially
+    and in completion order from the pool.  The pool takes the highest
+    energies (the longest runs) first and the control last, so a late heavy
+    run does not leave the other workers idle.  It has no more workers than
+    tasks: a fork pool starts every worker on the first submit.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1; got {threads!r}")
@@ -840,13 +871,15 @@ def run_plan(plan: ExperimentPlan, threads: int = 1,
                 futures[k] = pool.submit(run_single, *jobs[k])
             if plan.include_low_energy_control:
                 control = pool.submit(control_run, plan)
-            results = (f.result() for f in futures)
+            finished = (f.result() for f in as_completed(futures))
         else:
-            results = (run_single(*job) for job in jobs)
-        for run in results:
+            finished = (run_single(*job) for job in jobs)
+        for run in finished:
             runs.append(run)
             if progress is not None:
                 progress(f"E={run.energy} seed={run.seed} done")
+        if pool:
+            runs = [f.result() for f in futures]  # the fold's plan order
     if plan.include_low_energy_control:
         control = control.result() if pool else control_run(plan)
     aggregates = _aggregate(plan, runs)

@@ -108,10 +108,12 @@ class NodalSet:
     def _index(self) -> _BucketIndex:
         """Bucket index over the midpoints, about one segment per bucket."""
         nb = max(math.isqrt(self.count), 1)
-        cell = np.minimum((self.midpoints * nb).astype(np.int64), nb - 1)
-        key = cell[:, 0] * nb + cell[:, 1]
+        # One axis at a time, so no (count, 2) temporary is made.
+        key = np.minimum((self.midpoints[:, 0] * nb).astype(np.int64), nb - 1) * nb
+        key += np.minimum((self.midpoints[:, 1] * nb).astype(np.int64), nb - 1)
         order = np.argsort(key)
-        starts = np.searchsorted(key[order], np.arange(nb * nb + 1))
+        starts = np.zeros(nb * nb + 1, dtype=np.int64)
+        np.cumsum(np.bincount(key, minlength=nb * nb), out=starts[1:])
         max_len = float(np.max(self.lengths)) if self.count else 0.0
         return _BucketIndex(nb, order, starts, max_len)
 
@@ -127,14 +129,20 @@ def extract_nodal(field) -> NodalSet:
     none longer than sqrt(2)/N.  Cells are marched a block of about
     _BLOCK_CELLS at a time, each block reading its own wrapped copy of its
     rows, so no field-sized temporary is made and field.values is not
-    written.
+    written.  The outputs are joined one at a time, each block's part of
+    an output dropped as it is joined, so the outputs and the parts never
+    make more than one copy of the set plus one output.
     """
     n = field.resolution
     values = np.asarray(field.values, dtype=float)
     step = max(1, _BLOCK_CELLS // n)
-    parts = [_march_rows(values, i0, min(i0 + step, n), n) for i0 in range(0, n, step)]
-    a, b, lengths, mids = (np.concatenate(x) for x in zip(*parts))
-    return NodalSet(a, b, lengths, mids)
+    parts = [list(_march_rows(values, i0, min(i0 + step, n), n)) for i0 in range(0, n, step)]
+    outputs = []
+    for k in range(4):
+        outputs.append(np.concatenate([part[k] for part in parts]))
+        for part in parts:
+            part[k] = None
+    return NodalSet(*outputs)
 
 
 def _march_rows(values: np.ndarray, i0: int, i1: int, n: int):
@@ -176,14 +184,28 @@ def _march_rows(values: np.ndarray, i0: int, i1: int, n: int):
 def clip_family(nodal: NodalSet, centers, r: float):
     """Exact intersection of the nodal set with every metric ball B(c, r), c in centers.
 
+    Returns (piece_len, piece_mid, offsets): ball k's pieces are rows
+    offsets[k]:offsets[k + 1], the pieces of clip_batches joined in ball order.
+    """
+    centers = np.asarray(centers, dtype=float).reshape(-1, 2)
+    parts = [(np.empty(0), np.empty((0, 2)), np.empty(0, dtype=np.int64))]
+    parts += [batch[2:] for batch in clip_batches(nodal, centers, r)]
+    piece_len, piece_mid, owners = (np.concatenate(x) for x in zip(*parts))
+    return piece_len, piece_mid, np.searchsorted(owners, np.arange(len(centers) + 1))
+
+
+def clip_batches(nodal: NodalSet, centers, r: float):
+    """Yield (b0, b1, piece_len, piece_mid, owners), the pieces of balls b0:b1 of centers.
+
     Each ball reads the buckets within reach + 1 bucket of its center,
     reach = r + max_len/2, of a w x w window, w the widest any ball needs
     plus one bucket of margin (all B x B buckets, unpruned, once it would
     span the torus).  A segment is kept when its midpoint is within
     r + length/2 of the center and clipped exactly, so each ball's pieces
-    are those of testing every segment.  Returns (piece_len, piece_mid,
-    offsets): ball k's pieces are rows offsets[k]:offsets[k + 1], in
-    ascending segment order, for the pieces with positive length.
+    are those of testing every segment.  A batch holds about _BATCH_PAIRS
+    window buckets, so about as many candidate segments whatever the radius;
+    its pieces come ball by ball (owners[i] is piece i's ball, ascending),
+    in ascending segment order, for the pieces with positive length.
     Midpoints are global torus coordinates.
     """
     if not 0.0 < r < 0.5:
@@ -204,7 +226,6 @@ def clip_family(nodal: NodalSet, centers, r: float):
     # for rounding) can hold a near segment; one that spans the torus is read
     # whole, its bound lying beyond the window's corners.
     bound = reach * nb + 1.0 if w < nb else 2.0 * nb + 2.0
-    parts = [(np.empty(0), np.empty((0, 2)), np.empty(0, dtype=np.int64))]
     step = max(1, _BATCH_PAIRS // (w * w))
     for b0 in range(0, len(centers), step):
         # Window rows (unwrapped x buckets) in the disk, and each one's y range.
@@ -251,9 +272,8 @@ def clip_family(nodal: NodalSet, centers, r: float):
         tmid = (t_lo[keep] + t_hi[keep]) / 2.0
         mid = np.column_stack([cx[keep] + ax[keep] + dx[keep] * tmid,
                                cy[keep] + ay[keep] + dy[keep] * tmid])
-        parts.append((frac[keep] * nodal.lengths[seg[keep]], wrap_point(mid), ball[keep]))
-    piece_len, piece_mid, owners = (np.concatenate(x) for x in zip(*parts))
-    return piece_len, piece_mid, np.searchsorted(owners, np.arange(len(centers) + 1))
+        yield (b0, min(b0 + step, len(centers)), frac[keep] * nodal.lengths[seg[keep]],
+               wrap_point(mid), ball[keep])
 
 
 def ball_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -342,6 +362,6 @@ def nodal_from_csv(path: str) -> NodalSet:
     rows = read_float_csv(path, _NODAL_HEADER, "nodal file")
     a = rows[:, 0:2]
     b = rows[:, 2:4]
-    lengths = rows[:, 4]
+    lengths = rows[:, 4].copy()  # a view would keep all of rows alive
     mids = wrap_point(a + wrap_delta(b - a) / 2.0)
     return NodalSet(wrap_point(a), wrap_point(b), lengths, mids)

@@ -58,7 +58,8 @@ def render_svg(nodal: NodalSet | None = None,
 def balls_from_csv(path: str) -> tuple[np.ndarray, float]:
     """Centers and the common positive radius of a cover CSV; a header-only file has no balls."""
     rows = read_float_csv(path, "center_x,center_y,radius", "ball file")
-    if np.unique(rows[:, 2]).size > 1:
+    # Not np.unique, which imports numpy.ma.
+    if np.any(rows[:, 2] != rows[:1, 2]):
         raise ValueError(f"ball file {path}: rows carry more than one radius")
     if np.any(rows[:, 2] <= 0.0):
         raise ValueError(f"ball file {path}: radius {float(rows[0, 2])!r} is not positive")

@@ -14,18 +14,25 @@ from __future__ import annotations
 import numpy as np
 
 
-def wrap_point(p: np.ndarray) -> np.ndarray:
-    """Reduce coordinates into [0, 1)."""
-    r = np.array(p, dtype=float)
+def _reduce(r: np.ndarray) -> np.ndarray:
+    """Reduce a float array into [0, 1) in place."""
     r -= np.floor(r)
-    # Tiny negative p round up to exactly 1.0; keep the interval half-open.
+    # Tiny negative values round up to exactly 1.0; keep the interval half-open.
     r[r >= 1.0] = 0.0
     return r
 
 
+def wrap_point(p: np.ndarray) -> np.ndarray:
+    """Reduce coordinates into [0, 1)."""
+    return _reduce(np.array(p, dtype=float))
+
+
 def wrap_delta(d: np.ndarray) -> np.ndarray:
     """Reduce a displacement componentwise into [-1/2, 1/2)."""
-    return wrap_point(np.add(d, 0.5, dtype=float)) - 0.5
+    # d + 1/2 is the only copy; a 0-d d gives a 0-d array.
+    r = _reduce(np.add(d, 0.5, dtype=float, out=np.empty(np.shape(d))))
+    r -= 0.5
+    return r
 
 
 def periodic_distance(p: np.ndarray, q: np.ndarray) -> np.ndarray:

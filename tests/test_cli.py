@@ -419,6 +419,19 @@ def test_verify_leaves_numpy_ma_unimported(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
 
 
+def test_verify_progress_with_workers_reports_every_run(tmp_path, capsys):
+    # Each line prints as its run finishes; the files keep the serial bytes.
+    plan_path = write_plan(tmp_path, energies=(25, 65), seeds_per_energy=2)
+    assert main(["verify", "--plan", plan_path, "--out", str(tmp_path / "serial")]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--plan", plan_path, "--out", str(tmp_path / "pool"),
+                 "--threads", "2", "--progress"]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.endswith(" done")]
+    assert sorted(lines) == [f"[verify] E={e} seed={s} done" for e in (25, 65) for s in (0, 1)]
+    for name in ("report.json", "runs.csv"):
+        assert (tmp_path / "pool" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+
 def test_verify_svg_plan_writes_run_images(tmp_path, monkeypatch):
     plan_path = write_plan(tmp_path, svg=True, seeds_per_energy=2)
     grids = []
@@ -662,6 +675,19 @@ def test_plot_rejects_a_ball_csv_with_mixed_radii(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"[error] ball file {path}: rows carry more than one radius\n"
     assert not svg.exists()
+
+
+def test_plot_with_balls_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique imports numpy.ma on first use, about 14 ms in a fresh process.
+    nodal = tmp_path / "nodal.csv"
+    nodal.write_text("ax,ay,bx,by,length\n0.1,0.1,0.2,0.2,0.1414\n")
+    balls = tmp_path / "balls.csv"
+    balls.write_text("center_x,center_y,radius\n0.1,0.2,0.1\n0.5,0.5,0.1\n")
+    code = ("import sys; from torusnodal.cli import main; "
+            f"code = main(['plot', '--nodal', {str(nodal)!r}, '--balls', {str(balls)!r}]); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
 
 
 def test_plot_of_a_header_only_ball_csv_draws_no_balls(tmp_path, capsys, recwarn):

@@ -15,6 +15,7 @@ from torusnodal.doubling import (
     doubling_stage,
     lower_bound_assembly,
     report_to_json,
+    sign_changes,
 )
 from torusnodal.eigenbasis import (
     SampledField,
@@ -250,6 +251,16 @@ def test_sign_probe_matches_the_per_ball_probe(e65_field):
         want.append(bool(np.min(vals) < 0.0 < np.max(vals)))
     assert report.has_nodal_point.tolist() == want
     assert 0 < sum(want) < len(want)
+    # The probe runs over more than one batch of centers.
+    assert len(want) * np.sum(mask) > doubling._SIGN_POINTS
+
+
+def test_sign_probe_memory_is_bounded(e1105_field, e1105_report):
+    # tracemalloc peak over the 50 centers at E=1105, seed 0, N=544 (about
+    # 800 probe points each): 2.51 MB, against 5.06 MB for one batch of all.
+    centers, r = e1105_report.centers, DEFAULT_A1 / e1105_report.lam
+    peak = traced_peak(lambda: sign_changes(e1105_field, centers, r))
+    assert peak < 3_000_000, peak
 
 
 def inline_doubling_stage(field, nodal, a1, a2, seed):

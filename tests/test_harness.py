@@ -76,9 +76,9 @@ DESK_RUN_65_7 = {
 }
 
 
-def cover_table(field, nodal, rho=0.5, seed=0):
-    """Ball table over the seeded cover at the scale radius of exponent rho."""
-    return ball_table(field, nodal, build_cover(scale_radius(field.spec_lambda, rho), seed))
+def cover_table(field, nodal, rho=0.5, seed=0, fs=tuple(TEST_FUNCTIONS.values())):
+    """Ball table, for the test functions fs, over the seeded cover at the scale radius of exponent rho."""
+    return ball_table(field, nodal, build_cover(scale_radius(field.spec_lambda, rho), seed), fs)
 
 
 def integrals_of(field, nodal, f):
@@ -95,7 +95,7 @@ def single_ball_table(field, nodal, center):
         covers=False,
         probe_resolution=512,
     )
-    return ball_table(field, nodal, fam)
+    return ball_table(field, nodal, fam, ())
 
 
 # ---------------------------------------------------------------- registry
@@ -464,7 +464,7 @@ def test_chain_rough_weight_reports_unmet_hypothesis(e65_field, e65_nodal):
     )
     lam = e65_field.spec_lambda
     rho = math.log(5.0) / math.log(lam)  # scale radius approximately 0.2
-    table = cover_table(e65_field, e65_nodal, rho, seed=1)
+    table = cover_table(e65_field, e65_nodal, rho, seed=1, fs=(rough,))
     trace = replicate_bound_chain(e65_field, e65_nodal, table,
                                   integrals_of(e65_field, e65_nodal, rough))
     assert trace.ok is True
@@ -475,7 +475,7 @@ def test_chain_rough_weight_reports_unmet_hypothesis(e65_field, e65_nodal):
 def test_chain_detects_tampered_cover(e65_field, e65_nodal):
     fam = build_cover(scale_radius(e65_field.spec_lambda, 0.5), seed=0)
     starved = dataclasses.replace(fam, centers=fam.centers[:3])
-    table = ball_table(e65_field, e65_nodal, starved)
+    table = ball_table(e65_field, e65_nodal, starved, (TEST_FUNCTIONS["cos_x"],))
     trace = replicate_bound_chain(e65_field, e65_nodal, table,
                                   integrals_of(e65_field, e65_nodal, "cos_x"))
     assert trace.ok is False
@@ -567,7 +567,7 @@ def test_chain_names_first_negative_ball_like_per_ball_reference(e65_field, e65_
     # Negative only on a band of x, so some balls pass before one fails.
     signed = TestFunction("signed", lambda pts: np.cos(2 * np.pi * (pts[:, 0] + 0.1)),
                           2 * np.pi, 2.0)
-    table = cover_table(e65_field, e65_nodal)
+    table = cover_table(e65_field, e65_nodal, fs=(signed,))
     with pytest.raises(NegativeTestFunction) as want:
         reference_ball_terms(e65_nodal, table, signed)
     with pytest.raises(NegativeTestFunction) as got:
@@ -581,7 +581,7 @@ def test_chain_validates_family_geometry(e65_field, e65_nodal):
     for broken in (dataclasses.replace(good, overlap_max=0),
                    dataclasses.replace(good, centers=np.empty((0, 2)))):
         with pytest.raises(ValueError) as err:
-            ball_table(e65_field, e65_nodal, broken)
+            ball_table(e65_field, e65_nodal, broken, ())
         assert str(err.value) == ("cover family must have at least one ball and overlap >= 1; "
                                   f"got count={broken.count} overlap_max={broken.overlap_max}")
     assert good.count > 0 and good.overlap_max > 0
@@ -590,25 +590,31 @@ def test_chain_validates_family_geometry(e65_field, e65_nodal):
 def test_ball_table_matches_per_ball_full_scan(e65_field, e65_nodal):
     table = cover_table(e65_field, e65_nodal)
     r = scale_radius(e65_field.spec_lambda, 0.5)
-    assert len(table.offsets) == table.family.count + 1
+    assert table.lengths.shape == table.nonempty.shape == (table.family.count,)
+    piece_max = 0.0
     for k, c in enumerate(table.family.centers):
         piece_len, piece_mid, _ = full_scan_clip(e65_nodal, c, r)
-        rows = slice(table.offsets[k], table.offsets[k + 1])
-        assert np.array_equal(table.piece_len[rows], piece_len)
-        assert np.array_equal(table.piece_mid[rows], piece_mid)
         assert table.lengths[k] == float(np.sum(piece_len))
+        assert table.nonempty[k] == (piece_len.size > 0)
+        for tf, terms in table.terms.items():
+            vals = tf(piece_mid)
+            assert terms.integral[k] == float(np.sum(vals * piece_len)), tf.name
+            if piece_len.size:
+                assert terms.f_min[k] == np.min(vals) and terms.f_max[k] == np.max(vals), tf.name
+        piece_max = max(piece_max, float(np.max(piece_len, initial=0.0)))
+    assert table.piece_max == piece_max
     assert np.array_equal(table.nonempty, table.lengths > 0.0)
 
 
 def test_run_single_clips_the_cover_in_one_family_call(monkeypatch):
     calls = []
-    real_clip = harness.clip_family
+    real_clip = harness.clip_batches
 
     def counting_clip(*args, **kwargs):
         calls.append(len(args[1]))
         return real_clip(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "clip_family", counting_clip)
+    monkeypatch.setattr(harness, "clip_batches", counting_clip)
     run = run_single(ExperimentPlan(energies=(65,)), 65, 7)
     assert run.cover_count == 37
     assert calls == [run.cover_count]
@@ -783,7 +789,8 @@ def test_run_plan_threads_match_serial():
         run_plan(plan, threads=2, progress=threaded_messages.append))
     assert serial == threaded
     assert serial_messages == expected
-    assert threaded_messages == expected
+    # Workers report each run as it finishes, in whichever order they finish.
+    assert sorted(threaded_messages) == expected
     with pytest.raises(ValueError, match="threads must be at least 1"):
         run_plan(plan, threads=0)
 
@@ -831,8 +838,11 @@ def test_run_plan_submits_highest_energies_first(inline_pool):
     assert inline_pool["submitted"] == ["E=8 seed=0", "E=8 seed=1", "E=5 seed=0", "E=5 seed=1",
                                         "E=2 seed=0", "E=2 seed=1", "control"]
     assert report.control is not None
-    assert messages == ["E=2 seed=0 done", "E=2 seed=1 done", "E=8 seed=0 done",
-                        "E=8 seed=1 done", "E=5 seed=0 done", "E=5 seed=1 done"]
+    # Every run reports once, as its future completes; the fold keeps plan order.
+    assert sorted(messages) == ["E=2 seed=0 done", "E=2 seed=1 done", "E=5 seed=0 done",
+                                "E=5 seed=1 done", "E=8 seed=0 done", "E=8 seed=1 done"]
+    assert [(r.energy, r.seed) for r in report.runs] == [(2, 0), (2, 1), (8, 0), (8, 1),
+                                                          (5, 0), (5, 1)]
     assert report_to_json(report) == report_to_json(run_plan(plan))
 
 

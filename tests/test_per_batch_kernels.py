@@ -1,0 +1,377 @@
+"""The banded and per-batch kernels against the whole-field and whole-family bodies they replaced.
+
+ball_masses squares one band of rows at a time, _mass_bounds builds its
+prefix sums one block of rows at a time, ball_table reduces each clip
+batch to per-ball numbers, and NodalSet._index keys one axis at a time.  The reference bodies below are the kernels as
+they stood before: a padded, squared copy of the field, one prefix array of
+all rows, and a table holding every clipped piece with the chain reducing
+them.  Every output must equal theirs byte for byte.
+"""
+
+import functools
+import math
+from typing import NamedTuple
+
+import numpy as np
+import pytest
+from numpy.lib.stride_tricks import sliding_window_view
+
+from torusnodal import harness
+from torusnodal.ballstats import (_SUB, _mass_bounds, ball_masses, default_centers,
+                                  require_resolved_radius)
+from torusnodal.covering import BallFamily, build_cover
+from torusnodal.doubling import INNER_FACTOR, OUTER_FACTOR
+from torusnodal.eigenbasis import random_eigenfunction, sample_grid
+from torusnodal.errors import NegativeTestFunction
+from torusnodal.harness import (_QUADRATURE_SLACK, TEST_FUNCTIONS, ChainTrace, ExperimentPlan,
+                                _lattice_gap, _lattice_points, _step, _sup_half_side, ball_table,
+                                function_integrals, replicate_bound_chain, run_single)
+from torusnodal.nodal import NodalSet, ball_sums, clip_family, extract_nodal
+from torusnodal.torus import wrap_delta
+
+from test_eigenbasis import traced_peak
+
+ENERGIES = (25, 50, 65, 325, 1105, 5525)
+SEAM_CENTERS = [[0.0, 0.0], [1.0 - 1e-12, 1.0 - 1e-12], [0.0, 0.5], [0.5, 0.0],
+                [1.0 - 1e-12, 0.3], [0.3, 1.0 - 1e-12]]
+_BATCH_CELLS = 1 << 16
+
+
+# ---------------------------------------------------------------- reference bodies
+
+
+def reference_ball_masses(field, centers, r: float) -> np.ndarray:
+    """ball_masses over one periodically padded, squared copy of the whole field."""
+    n = field.resolution
+    require_resolved_radius(r, n)
+    centers = np.asarray(centers, dtype=float).reshape(-1, 2)
+    count = centers.shape[0]
+    if count == 0:
+        return np.zeros(0)
+    h = 0.5 / n
+    half_diag = h * math.sqrt(2.0)
+    i0 = np.floor((centers - r - h) * n).astype(np.int64) - 1
+    i1 = np.ceil((centers + r + h) * n).astype(np.int64) + 1
+    w = int(np.max(i1 - i0)) + 1
+    idx = i0[:, :, None] + np.arange(w)
+    delta = wrap_delta((idx % n) / n - centers[:, :, None])
+    dx, dy = delta[:, 0], delta[:, 1]
+    sqx, sqy = np.square(dx), np.square(dy)
+    start = i0 % n
+    u2 = np.pad(field.values, ((0, w), (0, w)), mode="wrap")
+    np.square(u2, out=u2)
+    windows = sliding_window_view(u2, (w, w))
+    r2 = r * r
+    masses = np.empty(count)
+    step = max(1, _BATCH_CELLS // (w * w))
+    for b0 in range(0, count, step):
+        b = slice(b0, b0 + step)
+        dist = np.sqrt(sqx[b, :, None] + sqy[b, None, :])
+        full = dist <= r - half_diag
+        cut = np.flatnonzero((dist < r + half_diag) & ~full)
+        win = windows[start[b, 0], start[b, 1]]
+        inner = win[full]
+        k, ij = np.divmod(cut, w * w)
+        at_x, at_y = k * w + ij // w, k * w + ij % w
+        sx = [np.square(dx[b] + o / n).ravel()[at_x] for o in _SUB]
+        sy = [np.square(dy[b] + o / n).ravel()[at_y] for o in _SUB]
+        inside = np.zeros(cut.size, dtype=np.int64)
+        for sub_x in sx:
+            for sub_y in sy:
+                inside += sub_x + sub_y <= r2
+        edge = win.ravel()[cut] * (inside / 16.0)
+        f_off = np.concatenate([[0], np.cumsum(np.count_nonzero(full, axis=(1, 2)))])
+        c_off = np.searchsorted(cut, np.arange(full.shape[0] + 1) * (w * w))
+        masses[b] = (ball_sums(inner, f_off) + ball_sums(edge, c_off)) / (n * n)
+    return masses
+
+
+def reference_mass_bounds(field, centers, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """_mass_bounds over one n x (n + span) prefix array of every row."""
+    n = field.resolution
+    centers = np.asarray(centers, dtype=float).reshape(-1, 2) % 1.0
+    half_diag = 0.5 / n * math.sqrt(2.0)
+    slop = 1e-9
+    reach = r + half_diag + slop
+    k = math.ceil(reach * n) + 1
+    rows = np.floor(centers[:, :1] * n).astype(np.int64) + np.arange(-k, k + 1)
+    dx2 = np.square(rows / n - centers[:, :1])
+    cy = centers[:, 1:] * n
+    span = 2 * k + 1
+    pre = np.pad(field.values, ((0, 0), (k + 1, k)), mode="wrap")
+    np.square(pre, out=pre)
+    np.cumsum(pre, axis=1, out=pre)
+    base = rows % n * (n + span) + k
+
+    def disk_sum(rad: float, round_lo, round_hi) -> np.ndarray:
+        t2 = rad * rad - dx2
+        t = np.sqrt(np.maximum(t2, 0.0)) * n
+        j0, j1 = round_lo(cy - t), round_hi(cy + t)
+        start = base + j0.astype(np.int64)
+        stop = start + ((j1 - j0 + 1) * (t2 >= 0.0)).astype(np.int64)
+        return np.sum(np.take(pre, stop) - np.take(pre, start), axis=1)
+
+    slack = 4.0 * (n + span + span * span) * span * np.finfo(float).eps * pre[:, -1].max()
+    lo = disk_sum(r - half_diag - slop, np.ceil, np.floor) - slack
+    hi = disk_sum(reach, np.floor, np.ceil) + slack
+    return lo / (n * n), hi / (n * n)
+
+
+class WholeFamilyTable(NamedTuple):
+    """The ball table as it held every clipped piece and both lattices of the family."""
+
+    family: BallFamily
+    piece_len: np.ndarray
+    piece_mid: np.ndarray
+    offsets: np.ndarray
+    lengths: np.ndarray
+    density: np.ndarray
+    nonempty: np.ndarray
+    piece_max: float
+    sup_lattice: np.ndarray
+    inf_lattice: np.ndarray
+
+
+def reference_ball_table(field, nodal, family) -> WholeFamilyTable:
+    """The whole family clipped in one clip_family call, its pieces kept."""
+    r = family.radius
+    piece_len, piece_mid, offsets = clip_family(nodal, family.centers, r)
+    lengths = ball_sums(piece_len, offsets)
+    density = (lengths / field.spec_lambda) / (math.pi * r * r)
+    nonempty = np.diff(offsets) > 0
+    piece_max = float(np.max(piece_len)) if piece_len.size else 0.0
+    return WholeFamilyTable(family, piece_len, piece_mid, offsets, lengths, density, nonempty,
+                            piece_max, _lattice_points(family.centers, _sup_half_side(family)),
+                            _lattice_points(family.centers, r / 2.0))
+
+
+def reference_terms(table: WholeFamilyTable, tf) -> dict:
+    """f's per-ball min, max, integral and lattice extremes, as the chain took them from the pieces."""
+    n_balls = table.family.count
+    vals = tf(table.piece_mid)
+    starts = table.offsets[:-1][table.nonempty]
+    f_min = np.zeros(n_balls)
+    f_max = np.zeros(n_balls)
+    if starts.size:
+        f_min[table.nonempty] = np.minimum.reduceat(vals, starts)
+        f_max[table.nonempty] = np.maximum.reduceat(vals, starts)
+    return {"f_min": f_min, "f_max": f_max,
+            "integral": ball_sums(vals * table.piece_len, table.offsets),
+            "sup_lattice": np.max(tf(table.sup_lattice).reshape(n_balls, -1), axis=1),
+            "inf_lattice": np.min(tf(table.inf_lattice).reshape(n_balls, -1), axis=1)}
+
+
+def reference_bound_chain(field, nodal, table: WholeFamilyTable, integrals) -> ChainTrace:
+    """replicate_bound_chain reducing the whole family's pieces itself."""
+    tf, integral_f, total_integral = integrals
+    lam = field.spec_lambda
+    fam = table.family
+    r = fam.radius
+    vol = math.pi * r * r
+    overlap = fam.overlap_max
+    total_length = nodal.total_length
+    seg_max = float(np.max(nodal.lengths)) if nodal.count else 0.0
+    nonempty = table.nonempty
+    terms = reference_terms(table, tf)
+    f_min, f_max = terms["f_min"], terms["f_max"]
+    negative = np.flatnonzero(f_min < -1e-9)
+    if negative.size:
+        raise NegativeTestFunction(
+            f"test function {tf.name!r} dips to {float(f_min[negative[0]])!r}")
+    piece_slack = tf.modulus(table.piece_max / 2.0) * float(np.sum(table.lengths))
+    slack_cover = piece_slack + tf.modulus(seg_max / 2.0) * total_length
+    slack_overlap = piece_slack + overlap * tf.modulus(seg_max / 2.0) * total_length
+    e1_chain = float(np.min(table.density))
+    e2_chain = float(np.max(table.density))
+    sup_half_side = _sup_half_side(fam)
+    sup_est = terms["sup_lattice"] + tf.lipschitz * _lattice_gap(sup_half_side)
+    inf_est = terms["inf_lattice"] - tf.lipschitz * _lattice_gap(r / 2.0)
+    enlarged_vol = math.pi * sup_half_side ** 2
+    corr_lower = (float(np.sum((sup_est - f_min)[nonempty])) * vol
+                  + float(np.sum(sup_est[~nonempty])) * vol
+                  + float(np.sum(sup_est)) * (enlarged_vol - vol)
+                  + _QUADRATURE_SLACK * (tf.spread + 1.0))
+    corr_upper = (float(np.sum((f_max - inf_est)[nonempty])) * (vol / 4.0)
+                  + _QUADRATURE_SLACK * (tf.spread + 1.0))
+    sum_ball_integral = float(np.sum(terms["integral"]))
+    sum_f_min = float(np.sum(f_min[nonempty]))
+    sum_f_max = float(np.sum(f_max[nonempty]))
+    hypothesis_met = corr_lower < integral_f
+    message = "" if hypothesis_met else (
+        f"asymptotic hypothesis unmet at this scale: modulus correction "
+        f"{corr_lower:.6g} >= area integral {integral_f:.6g}; the lower "
+        f"conclusion is vacuous here and only binds as the frequency grows")
+    lower_conclusion = (e1_chain * max(integral_f - corr_lower, 0.0)
+                        - slack_overlap / lam) / overlap
+    upper_conclusion = 4.0 * e2_chain * (integral_f + corr_upper) + slack_cover / lam
+    steps = (
+        _step("nodal_coverage_superadditivity", total_integral, sum_ball_integral, slack_cover,
+              "every nodal point lies in some cover ball, so ball integrals "
+              "jointly capture the full curve integral"),
+        _step("nodal_overlap_subadditivity", sum_ball_integral, overlap * total_integral,
+              slack_overlap, "each nodal point is counted at most overlap_max times"),
+        _step("cover_captures_integral", integral_f - corr_lower, vol * sum_f_min, 0.0,
+              "enlarged cover balls capture the area integral up to the "
+              "modulus correction and the probe-lattice margin"),
+        _step("disjoint_cores_bound_integral", vol * sum_f_max,
+              4.0 * (integral_f + corr_upper), 0.0,
+              "half-radius cores are disjoint, so core sums cannot exceed "
+              "the area integral; full balls cost the area factor 4"),
+        _step("lower_conclusion", lower_conclusion, total_integral / lam, 0.0,
+              "composite lower bound for the curve integral of f"),
+        _step("upper_conclusion", total_integral / lam, upper_conclusion, 0.0,
+              "composite upper bound for the curve integral of f"),
+    )
+    return ChainTrace(corr_lower, corr_upper, hypothesis_met, message, steps)
+
+
+def reference_bucket_index(nodal):
+    """(order, starts) of NodalSet._index from (count, 2) cell arrays and a searchsorted."""
+    nb = max(math.isqrt(nodal.count), 1)
+    cell = np.minimum((nodal.midpoints * nb).astype(np.int64), nb - 1)
+    key = cell[:, 0] * nb + cell[:, 1]
+    order = np.argsort(key)
+    return order, np.searchsorted(key[order], np.arange(nb * nb + 1))
+
+
+# ---------------------------------------------------------------- families
+
+
+@functools.cache
+def survey_case(energy: int):
+    """(field, nodal, [(label, centers, r)]) at the plan grid: the run's families and edge cases.
+
+    The SSE family at E=5525 is every tenth of its 2,036 centers, which keeps
+    the reference quadrature near a second.  "edge" is the largest radius
+    require_resolved_radius admits.
+    """
+    n = ExperimentPlan.grid_for(ExperimentPlan, energy)
+    field = sample_grid(random_eigenfunction(energy, 0), n)
+    lam = field.spec_lambda
+    r = lam ** -0.5
+    seams = np.vstack([SEAM_CENTERS, [[0.5 / n, 0.25]]])
+    sse = default_centers(r, 1)
+    families = [("cover", build_cover(r, 2).centers, r),
+                ("sse", sse[::10] if energy > 1105 else sse, r),
+                ("seam", seams, r)]
+    if energy <= 1105:  # above, a window of the largest radius is a 1200^2 array per ball
+        families.append(("edge", seams, float(np.nextafter(0.5 - 3.0 / n, 0.0))))
+    a1 = next((a for a in (2.5, 1.0, 0.5)
+               if OUTER_FACTOR * a / lam < 0.25 and INNER_FACTOR * a / lam * n >= 20.0), None)
+    if a1 is not None:
+        centers = build_cover(OUTER_FACTOR * a1 / lam / 2.0, 3).centers
+        families += [("inner", centers, INNER_FACTOR * a1 / lam),
+                     ("outer", centers, OUTER_FACTOR * a1 / lam)]
+    return field, extract_nodal(field), families
+
+
+def as_family(label, centers, r) -> BallFamily:
+    if label == "cover":
+        return build_cover(r, 2)
+    return BallFamily(centers=np.asarray(centers), radius=r, overlap_max=1, covers=False,
+                      probe_resolution=512)
+
+
+def test_every_survey_case_has_both_doubling_radii_from_e50():
+    labels = {e: [label for label, _, _ in survey_case(e)[2]] for e in (25, 50)}
+    assert "outer" not in labels[25] and labels[50][-2:] == ["inner", "outer"]
+
+
+# ---------------------------------------------------------------- byte identity
+
+
+@pytest.mark.parametrize("energy", ENERGIES)
+def test_bucket_index_equals_the_reference(energy, awkward_nodal):
+    for nodal in (survey_case(energy)[1], awkward_nodal):
+        index = NodalSet(nodal.a, nodal.b, nodal.lengths, nodal.midpoints)._index
+        for got, want in zip((index.order, index.starts), reference_bucket_index(nodal)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), energy
+
+
+@pytest.mark.parametrize("energy", ENERGIES)
+def test_ball_masses_equal_the_padded_field_reference(energy):
+    field, _, families = survey_case(energy)
+    for label, centers, r in families:
+        got = ball_masses(field, centers, r)
+        assert got.tobytes() == reference_ball_masses(field, centers, r).tobytes(), label
+
+
+@pytest.mark.parametrize("energy", ENERGIES)
+def test_mass_bounds_equal_the_whole_prefix_reference(energy):
+    field, _, families = survey_case(energy)
+    for label, centers, r in families:
+        for got, want in zip(_mass_bounds(field, centers, r),
+                             reference_mass_bounds(field, centers, r)):
+            assert got.tobytes() == want.tobytes(), label
+
+
+@pytest.mark.parametrize("energy", ENERGIES)
+def test_ball_table_and_chains_equal_the_whole_family_reference(energy):
+    field, nodal, families = survey_case(energy)
+    fs = tuple(TEST_FUNCTIONS.values())
+    integrals = function_integrals(field, nodal, fs)
+    for label, centers, r in families:
+        if label == "edge" and energy > 325:
+            continue  # a ball of radius near 1/2 reads every segment of the set
+        family = as_family(label, centers, r)
+        table = ball_table(field, nodal, family, fs)
+        want = reference_ball_table(field, nodal, family)
+        for name in ("lengths", "density", "nonempty"):
+            assert getattr(table, name).tobytes() == getattr(want, name).tobytes(), (label, name)
+        assert table.piece_max == want.piece_max, label
+        for fi in integrals:
+            for name, values in reference_terms(want, fi.tf).items():
+                got = getattr(table.terms[fi.tf], name)
+                assert got.tobytes() == values.tobytes(), (label, fi.tf.name, name)
+            trace = replicate_bound_chain(field, nodal, table, fi)
+            assert repr(trace) == repr(reference_bound_chain(field, nodal, want, fi)), label
+
+
+def test_run_single_at_e5525_keeps_the_whole_family_table(monkeypatch):
+    # The survey's next energy: its cover table and chain numbers against the
+    # reference bodies, about 0.5 s for the run.
+    seen = []
+
+    def keeping(field, nodal, family, test_functions):
+        seen.append((field, nodal, family, test_functions))
+        return ball_table(field, nodal, family, test_functions)
+
+    monkeypatch.setattr(harness, "ball_table", keeping)
+    plan = ExperimentPlan(energies=(5525,), seeds_per_energy=1, include_low_energy_control=False)
+    run = run_single(plan, 5525, 0)
+    ((field, nodal, family, fs),) = seen
+    table = ball_table(field, nodal, family, fs)
+    want = reference_ball_table(field, nodal, family)
+    assert table.lengths.tobytes() == want.lengths.tobytes()
+    assert (run.chain_e1, run.chain_e2) == (float(np.min(want.density)),
+                                            float(np.max(want.density)))
+    traces = [reference_bound_chain(field, nodal, want, fi)
+              for fi in function_integrals(field, nodal, fs)]
+    assert run.chain_ok is all(t.ok for t in traces) is True
+    assert run.chain_hypothesis_met == sum(t.hypothesis_met for t in traces)
+    assert run.cover_count == family.count == 328
+
+
+# ---------------------------------------------------------------- memory
+
+
+def test_ball_masses_memory_on_the_all_ball_outer_doubling_family(e1105_field):
+    # The doubling command's JSON measures every ball of the outer family.
+    # tracemalloc peak at E=1105, seed 0, N=544 (48 balls, r = 0.239): 5.22 MB,
+    # against 8.79 MB for the padded (n + w)^2 reference.
+    lam = e1105_field.spec_lambda
+    r_out = OUTER_FACTOR * 2.5 / lam
+    centers = build_cover(r_out / 2.0, 0).centers
+    peak = traced_peak(lambda: ball_masses(e1105_field, centers, r_out))
+    assert peak < 6_000_000 <= traced_peak(
+        lambda: reference_ball_masses(e1105_field, centers, r_out)), peak
+
+
+def test_mass_bounds_memory_on_the_sse_family(e1105_field):
+    # tracemalloc peak at E=1105, seed 0, N=544 over the 941 SSE balls:
+    # 3.91 MB, against 9.46 MB for the n x (n + span) prefix reference.
+    r = e1105_field.spec_lambda ** -0.5
+    centers = default_centers(r, 1)
+    peak = traced_peak(lambda: _mass_bounds(e1105_field, centers, r))
+    assert peak < 4_500_000 <= traced_peak(
+        lambda: reference_mass_bounds(e1105_field, centers, r)), peak
