@@ -1,0 +1,117 @@
+"""Per-stage memory of one verify run: tracemalloc peaks and ru_maxrss.
+
+Runs harness.run_single once, serially, at one energy and seed on the
+desk plan's fields (plans/desk.json with its energies replaced by the one
+asked for).  Each stage is wrapped where run_single reaches it (the names
+harness bound, and the CertifiedMasses band and extreme methods); for each
+stage the script prints the calls made and the largest traced peak of one
+call, above the memory traced at its start and in total.  A stage inside
+another (ratios_in_band inside check_theorem_1) counts in both.
+
+The run_single line is the whole run; the last lines give two ru_maxrss: this
+process's, which tracemalloc's bookkeeping inflates, and that of one
+untraced run_single in a fresh process, the number to compare with a
+memory target.
+
+Run: python scripts/stage_memory.py --energy 27625 --seed 0
+"""
+
+import argparse
+import json
+import multiprocessing
+import resource
+import tracemalloc
+from pathlib import Path
+
+from torusnodal import harness
+from torusnodal.ballstats import CertifiedMasses
+
+DESK_PLAN = Path(__file__).resolve().parents[1] / "plans" / "desk.json"
+
+STAGES = ("torus_integral", "sample_grid", "extract_nodal", "sse_scan", "build_cover",
+          "ball_table", "check_theorem_1", "integrate_over_nodal", "check_theorem_2",
+          "replicate_bound_chain", "doubling_stage", "growth_report", "render_svg")
+METHODS = ("extreme_ratios", "ratios_in_band")
+
+
+def desk_plan(energy: int) -> harness.ExperimentPlan:
+    fields = json.loads(DESK_PLAN.read_text())
+    fields["energies"] = [energy]
+    return harness.plan_from_json(json.dumps(fields))
+
+
+def run_untraced(energy: int, seed: int) -> None:
+    harness.run_single(desk_plan(energy), energy, seed)
+
+
+class StagePeaks:
+    """Largest (above start, total) traced peak per stage, folding nested calls outward."""
+
+    def __init__(self):
+        self.calls: dict[str, int] = {}
+        self.peaks: dict[str, tuple[int, int]] = {}
+        self.stack: list[list[int]] = []  # per open call: [start, peak so far]
+
+    def _fold(self) -> None:
+        peak = tracemalloc.get_traced_memory()[1]
+        for frame in self.stack:
+            frame[1] = max(frame[1], peak)
+        tracemalloc.reset_peak()
+
+    def wrap(self, name: str, fn):
+        def traced(*args, **kwargs):
+            self._fold()
+            start = tracemalloc.get_traced_memory()[0]
+            self.stack.append([start, start])
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self._fold()
+                _, peak = self.stack.pop()
+                above, total = self.peaks.get(name, (0, 0))
+                self.peaks[name] = (max(above, peak - start), max(total, peak))
+                self.calls[name] = self.calls.get(name, 0) + 1
+        return traced
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--energy", type=int, required=True)
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args()
+    plan = desk_plan(args.energy)
+
+    child = multiprocessing.get_context("spawn").Process(target=run_untraced,
+                                                         args=(args.energy, args.seed))
+    child.start()
+    child.join()
+    if child.exitcode != 0:
+        raise SystemExit(f"untraced run_single exited with {child.exitcode}")
+    untraced_rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+
+    stages = StagePeaks()
+    for name in STAGES:
+        setattr(harness, name, stages.wrap(name, getattr(harness, name)))
+    for name in METHODS:
+        setattr(CertifiedMasses, name, stages.wrap(name, getattr(CertifiedMasses, name)))
+    tracemalloc.start()
+    try:
+        stages.wrap("run_single", harness.run_single)(plan, args.energy, args.seed)
+    finally:
+        tracemalloc.stop()
+
+    mb = 1e6
+    print(f"E={args.energy} seed={args.seed} grid={plan.grid_for(args.energy)} "
+          f"(desk plan fields, serial)")
+    print(f"{'stage':24s} {'calls':>5s} {'above start MB':>15s} {'total MB':>9s}")
+    for name, (above, total) in stages.peaks.items():
+        print(f"{name:24s} {stages.calls[name]:5d} {above / mb:15.2f} {total / mb:9.2f}")
+    print(f"ru_maxrss, this traced process: "
+          f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0:.1f} MB")
+    print(f"ru_maxrss, one untraced run_single in a fresh process: {untraced_rss:.1f} MB")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -263,14 +263,6 @@ def _column_blocks(modes, coeffs: np.ndarray, n: int):
         yield j0, j1, block
 
 
-def grid_sum(modes, coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Complex sum_xi c_xi exp(2 pi i xi . x) at every x = (i/n, j/n), by _column_blocks."""
-    sheet = np.empty((n, n), dtype=np.complex128)
-    for j0, j1, block in _column_blocks(modes, coeffs, n):
-        sheet[:, j0:j1] = block
-    return sheet
-
-
 def require_sampling_grid(energy: int, n: int) -> None:
     """Raise ResolutionTooCoarse unless n >= ceil(10 sqrt(E)) (and n >= 1) for energy E."""
     need = max(math.ceil(10.0 * math.sqrt(energy)), 1)

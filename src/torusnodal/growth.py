@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigenbasis import (TWO_PI, EigenfunctionSpec, _mode_sum, _pin_blas_thread, evaluate,
-                         grid_sum, real_part)
+from .eigenbasis import (TWO_PI, EigenfunctionSpec, _column_blocks, _mode_sum, _pin_blas_thread,
+                         evaluate, real_part)
 from .errors import ChartExceeded
 from .torus import wrap_point
 
@@ -176,8 +176,29 @@ class StripSup:
     certificate: float
 
 
+def _sheet_argmax(modes, coeffs: np.ndarray, n: int) -> tuple[float, int, int]:
+    """(max |v|, i, j) over the n x n grid sheet of coeffs, one _column_blocks block at a time.
+
+    On a tie the smallest row-major index i * n + j wins, np.argmax's rule
+    on the whole sheet, which is never held.
+    """
+    top, i, j = -math.inf, 0, 0
+    for j0, j1, block in _column_blocks(modes, coeffs, n):
+        mag = np.abs(block)
+        bi, bj = divmod(int(np.argmax(mag)), j1 - j0)
+        value = float(mag[bi, bj])
+        if value > top or (value == top and bi * n + j0 + bj < i * n + j):
+            top, i, j = value, bi, j0 + bj
+    return top, i, j
+
+
 def complex_strip_sup(spec: EigenfunctionSpec, tau: float) -> StripSup:
-    """Sup of the complexified eigenfunction over the strip |y|_inf <= tau."""
+    """Sup of the complexified eigenfunction over the strip |y|_inf <= tau.
+
+    Each corner sheet's grid maximizer is found one column block of the
+    inverse FFT at a time (_sheet_argmax), so no n x n sheet is held; the
+    zoom passes then refine around it.
+    """
     if not (tau >= 0.0 and math.isfinite(tau)):
         raise ValueError(f"tau must be finite and nonnegative, got {tau!r}")
     xi = np.asarray(spec.modes, dtype=float)
@@ -196,9 +217,8 @@ def complex_strip_sup(spec: EigenfunctionSpec, tau: float) -> StripSup:
     coeffs = np.array([spec.coeffs * np.exp(-TWO_PI * (xi @ y)) for y in corners])
     best, p0 = -math.inf, []
     for c in coeffs:
-        sheet = np.abs(grid_sum(spec.modes, c, n))
-        i, j = divmod(int(np.argmax(sheet)), n)
-        best = max(best, float(sheet[i, j]))
+        top, i, j = _sheet_argmax(spec.modes, c, n)
+        best = max(best, top)
         p0.append([i / n, j / n])
 
     def eval_abs(pts, d):  # every candidate on every sheet, then each on its own

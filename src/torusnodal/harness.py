@@ -157,12 +157,15 @@ class FunctionIntegrals(NamedTuple):
     nodal: float
 
 
-def function_integrals(field: SampledField, nodal: NodalSet,
-                       test_functions: tuple[TestFunction, ...]) -> tuple[FunctionIntegrals, ...]:
-    """Both integrals of every test function, computed once per run."""
-    return tuple(FunctionIntegrals(tf, torus_integral(tf, field.resolution),
-                                   integrate_over_nodal(nodal, tf.fn))
-                 for tf in test_functions)
+def function_integrals(nodal: NodalSet, test_functions: tuple[TestFunction, ...],
+                       areas: list[float]) -> tuple[FunctionIntegrals, ...]:
+    """Both integrals of every test function: areas[k] is test_functions[k]'s torus_integral.
+
+    run_single takes the areas, which read only the grid, before it samples
+    the field, and the nodal line integrals here, each once per run.
+    """
+    return tuple(FunctionIntegrals(tf, area, integrate_over_nodal(nodal, tf.fn))
+                 for tf, area in zip(test_functions, areas, strict=True))
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +248,9 @@ class ExperimentPlan:
                 if not (isinstance(value, (list, tuple)) and len(value) == 2
                         and all(map(is_number, value))):
                     raise ValueError(f"tolerance {key!r} must be a pair of finite numbers; got {value!r}")
+                if value[0] > value[1]:
+                    raise ValueError(f"tolerance {key!r} must be a (low, high) pair with "
+                                     f"low <= high; got {value!r}")
                 merged[key] = tuple(value)
             elif is_number(value):
                 merged[key] = float(value)
@@ -385,7 +391,8 @@ def ball_table(field: SampledField, nodal: NodalSet, family: BallFamily,
                test_functions: tuple[TestFunction, ...]) -> BallTable:
     """Mass brackets, nodal lengths and test-function terms of every ball B(x, r) of family.
 
-    Each clip batch's pieces are reduced ball by ball and dropped: each
+    Each clip batch's pieces are reduced ball by ball and dropped before
+    the next batch is clipped: each
     ball's length and f-integral are np.sum over that ball's pieces alone
     (nodal.ball_sums), and its f-min and f-max and lattice extremes are
     exact, so every number is the one a whole-family clip gives.
@@ -420,6 +427,8 @@ def ball_table(field: SampledField, nodal: NodalSet, family: BallFamily,
             t.integral[b0:b1] = ball_sums(vals * piece_len, offsets)
             t.sup_lattice[b0:b1] = np.max(tf(sup_pts).reshape(b1 - b0, -1), axis=1)
             t.inf_lattice[b0:b1] = np.min(tf(inf_pts).reshape(b1 - b0, -1), axis=1)
+        # Dropped before clip_batches builds the next batch, so one batch is held at a time.
+        del piece_len, piece_mid, owners, sup_pts, inf_pts
     density = (lengths / field.spec_lambda) / (math.pi * r * r)
     return BallTable(family, mass, lengths, density, nonempty, piece_max, terms)
 
@@ -731,11 +740,16 @@ def _columns(role: str) -> tuple[str, ...]:
 
 
 def run_single(plan: ExperimentPlan, energy: int, seed: int) -> RunResult:
-    """One full pipeline pass for a single random eigenfunction."""
+    """One full pipeline pass for a single random eigenfunction.
+
+    A run that is not degenerate takes each test function's area integral
+    first: it reads only the grid, so its n^2 values are built while no
+    field or nodal set is held.  After extract_nodal, whose join holds one
+    extra copy of the set, each stage holds at most one batch or block of
+    temporaries above the arrays the run keeps.
+    """
     spec = random_eigenfunction(energy, _stage_seed(plan, energy, seed, 0))
     n = plan.grid_for(energy)
-    field = sample_grid(spec, n)
-    nodal = extract_nodal(field)
     lam = spec.lam
     r = scale_radius(lam, plan.rho)
     flags: list[str] = []
@@ -746,7 +760,11 @@ def run_single(plan: ExperimentPlan, energy: int, seed: int) -> RunResult:
         flags.append("scale_radius_exceeds_quarter")
     if len(spec.modes) < 8:
         flags.append("too_few_modes_for_ensemble_statistics")
+    test_functions = resolve_test_functions(plan.test_functions)
+    areas = [] if degenerate else [torus_integral(tf, n) for tf in test_functions]
 
+    field = sample_grid(spec, n)
+    nodal = extract_nodal(field)
     base = dict(
         energy=energy, seed=seed, grid=n, lam=lam, radius=r,
         total_length=nodal.total_length, yau_ratio=nodal.total_length / lam,
@@ -759,12 +777,11 @@ def run_single(plan: ExperimentPlan, energy: int, seed: int) -> RunResult:
 
     d1, d2 = sse_scan(field, r, _stage_seed(plan, energy, seed, 1)).extreme_ratios()
     fam = build_cover(r, _stage_seed(plan, energy, seed, 2))
-    test_functions = resolve_test_functions(plan.test_functions)
     table = ball_table(field, nodal, fam, test_functions)
     tol = plan.tolerances
     t1 = check_theorem_1(table, inclusion_band=tol["theorem1_inclusion_band"])
     sse_fraction = float(np.mean(table.mass.ratios_in_band(tol["sse_band"])))
-    integrals = function_integrals(field, nodal, test_functions)
+    integrals = function_integrals(nodal, test_functions, areas)
     t2 = check_theorem_2(field, integrals)
 
     traces = [replicate_bound_chain(field, nodal, table, fi) for fi in integrals]

@@ -43,6 +43,9 @@ _BATCH_PAIRS = 1 << 15
 # About this many grid cells are marched per block of rows.
 _BLOCK_CELLS = 1 << 16
 
+# integrate_over_nodal evaluates its weight on blocks of this many midpoints.
+_WEIGHT_POINTS = 1 << 15
+
 # Corners in case-bit order, as (i, j) offsets from the cell's lower-left
 # grid point; case = s0 + 2*s1 + 4*s2 + 8*s3 over their signs (positive = 1).
 _CORNERS = np.array([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -206,7 +209,10 @@ def clip_batches(nodal: NodalSet, centers, r: float):
     window buckets, so about as many candidate segments whatever the radius;
     its pieces come ball by ball (owners[i] is piece i's ball, ascending),
     in ascending segment order, for the pieces with positive length.
-    Midpoints are global torus coordinates.
+    Midpoints are global torus coordinates.  Each step of a batch (window
+    pairs, near test, clip, chord) drops its temporaries on return, so only
+    the batch's pieces are alive at a yield, and they are dropped before
+    the next batch is built.
     """
     if not 0.0 < r < 0.5:
         raise BallTooLarge(f"ball radius must lie in (0, 1/2), got {r!r}")
@@ -215,7 +221,7 @@ def clip_batches(nodal: NodalSet, centers, r: float):
         raise BallTooLarge(
             f"radius {r!r} leaves no chart margin for segments of length {index.max_len!r}")
     centers = np.asarray(centers, dtype=float).reshape(-1, 2)
-    nb, count = index.buckets, nodal.count
+    nb = index.buckets
     reach = r + index.max_len / 2.0
     lo = np.floor((centers - reach) * nb).astype(np.int64) - 1
     hi = np.floor((centers + reach) * nb).astype(np.int64) + 1
@@ -228,52 +234,79 @@ def clip_batches(nodal: NodalSet, centers, r: float):
     bound = reach * nb + 1.0 if w < nb else 2.0 * nb + 2.0
     step = max(1, _BATCH_PAIRS // (w * w))
     for b0 in range(0, len(centers), step):
-        # Window rows (unwrapped x buckets) in the disk, and each one's y range.
-        rows = lo[b0:b0 + step, :1] + np.arange(w)
-        u = centers[b0:b0 + step] * nb
-        gap = np.maximum(np.maximum(rows - u[:, :1], u[:, :1] - rows - 1.0), 0.0)
-        k, i = np.nonzero(gap <= bound)
-        h = np.sqrt(bound * bound - gap[k, i] ** 2)
-        j0 = np.maximum(lo[b0 + k, 1], np.ceil(u[k, 1] - 1.0 - h).astype(np.int64))
-        j1 = np.minimum(lo[b0 + k, 1] + w - 1, np.floor(u[k, 1] + h).astype(np.int64))
-        # Each row range is one run of bucket keys, or two where it crosses the seam.
-        base = rows[k, i] % nb * nb
-        jl = j0 % nb
-        end = jl + np.maximum(j1 - j0 + 1, 0)
-        first = index.starts[np.concatenate([base + jl, base])]
-        sizes = index.starts[np.concatenate([base + np.minimum(end, nb),
-                                             base + np.maximum(end - nb, 0)])] - first
-        ball = np.repeat(np.concatenate([k, k]) + b0, sizes)
-        pos = np.repeat(first - (np.cumsum(sizes) - sizes), sizes) + np.arange(ball.size)
-        seg = index.order[pos]
+        b1 = min(b0 + step, len(centers))
+        ball, seg = _window_pairs(index, centers, lo, b0, b1, w, bound)
+        ball, seg = _near_pairs(nodal, centers, ball, seg, r)
+        pieces = _clip_pairs(nodal, centers, ball, seg, r)
+        del ball, seg
+        yield (b0, b1, *pieces)
+        del pieces  # the consumer is done with this batch before asking for the next
 
-        dx = wrap_delta(nodal.midpoints[seg, 0] - centers[ball, 0])
-        dy = wrap_delta(nodal.midpoints[seg, 1] - centers[ball, 1])
-        near = np.sqrt(dx * dx + dy * dy) <= r + nodal.lengths[seg] / 2.0
-        # Ball-major, then ascending segment index, as the pieces are returned.
-        ball, seg = np.divmod(np.sort(ball[near] * count + seg[near]), count)
-        cx, cy = centers[ball, 0], centers[ball, 1]
-        ax = wrap_delta(nodal.a[seg, 0] - cx)
-        ay = wrap_delta(nodal.a[seg, 1] - cy)
-        dx = wrap_delta(wrap_delta(nodal.b[seg, 0] - cx) - ax)
-        dy = wrap_delta(wrap_delta(nodal.b[seg, 1] - cy) - ay)
-        qa = dx * dx + dy * dy
-        qb = 2.0 * (ax * dx + ay * dy)
-        qc = (ax * ax + ay * ay) - r * r
-        disc = qb * qb - 4.0 * qa * qc
 
-        ok = (disc > 0.0) & (qa > 1e-300)
-        root = np.sqrt(np.where(ok, disc, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_lo = np.where(ok, np.clip((-qb - root) / (2.0 * qa), 0.0, 1.0), 0.0)
-            t_hi = np.where(ok, np.clip((-qb + root) / (2.0 * qa), 0.0, 1.0), 0.0)
-        frac = t_hi - t_lo
-        keep = frac > 0.0
-        tmid = (t_lo[keep] + t_hi[keep]) / 2.0
-        mid = np.column_stack([cx[keep] + ax[keep] + dx[keep] * tmid,
-                               cy[keep] + ay[keep] + dy[keep] * tmid])
-        yield (b0, min(b0 + step, len(centers)), frac[keep] * nodal.lengths[seg[keep]],
-               wrap_point(mid), ball[keep])
+def _window_pairs(index: _BucketIndex, centers: np.ndarray, lo: np.ndarray, b0: int, b1: int,
+                  w: int, bound: float):
+    """(ball, seg) of the segments in the window buckets within bound of centers b0:b1."""
+    nb = index.buckets
+    # Window rows (unwrapped x buckets) in the disk, and each one's y range.
+    rows = lo[b0:b1, :1] + np.arange(w)
+    u = centers[b0:b1] * nb
+    gap = np.maximum(np.maximum(rows - u[:, :1], u[:, :1] - rows - 1.0), 0.0)
+    k, i = np.nonzero(gap <= bound)
+    h = np.sqrt(bound * bound - gap[k, i] ** 2)
+    j0 = np.maximum(lo[b0 + k, 1], np.ceil(u[k, 1] - 1.0 - h).astype(np.int64))
+    j1 = np.minimum(lo[b0 + k, 1] + w - 1, np.floor(u[k, 1] + h).astype(np.int64))
+    # Each row range is one run of bucket keys, or two where it crosses the seam.
+    base = rows[k, i] % nb * nb
+    jl = j0 % nb
+    end = jl + np.maximum(j1 - j0 + 1, 0)
+    first = index.starts[np.concatenate([base + jl, base])]
+    sizes = index.starts[np.concatenate([base + np.minimum(end, nb),
+                                         base + np.maximum(end - nb, 0)])] - first
+    ball = np.repeat(np.concatenate([k, k]) + b0, sizes)
+    pos = np.repeat(first - (np.cumsum(sizes) - sizes), sizes) + np.arange(ball.size)
+    return ball, index.order[pos]
+
+
+def _near_pairs(nodal: NodalSet, centers: np.ndarray, ball: np.ndarray, seg: np.ndarray,
+                r: float):
+    """The pairs whose midpoint is within r + length/2 of the center, ball-major, then by seg."""
+    dx = wrap_delta(nodal.midpoints[seg, 0] - centers[ball, 0])
+    dy = wrap_delta(nodal.midpoints[seg, 1] - centers[ball, 1])
+    near = np.sqrt(dx * dx + dy * dy) <= r + nodal.lengths[seg] / 2.0
+    count = nodal.count
+    return np.divmod(np.sort(ball[near] * count + seg[near]), count)
+
+
+def _chord(ax: np.ndarray, ay: np.ndarray, dx: np.ndarray, dy: np.ndarray, r: float):
+    """(t_lo, t_hi): the part t_lo <= t <= t_hi of each segment a + t d in |x| <= r, t in [0, 1]."""
+    qa = dx * dx + dy * dy
+    qb = 2.0 * (ax * dx + ay * dy)
+    qc = (ax * ax + ay * ay) - r * r
+    disc = qb * qb - 4.0 * qa * qc
+
+    ok = (disc > 0.0) & (qa > 1e-300)
+    root = np.sqrt(np.where(ok, disc, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_lo = np.where(ok, np.clip((-qb - root) / (2.0 * qa), 0.0, 1.0), 0.0)
+        t_hi = np.where(ok, np.clip((-qb + root) / (2.0 * qa), 0.0, 1.0), 0.0)
+    return t_lo, t_hi
+
+
+def _clip_pairs(nodal: NodalSet, centers: np.ndarray, ball: np.ndarray, seg: np.ndarray,
+                r: float):
+    """(piece_len, piece_mid, owners) of the pairs whose segment meets its ball, in pair order."""
+    cx, cy = centers[ball, 0], centers[ball, 1]
+    ax = wrap_delta(nodal.a[seg, 0] - cx)
+    ay = wrap_delta(nodal.a[seg, 1] - cy)
+    dx = wrap_delta(wrap_delta(nodal.b[seg, 0] - cx) - ax)
+    dy = wrap_delta(wrap_delta(nodal.b[seg, 1] - cy) - ay)
+    t_lo, t_hi = _chord(ax, ay, dx, dy, r)
+    frac = t_hi - t_lo
+    keep = frac > 0.0
+    tmid = (t_lo[keep] + t_hi[keep]) / 2.0
+    mid = np.column_stack([cx[keep] + ax[keep] + dx[keep] * tmid,
+                           cy[keep] + ay[keep] + dy[keep] * tmid])
+    return frac[keep] * nodal.lengths[seg[keep]], wrap_point(mid), ball[keep]
 
 
 def ball_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -295,13 +328,21 @@ def clip_to_ball(nodal: NodalSet, center, r: float):
 def integrate_over_nodal(nodal: NodalSet, f: Callable[[np.ndarray], np.ndarray]) -> float:
     """Midpoint-rule line integral of a nonnegative weight over the nodal set.
 
-    f must accept an (M, 2) array of torus points and return (M,) values.
+    f must accept an (M, 2) array of torus points and return (M,) values,
+    each point's value whatever the batch.  It sees the midpoints
+    _WEIGHT_POINTS at a time, written into one array of values, so its
+    temporaries stay a block in size; the sum over that array is one
+    np.sum, as if f had seen every midpoint at once.
     """
     if nodal.count == 0:
         return 0.0
-    vals = np.asarray(f(nodal.midpoints), dtype=float)
-    if vals.shape != (nodal.count,):
-        raise ValueError("weight function must map (M, 2) points to (M,) values")
+    vals = np.empty(nodal.count)
+    for k in range(0, nodal.count, _WEIGHT_POINTS):
+        pts = nodal.midpoints[k:k + _WEIGHT_POINTS]
+        block = np.asarray(f(pts), dtype=float)
+        if block.shape != (len(pts),):
+            raise ValueError("weight function must map (M, 2) points to (M,) values")
+        vals[k:k + len(pts)] = block
     if np.min(vals) < -1e-9:
         raise NegativeTestFunction(f"weight reached {float(np.min(vals))!r} < 0")
     return float(np.sum(vals * nodal.lengths))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 
 from torusnodal.eigenbasis import EigenfunctionSpec, random_eigenfunction, sample_grid
+from torusnodal.harness import function_integrals, torus_integral
 from torusnodal.nodal import NodalSet, extract_nodal
 from torusnodal.torus import wrap_delta, wrap_point
 
@@ -15,6 +16,12 @@ def separable_sine_spec() -> EigenfunctionSpec:
     modes = ((-1, -1), (-1, 1), (1, -1), (1, 1))
     coeffs = np.array([-0.5, 0.5, 0.5, -0.5], dtype=complex)
     return EigenfunctionSpec(2, modes, coeffs)
+
+
+def integrals_for(field, nodal, test_functions):
+    """function_integrals of test_functions, with areas on field's grid as run_single takes them."""
+    return function_integrals(nodal, test_functions,
+                              [torus_integral(tf, field.resolution) for tf in test_functions])
 
 
 def constant_spec() -> EigenfunctionSpec:

@@ -515,6 +515,11 @@ def test_verify_invalid_plans_exit_one(tmp_path, capsys):
         ('{"energies": [65], "tolerances": {"sse_band": 0.5}}', "sse_band"),
         ('{"energies": [65], "tolerances": {"c9_window": [1, 2]}}', "c9_window"),
         ('{"energies": [65], "tolerances": {"sse_band": [0.3, "x"]}}', "sse_band"),
+        # An inverted band used to run and report sse_band: FAIL (exit 2).
+        ('{"energies": [65], "seeds_per_energy": 1, "tolerances": {"sse_band": [3.0, 0.3]}}',
+         "sse_band"),
+        ('{"energies": [65], "tolerances": {"theorem1_inclusion_band": [10, 0.1]}}',
+         "theorem1_inclusion_band"),
         ('{"energies": [65], "test_functions": ["one", ["x"]]}', "test_functions"),
         ('{"energies": [65], "include_low_energy_control": "no"}',
          "include_low_energy_control"),

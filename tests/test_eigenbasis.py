@@ -14,10 +14,10 @@ from torusnodal.eigenbasis import (
     TWO_PI,
     EigenfunctionSpec,
     SampledField,
+    _column_blocks,
     _openblas_function,
     enumerate_modes,
     evaluate,
-    grid_sum,
     random_eigenfunction,
     real_part,
     require_sampling_grid,
@@ -233,8 +233,16 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
+def grid_sum(modes, coeffs, n):
+    """Every column block of _column_blocks written into one n x n sheet."""
+    sheet = np.empty((n, n), dtype=np.complex128)
+    for j0, j1, block in _column_blocks(modes, coeffs, n):
+        sheet[:, j0:j1] = block
+    return sheet
+
+
 def parent_grid_sum(modes, coeffs, n):
-    """The grid_sum that the column-block kernel replaced: a dense n x n spectrum,
+    """The whole-sheet sum that the column-block kernel replaced: a dense n x n spectrum,
     its occupied rows along axis 1, then the whole array along axis 0."""
     c = np.zeros((n, n), dtype=np.complex128)
     for (a, b), coeff in zip(modes, coeffs):

@@ -10,7 +10,6 @@ from torusnodal.eigenbasis import (
     TWO_PI,
     _mode_sum,
     evaluate,
-    grid_sum,
     random_eigenfunction,
     sine_mode_spec,
 )
@@ -31,6 +30,7 @@ from torusnodal.growth import (
 )
 
 from conftest import constant_spec, separable_sine_spec
+from test_eigenbasis import grid_sum
 
 BASELINE = json.loads(
     open(__file__.rsplit("/", 1)[0] + "/baselines/fixture_e65_seed7.json").read()

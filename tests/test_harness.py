@@ -37,7 +37,6 @@ from torusnodal.harness import (
     check_theorem_2,
     check_yau_scaling,
     control_run,
-    function_integrals,
     plan_from_json,
     replicate_bound_chain,
     report_to_json,
@@ -48,6 +47,7 @@ from torusnodal.harness import (
     torus_integral,
 )
 
+from conftest import integrals_for
 from test_nodal import full_scan_clip
 
 DESK_PLAN = __file__.rsplit("/", 1)[0] + "/../plans/desk.json"
@@ -83,7 +83,7 @@ def cover_table(field, nodal, rho=0.5, seed=0, fs=tuple(TEST_FUNCTIONS.values())
 
 def integrals_of(field, nodal, f):
     """Both integrals of one test function (or registry name)."""
-    return function_integrals(field, nodal, (TEST_FUNCTIONS.get(f, f),))[0]
+    return integrals_for(field, nodal, (TEST_FUNCTIONS.get(f, f),))[0]
 
 
 def single_ball_table(field, nodal, center):
@@ -264,6 +264,15 @@ def test_require_resolved_radius_matches_ball_masses():
             require_resolved_radius(r, 256)
 
 
+@pytest.mark.parametrize("key", ["sse_band", "theorem1_inclusion_band"])
+def test_plan_rejects_an_inverted_tolerance_pair(key):
+    with pytest.raises(ValueError, match=f"tolerance '{key}' must be a \\(low, high\\) pair"):
+        ExperimentPlan(energies=(65,), tolerances={key: [3.0, 0.3]})
+    # Equal ends are a band of one value, not a typo.
+    plan = ExperimentPlan(energies=(65,), tolerances={key: [1.0, 1.0]})
+    assert plan.tolerances[key] == (1.0, 1.0)
+
+
 def test_plan_tolerance_merge_keeps_defaults():
     plan = ExperimentPlan(energies=(65,), tolerances={"theorem2_window": 5.0})
     assert plan.tolerances["theorem2_window"] == 5.0
@@ -328,7 +337,7 @@ def test_theorem1_exclusion_band():
 
 def test_theorem2_unit_weight_reproduces_length_ratio(e65_field, e65_nodal):
     frozen = BASELINE["theorem2"]
-    t2 = check_theorem_2(e65_field, function_integrals(
+    t2 = check_theorem_2(e65_field, integrals_for(
         e65_field, e65_nodal, resolve_test_functions(("one", "cos_x", "cos_y", "bump"))))
     yau = e65_nodal.total_length / e65_field.spec_lambda
     assert t2.rho_by_name["one"] == yau  # bit-exact by construction
@@ -341,7 +350,7 @@ def test_theorem2_unit_weight_reproduces_length_ratio(e65_field, e65_nodal):
 
 def test_theorem2_flags_trivial_weights(e65_field, e65_nodal):
     zero = TestFunction("zero", lambda pts: np.zeros(len(pts)), 0.0, 0.0)
-    t2 = check_theorem_2(e65_field, function_integrals(
+    t2 = check_theorem_2(e65_field, integrals_for(
         e65_field, e65_nodal, (TEST_FUNCTIONS["one"], zero)))
     assert "zero" in t2.trivial_names
     assert "zero" not in t2.rho_by_name
@@ -352,7 +361,7 @@ def test_theorem2_rejects_negative_weights(e65_field, e65_nodal):
         "signed", lambda pts: np.cos(2 * np.pi * pts[:, 0]), 2 * np.pi, 1.0
     )
     with pytest.raises(NegativeTestFunction):
-        check_theorem_2(e65_field, function_integrals(e65_field, e65_nodal, (signed,)))
+        check_theorem_2(e65_field, integrals_for(e65_field, e65_nodal, (signed,)))
 
 
 # ---------------------------------------------------------------- yau gate
@@ -707,6 +716,26 @@ def test_run_single_integrates_each_function_once(monkeypatch):
     assert sorted(calls) == ["integrate_over_nodal"] * n + ["torus_integral"] * n
 
 
+def test_run_single_takes_every_area_integral_before_sampling(monkeypatch):
+    # The area integrals read only the grid, so their n^2 values are built
+    # before the field and nodal set exist; a degenerate run takes none.
+    calls = []
+    for name in ("torus_integral", "sample_grid"):
+        real = getattr(harness, name)
+
+        def logging(*args, name=name, real=real):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(harness, name, logging)
+    plan = ExperimentPlan(energies=(65,))
+    run_single(plan, 65, 7)
+    assert calls == ["torus_integral"] * len(plan.test_functions) + ["sample_grid"]
+    calls.clear()
+    assert run_single(plan, 1, 0).degenerate is True
+    assert calls == ["sample_grid"]
+
+
 def test_function_integrals_reuse_the_grid_integral(e65_field, e65_nodal):
     sizes = []
 
@@ -715,8 +744,8 @@ def test_function_integrals_reuse_the_grid_integral(e65_field, e65_nodal):
         return np.ones(len(pts))
 
     tf = TestFunction("counting", counting, 0.0, 0.0)
-    first = function_integrals(e65_field, e65_nodal, (tf,))
-    assert function_integrals(e65_field, e65_nodal, (tf,)) == first
+    first = integrals_for(e65_field, e65_nodal, (tf,))
+    assert integrals_for(e65_field, e65_nodal, (tf,)) == first
     # The grid's points are evaluated once in all (in blocks of rows), the
     # nodal midpoints once per call.
     assert sizes.count(e65_nodal.count) == 2

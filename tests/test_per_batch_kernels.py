@@ -2,34 +2,43 @@
 
 ball_masses squares one band of rows at a time, _mass_bounds builds its
 prefix sums one block of rows at a time, ball_table reduces each clip
-batch to per-ball numbers, and NodalSet._index keys one axis at a time.  The reference bodies below are the kernels as
-they stood before: a padded, squared copy of the field, one prefix array of
-all rows, and a table holding every clipped piece with the chain reducing
-them.  Every output must equal theirs byte for byte.
+batch to per-ball numbers, and NodalSet._index keys one axis at a time.
+complex_strip_sup searches each corner sheet one column block at a time,
+integrate_over_nodal evaluates its weight on blocks of midpoints, and
+clip_batches drops each batch's arrays once they are dead.  The reference
+bodies below are the kernels as they stood before: a padded, squared copy
+of the field, one prefix array of all rows, a table holding every clipped
+piece with the chain reducing them, whole |v| sheets, one weight call over
+every midpoint, and one clip body holding all of a batch's temporaries.
+Every output must equal theirs byte for byte.
 """
 
 import functools
 import math
+import re
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from torusnodal import harness
+from torusnodal import growth as growth_module, harness
 from torusnodal.ballstats import (_SUB, _mass_bounds, ball_masses, default_centers,
                                   require_resolved_radius)
 from torusnodal.covering import BallFamily, build_cover
 from torusnodal.doubling import INNER_FACTOR, OUTER_FACTOR
-from torusnodal.eigenbasis import random_eigenfunction, sample_grid
-from torusnodal.errors import NegativeTestFunction
+from torusnodal.eigenbasis import TWO_PI, _mode_sum, random_eigenfunction, sample_grid
+from torusnodal.errors import BallTooLarge, NegativeTestFunction
+from torusnodal.growth import StripSup, _sheet_argmax, _tensor_abs, _zoom, complex_strip_sup
 from torusnodal.harness import (_QUADRATURE_SLACK, TEST_FUNCTIONS, ChainTrace, ExperimentPlan,
                                 _lattice_gap, _lattice_points, _step, _sup_half_side, ball_table,
-                                function_integrals, replicate_bound_chain, run_single)
-from torusnodal.nodal import NodalSet, ball_sums, clip_family, extract_nodal
-from torusnodal.torus import wrap_delta
+                                replicate_bound_chain, run_single)
+from torusnodal.nodal import (_BATCH_PAIRS, NodalSet, ball_sums, clip_batches, clip_family,
+                              extract_nodal, integrate_over_nodal)
+from torusnodal.torus import wrap_delta, wrap_point
 
-from test_eigenbasis import traced_peak
+from conftest import constant_spec, integrals_for
+from test_eigenbasis import grid_sum, traced_peak
 
 ENERGIES = (25, 50, 65, 325, 1105, 5525)
 SEAM_CENTERS = [[0.0, 0.0], [1.0 - 1e-12, 1.0 - 1e-12], [0.0, 0.5], [0.5, 0.0],
@@ -234,6 +243,113 @@ def reference_bucket_index(nodal):
     return order, np.searchsorted(key[order], np.arange(nb * nb + 1))
 
 
+def reference_clip_batches(nodal, centers, r: float):
+    """clip_batches as one loop body, every temporary of a batch alive at its yield."""
+    if not 0.0 < r < 0.5:
+        raise BallTooLarge(f"ball radius must lie in (0, 1/2), got {r!r}")
+    index = nodal._index
+    if r > 0.5 - index.max_len:
+        raise BallTooLarge(
+            f"radius {r!r} leaves no chart margin for segments of length {index.max_len!r}")
+    centers = np.asarray(centers, dtype=float).reshape(-1, 2)
+    nb, count = index.buckets, nodal.count
+    reach = r + index.max_len / 2.0
+    lo = np.floor((centers - reach) * nb).astype(np.int64) - 1
+    hi = np.floor((centers + reach) * nb).astype(np.int64) + 1
+    w = min(nb, int(np.max(hi - lo, initial=0)) + 1)
+    bound = reach * nb + 1.0 if w < nb else 2.0 * nb + 2.0
+    step = max(1, _BATCH_PAIRS // (w * w))
+    for b0 in range(0, len(centers), step):
+        rows = lo[b0:b0 + step, :1] + np.arange(w)
+        u = centers[b0:b0 + step] * nb
+        gap = np.maximum(np.maximum(rows - u[:, :1], u[:, :1] - rows - 1.0), 0.0)
+        k, i = np.nonzero(gap <= bound)
+        h = np.sqrt(bound * bound - gap[k, i] ** 2)
+        j0 = np.maximum(lo[b0 + k, 1], np.ceil(u[k, 1] - 1.0 - h).astype(np.int64))
+        j1 = np.minimum(lo[b0 + k, 1] + w - 1, np.floor(u[k, 1] + h).astype(np.int64))
+        base = rows[k, i] % nb * nb
+        jl = j0 % nb
+        end = jl + np.maximum(j1 - j0 + 1, 0)
+        first = index.starts[np.concatenate([base + jl, base])]
+        sizes = index.starts[np.concatenate([base + np.minimum(end, nb),
+                                             base + np.maximum(end - nb, 0)])] - first
+        ball = np.repeat(np.concatenate([k, k]) + b0, sizes)
+        pos = np.repeat(first - (np.cumsum(sizes) - sizes), sizes) + np.arange(ball.size)
+        seg = index.order[pos]
+
+        dx = wrap_delta(nodal.midpoints[seg, 0] - centers[ball, 0])
+        dy = wrap_delta(nodal.midpoints[seg, 1] - centers[ball, 1])
+        near = np.sqrt(dx * dx + dy * dy) <= r + nodal.lengths[seg] / 2.0
+        ball, seg = np.divmod(np.sort(ball[near] * count + seg[near]), count)
+        cx, cy = centers[ball, 0], centers[ball, 1]
+        ax = wrap_delta(nodal.a[seg, 0] - cx)
+        ay = wrap_delta(nodal.a[seg, 1] - cy)
+        dx = wrap_delta(wrap_delta(nodal.b[seg, 0] - cx) - ax)
+        dy = wrap_delta(wrap_delta(nodal.b[seg, 1] - cy) - ay)
+        qa = dx * dx + dy * dy
+        qb = 2.0 * (ax * dx + ay * dy)
+        qc = (ax * ax + ay * ay) - r * r
+        disc = qb * qb - 4.0 * qa * qc
+
+        ok = (disc > 0.0) & (qa > 1e-300)
+        root = np.sqrt(np.where(ok, disc, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_lo = np.where(ok, np.clip((-qb - root) / (2.0 * qa), 0.0, 1.0), 0.0)
+            t_hi = np.where(ok, np.clip((-qb + root) / (2.0 * qa), 0.0, 1.0), 0.0)
+        frac = t_hi - t_lo
+        keep = frac > 0.0
+        tmid = (t_lo[keep] + t_hi[keep]) / 2.0
+        mid = np.column_stack([cx[keep] + ax[keep] + dx[keep] * tmid,
+                               cy[keep] + ay[keep] + dy[keep] * tmid])
+        yield (b0, min(b0 + step, len(centers)), frac[keep] * nodal.lengths[seg[keep]],
+               wrap_point(mid), ball[keep])
+
+
+def reference_integrate_over_nodal(nodal, f) -> float:
+    """integrate_over_nodal with f evaluated on every midpoint in one call."""
+    if nodal.count == 0:
+        return 0.0
+    vals = np.asarray(f(nodal.midpoints), dtype=float)
+    if vals.shape != (nodal.count,):
+        raise ValueError("weight function must map (M, 2) points to (M,) values")
+    if np.min(vals) < -1e-9:
+        raise NegativeTestFunction(f"weight reached {float(np.min(vals))!r} < 0")
+    return float(np.sum(vals * nodal.lengths))
+
+
+def reference_sheet_argmax(modes, coeffs, n: int) -> tuple[float, int, int]:
+    """np.argmax over one whole n x n |v| sheet."""
+    sheet = np.abs(grid_sum(modes, coeffs, n))
+    i, j = divmod(int(np.argmax(sheet)), n)
+    return float(sheet[i, j]), i, j
+
+
+def reference_strip_sup(spec, tau: float) -> StripSup:
+    """complex_strip_sup taking each corner's maximizer from its whole |v| sheet."""
+    xi = np.asarray(spec.modes, dtype=float)
+    one_norms = np.sum(np.abs(xi), axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        certificate = float(np.sum(np.abs(spec.coeffs) * np.exp(TWO_PI * one_norms * tau)))
+    n = max(64, 10 * math.ceil(math.sqrt(max(spec.energy, 1))))
+    corners = [np.array([sy * tau, sx * tau]) for sy in (-1.0, 1.0) for sx in (-1.0, 1.0)]
+    if tau == 0.0:
+        corners = corners[:1]
+    coeffs = np.array([spec.coeffs * np.exp(-TWO_PI * (xi @ y)) for y in corners])
+    best, p0 = -math.inf, []
+    for c in coeffs:
+        top, i, j = reference_sheet_argmax(spec.modes, c, n)
+        best = max(best, top)
+        p0.append([i / n, j / n])
+
+    def eval_abs(pts, d):
+        return np.abs([_mode_sum(pts, xi, c) for c in coeffs])[d, np.arange(len(d))]
+
+    p0, ones = np.array(p0), np.ones(len(coeffs))
+    refined = _zoom(eval_abs, functools.partial(_tensor_abs, xi, coeffs[:, None, :], real=False),
+                    p0, ones / n, p0, 10.0 * ones)
+    return StripSup(tau, max(best, *map(float, refined)), certificate)
+
+
 # ---------------------------------------------------------------- families
 
 
@@ -309,7 +425,7 @@ def test_mass_bounds_equal_the_whole_prefix_reference(energy):
 def test_ball_table_and_chains_equal_the_whole_family_reference(energy):
     field, nodal, families = survey_case(energy)
     fs = tuple(TEST_FUNCTIONS.values())
-    integrals = function_integrals(field, nodal, fs)
+    integrals = integrals_for(field, nodal, fs)
     for label, centers, r in families:
         if label == "edge" and energy > 325:
             continue  # a ball of radius near 1/2 reads every segment of the set
@@ -346,10 +462,80 @@ def test_run_single_at_e5525_keeps_the_whole_family_table(monkeypatch):
     assert (run.chain_e1, run.chain_e2) == (float(np.min(want.density)),
                                             float(np.max(want.density)))
     traces = [reference_bound_chain(field, nodal, want, fi)
-              for fi in function_integrals(field, nodal, fs)]
+              for fi in integrals_for(field, nodal, fs)]
     assert run.chain_ok is all(t.ok for t in traces) is True
     assert run.chain_hypothesis_met == sum(t.hypothesis_met for t in traces)
     assert run.cover_count == family.count == 328
+
+
+@pytest.mark.parametrize("energy", ENERGIES)
+def test_clip_batches_equal_the_one_body_reference(energy, awkward_nodal):
+    _, nodal, families = survey_case(energy)
+    cases = [(nodal, label, centers, r) for label, centers, r in families
+             if label != "edge" or energy <= 325]  # a radius near 1/2 reads the whole set
+    cases.append((awkward_nodal, "awkward", SEAM_CENTERS, 0.01))
+    for soup, label, centers, r in cases:
+        got = list(clip_batches(soup, centers, r))
+        want = list(reference_clip_batches(soup, centers, r))
+        assert len(got) == len(want), label
+        for g, w in zip(got, want):
+            assert g[:2] == w[:2], label
+            for x, y in zip(g[2:], w[2:]):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), label
+
+
+@pytest.mark.parametrize("energy", ENERGIES)
+def test_integrate_over_nodal_equals_the_one_call_reference(energy):
+    nodal = survey_case(energy)[1]
+    for tf in TEST_FUNCTIONS.values():
+        got = np.float64(integrate_over_nodal(nodal, tf.fn))
+        want = np.float64(reference_integrate_over_nodal(nodal, tf.fn))
+        assert got.tobytes() == want.tobytes(), tf.name
+
+    def wrong_shape(pts):
+        return np.ones((len(pts), 2))
+
+    def signed(pts):
+        return np.cos(2.0 * np.pi * pts[:, 0])
+
+    for f, error in ((wrong_shape, ValueError), (signed, NegativeTestFunction)):
+        with pytest.raises(error) as ref:
+            reference_integrate_over_nodal(nodal, f)
+        with pytest.raises(error, match=f"^{re.escape(str(ref.value))}$"):
+            integrate_over_nodal(nodal, f)
+
+
+@pytest.mark.parametrize("energy", ENERGIES)
+def test_strip_sups_equal_the_whole_sheet_search(energy):
+    for seed in range(2):
+        spec = random_eigenfunction(energy, 900 + seed)
+        for tau in (energy ** -0.5, 0.0, 0.01):  # tau = 0 searches one sheet
+            got, want = complex_strip_sup(spec, tau), reference_strip_sup(spec, tau)
+            assert (np.array([got.sampled, got.certificate]).tobytes()
+                    == np.array([want.sampled, want.certificate]).tobytes()), (seed, tau)
+
+
+def test_sheet_argmax_takes_the_first_tied_maximum_in_row_major_order(monkeypatch):
+    # A lone (0, 0) mode has the same |v| at every grid point: the maximizer is (0, 0).
+    spec = constant_spec()
+    for n in (16, 100, 340):
+        assert np.ptp(np.abs(grid_sum(spec.modes, spec.coeffs, n))) == 0.0
+        got = _sheet_argmax(spec.modes, spec.coeffs, n)
+        assert got == reference_sheet_argmax(spec.modes, spec.coeffs, n) and got[1:] == (0, 0)
+    # Ties across blocks, where a later block holds an earlier row: |v| drawn from four
+    # values, the sheet handed out in blocks of 3 columns.
+    rng = np.random.default_rng(0)
+    for trial in range(200):
+        n = int(rng.integers(1, 12))
+        sheet = rng.integers(0, 4, (n, n)) * (0.6 - 0.8j)
+
+        def blocks(modes, coeffs, n, sheet=sheet):
+            for j0 in range(0, n, 3):
+                yield j0, min(j0 + 3, n), sheet[:, j0:j0 + 3].copy()
+
+        monkeypatch.setattr(growth_module, "_column_blocks", blocks)
+        i, j = divmod(int(np.argmax(np.abs(sheet))), n)
+        assert _sheet_argmax((), None, n) == (float(np.abs(sheet)[i, j]), i, j), trial
 
 
 # ---------------------------------------------------------------- memory
@@ -375,3 +561,23 @@ def test_mass_bounds_memory_on_the_sse_family(e1105_field):
     peak = traced_peak(lambda: _mass_bounds(e1105_field, centers, r))
     assert peak < 4_500_000 <= traced_peak(
         lambda: reference_mass_bounds(e1105_field, centers, r)), peak
+
+
+def test_strip_sup_memory_at_e1105():
+    # tracemalloc peak at E=1105, seed 0, tau = E^-1/2, four 340 x 340 corner
+    # sheets: 1.06 MB, against 3.70 MB for the whole-sheet search.
+    spec = random_eigenfunction(1105, 0)
+    tau = 1105 ** -0.5
+    peak = traced_peak(lambda: complex_strip_sup(spec, tau))
+    assert peak < 1_500_000 <= traced_peak(lambda: reference_strip_sup(spec, tau)), peak
+
+
+def test_run_single_memory_at_e1105():
+    # tracemalloc peak of one E=1105 run, seed 0, after a warm-up run:
+    # 9.72 MB.  With the area integrals taken after the field, whole strip
+    # sheets, one weight call over every midpoint, every clip temporary
+    # alive at each yield and the table holding the last batch while the
+    # next was clipped, the same run peaked at 11.41 MB.
+    plan = ExperimentPlan(energies=(1105,), seeds_per_energy=1, include_low_energy_control=False)
+    peak = traced_peak(lambda: run_single(plan, 1105, 0))
+    assert peak < 10_200_000, peak

@@ -16,7 +16,7 @@ def run_script(name, *args):
                           capture_output=True, text=True, env=env, timeout=120)
 
 
-@pytest.mark.parametrize("name", ["calibrate_doubling.py", "yau_baseline.py"])
+@pytest.mark.parametrize("name", ["calibrate_doubling.py", "stage_memory.py", "yau_baseline.py"])
 def test_script_imports_and_prints_help(name):
     # --help exits only after the script's package imports have resolved.
     done = run_script(name, "--help")
