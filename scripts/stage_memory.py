@@ -1,17 +1,22 @@
-"""Per-stage memory of one verify run: tracemalloc peaks and ru_maxrss.
+"""Per-stage memory and time of one verify run: tracemalloc peaks, seconds and ru_maxrss.
 
-Runs harness.run_single once, serially, at one energy and seed on the
+Runs harness.run_single twice, serially, at one energy and seed on the
 desk plan's fields (plans/desk.json with its energies replaced by the one
-asked for).  Each stage is wrapped where run_single reaches it (the names
-harness bound, and the CertifiedMasses band and extreme methods); for each
-stage the script prints the calls made and the largest traced peak of one
-call, above the memory traced at its start and in total.  A stage inside
-another (ratios_in_band inside check_theorem_1) counts in both.
+asked for): once untraced in a fresh process, then under tracemalloc in
+this one.  Each stage is wrapped where run_single reaches it (the names
+harness bound, doubling's lower_bound_assembly inside doubling_stage, and
+the CertifiedMasses band and extreme methods); for each stage the script
+prints the calls made, the seconds they took in the untraced run, and the
+largest traced peak of one call, above the memory traced at its start and
+in total.  A stage inside another (ratios_in_band inside check_theorem_1,
+lower_bound_assembly inside doubling_stage) counts in both.
 
 The run_single line is the whole run; the last lines give two ru_maxrss: this
-process's, which tracemalloc's bookkeeping inflates, and that of one
+process's, which tracemalloc's bookkeeping inflates, and that of the
 untraced run_single in a fresh process, the number to compare with a
-memory target.
+memory target.  The seconds are wall time from time.perf_counter, summed
+over a stage's calls; the fresh process pays each first call's warm-up
+(the per-process area integrals, numpy's first calls).
 
 Run: python scripts/stage_memory.py --energy 27625 --seed 0
 """
@@ -20,10 +25,11 @@ import argparse
 import json
 import multiprocessing
 import resource
+import time
 import tracemalloc
 from pathlib import Path
 
-from torusnodal import harness
+from torusnodal import doubling, harness
 from torusnodal.ballstats import CertifiedMasses
 
 DESK_PLAN = Path(__file__).resolve().parents[1] / "plans" / "desk.json"
@@ -31,6 +37,7 @@ DESK_PLAN = Path(__file__).resolve().parents[1] / "plans" / "desk.json"
 STAGES = ("torus_integral", "sample_grid", "extract_nodal", "sse_scan", "build_cover",
           "ball_table", "check_theorem_1", "integrate_over_nodal", "check_theorem_2",
           "replicate_bound_chain", "doubling_stage", "growth_report", "render_svg")
+DOUBLING_STAGES = ("lower_bound_assembly",)
 METHODS = ("extreme_ratios", "ratios_in_band")
 
 
@@ -40,8 +47,37 @@ def desk_plan(energy: int) -> harness.ExperimentPlan:
     return harness.plan_from_json(json.dumps(fields))
 
 
-def run_untraced(energy: int, seed: int) -> None:
-    harness.run_single(desk_plan(energy), energy, seed)
+def wrap_stages(wrap) -> None:
+    """Replace every stage by wrap(name, stage) where run_single looks it up."""
+    owners = ([(harness, name) for name in STAGES] + [(doubling, name) for name in DOUBLING_STAGES]
+              + [(CertifiedMasses, name) for name in METHODS])
+    for owner, name in owners:
+        setattr(owner, name, wrap(name, getattr(owner, name)))
+
+
+class StageSeconds:
+    """Wall seconds per stage, summed over its calls."""
+
+    def __init__(self):
+        self.seconds: dict[str, float] = {}
+
+    def wrap(self, name: str, fn):
+        def timed(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.seconds[name] = self.seconds.get(name, 0.0) + time.perf_counter() - t0
+        return timed
+
+
+def run_untraced(energy: int, seed: int, conn) -> None:
+    """One timed, untraced run_single; sends its stage seconds through conn."""
+    timer = StageSeconds()
+    wrap_stages(timer.wrap)
+    timer.wrap("run_single", harness.run_single)(desk_plan(energy), energy, seed)
+    conn.send(timer.seconds)
+    conn.close()
 
 
 class StagePeaks:
@@ -82,19 +118,22 @@ def main() -> int:
     args = ap.parse_args()
     plan = desk_plan(args.energy)
 
-    child = multiprocessing.get_context("spawn").Process(target=run_untraced,
-                                                         args=(args.energy, args.seed))
+    ctx = multiprocessing.get_context("spawn")
+    receiver, sender = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=run_untraced, args=(args.energy, args.seed, sender))
     child.start()
+    sender.close()
+    try:
+        seconds = receiver.recv()
+    except EOFError:
+        seconds = None
     child.join()
-    if child.exitcode != 0:
+    if child.exitcode != 0 or seconds is None:
         raise SystemExit(f"untraced run_single exited with {child.exitcode}")
     untraced_rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
 
     stages = StagePeaks()
-    for name in STAGES:
-        setattr(harness, name, stages.wrap(name, getattr(harness, name)))
-    for name in METHODS:
-        setattr(CertifiedMasses, name, stages.wrap(name, getattr(CertifiedMasses, name)))
+    wrap_stages(stages.wrap)
     tracemalloc.start()
     try:
         stages.wrap("run_single", harness.run_single)(plan, args.energy, args.seed)
@@ -104,9 +143,10 @@ def main() -> int:
     mb = 1e6
     print(f"E={args.energy} seed={args.seed} grid={plan.grid_for(args.energy)} "
           f"(desk plan fields, serial)")
-    print(f"{'stage':24s} {'calls':>5s} {'above start MB':>15s} {'total MB':>9s}")
+    print(f"{'stage':24s} {'calls':>5s} {'seconds':>8s} {'above start MB':>15s} {'total MB':>9s}")
     for name, (above, total) in stages.peaks.items():
-        print(f"{name:24s} {stages.calls[name]:5d} {above / mb:15.2f} {total / mb:9.2f}")
+        print(f"{name:24s} {stages.calls[name]:5d} {seconds[name]:8.4f} {above / mb:15.2f} "
+              f"{total / mb:9.2f}")
     print(f"ru_maxrss, this traced process: "
           f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0:.1f} MB")
     print(f"ru_maxrss, one untraced run_single in a fresh process: {untraced_rss:.1f} MB")

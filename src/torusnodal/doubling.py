@@ -30,7 +30,7 @@ import numpy as np
 from .ballstats import MIN_CELLS_PER_RADIUS, CertifiedMasses, band_mask
 from .covering import OVERLAP_VOLUME_BOUND, build_cover
 from .errors import DivisionByNegligibleMass, RadiusTooLarge, RadiusUnderResolved
-from .nodal import NodalSet, ball_sums, clip_family
+from .nodal import NodalSet, clip_lengths
 from .torus import wrap_point
 
 DEFAULT_A1 = 2.5
@@ -39,8 +39,6 @@ OUTER_FACTOR = 20.0
 INNER_FACTOR = 10.0
 SIGN_PROBE_SIDE = 32
 NEGLIGIBLE_MASS = 1e-30
-# Good balls clipped per clip_family call by lower_bound_assembly; only their lengths are kept.
-_ASSEMBLY_BALLS = 6
 # About this many probe points are interpolated per batch of centers by sign_changes.
 _SIGN_POINTS = 1 << 14
 
@@ -166,11 +164,7 @@ def lower_bound_assembly(report: DoublingReport, nodal: NodalSet) -> dict:
     length.  Also reports the implied per-ball constant
     a3 = min over good balls of (length * lam).
     """
-    good = report.centers[report.good]
-    good_lengths = np.zeros(len(good))
-    for k in range(0, len(good), _ASSEMBLY_BALLS):
-        piece_len, _, offsets = clip_family(nodal, good[k:k + _ASSEMBLY_BALLS], report.inner.radius)
-        good_lengths[k:k + _ASSEMBLY_BALLS] = ball_sums(piece_len, offsets)
+    good_lengths = clip_lengths(nodal, report.centers[report.good], report.inner.radius)
     lengths = np.zeros(len(report.centers))
     lengths[report.good] = good_lengths
     bound = float(np.sum(good_lengths)) / OVERLAP_VOLUME_BOUND

@@ -59,7 +59,7 @@ from .errors import (BallTooLarge, DivisionByNegligibleMass, EmptySpectrum, Nega
 from .growth import growth_report
 from .nodal import NodalSet, ball_sums, clip_batches, extract_nodal, integrate_over_nodal
 from .svgplot import render_svg
-from .torus import periodic_distance
+from .torus import wrap_delta
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +70,12 @@ from .torus import periodic_distance
 class TestFunction:
     """Nonnegative function on the torus with a known continuity budget.
 
-    fn maps an (M, 2) array of points to an (M,) array of values.
+    fn(x, y) takes two coordinate arrays that broadcast against each other
+    and returns, at every position of their broadcast shape, f at the point
+    (x, y); its result must broadcast to that shape.  A product grid can so
+    be passed as its two axes, (k, 1) and (1, n), and a function that reads
+    one coordinate is computed once per value of it.  Calling the function
+    on an (..., 2) array of points passes points[..., 0] and points[..., 1].
     lipschitz is any valid upper bound for the Lipschitz constant with
     respect to periodic distance; spread bounds max f - min f.  Both feed
     the modulus-of-continuity corrections in the bound chain, so they
@@ -80,28 +85,29 @@ class TestFunction:
     __test__ = False  # bare data holder; keep pytest collection away
 
     name: str
-    fn: Callable[[np.ndarray], np.ndarray]
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     lipschitz: float
     spread: float
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        return self.fn(np.asarray(points, dtype=float))
+        points = np.asarray(points, dtype=float)
+        return self.fn(points[..., 0], points[..., 1])
 
     def modulus(self, h: float) -> float:
         """Upper bound for max |f(x) - f(y)| over d(x, y) <= h."""
         return min(self.lipschitz * max(h, 0.0), self.spread)
 
 
-def _f_one(pts: np.ndarray) -> np.ndarray:
-    return np.ones(pts.shape[:-1])
+def _f_one(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.ones(np.broadcast_shapes(np.shape(x), np.shape(y)))
 
 
-def _f_cos_x(pts: np.ndarray) -> np.ndarray:
-    return 1.0 + np.cos(2.0 * np.pi * pts[..., 0])
+def _f_cos_x(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return 1.0 + np.cos(2.0 * np.pi * x)
 
 
-def _f_cos_y(pts: np.ndarray) -> np.ndarray:
-    return 1.0 + np.cos(2.0 * np.pi * pts[..., 1])
+def _f_cos_y(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return 1.0 + np.cos(2.0 * np.pi * y)
 
 
 BUMP_CENTER = (0.5, 0.5)
@@ -111,10 +117,12 @@ BUMP_WIDTH = 0.25
 BUMP_LIPSCHITZ = 8.69
 
 
-def _f_bump(pts: np.ndarray) -> np.ndarray:
-    d = periodic_distance(pts, np.asarray(BUMP_CENTER))
-    t = d / BUMP_WIDTH
-    out = np.zeros(pts.shape[:-1])
+def _f_bump(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # The per-point float operations of periodic_distance to the center, one axis at a time.
+    dx = wrap_delta(x - BUMP_CENTER[0])
+    dy = wrap_delta(y - BUMP_CENTER[1])
+    t = np.sqrt(dx * dx + dy * dy) / BUMP_WIDTH
+    out = np.zeros(t.shape)
     inside = t < 1.0
     ti = t[inside]
     out[inside] = np.exp(1.0 - 1.0 / (1.0 - ti * ti))
@@ -138,14 +146,23 @@ def resolve_test_functions(names) -> tuple[TestFunction, ...]:
 
 @functools.cache
 def torus_integral(tf: TestFunction, n: int = 512) -> float:
-    """Area integral of f over the unit torus by the periodic grid rule, once per process."""
+    """Area integral of f over the unit torus by the periodic grid rule, once per process.
+
+    f sees blocks of rows as the grid's axes, (rows, 1) and (1, n), so its
+    temporaries stay small; the values fill one C-contiguous n x n array,
+    whose one np.mean is the rule.
+    """
     t = np.arange(n) / n
-    vals = np.empty(n * n)
-    rows = max(1, (1 << 15) // n)  # f sees blocks of rows, so its temporaries stay small
+    vals = np.empty((n, n))
+    rows = max(1, (1 << 15) // n)
     for i in range(0, n, rows):
-        ti = t[i:i + rows]
-        pts = np.column_stack([np.repeat(ti, n), np.tile(t, ti.size)])
-        vals[i * n:(i + ti.size) * n] = tf(pts)
+        x = t[i:i + rows, None]
+        block = tf.fn(x, t[None, :])
+        try:
+            vals[i:i + x.size] = np.broadcast_to(block, (x.size, n))
+        except ValueError:
+            raise ValueError("test function must map (k, 1) and (1, n) axes to values "
+                             "that broadcast to (k, n)") from None
     return float(np.mean(vals))
 
 
@@ -164,7 +181,7 @@ def function_integrals(nodal: NodalSet, test_functions: tuple[TestFunction, ...]
     run_single takes the areas, which read only the grid, before it samples
     the field, and the nodal line integrals here, each once per run.
     """
-    return tuple(FunctionIntegrals(tf, area, integrate_over_nodal(nodal, tf.fn))
+    return tuple(FunctionIntegrals(tf, area, integrate_over_nodal(nodal, tf))
                  for tf, area in zip(test_functions, areas, strict=True))
 
 
@@ -237,6 +254,9 @@ class ExperimentPlan:
         resolve_test_functions(self.test_functions)
         if not self.test_functions:
             raise ValueError("plan needs at least one test function")
+        for k, name in enumerate(self.test_functions):
+            if name in self.test_functions[:k]:
+                raise ValueError(f"test function {name!r} is listed more than once")
         require_doubling_constants(self.doubling_a1, self.doubling_a2)
         if not 0.0 < self.growth_delta <= 1.0:
             raise ValueError("growth_delta must lie in (0, 1]")
@@ -379,12 +399,16 @@ def _sup_half_side(family: BallFamily) -> float:
     return family.radius + math.sqrt(2.0) / (2.0 * family.probe_resolution)
 
 
-def _lattice_points(centers: np.ndarray, half_side: float) -> np.ndarray:
-    """The 9x9 square lattice of half side half_side around each center, 81 rows per center."""
+def _lattice_values(tf: TestFunction, centers: np.ndarray, half_side: float) -> np.ndarray:
+    """f on the 9x9 square lattice of half side half_side around each center, (B, 9, 9).
+
+    Entry [b, i, j] is f at centers[b] + (t_i, t_j); f sees the lattice as
+    its (B, 9, 1) x and (B, 1, 9) y axes.
+    """
     t = np.linspace(-half_side, half_side, _LATTICE_SIDE)
-    gx, gy = np.meshgrid(t, t, indexing="ij")
-    pts = centers[:, None, :] + np.stack([gx.ravel(), gy.ravel()], axis=-1)
-    return pts.reshape(-1, 2)
+    x = centers[:, 0, None, None] + t[:, None]
+    y = centers[:, 1, None, None] + t
+    return np.broadcast_to(tf.fn(x, y), (len(centers), t.size, t.size))
 
 
 def ball_table(field: SampledField, nodal: NodalSet, family: BallFamily,
@@ -417,18 +441,17 @@ def ball_table(field: SampledField, nodal: NodalSet, family: BallFamily,
         nonempty[b0:b1] = filled
         piece_max = max(piece_max, float(np.max(piece_len, initial=0.0)))
         starts = offsets[:-1][filled]
-        sup_pts = _lattice_points(family.centers[b0:b1], sup_half)
-        inf_pts = _lattice_points(family.centers[b0:b1], inf_half)
+        batch = family.centers[b0:b1]
         for tf, t in terms.items():
             vals = tf(piece_mid)
             if starts.size:
                 t.f_min[b0:b1][filled] = np.minimum.reduceat(vals, starts)
                 t.f_max[b0:b1][filled] = np.maximum.reduceat(vals, starts)
             t.integral[b0:b1] = ball_sums(vals * piece_len, offsets)
-            t.sup_lattice[b0:b1] = np.max(tf(sup_pts).reshape(b1 - b0, -1), axis=1)
-            t.inf_lattice[b0:b1] = np.min(tf(inf_pts).reshape(b1 - b0, -1), axis=1)
+            t.sup_lattice[b0:b1] = np.max(_lattice_values(tf, batch, sup_half), axis=(1, 2))
+            t.inf_lattice[b0:b1] = np.min(_lattice_values(tf, batch, inf_half), axis=(1, 2))
         # Dropped before clip_batches builds the next batch, so one batch is held at a time.
-        del piece_len, piece_mid, owners, sup_pts, inf_pts
+        del piece_len, piece_mid, owners
     density = (lengths / field.spec_lambda) / (math.pi * r * r)
     return BallTable(family, mass, lengths, density, nonempty, piece_max, terms)
 

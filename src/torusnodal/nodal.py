@@ -43,6 +43,12 @@ _BATCH_PAIRS = 1 << 15
 # About this many grid cells are marched per block of rows.
 _BLOCK_CELLS = 1 << 16
 
+# clip_lengths takes a segment inside a ball as a whole piece only from this length up.
+# Its one-length margin puts the chord's roots at least 1 beyond [0, 1]; their rounding
+# grows like eps * (r / length)^1.5 and reaches that near length 1e-11, and _chord drops
+# a segment whose endpoints coincide in the ball's chart.
+_CERTIFIED_LENGTH = 1e-9
+
 # integrate_over_nodal evaluates its weight on blocks of this many midpoints.
 _WEIGHT_POINTS = 1 << 15
 
@@ -200,19 +206,66 @@ def clip_family(nodal: NodalSet, centers, r: float):
 def clip_batches(nodal: NodalSet, centers, r: float):
     """Yield (b0, b1, piece_len, piece_mid, owners), the pieces of balls b0:b1 of centers.
 
+    A segment is kept when its midpoint is within r + length/2 of the
+    center and clipped exactly, so each ball's pieces are those of testing
+    every segment.  Each batch's pieces come ball by ball (owners[i] is
+    piece i's ball, ascending), in ascending segment order, for the pieces
+    with positive length.  Midpoints are global torus coordinates.  Each
+    step of a batch (window pairs, near test, clip, chord) drops its
+    temporaries on return, so only the batch's pieces are alive at a
+    yield, and they are dropped before the next batch is built.
+    """
+    centers = np.asarray(centers, dtype=float).reshape(-1, 2)
+    for b0, b1, ball, seg in _window_batches(nodal, centers, r):
+        ball, seg = _near_pairs(nodal, centers, ball, seg, r)
+        pieces = _clip_pairs(nodal, centers, ball, seg, r)
+        del ball, seg
+        yield (b0, b1, *pieces)
+        del pieces  # the consumer is done with this batch before asking for the next
+
+
+def clip_lengths(nodal: NodalSet, centers, r: float) -> np.ndarray:
+    """Nodal length inside every ball B(c, r), c in centers, without forming piece midpoints.
+
+    Equals ball_sums over clip_family's piece lengths bit for bit.  A near
+    segment certified inside the ball, its midpoint within r - 3 length/2
+    of the center and its length at least _CERTIFIED_LENGTH, is a whole
+    piece: its chord roots clip to exactly 0.0 and 1.0, so clip_batches'
+    piece is 1.0 * length.  Every other near segment is clipped by _chord
+    as clip_batches clips it.  The interior flag rides in the low bit of the
+    (ball, seg) sort key, so each ball's pieces are summed in the same order.
+    """
+    centers = np.asarray(centers, dtype=float).reshape(-1, 2)
+    out = np.zeros(len(centers))
+    count = nodal.count
+    for b0, b1, ball, seg in _window_batches(nodal, centers, r):
+        dist = _midpoint_distance(nodal, centers, ball, seg)
+        length = nodal.lengths[seg]
+        near = dist <= r + length / 2.0
+        inside = (dist + 1.5 * length <= r) & (length >= _CERTIFIED_LENGTH)
+        key = np.sort((ball[near] * count + seg[near]) * 2 + inside[near])
+        del ball, seg, dist, length, near, inside
+        ball, seg = np.divmod(key >> 1, count)
+        piece = nodal.lengths[seg]
+        keep = (key & 1).astype(bool)  # interior pieces, then every piece of positive length
+        edge = np.flatnonzero(~keep)
+        t_lo, t_hi = _chord(*_chart(nodal, centers, ball[edge], seg[edge]), r)
+        frac = t_hi - t_lo
+        piece[edge] *= frac
+        keep[edge] = frac > 0.0
+        offsets = np.searchsorted(ball[keep], np.arange(b0, b1 + 1))
+        out[b0:b1] = ball_sums(piece[keep], offsets)
+    return out
+
+
+def _window_batches(nodal: NodalSet, centers: np.ndarray, r: float):
+    """Yield (b0, b1, ball, seg): the window pairs of balls b0:b1 of centers, batch by batch.
+
     Each ball reads the buckets within reach + 1 bucket of its center,
     reach = r + max_len/2, of a w x w window, w the widest any ball needs
     plus one bucket of margin (all B x B buckets, unpruned, once it would
-    span the torus).  A segment is kept when its midpoint is within
-    r + length/2 of the center and clipped exactly, so each ball's pieces
-    are those of testing every segment.  A batch holds about _BATCH_PAIRS
-    window buckets, so about as many candidate segments whatever the radius;
-    its pieces come ball by ball (owners[i] is piece i's ball, ascending),
-    in ascending segment order, for the pieces with positive length.
-    Midpoints are global torus coordinates.  Each step of a batch (window
-    pairs, near test, clip, chord) drops its temporaries on return, so only
-    the batch's pieces are alive at a yield, and they are dropped before
-    the next batch is built.
+    span the torus).  A batch holds about _BATCH_PAIRS window buckets, so
+    about as many candidate segments whatever the radius.
     """
     if not 0.0 < r < 0.5:
         raise BallTooLarge(f"ball radius must lie in (0, 1/2), got {r!r}")
@@ -220,7 +273,6 @@ def clip_batches(nodal: NodalSet, centers, r: float):
     if r > 0.5 - index.max_len:
         raise BallTooLarge(
             f"radius {r!r} leaves no chart margin for segments of length {index.max_len!r}")
-    centers = np.asarray(centers, dtype=float).reshape(-1, 2)
     nb = index.buckets
     reach = r + index.max_len / 2.0
     lo = np.floor((centers - reach) * nb).astype(np.int64) - 1
@@ -235,12 +287,7 @@ def clip_batches(nodal: NodalSet, centers, r: float):
     step = max(1, _BATCH_PAIRS // (w * w))
     for b0 in range(0, len(centers), step):
         b1 = min(b0 + step, len(centers))
-        ball, seg = _window_pairs(index, centers, lo, b0, b1, w, bound)
-        ball, seg = _near_pairs(nodal, centers, ball, seg, r)
-        pieces = _clip_pairs(nodal, centers, ball, seg, r)
-        del ball, seg
-        yield (b0, b1, *pieces)
-        del pieces  # the consumer is done with this batch before asking for the next
+        yield (b0, b1, *_window_pairs(index, centers, lo, b0, b1, w, bound))
 
 
 def _window_pairs(index: _BucketIndex, centers: np.ndarray, lo: np.ndarray, b0: int, b1: int,
@@ -267,14 +314,30 @@ def _window_pairs(index: _BucketIndex, centers: np.ndarray, lo: np.ndarray, b0: 
     return ball, index.order[pos]
 
 
+def _midpoint_distance(nodal: NodalSet, centers: np.ndarray, ball: np.ndarray,
+                       seg: np.ndarray) -> np.ndarray:
+    """Periodic distance from each pair's segment midpoint to its ball's center."""
+    dx = wrap_delta(nodal.midpoints[seg, 0] - centers[ball, 0])
+    dy = wrap_delta(nodal.midpoints[seg, 1] - centers[ball, 1])
+    return np.sqrt(dx * dx + dy * dy)
+
+
 def _near_pairs(nodal: NodalSet, centers: np.ndarray, ball: np.ndarray, seg: np.ndarray,
                 r: float):
     """The pairs whose midpoint is within r + length/2 of the center, ball-major, then by seg."""
-    dx = wrap_delta(nodal.midpoints[seg, 0] - centers[ball, 0])
-    dy = wrap_delta(nodal.midpoints[seg, 1] - centers[ball, 1])
-    near = np.sqrt(dx * dx + dy * dy) <= r + nodal.lengths[seg] / 2.0
+    near = _midpoint_distance(nodal, centers, ball, seg) <= r + nodal.lengths[seg] / 2.0
     count = nodal.count
     return np.divmod(np.sort(ball[near] * count + seg[near]), count)
+
+
+def _chart(nodal: NodalSet, centers: np.ndarray, ball: np.ndarray, seg: np.ndarray):
+    """(ax, ay, dx, dy): each pair's segment a + t d in the chart centered on its ball."""
+    cx, cy = centers[ball, 0], centers[ball, 1]
+    ax = wrap_delta(nodal.a[seg, 0] - cx)
+    ay = wrap_delta(nodal.a[seg, 1] - cy)
+    dx = wrap_delta(wrap_delta(nodal.b[seg, 0] - cx) - ax)
+    dy = wrap_delta(wrap_delta(nodal.b[seg, 1] - cy) - ay)
+    return ax, ay, dx, dy
 
 
 def _chord(ax: np.ndarray, ay: np.ndarray, dx: np.ndarray, dy: np.ndarray, r: float):
@@ -295,17 +358,13 @@ def _chord(ax: np.ndarray, ay: np.ndarray, dx: np.ndarray, dy: np.ndarray, r: fl
 def _clip_pairs(nodal: NodalSet, centers: np.ndarray, ball: np.ndarray, seg: np.ndarray,
                 r: float):
     """(piece_len, piece_mid, owners) of the pairs whose segment meets its ball, in pair order."""
-    cx, cy = centers[ball, 0], centers[ball, 1]
-    ax = wrap_delta(nodal.a[seg, 0] - cx)
-    ay = wrap_delta(nodal.a[seg, 1] - cy)
-    dx = wrap_delta(wrap_delta(nodal.b[seg, 0] - cx) - ax)
-    dy = wrap_delta(wrap_delta(nodal.b[seg, 1] - cy) - ay)
+    ax, ay, dx, dy = _chart(nodal, centers, ball, seg)
     t_lo, t_hi = _chord(ax, ay, dx, dy, r)
     frac = t_hi - t_lo
     keep = frac > 0.0
     tmid = (t_lo[keep] + t_hi[keep]) / 2.0
-    mid = np.column_stack([cx[keep] + ax[keep] + dx[keep] * tmid,
-                           cy[keep] + ay[keep] + dy[keep] * tmid])
+    mid = np.column_stack([centers[ball[keep], 0] + ax[keep] + dx[keep] * tmid,
+                           centers[ball[keep], 1] + ay[keep] + dy[keep] * tmid])
     return frac[keep] * nodal.lengths[seg[keep]], wrap_point(mid), ball[keep]
 
 
@@ -331,8 +390,9 @@ def integrate_over_nodal(nodal: NodalSet, f: Callable[[np.ndarray], np.ndarray])
     f must accept an (M, 2) array of torus points and return (M,) values,
     each point's value whatever the batch.  It sees the midpoints
     _WEIGHT_POINTS at a time, written into one array of values, so its
-    temporaries stay a block in size; the sum over that array is one
-    np.sum, as if f had seen every midpoint at once.
+    temporaries stay a block in size; that array, weighted by the lengths
+    in place, is summed by one np.sum, as if f had seen every midpoint at
+    once.
     """
     if nodal.count == 0:
         return 0.0
@@ -345,7 +405,8 @@ def integrate_over_nodal(nodal: NodalSet, f: Callable[[np.ndarray], np.ndarray])
         vals[k:k + len(pts)] = block
     if np.min(vals) < -1e-9:
         raise NegativeTestFunction(f"weight reached {float(np.min(vals))!r} < 0")
-    return float(np.sum(vals * nodal.lengths))
+    vals *= nodal.lengths
+    return float(np.sum(vals))
 
 
 def write_float_csv(path: str, header: str, columns) -> None:

@@ -502,6 +502,16 @@ def test_verify_invalid_plans_exit_one(tmp_path, capsys):
     assert ("stage seeds collide: E=25 seed 10 stage 0 and E=26 seed 0 stage 1"
             in capsys.readouterr().err)
 
+    # A repeated test function used to run, its chain counted twice.
+    repeated = tmp_path / "repeated.json"
+    repeated.write_text('{"energies": [1105], "seeds_per_energy": 1, '
+                        '"include_low_energy_control": false, '
+                        '"test_functions": ["one", "one", "bump", "bump"]}')
+    assert main(["verify", "--plan", str(repeated), "--out", str(tmp_path / "repeated")]) == 1
+    err = capsys.readouterr().err
+    assert "test function 'one' is listed more than once" in err and "Traceback" not in err
+    assert not (tmp_path / "repeated").exists()
+
     # A field of the wrong JSON type is named before any run starts.
     for body, field in [
         ('{"energies": 5}', "energies"),

@@ -212,8 +212,9 @@ def test_assembly_matches_the_parent_kernel(e65_field, e65_nodal, e1105_nodal, e
 
 
 def test_assembly_memory_is_bounded(e1105_nodal, e1105_report):
-    # tracemalloc peak over the 50 good balls at E=1105, seed 0, N=544: 3.60 MB,
-    # against 9.39 MB for parent_lower_bound_assembly's pieces of all of them.
+    # tracemalloc peak over the 50 good balls at E=1105, seed 0, N=544: 1.74 MB
+    # with clip_lengths (2.50 MB clipping six balls per clip_family call), against
+    # 9.39 MB for parent_lower_bound_assembly's pieces of all of them.
     assert np.all(e1105_report.good)
     peak = traced_peak(lambda: lower_bound_assembly(e1105_report, e1105_nodal))
     assert peak < 5_000_000 <= traced_peak(

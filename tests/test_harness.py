@@ -161,6 +161,19 @@ def test_torus_integrals():
     )
 
 
+def test_torus_integral_rejects_values_that_do_not_broadcast_to_the_block():
+    message = "test function must map (k, 1) and (1, n) axes to values that broadcast to (k, n)"
+    for fn in (lambda x, y: np.ones(x.size * y.size),  # the old point form's flat values
+               lambda x, y: np.ones((1,) + np.broadcast(x, y).shape),
+               lambda x, y: np.ones(3)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            torus_integral(TestFunction("flat", fn, 0.0, 0.0), 64)
+    # Values that read one axis, or none, are broadcast over the block.
+    for fn in (lambda x, y: np.ones_like(x), lambda x, y: np.ones_like(y),
+               lambda x, y: np.float64(1.0)):
+        assert torus_integral(TestFunction("constant", fn, 0.0, 0.0), 64) == 1.0
+
+
 @pytest.mark.parametrize("n", [256, 512, 544])
 def test_torus_integral_blocks_equal_one_mean_over_the_grid(n):
     t = np.arange(n) / n
@@ -188,6 +201,12 @@ def test_plan_validation_messages():
         ExperimentPlan(energies=(65, 3))
     with pytest.raises(ValueError, match="unknown test function"):
         ExperimentPlan(energies=(65,), test_functions=("one", "nope"))
+    # A repeated name used to run, count its chain twice in chain_hypothesis_met
+    # and keep one rho_by_f key.
+    with pytest.raises(ValueError, match="^test function 'one' is listed more than once$"):
+        ExperimentPlan(energies=(1105,), test_functions=("one", "one", "bump", "bump"))
+    with pytest.raises(ValueError, match="^test function 'bump' is listed more than once$"):
+        ExperimentPlan(energies=(65,), test_functions=("bump", "one", "bump"))
     with pytest.raises(ValueError, match="unknown tolerance"):
         ExperimentPlan(energies=(65,), tolerances={"nope": 1.0})
     with pytest.raises(ValueError):
@@ -349,7 +368,7 @@ def test_theorem2_unit_weight_reproduces_length_ratio(e65_field, e65_nodal):
 
 
 def test_theorem2_flags_trivial_weights(e65_field, e65_nodal):
-    zero = TestFunction("zero", lambda pts: np.zeros(len(pts)), 0.0, 0.0)
+    zero = TestFunction("zero", lambda x, y: np.zeros(np.broadcast(x, y).shape), 0.0, 0.0)
     t2 = check_theorem_2(e65_field, integrals_for(
         e65_field, e65_nodal, (TEST_FUNCTIONS["one"], zero)))
     assert "zero" in t2.trivial_names
@@ -358,7 +377,7 @@ def test_theorem2_flags_trivial_weights(e65_field, e65_nodal):
 
 def test_theorem2_rejects_negative_weights(e65_field, e65_nodal):
     signed = TestFunction(
-        "signed", lambda pts: np.cos(2 * np.pi * pts[:, 0]), 2 * np.pi, 1.0
+        "signed", lambda x, y: np.cos(2 * np.pi * x), 2 * np.pi, 1.0
     )
     with pytest.raises(NegativeTestFunction):
         check_theorem_2(e65_field, integrals_for(e65_field, e65_nodal, (signed,)))
@@ -467,7 +486,7 @@ def test_chain_rough_weight_reports_unmet_hypothesis(e65_field, e65_nodal):
     # reports the asymptotic hypothesis as unmet rather than failing.
     rough = TestFunction(
         "rough",
-        lambda pts: 1.0 + np.cos(2 * np.pi * 16 * pts[:, 0]),
+        lambda x, y: 1.0 + np.cos(2 * np.pi * 16 * x),
         lipschitz=32 * np.pi,
         spread=2.0,
     )
@@ -574,7 +593,7 @@ def test_chain_matches_per_ball_reference(request, case, name):
 
 def test_chain_names_first_negative_ball_like_per_ball_reference(e65_field, e65_nodal):
     # Negative only on a band of x, so some balls pass before one fails.
-    signed = TestFunction("signed", lambda pts: np.cos(2 * np.pi * (pts[:, 0] + 0.1)),
+    signed = TestFunction("signed", lambda x, y: np.cos(2 * np.pi * (x + 0.1)),
                           2 * np.pi, 2.0)
     table = cover_table(e65_field, e65_nodal, fs=(signed,))
     with pytest.raises(NegativeTestFunction) as want:
@@ -739,15 +758,16 @@ def test_run_single_takes_every_area_integral_before_sampling(monkeypatch):
 def test_function_integrals_reuse_the_grid_integral(e65_field, e65_nodal):
     sizes = []
 
-    def counting(pts):
-        sizes.append(len(pts))
-        return np.ones(len(pts))
+    def counting(x, y):
+        shape = np.broadcast(x, y).shape
+        sizes.append(math.prod(shape))
+        return np.ones(shape)
 
     tf = TestFunction("counting", counting, 0.0, 0.0)
     first = integrals_for(e65_field, e65_nodal, (tf,))
     assert integrals_for(e65_field, e65_nodal, (tf,)) == first
-    # The grid's points are evaluated once in all (in blocks of rows), the
-    # nodal midpoints once per call.
+    # The grid's points are evaluated once in all (in blocks of rows, passed as
+    # the rows' and columns' axes), the nodal midpoints once per call.
     assert sizes.count(e65_nodal.count) == 2
     assert sum(sizes) == e65_field.resolution ** 2 + 2 * e65_nodal.count
 

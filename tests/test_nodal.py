@@ -24,6 +24,7 @@ from torusnodal.nodal import (
     NodalSet,
     ball_sums,
     clip_family,
+    clip_lengths,
     clip_to_ball,
     extract_nodal,
     integrate_over_nodal,
@@ -336,6 +337,9 @@ def assert_family_matches_full_scan(nodal, centers, r, label):
         got_mid = piece_mid[offsets[k]:offsets[k + 1]]
         for g, w in ((got_len, want_len), (got_mid, want_mid)):
             assert np.array_equal(g, w) and g.shape == w.shape, (label, k, tuple(c))
+    # The lengths-only clip sums the same pieces without forming their midpoints.
+    lengths = clip_lengths(nodal, centers, r)
+    assert lengths.tobytes() == ball_sums(piece_len, offsets).tobytes(), label
 
 
 def test_bucket_index_clip_matches_full_scan(e65_nodal, tmp_path):
@@ -372,11 +376,13 @@ def test_family_clip_of_no_balls_and_of_the_empty_set(e65_nodal, tmp_path):
         assert piece_len.shape == (0,) and piece_mid.shape == (0, 2), name
         assert np.array_equal(offsets, [0]), name
         assert ball_sums(piece_len, offsets).shape == (0,), name
+        assert clip_lengths(nodal, [], 0.1).shape == (0,), name
     empty = oracle_sets(e65_nodal, tmp_path)["empty"]
     piece_len, piece_mid, offsets = clip_family(empty, SEAM_CENTERS, 0.2)
     assert piece_len.shape == (0,) and piece_mid.shape == (0, 2)
     assert np.array_equal(offsets, np.zeros(len(SEAM_CENTERS) + 1))
     assert np.array_equal(ball_sums(piece_len, offsets), np.zeros(len(SEAM_CENTERS)))
+    assert np.array_equal(clip_lengths(empty, SEAM_CENTERS, 0.2), np.zeros(len(SEAM_CENTERS)))
 
 
 def test_ball_sums_round_like_a_sum_over_each_ball_alone(e65_nodal):
@@ -401,6 +407,8 @@ def test_clip_rejects_oversized_ball(e65_nodal):
             clip_family(e65_nodal, [(0.5, 0.5)], bad)
         with pytest.raises(BallTooLarge):
             clip_to_ball(e65_nodal, (0.5, 0.5), bad)
+        with pytest.raises(BallTooLarge):
+            clip_lengths(e65_nodal, [(0.5, 0.5)], bad)
 
 
 def test_clip_length_is_monotone_in_radius(e65_nodal):

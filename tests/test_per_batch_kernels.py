@@ -5,17 +5,23 @@ prefix sums one block of rows at a time, ball_table reduces each clip
 batch to per-ball numbers, and NodalSet._index keys one axis at a time.
 complex_strip_sup searches each corner sheet one column block at a time,
 integrate_over_nodal evaluates its weight on blocks of midpoints, and
-clip_batches drops each batch's arrays once they are dead.  The reference
-bodies below are the kernels as they stood before: a padded, squared copy
-of the field, one prefix array of all rows, a table holding every clipped
-piece with the chain reducing them, whole |v| sheets, one weight call over
-every midpoint, and one clip body holding all of a batch's temporaries.
+clip_batches drops each batch's arrays once they are dead.  The test
+functions take (x, y) axes, so torus_integral and the ball table's 9x9
+lattices evaluate them on a product grid's axes, and lower_bound_assembly
+sums each good ball's pieces with clip_lengths, which forms no midpoints.
+The reference bodies below are the kernels as they stood before: a
+padded, squared copy of the field, one prefix array of all rows, a table
+holding every clipped piece with the chain reducing them, whole |v|
+sheets, one weight call over every midpoint, one clip body holding all of
+a batch's temporaries, test functions of an (M, 2) point array evaluated
+on every grid and lattice point, and the assembly's clip_family sums.
 Every output must equal theirs byte for byte.
 """
 
 import functools
 import math
 import re
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -26,18 +32,21 @@ from torusnodal import growth as growth_module, harness
 from torusnodal.ballstats import (_SUB, _mass_bounds, ball_masses, default_centers,
                                   require_resolved_radius)
 from torusnodal.covering import BallFamily, build_cover
-from torusnodal.doubling import INNER_FACTOR, OUTER_FACTOR
+from torusnodal.doubling import INNER_FACTOR, OUTER_FACTOR, lower_bound_assembly
 from torusnodal.eigenbasis import TWO_PI, _mode_sum, random_eigenfunction, sample_grid
 from torusnodal.errors import BallTooLarge, NegativeTestFunction
 from torusnodal.growth import StripSup, _sheet_argmax, _tensor_abs, _zoom, complex_strip_sup
-from torusnodal.harness import (_QUADRATURE_SLACK, TEST_FUNCTIONS, ChainTrace, ExperimentPlan,
-                                _lattice_gap, _lattice_points, _step, _sup_half_side, ball_table,
-                                replicate_bound_chain, run_single)
+from torusnodal.harness import (_LATTICE_SIDE, _QUADRATURE_SLACK, BUMP_CENTER, BUMP_LIPSCHITZ,
+                                BUMP_WIDTH, TEST_FUNCTIONS, ChainTrace, ExperimentPlan,
+                                TestFunction, _lattice_gap, _lattice_values, _step,
+                                _sup_half_side, ball_table, replicate_bound_chain, run_single,
+                                torus_integral)
 from torusnodal.nodal import (_BATCH_PAIRS, NodalSet, ball_sums, clip_batches, clip_family,
-                              extract_nodal, integrate_over_nodal)
-from torusnodal.torus import wrap_delta, wrap_point
+                              clip_lengths, extract_nodal, integrate_over_nodal)
+from torusnodal.torus import periodic_distance, wrap_delta, wrap_point
 
 from conftest import constant_spec, integrals_for
+from test_doubling import parent_lower_bound_assembly
 from test_eigenbasis import grid_sum, traced_peak
 
 ENERGIES = (25, 50, 65, 325, 1105, 5525)
@@ -126,6 +135,53 @@ def reference_mass_bounds(field, centers, r: float) -> tuple[np.ndarray, np.ndar
     return lo / (n * n), hi / (n * n)
 
 
+def reference_one(pts: np.ndarray) -> np.ndarray:
+    return np.ones(pts.shape[:-1])
+
+
+def reference_cos_x(pts: np.ndarray) -> np.ndarray:
+    return 1.0 + np.cos(2.0 * np.pi * pts[..., 0])
+
+
+def reference_cos_y(pts: np.ndarray) -> np.ndarray:
+    return 1.0 + np.cos(2.0 * np.pi * pts[..., 1])
+
+
+def reference_bump(pts: np.ndarray) -> np.ndarray:
+    d = periodic_distance(pts, np.asarray(BUMP_CENTER))
+    t = d / BUMP_WIDTH
+    out = np.zeros(pts.shape[:-1])
+    inside = t < 1.0
+    ti = t[inside]
+    out[inside] = np.exp(1.0 - 1.0 / (1.0 - ti * ti))
+    return out
+
+
+# The registered test functions as they mapped an (M, 2) array of points to (M,) values.
+REFERENCE_FUNCTIONS = {"one": reference_one, "cos_x": reference_cos_x,
+                       "cos_y": reference_cos_y, "bump": reference_bump}
+
+
+def reference_torus_integral(f, n: int) -> float:
+    """torus_integral evaluating the point form f on the (rows * n, 2) points of each block."""
+    t = np.arange(n) / n
+    vals = np.empty(n * n)
+    rows = max(1, (1 << 15) // n)
+    for i in range(0, n, rows):
+        ti = t[i:i + rows]
+        pts = np.column_stack([np.repeat(ti, n), np.tile(t, ti.size)])
+        vals[i * n:(i + ti.size) * n] = f(pts)
+    return float(np.mean(vals))
+
+
+def reference_lattice_points(centers: np.ndarray, half_side: float) -> np.ndarray:
+    """The 9x9 square lattice of half side half_side around each center, 81 rows per center."""
+    t = np.linspace(-half_side, half_side, _LATTICE_SIDE)
+    gx, gy = np.meshgrid(t, t, indexing="ij")
+    pts = centers[:, None, :] + np.stack([gx.ravel(), gy.ravel()], axis=-1)
+    return pts.reshape(-1, 2)
+
+
 class WholeFamilyTable(NamedTuple):
     """The ball table as it held every clipped piece and both lattices of the family."""
 
@@ -150,14 +206,19 @@ def reference_ball_table(field, nodal, family) -> WholeFamilyTable:
     nonempty = np.diff(offsets) > 0
     piece_max = float(np.max(piece_len)) if piece_len.size else 0.0
     return WholeFamilyTable(family, piece_len, piece_mid, offsets, lengths, density, nonempty,
-                            piece_max, _lattice_points(family.centers, _sup_half_side(family)),
-                            _lattice_points(family.centers, r / 2.0))
+                            piece_max,
+                            reference_lattice_points(family.centers, _sup_half_side(family)),
+                            reference_lattice_points(family.centers, r / 2.0))
 
 
 def reference_terms(table: WholeFamilyTable, tf) -> dict:
-    """f's per-ball min, max, integral and lattice extremes, as the chain took them from the pieces."""
+    """f's per-ball min, max, integral and lattice extremes, as the chain took them from the pieces.
+
+    A registered f is evaluated by its point-form reference body.
+    """
     n_balls = table.family.count
-    vals = tf(table.piece_mid)
+    f = REFERENCE_FUNCTIONS[tf.name]
+    vals = f(table.piece_mid)
     starts = table.offsets[:-1][table.nonempty]
     f_min = np.zeros(n_balls)
     f_max = np.zeros(n_balls)
@@ -166,8 +227,8 @@ def reference_terms(table: WholeFamilyTable, tf) -> dict:
         f_max[table.nonempty] = np.maximum.reduceat(vals, starts)
     return {"f_min": f_min, "f_max": f_max,
             "integral": ball_sums(vals * table.piece_len, table.offsets),
-            "sup_lattice": np.max(tf(table.sup_lattice).reshape(n_balls, -1), axis=1),
-            "inf_lattice": np.min(tf(table.inf_lattice).reshape(n_balls, -1), axis=1)}
+            "sup_lattice": np.max(f(table.sup_lattice).reshape(n_balls, -1), axis=1),
+            "inf_lattice": np.min(f(table.inf_lattice).reshape(n_balls, -1), axis=1)}
 
 
 def reference_bound_chain(field, nodal, table: WholeFamilyTable, integrals) -> ChainTrace:
@@ -482,15 +543,19 @@ def test_clip_batches_equal_the_one_body_reference(energy, awkward_nodal):
             assert g[:2] == w[:2], label
             for x, y in zip(g[2:], w[2:]):
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), label
+        # The lengths-only clip sums the same pieces without forming their midpoints.
+        piece_len, _, offsets = clip_family(soup, centers, r)
+        want_lengths = ball_sums(piece_len, offsets)
+        assert clip_lengths(soup, centers, r).tobytes() == want_lengths.tobytes(), label
 
 
 @pytest.mark.parametrize("energy", ENERGIES)
 def test_integrate_over_nodal_equals_the_one_call_reference(energy):
     nodal = survey_case(energy)[1]
-    for tf in TEST_FUNCTIONS.values():
-        got = np.float64(integrate_over_nodal(nodal, tf.fn))
-        want = np.float64(reference_integrate_over_nodal(nodal, tf.fn))
-        assert got.tobytes() == want.tobytes(), tf.name
+    for name, tf in TEST_FUNCTIONS.items():
+        got = np.float64(integrate_over_nodal(nodal, tf))
+        want = np.float64(reference_integrate_over_nodal(nodal, REFERENCE_FUNCTIONS[name]))
+        assert got.tobytes() == want.tobytes(), name
 
     def wrong_shape(pts):
         return np.ones((len(pts), 2))
@@ -503,6 +568,106 @@ def test_integrate_over_nodal_equals_the_one_call_reference(energy):
             reference_integrate_over_nodal(nodal, f)
         with pytest.raises(error, match=f"^{re.escape(str(ref.value))}$"):
             integrate_over_nodal(nodal, f)
+
+
+def test_test_functions_equal_their_point_form_bodies():
+    rng = np.random.default_rng(5)
+    pts = [rng.random((4096, 2)), 3.0 * rng.random((4096, 2)) - 1.0,  # on and off [0, 1)^2
+           rng.random((7, 9, 2)), np.array([0.5, 0.5]), np.array([[0.75, 0.5], [0.5, 0.25]])]
+    for energy in ENERGIES:
+        for label, centers, r in survey_case(energy)[2]:
+            family = as_family(label, centers, r)
+            for half in (_sup_half_side(family), r / 2.0):
+                pts.append(reference_lattice_points(family.centers, half))
+    for name, tf in TEST_FUNCTIONS.items():
+        for p in pts:
+            got, want = tf(p), REFERENCE_FUNCTIONS[name](p)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (name, p.shape)
+
+
+@pytest.mark.parametrize("energy", ENERGIES)
+def test_lattice_values_equal_the_lattice_point_reference(energy):
+    for label, centers, r in survey_case(energy)[2]:
+        family = as_family(label, centers, r)
+        for half in (_sup_half_side(family), r / 2.0):
+            pts = reference_lattice_points(family.centers, half)
+            for name, tf in TEST_FUNCTIONS.items():
+                got = np.ascontiguousarray(_lattice_values(tf, family.centers, half))
+                want = REFERENCE_FUNCTIONS[name](pts).reshape(family.count, 9, 9)
+                assert got.tobytes() == want.tobytes(), (label, name)
+
+
+@pytest.mark.parametrize("n", [256, 304, 347, 544, 800])
+def test_torus_integral_equals_the_point_grid_reference(n):
+    for name, tf in TEST_FUNCTIONS.items():
+        got = np.float64(torus_integral(tf, n))
+        want = np.float64(reference_torus_integral(REFERENCE_FUNCTIONS[name], n))
+        assert got.tobytes() == want.tobytes(), (name, n)
+
+
+def assembly_report(centers, r: float):
+    """The fields lower_bound_assembly reads of a DoublingReport, every ball good."""
+    centers = np.asarray(centers, dtype=float).reshape(-1, 2)
+    return SimpleNamespace(centers=centers, good=np.ones(len(centers), dtype=bool),
+                           inner=SimpleNamespace(radius=r), lam=2.0 * math.pi * 33.0)
+
+
+def assert_assembly_matches_the_parent(report, nodal):
+    got, want = lower_bound_assembly(report, nodal), parent_lower_bound_assembly(report, nodal)
+    assert got.keys() == want.keys()
+    for key in got:
+        assert np.asarray(got[key]).tobytes() == np.asarray(want[key]).tobytes(), key
+
+
+def test_assembly_of_tiny_segments_equals_the_parent():
+    # The chord drops a segment whose float endpoints coincide in the ball's chart
+    # (|d|^2 <= 1e-300); a segment with distinct endpoints only 1e-12 apart is kept.
+    # Inside a ball, none of them may count as a whole piece.
+    a = np.array([[0.3, 0.4], [0.3, 0.41], [0.3, 0.42], [0.0, 0.43], [0.3, 0.44],
+                  [0.0, 0.45], [0.3, 0.35], [0.25, 0.4]])
+    b = a + np.array([[0.0, 0.0], [0.0, 1e-160], [0.0, 1e-20], [1e-160, 0.0], [0.0, 1e-12],
+                      [1e-12, 0.0], [0.01, 0.0], [0.0, 0.03]])
+    lengths = np.array([0.0, 1e-160, 1e-20, 1e-160, 1e-12, 1e-12, 0.01, 0.03])
+    nodal = NodalSet(wrap_point(a), wrap_point(b), lengths, wrap_point(a + (b - a) / 2.0))
+    centers = [[0.3, 0.42], [0.02, 0.44], [0.3, 0.36], [0.2, 0.4], [0.3, 0.2]]
+    for r in (0.05, 0.1, 0.12):
+        want = ball_sums(*clip_family(nodal, centers, r)[::2])
+        assert clip_lengths(nodal, centers, r).tobytes() == want.tobytes(), r
+        assert_assembly_matches_the_parent(assembly_report(centers, r), nodal)
+    # Balls that hold only the tiny segments: the parent finds no piece of the
+    # collapsed ones, and the 1e-12 ones whole.
+    only_tiny = clip_lengths(nodal, [[0.3, 0.43], [0.0, 0.44]], 0.015)
+    assert only_tiny.tolist() == [1e-12, 1e-12]
+
+
+def test_assembly_with_the_circle_through_segment_endpoints_equals_the_parent(e1105_nodal):
+    # Centers placed so the circle passes within 1e-12 (and 1e-13, 1e-16 and 0) of a
+    # segment endpoint, inside and outside: in random directions, and along the
+    # segment, where the midpoint's distance plus half the length meets the radius
+    # and a chord root lands on 1 up to rounding.  The inner doubling radius, and a
+    # radius of a few segment lengths, whose few pieces per ball show a last-bit error
+    # in one piece in the ball's sum.
+    rng = np.random.default_rng(11)
+    for r in (INNER_FACTOR * 2.5 / (2.0 * math.pi * math.sqrt(1105)), 0.004):
+        assert_circle_through_endpoints_matches_the_parent(e1105_nodal, r, rng)
+
+
+def assert_circle_through_endpoints_matches_the_parent(e1105_nodal, r, rng):
+    segs = rng.choice(e1105_nodal.count, 400, replace=False)
+    a, b = e1105_nodal.a[segs], e1105_nodal.b[segs]
+    along = wrap_delta(b - a) / e1105_nodal.lengths[segs, None]
+    angle = rng.random(len(segs)) * 2.0 * math.pi
+    direction = np.where(np.arange(len(segs))[:, None] < 300, along,
+                         np.column_stack([np.cos(angle), np.sin(angle)]))
+    gap = rng.choice([-1e-12, -1e-13, -1e-16, 0.0, 1e-16, 1e-13, 1e-12], len(segs))
+    at_b = rng.random(len(segs))[:, None] < 0.5
+    # From a, the circle meets a; from b, stepping back along the segment, it meets b.
+    centers = wrap_point(np.where(at_b, b - (r + gap)[:, None] * direction,
+                                  a + (r + gap)[:, None] * direction))
+    piece_len, _, offsets = clip_family(e1105_nodal, centers, r)
+    assert clip_lengths(e1105_nodal, centers, r).tobytes() == ball_sums(piece_len,
+                                                                         offsets).tobytes()
+    assert_assembly_matches_the_parent(assembly_report(centers, r), e1105_nodal)
 
 
 @pytest.mark.parametrize("energy", ENERGIES)
