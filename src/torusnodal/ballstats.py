@@ -13,11 +13,15 @@ and the per-center offsets along each axis are computed once per band.
 Each ball's two sums (full cells, then cut cells) are np.sum's pairwise
 reduction over that ball's own cells in row-major window order
 (nodal.ball_sums), so every mass is the same float whatever family or band
-the ball is measured in.
+the ball is measured in.  A band's balls are measured one batch at a time,
+and a batch's distances, windows and masks die before the next is built.
 
 CertifiedMasses holds the masses of a family of balls and measures each one
 at most once, where a decision's certified bracket cannot decide or a
-caller reads it.  sse_scan(field, r, seed) is the one scan: the balls
+caller reads it.  Its brackets come from _mass_bounds, which fills its
+(balls x rows) matrices one chunk of at most _BATCH_CELLS // 8 entries at
+a time, so its row-sum temporaries are a chunk in size whatever the
+family's size.  sse_scan(field, r, seed) is the one scan: the balls
 B(c, r) over default_centers(r, seed).
 """
 
@@ -120,8 +124,6 @@ def ball_masses(field, centers, r: float) -> np.ndarray:
     if count == 0:
         return np.zeros(0)
     h = 0.5 / n
-    half_diag = h * math.sqrt(2.0)
-    r2 = r * r
 
     # Per center and axis: window start; per band, the (B, W) offsets to the center.
     i0 = np.floor((centers - r - h) * n).astype(np.int64) - 1
@@ -143,33 +145,45 @@ def ball_masses(field, centers, r: float) -> np.ndarray:
         band = order[k0:k1]
         idx = i0[band, :, None] + np.arange(w)
         delta = wrap_delta((idx % n) / n - centers[band, :, None])
-        dx, dy = delta[:, 0], delta[:, 1]
-        sqx, sqy = np.square(dx), np.square(dy)
         at_row, at_col = start[band, 0] - row0, start[band, 1]
         for b0 in range(0, band.size, step):
             b = slice(b0, b0 + step)
-            dist = np.sqrt(sqx[b, :, None] + sqy[b, None, :])
-            full = dist <= r - half_diag
-            cut = np.flatnonzero((dist < r + half_diag) & ~full)
-            win = windows[at_row[b], at_col[b]]
-            inner = win[full]
-            # Cut cell (k, i, j) of the batch: count its subcell centers in the ball.
-            k, ij = np.divmod(cut, w * w)
-            at_x, at_y = k * w + ij // w, k * w + ij % w
-            sx = [np.square(dx[b] + o / n).ravel()[at_x] for o in _SUB]
-            sy = [np.square(dy[b] + o / n).ravel()[at_y] for o in _SUB]
-            inside = np.zeros(cut.size, dtype=np.int64)
-            for sub_x in sx:
-                for sub_y in sy:
-                    inside += sub_x + sub_y <= r2
-            # inside / 16 is exactly the mean over the 16 subcells.
-            edge = win.ravel()[cut] * (inside / 16.0)
-            f_off = np.concatenate([[0], np.cumsum(np.count_nonzero(full, axis=(1, 2)))])
-            c_off = np.searchsorted(cut, np.arange(full.shape[0] + 1) * (w * w))
-            masses[band[b]] = (ball_sums(inner, f_off) + ball_sums(edge, c_off)) / (n * n)
+            masses[band[b]] = _batch_masses(windows, at_row[b], at_col[b],
+                                            delta[b, 0], delta[b, 1], r, n)
         del u2, windows  # before the next band is squared
         k0 = k1
     return masses
+
+
+def _batch_masses(windows, rows, cols, dx, dy, r: float, n: int) -> np.ndarray:
+    """ball_masses of a batch of balls: ball k reads windows[rows[k], cols[k]], whose cells
+    lie dx[k] and dy[k] from its center along each axis.
+
+    Its temporaries die on return, and the distances before the windows are copied.
+    """
+    w = dx.shape[1]
+    half_diag = 0.5 / n * math.sqrt(2.0)
+    dist = np.square(dx)[:, :, None] + np.square(dy)[:, None, :]
+    np.sqrt(dist, out=dist)
+    full = dist <= r - half_diag
+    cut = np.flatnonzero((dist < r + half_diag) & ~full)
+    del dist
+    win = windows[rows, cols]
+    inner = win[full]
+    # Cut cell (k, i, j) of the batch: count its subcell centers in the ball.
+    k, ij = np.divmod(cut, w * w)
+    at_x, at_y = k * w + ij // w, k * w + ij % w
+    sx = [np.square(dx + o / n).ravel()[at_x] for o in _SUB]
+    sy = [np.square(dy + o / n).ravel()[at_y] for o in _SUB]
+    inside = np.zeros(cut.size, dtype=np.int64)
+    for sub_x in sx:
+        for sub_y in sy:
+            inside += sub_x + sub_y <= r * r
+    # inside / 16 is exactly the mean over the 16 subcells.
+    edge = win.ravel()[cut] * (inside / 16.0)
+    f_off = np.concatenate([[0], np.cumsum(np.count_nonzero(full, axis=(1, 2)))])
+    c_off = np.searchsorted(cut, np.arange(full.shape[0] + 1) * (w * w))
+    return (ball_sums(inner, f_off) + ball_sums(edge, c_off)) / (n * n)
 
 
 def mass_in_ball(field, center, r: float) -> float:
@@ -203,7 +217,12 @@ def _mass_bounds(field, centers, r: float) -> tuple[np.ndarray, np.ndarray]:
     Each disk's row sums fill a centers x rows matrix, summed along its rows.
     When the prefix sums of all rows take more than about 4 * _BATCH_CELLS
     cells, they are built one block of about _BATCH_CELLS cells at a time,
-    and each block fills the matrix entries of the rows it holds.
+    and each block fills the matrix entries of the rows it holds.  The
+    entries are computed a chunk of _BATCH_CELLS // 8 // span balls (or, in
+    a block, of the balls' runs of rows) at a time, at most _BATCH_CELLS // 8
+    entries, so the row-sum temporaries never span the family.  Each entry,
+    and so each ball's sum along its row of the matrix, is the same float
+    whatever the chunk.
     """
     n = field.resolution
     centers = np.asarray(centers, dtype=float).reshape(-1, 2) % 1.0
@@ -218,6 +237,7 @@ def _mass_bounds(field, centers, r: float) -> tuple[np.ndarray, np.ndarray]:
     row0 = np.floor(centers[:, 0] * n).astype(np.int64) - k
     phase = row0 % n
     block = n if n * (n + span) <= 4 * _BATCH_CELLS else max(1, _BATCH_CELLS // (n + span))
+    chunk = max(1, _BATCH_CELLS // 8 // span)  # balls or runs, each of at most span entries
     sums = np.empty((len(disks), count, span))
     top = 0.0
     for i0 in range(0, n, block):
@@ -226,24 +246,32 @@ def _mass_bounds(field, centers, r: float) -> tuple[np.ndarray, np.ndarray]:
         pre = _square_rows(field.values, i0, i1 - i0, k + 1, k)
         np.cumsum(pre, axis=1, out=pre)
         top = max(top, float(pre[:, -1].max()))
-        if block == n:  # every entry, as a centers x rows matrix
-            rows = row0[:, None] + np.arange(span)
-            diffs = _row_sums(pre, n, rows, centers[:, :1], centers[:, 1:] * n,
-                              rows % n * (n + span) + k, disks)
-            sums[:] = list(diffs)
+        if block == n:  # every entry of a chunk of balls, as a balls x rows matrix
+            for c0 in range(0, count, chunk):
+                b = slice(c0, c0 + chunk)
+                rows = row0[b, None] + np.arange(span)
+                diffs = _row_sums(pre, n, rows, centers[b, :1], centers[b, 1:] * n,
+                                  rows % n * (n + span) + k, disks)
+                sums[:, b] = list(diffs)
             continue
-        # Ball b's entries in rows i0 .. i1 - 1 are j in [i0, i1) - phase[b] (run b) and
-        # that plus n (run count + b); values per run are repeated over its entries.
+        # Ball c's entries in rows i0 .. i1 - 1 are j in [i0, i1) - phase[c] (run c) and
+        # that plus n (run count + c); a chunk of the runs with entries at a time, whose
+        # values repeat over each run's entries.
         ja = np.clip(np.concatenate([i0 - phase, i0 + n - phase]), 0, span)
         sizes = np.clip(np.concatenate([i1 - phase, i1 + n - phase]), 0, span) - ja
-        j = np.repeat(ja - (np.cumsum(sizes) - sizes), sizes) + np.arange(int(np.sum(sizes)))
-        entry = np.repeat(np.tile(np.arange(count) * span, 2), sizes) + j
-        base = (np.repeat(np.concatenate([phase, phase - n]), sizes) + j - i0) * (n + span) + k
-        diffs = _row_sums(pre, n, np.repeat(np.tile(row0, 2), sizes) + j,
-                          np.repeat(np.tile(centers[:, 0], 2), sizes),
-                          np.repeat(np.tile(centers[:, 1] * n, 2), sizes), base, disks)
-        for out, diff in zip(sums, diffs):
-            out.ravel()[entry] = diff
+        runs = np.flatnonzero(sizes)
+        for c0 in range(0, runs.size, chunk):
+            run = runs[c0:c0 + chunk]
+            ball, size = run % count, sizes[run]
+            j = np.repeat(ja[run] - (np.cumsum(size) - size), size) + np.arange(int(np.sum(size)))
+            shift = phase[ball] - n * (run >= count)
+            base = (np.repeat(shift, size) + j - i0) * (n + span) + k
+            diffs = _row_sums(pre, n, np.repeat(row0[ball], size) + j,
+                              np.repeat(centers[ball, 0], size),
+                              np.repeat(centers[ball, 1] * n, size), base, disks)
+            entry = np.repeat(ball * span, size) + j
+            for out, diff in zip(sums, diffs):
+                out.ravel()[entry] = diff
 
     # Per row the cumsums err by (n + span) eps of the row's total; ball_masses'
     # sums over < span^2 cells err by span^2 eps of the span rows' totals.

@@ -419,6 +419,26 @@ def test_verify_leaves_numpy_ma_unimported(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
 
 
+def test_serial_commands_never_load_the_process_pool(tmp_path):
+    # The pool loads when a plan first runs workers: a serial verify and the
+    # quick-tour commands (at E=65) leave multiprocessing unimported.
+    plan_path = write_plan(tmp_path)
+    out = str(tmp_path / "out")
+    argvs = [["verify", "--plan", plan_path, "--out", out, "--threads", "1"],
+             ["gen", "--energy", "65", "--out", out],
+             ["nodal", "--spec", f"{out}/spec_E65_seed0.json", "--out", out],
+             ["cover", "--radius", "0.15", "--out", out],
+             ["plot", "--nodal", f"{out}/nodal_spec_E65_seed0_N256.csv",
+              "--balls", f"{out}/cover_r0.15_seed0.csv", "--out", f"{out}/picture.svg"],
+             ["ballstats", "--energy", "65", "--out", out]]
+    code = ("import sys; from torusnodal.cli import main; "
+            f"codes = [main(argv) for argv in {argvs!r}]; "
+            "print(codes, [m for m in ('multiprocessing', 'concurrent.futures.process') "
+            "if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.stdout.splitlines()[-1] == f"{[0] * len(argvs)} []", proc.stderr
+
+
 def test_verify_progress_with_workers_reports_every_run(tmp_path, capsys):
     # Each line prints as its run finishes; the files keep the serial bytes.
     plan_path = write_plan(tmp_path, energies=(25, 65), seeds_per_energy=2)

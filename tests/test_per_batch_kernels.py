@@ -1,8 +1,10 @@
 """The banded and per-batch kernels against the whole-field and whole-family bodies they replaced.
 
-ball_masses squares one band of rows at a time, _mass_bounds builds its
-prefix sums one block of rows at a time, ball_table reduces each clip
-batch to per-ball numbers, and NodalSet._index keys one axis at a time.
+ball_masses squares one band of rows at a time and drops each batch's
+arrays before the next, _mass_bounds builds its prefix sums one block of
+rows and its bracket rows one chunk of balls at a time, ball_table
+reduces each clip batch to per-ball numbers, and NodalSet._index keys one
+axis at a time.
 complex_strip_sup searches each corner sheet one column block at a time,
 integrate_over_nodal evaluates its weight on blocks of midpoints, and
 clip_batches drops each batch's arrays once they are dead.  The test
@@ -30,7 +32,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from torusnodal import growth as growth_module, harness
 from torusnodal.ballstats import (_SUB, _mass_bounds, ball_masses, default_centers,
-                                  require_resolved_radius)
+                                  require_resolved_radius, sse_scan)
 from torusnodal.covering import BallFamily, build_cover
 from torusnodal.doubling import INNER_FACTOR, OUTER_FACTOR, lower_bound_assembly
 from torusnodal.eigenbasis import TWO_PI, _mode_sum, random_eigenfunction, sample_grid
@@ -706,26 +708,53 @@ def test_sheet_argmax_takes_the_first_tied_maximum_in_row_major_order(monkeypatc
 # ---------------------------------------------------------------- memory
 
 
+@functools.cache
+def e25_sse():
+    """The E=25 field, seed 0, at its plan grid 256, and its SSE radius."""
+    field = sample_grid(random_eigenfunction(25, 0), 256)
+    return field, field.spec_lambda ** -0.5
+
+
 def test_ball_masses_memory_on_the_all_ball_outer_doubling_family(e1105_field):
     # The doubling command's JSON measures every ball of the outer family.
-    # tracemalloc peak at E=1105, seed 0, N=544 (48 balls, r = 0.239): 5.22 MB,
-    # against 8.79 MB for the padded (n + w)^2 reference.
+    # tracemalloc peak at E=1105, seed 0, N=544 (48 balls, r = 0.239): 3.55 MB
+    # (bound: 0.45 MB above), against 8.79 MB for the padded (n + w)^2
+    # reference.
     lam = e1105_field.spec_lambda
     r_out = OUTER_FACTOR * 2.5 / lam
     centers = build_cover(r_out / 2.0, 0).centers
     peak = traced_peak(lambda: ball_masses(e1105_field, centers, r_out))
-    assert peak < 6_000_000 <= traced_peak(
+    assert peak < 4_000_000 <= traced_peak(
         lambda: reference_ball_masses(e1105_field, centers, r_out)), peak
 
 
 def test_mass_bounds_memory_on_the_sse_family(e1105_field):
-    # tracemalloc peak at E=1105, seed 0, N=544 over the 941 SSE balls:
-    # 3.91 MB, against 9.46 MB for the n x (n + span) prefix reference.
+    # tracemalloc peak at E=1105, seed 0, N=544 over the 941 SSE balls (the
+    # blocked path): 2.83 MB (bound: 0.47 MB above), against 9.46 MB for the
+    # n x (n + span) prefix reference.
     r = e1105_field.spec_lambda ** -0.5
     centers = default_centers(r, 1)
     peak = traced_peak(lambda: _mass_bounds(e1105_field, centers, r))
-    assert peak < 4_500_000 <= traced_peak(
+    assert peak < 3_300_000 <= traced_peak(
         lambda: reference_mass_bounds(e1105_field, centers, r)), peak
+
+
+def test_mass_bounds_memory_on_the_e25_sse_family():
+    # tracemalloc peak of the whole-prefix path over the 244 SSE balls at
+    # E=25, seed 0, N=256: 1.97 MB (bound: 0.43 MB above), the 0.72 MB
+    # prefix array and the two balls x rows matrices plus one chunk.
+    field, r = e25_sse()
+    centers = default_centers(r, 1)
+    peak = traced_peak(lambda: _mass_bounds(field, centers, r))
+    assert peak < 2_400_000, peak
+
+
+def test_sse_extremes_memory_at_e25():
+    # A fresh family each call, so both the brackets and the quadrature of the
+    # balls they leave open run: 2.01 MB (bound: 0.39 MB above).
+    field, r = e25_sse()
+    peak = traced_peak(lambda: sse_scan(field, r, 1).extreme_ratios())
+    assert peak < 2_400_000, peak
 
 
 def test_strip_sup_memory_at_e1105():
@@ -739,10 +768,15 @@ def test_strip_sup_memory_at_e1105():
 
 def test_run_single_memory_at_e1105():
     # tracemalloc peak of one E=1105 run, seed 0, after a warm-up run:
-    # 9.72 MB.  With the area integrals taken after the field, whole strip
-    # sheets, one weight call over every midpoint, every clip temporary
-    # alive at each yield and the table holding the last batch while the
-    # next was clipped, the same run peaked at 11.41 MB.
+    # 9.02 MB (bound: 0.48 MB above).
     plan = ExperimentPlan(energies=(1105,), seeds_per_energy=1, include_low_energy_control=False)
     peak = traced_peak(lambda: run_single(plan, 1105, 0))
-    assert peak < 10_200_000, peak
+    assert peak < 9_500_000, peak
+
+
+def test_run_single_memory_at_e25():
+    # tracemalloc peak of one E=25 run, seed 0, after a warm-up run: 2.83 MB
+    # (bound: 0.47 MB above).
+    plan = ExperimentPlan(energies=(25,), seeds_per_energy=1, include_low_energy_control=False)
+    peak = traced_peak(lambda: run_single(plan, 25, 0))
+    assert peak < 3_300_000, peak
