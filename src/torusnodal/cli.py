@@ -25,7 +25,8 @@ from .eigenbasis import (EigenfunctionSpec, enumerate_modes, random_eigenfunctio
                          require_sampling_grid, sample_grid, spec_from_json, spec_to_json)
 from .errors import EmptySpectrum, TorusNodalError
 from .growth import growth_report
-from .harness import ExperimentPlan, plan_from_json, report_to_json, run_plan, runs_to_csv
+from .harness import (ExperimentPlan, plan_from_json, report_to_json, require_threads, run_plan,
+                      runs_to_csv)
 from .nodal import extract_nodal, nodal_from_csv, nodal_to_csv
 from .svgplot import balls_from_csv, render_svg
 
@@ -176,6 +177,7 @@ def cmd_growth(args) -> int:
 def cmd_verify(args) -> int:
     with open(args.plan) as fh:
         plan = plan_from_json(fh.read())
+    require_threads(args.threads)
     out = _ensure_out(args.out)
     report = run_plan(plan, threads=args.threads,
                       progress=(lambda msg: print(f"[verify] {msg}"))

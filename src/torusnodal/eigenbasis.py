@@ -164,10 +164,12 @@ def _mode_sum(pts: np.ndarray, xi: np.ndarray, coeffs: np.ndarray) -> np.ndarray
 
     Each row's sum is the same float in a batch of any size: BLAS sums two
     rows or more row by row alike, but one row along another path, so a lone
-    row is summed as two equal rows.  The first call in a process sets
-    OpenBLAS to one thread, and the process keeps BLAS at one thread
-    afterwards: on these small products a helper thread only burns a second
-    core.  The sums are the same floats either way.
+    row is summed as two equal rows.  A process pins OpenBLAS to one thread
+    on its first BLAS use (this call or growth's tensor sums) and keeps it
+    there: on these small products a helper thread only burns a second
+    core.  harness.run_plan pins before its pool forks, so fork workers
+    inherit the pin; spawned workers pin on their first use.  The sums are
+    the same floats either way.
     """
     _pin_blas_thread()
     rows = pts if len(pts) != 1 else np.repeat(pts, 2, axis=0)

@@ -58,8 +58,8 @@ from .ballstats import CertifiedMasses, median, require_resolved_radius, scale_r
 from .covering import BallFamily, build_cover, cover_admissible
 from .doubling import (DEFAULT_A1, DEFAULT_A2, doubling_admissible, doubling_stage,
                        require_doubling_constants, require_resolved_doubling)
-from .eigenbasis import (SampledField, enumerate_modes, is_int, is_number, random_eigenfunction,
-                         require_sampling_grid, sample_grid, sine_mode_spec)
+from .eigenbasis import (SampledField, _pin_blas_thread, enumerate_modes, is_int, is_number,
+                         random_eigenfunction, require_sampling_grid, sample_grid, sine_mode_spec)
 from .errors import (BallTooLarge, DivisionByNegligibleMass, EmptySpectrum, NegativeTestFunction,
                      RadiusUnderResolved, ResolutionTooCoarse)
 from .growth import growth_report
@@ -899,6 +899,12 @@ def __getattr__(name: str):
     return ProcessPoolExecutor
 
 
+def require_threads(threads: int) -> None:
+    """Raise ValueError unless threads, a verify run's worker count, is at least 1."""
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1; got {threads!r}")
+
+
 def run_plan(plan: ExperimentPlan, threads: int = 1,
              progress: Callable[[str], None] | None = None) -> VerificationReport:
     """Execute every (energy, seed) run of the plan and fold the report.
@@ -911,13 +917,21 @@ def run_plan(plan: ExperimentPlan, threads: int = 1,
     run does not leave the other workers idle.  It has no more workers than
     tasks: a fork pool starts every worker on the first submit.  The pool
     is whatever harness.ProcessPoolExecutor holds when the plan runs, read
-    only when it runs workers, so a serial plan never loads it.
+    only when it runs workers, so a serial plan never loads it.  A run that
+    raises cancels the runs still queued, as a serial plan stops at it.
+
+    A process pins OpenBLAS to one thread on its first BLAS use; a plan
+    with workers pins this process before the pool forks, so fork workers
+    inherit the pin instead of setting it, which in a forked child restarts
+    the helper thread OpenBLAS stopped at the fork.  Spawned workers pin on
+    their first use.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1; got {threads!r}")
+    require_threads(threads)
     jobs = [(plan, e, s) for e in plan.energies
             for s in range(plan.seeds_per_energy)]
     workers = min(threads, len(jobs) + plan.include_low_energy_control)
+    if workers > 1:
+        _pin_blas_thread()
     runs = []
     control = None
     with (sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) if workers > 1
@@ -932,10 +946,15 @@ def run_plan(plan: ExperimentPlan, threads: int = 1,
             finished = (f.result() for f in as_completed(futures))
         else:
             finished = (run_single(*job) for job in jobs)
-        for run in finished:
-            runs.append(run)
-            if progress is not None:
-                progress(f"E={run.energy} seed={run.seed} done")
+        try:
+            for run in finished:
+                runs.append(run)
+                if progress is not None:
+                    progress(f"E={run.energy} seed={run.seed} done")
+        except BaseException:
+            if pool:
+                pool.shutdown(cancel_futures=True)
+            raise
         if pool:
             runs = [f.result() for f in futures]  # the fold's plan order
     if plan.include_low_energy_control:

@@ -625,7 +625,7 @@ def test_verify_rejects_threads_below_one(tmp_path, capsys):
         assert main(["verify", "--plan", plan_path, "--out", str(out_dir),
                      "--threads", threads]) == 1
         assert "threads must be at least 1" in capsys.readouterr().err
-    assert not (out_dir / "report.json").exists()
+    assert not out_dir.exists()
 
 
 # ---------------------------------------------------------------- plot

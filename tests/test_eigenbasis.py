@@ -2,7 +2,10 @@ import ctypes
 import json
 import math
 import multiprocessing
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
@@ -186,6 +189,38 @@ def test_pool_worker_keeps_one_blas_thread_after_evaluate():
     with ProcessPoolExecutor(max_workers=1,
                              mp_context=multiprocessing.get_context("spawn")) as pool:
         assert pool.submit(_blas_threads_after_evaluate, spec, pts).result() == 1
+
+
+# Each fork worker prints its OS thread count after every run it makes, in
+# one write, so the workers' lines do not interleave.
+_FORK_WORKER_THREADS = r"""
+import os
+from torusnodal import harness
+
+run = harness.run_single
+
+def counted(*job):
+    result = run(*job)
+    os.write(1, b"%d\n" % len(os.listdir("/proc/self/task")))
+    return result
+
+harness.run_single = counted
+harness.run_plan(harness.ExperimentPlan(energies=(65,), seeds_per_energy=2,
+                                        include_low_energy_control=False), threads=2)
+"""
+
+
+@needs_openblas
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc to count threads")
+@pytest.mark.skipif(multiprocessing.get_all_start_methods()[0] != "fork",
+                    reason="run_plan's pool does not fork here")
+def test_fork_workers_of_run_plan_keep_one_os_thread():
+    # A fresh interpreter, so no pin from this process hides a worker's own
+    # set_num_threads, which would restart OpenBLAS's helper thread.
+    proc = subprocess.run([sys.executable, "-c", _FORK_WORKER_THREADS],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "1"]
 
 
 def test_sine_fixture_closed_form():

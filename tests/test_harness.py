@@ -1,7 +1,10 @@
 import dataclasses
+import functools
 import json
 import math
+import os
 import re
+import time
 from concurrent.futures import Future
 
 import numpy as np
@@ -850,6 +853,24 @@ def test_run_plan_threads_match_serial_with_control():
     serial = run_plan(plan)
     assert serial.control is not None
     assert report_to_json(run_plan(plan, threads=2)) == report_to_json(serial)
+
+
+def _logged_run(log_dir, plan, energy, seed):
+    """run_single's stand-in: logs that the run started, then fails E=65 seed 0 and idles elsewhere."""
+    open(os.path.join(log_dir, f"E{energy}_seed{seed}"), "w").close()
+    if seed == 0:
+        raise ValueError("run E=65 seed 0 failed")
+    time.sleep(0.05)
+
+
+def test_run_plan_with_workers_cancels_queued_runs_after_a_failure(monkeypatch, tmp_path):
+    # Fork workers inherit the patch; the first run submitted fails at once.
+    monkeypatch.setattr(harness, "run_single", functools.partial(_logged_run, str(tmp_path)))
+    plan = ExperimentPlan(energies=(65,), seeds_per_energy=20, include_low_energy_control=False)
+    with pytest.raises(ValueError, match="run E=65 seed 0 failed"):
+        run_plan(plan, threads=2)
+    assert "E65_seed0" in os.listdir(tmp_path)
+    assert len(os.listdir(tmp_path)) < plan.seeds_per_energy
 
 
 @pytest.fixture
