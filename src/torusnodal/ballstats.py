@@ -19,9 +19,9 @@ and a batch's distances, windows and masks die before the next is built.
 CertifiedMasses holds the masses of a family of balls and measures each one
 at most once, where a decision's certified bracket cannot decide or a
 caller reads it.  Its brackets come from _mass_bounds, which fills its
-(balls x rows) matrices one chunk of at most _BATCH_CELLS // 8 entries at
-a time, so its row-sum temporaries are a chunk in size whatever the
-family's size.  sse_scan(field, r, seed) is the one scan: the balls
+(balls x rows) matrices one chunk of at most BUDGET_64K // 8 entries at a
+time, so its row-sum temporaries are a chunk in size whatever the family's
+size.  sse_scan(field, r, seed) is the one scan: the balls
 B(c, r) over default_centers(r, seed).
 """
 
@@ -37,7 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BallTooLarge, RadiusUnderResolved
 from .nodal import ball_sums, write_float_csv
-from .torus import wrap_delta
+from .torus import BUDGET_64K, blocks, wrap_delta
 
 MIN_CELLS_PER_RADIUS = 20.0
 
@@ -69,10 +69,6 @@ def median(values) -> float:
 
 # 4x4 subcell center offsets in units of one grid cell.
 _SUB = (np.arange(4) - 1.5) / 4.0
-
-# Balls per batch are capped so that a batch's window-sized work arrays
-# hold about this many cells, however many balls the family has.
-_BATCH_CELLS = 1 << 16
 
 
 def require_resolved_radius(r: float, n: int) -> None:
@@ -112,7 +108,7 @@ def ball_masses(field, centers, r: float) -> np.ndarray:
     window is read at the family's widest size w; the extra cells lie past
     i1, more than r + 2/n from the center, so they are neither full nor
     cut.  The balls are taken in order of their window's first row; the
-    balls whose first rows lie within _BATCH_CELLS / (n + w) rows of each
+    balls whose first rows lie within BUDGET_64K / (n + w) rows of each
     other share a band, their rows of u^2 squared once with w rows and
     columns of periodic margin, so every window is a slice of a sliding view
     of the band.  The masses go back in family order.
@@ -132,10 +128,9 @@ def ball_masses(field, centers, r: float) -> np.ndarray:
     start = i0 % n
     order = np.argsort(start[:, 0], kind="stable")
     first_row = start[order, 0]
-    band_rows = max(1, _BATCH_CELLS // (n + w))
+    band_rows = max(1, BUDGET_64K // (n + w))
 
     masses = np.empty(count)
-    step = max(1, _BATCH_CELLS // (w * w))
     k0 = 0
     while k0 < count:
         k1 = int(np.searchsorted(first_row, first_row[k0] + band_rows))
@@ -146,8 +141,8 @@ def ball_masses(field, centers, r: float) -> np.ndarray:
         idx = i0[band, :, None] + np.arange(w)
         delta = wrap_delta((idx % n) / n - centers[band, :, None])
         at_row, at_col = start[band, 0] - row0, start[band, 1]
-        for b0 in range(0, band.size, step):
-            b = slice(b0, b0 + step)
+        for b0, b1 in blocks(band.size, w * w, BUDGET_64K):
+            b = slice(b0, b1)
             masses[band[b]] = _batch_masses(windows, at_row[b], at_col[b],
                                             delta[b, 0], delta[b, 1], r, n)
         del u2, windows  # before the next band is squared
@@ -188,6 +183,7 @@ def _batch_masses(windows, rows, cols, dx, dy, r: float, n: int) -> np.ndarray:
 
 def mass_in_ball(field, center, r: float) -> float:
     """Quadrature of u^2 over the metric ball B(center, r)."""
+    # Unused in the package; kept because perfbench/spans.py traces it by name.
     return float(ball_masses(field, [center], r)[0])
 
 
@@ -215,11 +211,11 @@ def _mass_bounds(field, centers, r: float) -> tuple[np.ndarray, np.ndarray]:
     which ball_masses counts in full, hi over those within r + h sqrt2 + slop,
     the only ones it weights above 0, row by row from row-wise prefix sums.
     Each disk's row sums fill a centers x rows matrix, summed along its rows.
-    When the prefix sums of all rows take more than about 4 * _BATCH_CELLS
-    cells, they are built one block of about _BATCH_CELLS cells at a time,
+    When the prefix sums of all rows take more than about 4 * BUDGET_64K
+    cells, they are built one block of about BUDGET_64K cells at a time,
     and each block fills the matrix entries of the rows it holds.  The
-    entries are computed a chunk of _BATCH_CELLS // 8 // span balls (or, in
-    a block, of the balls' runs of rows) at a time, at most _BATCH_CELLS // 8
+    entries are computed a chunk of BUDGET_64K // 8 // span balls (or, in
+    a block, of the balls' runs of rows) at a time, at most BUDGET_64K // 8
     entries, so the row-sum temporaries never span the family.  Each entry,
     and so each ball's sum along its row of the matrix, is the same float
     whatever the chunk.
@@ -236,19 +232,17 @@ def _mass_bounds(field, centers, r: float) -> tuple[np.ndarray, np.ndarray]:
     # Entry (b, j) of the matrices is row row0[b] + j, unwrapped: row (phase[b] + j) mod n.
     row0 = np.floor(centers[:, 0] * n).astype(np.int64) - k
     phase = row0 % n
-    block = n if n * (n + span) <= 4 * _BATCH_CELLS else max(1, _BATCH_CELLS // (n + span))
-    chunk = max(1, _BATCH_CELLS // 8 // span)  # balls or runs, each of at most span entries
+    whole = n * (n + span) <= 4 * BUDGET_64K
     sums = np.empty((len(disks), count, span))
     top = 0.0
-    for i0 in range(0, n, block):
-        i1 = min(i0 + block, n)
+    for i0, i1 in blocks(n, n + span, 4 * BUDGET_64K if whole else BUDGET_64K):
         # pre[i, k + 1 + j]: row i0 + i of u^2 summed periodically over columns -k - 1 .. j.
         pre = _square_rows(field.values, i0, i1 - i0, k + 1, k)
         np.cumsum(pre, axis=1, out=pre)
         top = max(top, float(pre[:, -1].max()))
-        if block == n:  # every entry of a chunk of balls, as a balls x rows matrix
-            for c0 in range(0, count, chunk):
-                b = slice(c0, c0 + chunk)
+        if whole:  # every entry of a chunk of balls; fewer numpy calls than the runs below
+            for c0, c1 in blocks(count, span, BUDGET_64K // 8):
+                b = slice(c0, c1)
                 rows = row0[b, None] + np.arange(span)
                 diffs = _row_sums(pre, n, rows, centers[b, :1], centers[b, 1:] * n,
                                   rows % n * (n + span) + k, disks)
@@ -260,8 +254,8 @@ def _mass_bounds(field, centers, r: float) -> tuple[np.ndarray, np.ndarray]:
         ja = np.clip(np.concatenate([i0 - phase, i0 + n - phase]), 0, span)
         sizes = np.clip(np.concatenate([i1 - phase, i1 + n - phase]), 0, span) - ja
         runs = np.flatnonzero(sizes)
-        for c0 in range(0, runs.size, chunk):
-            run = runs[c0:c0 + chunk]
+        for c0, c1 in blocks(runs.size, span, BUDGET_64K // 8):
+            run = runs[c0:c1]
             ball, size = run % count, sizes[run]
             j = np.repeat(ja[run] - (np.cumsum(size) - size), size) + np.arange(int(np.sum(size)))
             shift = phase[ball] - n * (run >= count)

@@ -3,8 +3,8 @@
 Commands: modes, gen, nodal, ballstats, cover, doubling, growth, verify,
 plot.  Every command is deterministic given its flags; exit code 0 means
 success, 1 means an input or validation error, 2 means a verification
-gate failed.  Floating-point values are printed and written via repr, so
-every number round-trips exactly.
+gate failed or none was judged.  Floating-point values are printed and
+written via repr, so every number round-trips exactly.
 """
 
 from __future__ import annotations
@@ -206,7 +206,8 @@ def cmd_verify(args) -> int:
     if report.all_pass:
         print("[verify] all gates pass")
         return 0
-    print("[verify] gate failure")
+    judged = any(v["pass"] is not None for v in report.verdicts.values())
+    print("[verify] gate failure" if judged else "[verify] no gate ran")
     return 2
 
 

@@ -23,13 +23,12 @@ import numpy as np
 
 from .errors import RadiusTooLarge
 from .nodal import write_float_csv
-from .torus import periodic_distance, wrap_delta
+from .torus import BUDGET_16K, blocks, periodic_distance, wrap_delta
 
 CANDIDATE_SPACING_FACTOR = 8
 DEFAULT_PROBE = 512
 OVERLAP_VOLUME_BOUND = 16
 _CANVAS_DEPTH = 255  # balls one uint8 canvas cell can count
-_BATCH_CELLS = 1 << 14  # center-hole pairs per batched distance
 
 
 @dataclass(frozen=True)
@@ -67,8 +66,7 @@ def _paint_onto(counts: np.ndarray, centers: np.ndarray, r: float, probe: int) -
     # into counts after every 255 balls.
     dist2 = np.empty((w, w))
     inside = np.empty((w, w), dtype=bool)
-    for b0 in range(0, len(corners), _CANVAS_DEPTH):
-        b1 = b0 + _CANVAS_DEPTH
+    for b0, b1 in blocks(len(corners), 1, _CANVAS_DEPTH):
         canvas = np.zeros((probe + w, probe + w), dtype=np.uint8)
         for (x0, y0), sx, sy in zip(corners[b0:b1], sq[b0:b1, 0], sq[b0:b1, 1]):
             np.copyto(dist2, sy)
@@ -129,10 +127,8 @@ def build_cover(r: float, seed: int, probe: int = DEFAULT_PROBE) -> BallFamily:
     holes = np.flatnonzero(counts == 0)
     points = np.column_stack([holes // probe, holes % probe]) / probe
     far = np.empty(len(points), dtype=bool)
-    step = max(1, _BATCH_CELLS // len(centers))
-    for b0 in range(0, len(points), step):
-        far[b0:b0 + step] = np.min(periodic_distance(centers, points[b0:b0 + step, None]),
-                                   axis=1) > r
+    for b0, b1 in blocks(len(points), len(centers), BUDGET_16K):
+        far[b0:b1] = np.min(periodic_distance(centers, points[b0:b1, None]), axis=1) > r
     points = points[far]
     promoted = []
     while len(points):

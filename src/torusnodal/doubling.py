@@ -31,7 +31,7 @@ from .ballstats import MIN_CELLS_PER_RADIUS, CertifiedMasses, band_mask
 from .covering import OVERLAP_VOLUME_BOUND, build_cover
 from .errors import DivisionByNegligibleMass, RadiusTooLarge, RadiusUnderResolved
 from .nodal import NodalSet, clip_lengths
-from .torus import wrap_point
+from .torus import BUDGET_16K, blocks, wrap_point
 
 DEFAULT_A1 = 2.5
 DEFAULT_A2 = 16.0
@@ -39,8 +39,6 @@ OUTER_FACTOR = 20.0
 INNER_FACTOR = 10.0
 SIGN_PROBE_SIDE = 32
 NEGLIGIBLE_MASS = 1e-30
-# About this many probe points are interpolated per batch of centers by sign_changes.
-_SIGN_POINTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -84,11 +82,10 @@ def sign_changes(field, centers: np.ndarray, radius: float) -> np.ndarray:
     offsets = np.stack([gx[mask], gy[mask]], axis=-1)
     centers = np.asarray(centers, dtype=float).reshape(-1, 2)
     out = np.empty(len(centers), dtype=bool)
-    step = max(1, _SIGN_POINTS // len(offsets))  # the interpolation's temporaries stay small
-    for b0 in range(0, len(centers), step):
-        pts = wrap_point(centers[b0:b0 + step, None, :] + offsets)
+    for b0, b1 in blocks(len(centers), len(offsets), BUDGET_16K):
+        pts = wrap_point(centers[b0:b1, None, :] + offsets)
         vals = field.interp(pts.reshape(-1, 2)).reshape(pts.shape[:2])
-        out[b0:b0 + step] = (np.min(vals, axis=1) < 0.0) & (0.0 < np.max(vals, axis=1))
+        out[b0:b1] = (np.min(vals, axis=1) < 0.0) & (0.0 < np.max(vals, axis=1))
     return out
 
 

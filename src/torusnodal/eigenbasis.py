@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySpectrum, NonRealValue, ResolutionTooCoarse
+from .torus import blocks
 
 TWO_PI = 2.0 * math.pi
 
@@ -255,8 +256,7 @@ def _column_blocks(modes, coeffs: np.ndarray, n: int):
     rows = rows[occupied]
     transformed = np.fft.ifft(c[occupied], axis=1)
     zero_row = np.fft.ifft(np.zeros(n, dtype=np.complex128))
-    for j0 in range(0, n, _FFT_COLUMNS):
-        j1 = min(j0 + _FFT_COLUMNS, n)
+    for j0, j1 in blocks(n, 1, _FFT_COLUMNS):
         block = np.empty((n, j1 - j0), dtype=np.complex128)
         block[:] = zero_row[j0:j1]
         block[rows] = transformed[:, j0:j1]

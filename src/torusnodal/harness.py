@@ -65,7 +65,7 @@ from .errors import (BallTooLarge, DivisionByNegligibleMass, EmptySpectrum, Nega
 from .growth import growth_report
 from .nodal import NodalSet, ball_sums, clip_batches, extract_nodal, integrate_over_nodal
 from .svgplot import render_svg
-from .torus import wrap_delta
+from .torus import BUDGET_32K, blocks, wrap_delta
 
 
 # ---------------------------------------------------------------------------
@@ -154,18 +154,16 @@ def resolve_test_functions(names) -> tuple[TestFunction, ...]:
 def torus_integral(tf: TestFunction, n: int = 512) -> float:
     """Area integral of f over the unit torus by the periodic grid rule, once per process.
 
-    f sees blocks of rows as the grid's axes, (rows, 1) and (1, n), so its
-    temporaries stay small; the values fill one C-contiguous n x n array,
+    f sees blocks of rows of about BUDGET_32K cells as the grid's axes,
+    (rows, 1) and (1, n); the values fill one C-contiguous n x n array,
     whose one np.mean is the rule.
     """
     t = np.arange(n) / n
     vals = np.empty((n, n))
-    rows = max(1, (1 << 15) // n)
-    for i in range(0, n, rows):
-        x = t[i:i + rows, None]
-        block = tf.fn(x, t[None, :])
+    for i0, i1 in blocks(n, n, BUDGET_32K):
+        block = tf.fn(t[i0:i1, None], t[None, :])
         try:
-            vals[i:i + x.size] = np.broadcast_to(block, (x.size, n))
+            vals[i0:i1] = np.broadcast_to(block, (i1 - i0, n))
         except ValueError:
             raise ValueError("test function must map (k, 1) and (1, n) axes to values "
                              "that broadcast to (k, n)") from None
@@ -210,6 +208,7 @@ DEFAULT_TOLERANCES: dict[str, float | tuple[float, float]] = {
 }
 
 _QUADRATURE_SLACK = 1e-6
+_YAU_MIN_ENERGIES, _YAU_MIN_RUNS = 3, 10  # the fewest check_yau_scaling takes
 # Points per side of the square lattice behind the chain's sup and inf estimates.
 _LATTICE_SIDE = 9
 
@@ -534,17 +533,17 @@ def check_yau_scaling(yau_by_energy: dict, window: float = DEFAULT_TOLERANCES["y
     """Linear-in-frequency scaling of total nodal length across an ensemble.
 
     Expects a mapping energy -> list of yau ratios (total length / lam)
-    from at least 3 energies with at least 10 runs each.  Passes when the
-    overall max/min ratio stays within `window` and per-energy medians
-    stay within `median_drift` of each other.  A zero ratio (a run, or an
-    energy's median, with no nodal length) leaves that ratio without a
-    finite value: it is reported as None and the check fails.
+    from at least _YAU_MIN_ENERGIES energies with _YAU_MIN_RUNS runs each.
+    Passes when the overall max/min ratio stays within `window` and
+    per-energy medians stay within `median_drift` of each other.  A zero
+    ratio (a run, or an energy's median, with no nodal length) leaves that
+    ratio without a finite value: it is reported as None and the check fails.
     """
-    if len(yau_by_energy) < 3:
-        raise ValueError("yau scaling check needs at least 3 energies")
+    if len(yau_by_energy) < _YAU_MIN_ENERGIES:
+        raise ValueError(f"yau scaling check needs at least {_YAU_MIN_ENERGIES} energies")
     for e, vals in yau_by_energy.items():
-        if len(vals) < 10:
-            raise ValueError(f"yau scaling check needs >= 10 runs per energy; "
+        if len(vals) < _YAU_MIN_RUNS:
+            raise ValueError(f"yau scaling check needs >= {_YAU_MIN_RUNS} runs per energy; "
                              f"E={e} has {len(vals)}")
     all_vals = np.concatenate([np.asarray(v, dtype=float)
                                for v in yau_by_energy.values()])
@@ -887,7 +886,9 @@ class VerificationReport:
 
     @property
     def all_pass(self) -> bool:
-        return all(v["pass"] for v in self.verdicts.values() if v["pass"] is not None)
+        """At least one gate was judged (a skipped gate is not), and every judged gate passed."""
+        judged = [v["pass"] for v in self.verdicts.values() if v["pass"] is not None]
+        return bool(judged) and all(judged)
 
 
 def __getattr__(name: str):
@@ -1026,8 +1027,9 @@ def _verdicts(plan: ExperimentPlan, runs: list[RunResult],
     no_top = "no non-degenerate runs at top energy"
     no_doubling = "no energy admits the doubling radius"
     gates = [
-        ("yau_scaling", len(yau) >= 3 and all(len(v) >= 10 for v in yau.values()),
-         "needs >= 3 energies with >= 10 non-degenerate runs each",
+        ("yau_scaling",
+         len(yau) >= _YAU_MIN_ENERGIES and all(len(v) >= _YAU_MIN_RUNS for v in yau.values()),
+         f"needs >= {_YAU_MIN_ENERGIES} energies with >= {_YAU_MIN_RUNS} non-degenerate runs each",
          lambda: check_yau_scaling(yau, tol["yau_window"], tol["yau_median_drift"])),
         ("sse_band", top_runs, no_top, lambda: _sse_band(top_runs, top, tol)),
         ("control_fails_band", control is not None, "control disabled",

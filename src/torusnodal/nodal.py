@@ -11,7 +11,7 @@ cells.  Length in a metric ball is computed by exact segment-circle
 clipping in a local chart, and line integrals use the midpoint rule per
 (clipped) segment.
 
-Balls are clipped a family at a time (clip_family) against a bucket index
+Balls are clipped one batch at a time (clip_batches) against a bucket index
 built lazily once per set, the segments sorted by which of B x B midpoint
 buckets (B = isqrt(count)) they fall in.  Each ball reads the disk of
 buckets within reach of it, one or two runs of keys per bucket row.  The
@@ -32,25 +32,16 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import BallTooLarge, NegativeTestFunction
-from .torus import wrap_delta, wrap_point
+from .torus import BUDGET_32K, BUDGET_4K, BUDGET_64K, blocks, wrap_delta, wrap_point
 
 # Additive nudge applied to exact grid zeros so every corner has a strict sign.
 ZERO_NUDGE = 1e-30
-
-# About this many (ball, candidate segment) pairs are clipped per batch.
-_BATCH_PAIRS = 1 << 15
-
-# About this many grid cells are marched per block of rows.
-_BLOCK_CELLS = 1 << 16
 
 # clip_lengths takes a segment inside a ball as a whole piece only from this length up.
 # Its one-length margin puts the chord's roots at least 1 beyond [0, 1]; their rounding
 # grows like eps * (r / length)^1.5 and reaches that near length 1e-11, and _chord drops
 # a segment whose endpoints coincide in the ball's chart.
 _CERTIFIED_LENGTH = 1e-9
-
-# integrate_over_nodal evaluates its weight on blocks of this many midpoints.
-_WEIGHT_POINTS = 1 << 15
 
 # Corners in case-bit order, as (i, j) offsets from the cell's lower-left
 # grid point; case = s0 + 2*s1 + 4*s2 + 8*s3 over their signs (positive = 1).
@@ -136,7 +127,7 @@ def extract_nodal(field) -> NodalSet:
     from corner p to corner q at t = v_p / (v_p - v_q).  Segments are
     emitted in row-major cell order, then by slot, at most two per cell,
     none longer than sqrt(2)/N.  Cells are marched a block of about
-    _BLOCK_CELLS at a time, each block reading its own wrapped copy of its
+    BUDGET_64K at a time, each block reading its own wrapped copy of its
     rows, so no field-sized temporary is made and field.values is not
     written.  The outputs are joined one at a time, each block's part of
     an output dropped as it is joined, so the outputs and the parts never
@@ -144,8 +135,7 @@ def extract_nodal(field) -> NodalSet:
     """
     n = field.resolution
     values = np.asarray(field.values, dtype=float)
-    step = max(1, _BLOCK_CELLS // n)
-    parts = [list(_march_rows(values, i0, min(i0 + step, n), n)) for i0 in range(0, n, step)]
+    parts = [list(_march_rows(values, i0, i1, n)) for i0, i1 in blocks(n, n, BUDGET_64K)]
     outputs = []
     for k in range(4):
         outputs.append(np.concatenate([part[k] for part in parts]))
@@ -190,19 +180,6 @@ def _march_rows(values: np.ndarray, i0: int, i1: int, n: int):
     return wrap_point(ai), wrap_point(bi), lengths, wrap_point(mids)
 
 
-def clip_family(nodal: NodalSet, centers, r: float):
-    """Exact intersection of the nodal set with every metric ball B(c, r), c in centers.
-
-    Returns (piece_len, piece_mid, offsets): ball k's pieces are rows
-    offsets[k]:offsets[k + 1], the pieces of clip_batches joined in ball order.
-    """
-    centers = np.asarray(centers, dtype=float).reshape(-1, 2)
-    parts = [(np.empty(0), np.empty((0, 2)), np.empty(0, dtype=np.int64))]
-    parts += [batch[2:] for batch in clip_batches(nodal, centers, r)]
-    piece_len, piece_mid, owners = (np.concatenate(x) for x in zip(*parts))
-    return piece_len, piece_mid, np.searchsorted(owners, np.arange(len(centers) + 1))
-
-
 def clip_batches(nodal: NodalSet, centers, r: float):
     """Yield (b0, b1, piece_len, piece_mid, owners), the pieces of balls b0:b1 of centers.
 
@@ -227,7 +204,7 @@ def clip_batches(nodal: NodalSet, centers, r: float):
 def clip_lengths(nodal: NodalSet, centers, r: float) -> np.ndarray:
     """Nodal length inside every ball B(c, r), c in centers, without forming piece midpoints.
 
-    Equals ball_sums over clip_family's piece lengths bit for bit.  A near
+    Equals ball_sums over clip_batches' piece lengths bit for bit.  A near
     segment certified inside the ball, its midpoint within r - 3 length/2
     of the center and its length at least _CERTIFIED_LENGTH, is a whole
     piece: its chord roots clip to exactly 0.0 and 1.0, so clip_batches'
@@ -264,7 +241,7 @@ def _window_batches(nodal: NodalSet, centers: np.ndarray, r: float):
     Each ball reads the buckets within reach + 1 bucket of its center,
     reach = r + max_len/2, of a w x w window, w the widest any ball needs
     plus one bucket of margin (all B x B buckets, unpruned, once it would
-    span the torus).  A batch holds about _BATCH_PAIRS window buckets, so
+    span the torus).  A batch holds about BUDGET_32K window buckets, so
     about as many candidate segments whatever the radius.
     """
     if not 0.0 < r < 0.5:
@@ -284,9 +261,7 @@ def _window_batches(nodal: NodalSet, centers: np.ndarray, r: float):
     # for rounding) can hold a near segment; one that spans the torus is read
     # whole, its bound lying beyond the window's corners.
     bound = reach * nb + 1.0 if w < nb else 2.0 * nb + 2.0
-    step = max(1, _BATCH_PAIRS // (w * w))
-    for b0 in range(0, len(centers), step):
-        b1 = min(b0 + step, len(centers))
+    for b0, b1 in blocks(len(centers), w * w, BUDGET_32K):
         yield (b0, b1, *_window_pairs(index, centers, lo, b0, b1, w, bound))
 
 
@@ -369,7 +344,7 @@ def _clip_pairs(nodal: NodalSet, centers: np.ndarray, ball: np.ndarray, seg: np.
 
 
 def ball_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Sum of values[offsets[k]:offsets[k + 1]] for every ball k of a clip_family layout.
+    """Sum of values[offsets[k]:offsets[k + 1]] for every ball k: pieces laid out ball by ball.
 
     Each slice is summed by np.sum on its own, so a ball's sum rounds as
     the sum over that ball's pieces alone would (np.add.reduceat sums
@@ -381,7 +356,7 @@ def ball_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 def clip_to_ball(nodal: NodalSet, center, r: float):
     """(piece_len, piece_mid) of the nodal set inside B(center, r)."""
     # Unused in the package; kept because perfbench/spans.py traces it by name.
-    return clip_family(nodal, [center], r)[:2]
+    return next(clip_batches(nodal, [center], r))[2:4]
 
 
 def integrate_over_nodal(nodal: NodalSet, f: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -389,7 +364,7 @@ def integrate_over_nodal(nodal: NodalSet, f: Callable[[np.ndarray], np.ndarray])
 
     f must accept an (M, 2) array of torus points and return (M,) values,
     each point's value whatever the batch.  It sees the midpoints
-    _WEIGHT_POINTS at a time, written into one array of values, so its
+    BUDGET_32K at a time, written into one array of values, so its
     temporaries stay a block in size; that array, weighted by the lengths
     in place, is summed by one np.sum, as if f had seen every midpoint at
     once.
@@ -397,12 +372,12 @@ def integrate_over_nodal(nodal: NodalSet, f: Callable[[np.ndarray], np.ndarray])
     if nodal.count == 0:
         return 0.0
     vals = np.empty(nodal.count)
-    for k in range(0, nodal.count, _WEIGHT_POINTS):
-        pts = nodal.midpoints[k:k + _WEIGHT_POINTS]
+    for k0, k1 in blocks(nodal.count, 1, BUDGET_32K):
+        pts = nodal.midpoints[k0:k1]
         block = np.asarray(f(pts), dtype=float)
         if block.shape != (len(pts),):
             raise ValueError("weight function must map (M, 2) points to (M,) values")
-        vals[k:k + len(pts)] = block
+        vals[k0:k1] = block
     if np.min(vals) < -1e-9:
         raise NegativeTestFunction(f"weight reached {float(np.min(vals))!r} < 0")
     vals *= nodal.lengths
@@ -412,7 +387,7 @@ def integrate_over_nodal(nodal: NodalSet, f: Callable[[np.ndarray], np.ndarray])
 def write_float_csv(path: str, header: str, columns) -> None:
     """Write float columns (1-D or (M, k) arrays of M rows) under header, each value its repr.
 
-    Rows go out 4096 at a time.  In a chunk each distinct float is formatted
+    Rows go out BUDGET_4K at a time.  In a chunk each distinct float is formatted
     once: values are deduplicated on their bit patterns, since 0.0 and -0.0
     are equal floats with different reprs.  A marching-squares endpoint is
     shared by two segments and one of its coordinates is a grid line, so a
@@ -420,8 +395,8 @@ def write_float_csv(path: str, header: str, columns) -> None:
     """
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        for k in range(0, len(columns[0]), 4096):
-            rows = np.column_stack([x[k:k + 4096] for x in columns]).astype(np.float64, copy=False)
+        for k0, k1 in blocks(len(columns[0]), 1, BUDGET_4K):
+            rows = np.column_stack([x[k0:k1] for x in columns]).astype(np.float64, copy=False)
             bits, inverse = np.unique(rows.view(np.int64).ravel(), return_inverse=True)
             inverse = inverse.reshape(rows.shape)
             text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)

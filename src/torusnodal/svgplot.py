@@ -10,15 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 from .nodal import NodalSet, read_float_csv
-from .torus import wrap_delta
+from .torus import BUDGET_4K, blocks, wrap_delta
 
 CANVAS = 640
 SEGMENT_STROKE = "#1a466b"
 BALL_STROKE = "#c2452d"
 FRAME_STROKE = "#777777"
-
-# Segments formatted per chunk of the path.
-_SEGMENT_CHUNK = 4096
 
 
 def render_svg(nodal: NodalSet | None = None,
@@ -28,7 +25,7 @@ def render_svg(nodal: NodalSet | None = None,
 
     Segments crossing the torus seam are drawn in the chart of their first
     endpoint, so nothing smears across the square.  The path is formatted
-    _SEGMENT_CHUNK segments at a time and the document joined once.
+    BUDGET_4K segments at a time and the document joined once.
     """
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS}" '
@@ -38,9 +35,9 @@ def render_svg(nodal: NodalSet | None = None,
     ]
     if nodal is not None and nodal.count:
         parts.append('<path d="')
-        for k in range(0, nodal.count, _SEGMENT_CHUNK):
-            a = nodal.a[k:k + _SEGMENT_CHUNK]
-            b = a + wrap_delta(nodal.b[k:k + _SEGMENT_CHUNK] - a)
+        for k0, k1 in blocks(nodal.count, 1, BUDGET_4K):
+            a = nodal.a[k0:k1]
+            b = a + wrap_delta(nodal.b[k0:k1] - a)
             xy = np.column_stack([a[:, 0], 1.0 - a[:, 1], b[:, 0], 1.0 - b[:, 1]])
             parts.append(("M%.6f %.6fL%.6f %.6f" * len(a)) % tuple(xy.ravel().tolist()))
         parts.append(f'" fill="none" stroke="{SEGMENT_STROKE}" stroke-width="0.0025" '

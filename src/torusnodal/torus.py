@@ -13,6 +13,19 @@ from __future__ import annotations
 
 import numpy as np
 
+# Budgets of blocks(), the one rule for bounded temporaries, in elements per block.
+BUDGET_64K = 1 << 16  # squared or marched grid cells: ball masses and brackets, extract_nodal
+BUDGET_32K = 1 << 15  # clip window buckets, weighted midpoints, torus_integral's cells
+BUDGET_16K = 1 << 14  # build_cover's center-hole distances, sign_changes' probe points
+BUDGET_4K = 4096  # CSV rows and SVG path segments formatted at a time
+
+
+def blocks(total: int, per_item: int, budget: int):
+    """Yield (b0, b1) over range(total) in order, max(1, budget // per_item) items a block."""
+    step = max(1, budget // per_item)
+    for b0 in range(0, total, step):
+        yield b0, min(b0 + step, total)
+
 
 def _reduce(r: np.ndarray) -> np.ndarray:
     """Reduce a float array into [0, 1) in place."""

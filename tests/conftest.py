@@ -4,7 +4,7 @@ from hypothesis import settings
 
 from torusnodal.eigenbasis import EigenfunctionSpec, random_eigenfunction, sample_grid
 from torusnodal.harness import function_integrals, torus_integral
-from torusnodal.nodal import NodalSet, extract_nodal
+from torusnodal.nodal import NodalSet, clip_batches, extract_nodal
 from torusnodal.torus import wrap_delta, wrap_point
 
 settings.register_profile("suite", deadline=None, max_examples=25)
@@ -22,6 +22,20 @@ def integrals_for(field, nodal, test_functions):
     """function_integrals of test_functions, with areas on field's grid as run_single takes them."""
     return function_integrals(nodal, test_functions,
                               [torus_integral(tf, field.resolution) for tf in test_functions])
+
+
+def clip_family(nodal: NodalSet, centers, r: float):
+    """Exact intersection of the nodal set with every metric ball B(c, r), c in centers.
+
+    Returns (piece_len, piece_mid, offsets): ball k's pieces are rows
+    offsets[k]:offsets[k + 1], the pieces of clip_batches joined in ball order.
+    The whole family's pieces at once, as a reference for the batched kernels.
+    """
+    centers = np.asarray(centers, dtype=float).reshape(-1, 2)
+    parts = [(np.empty(0), np.empty((0, 2)), np.empty(0, dtype=np.int64))]
+    parts += [batch[2:] for batch in clip_batches(nodal, centers, r)]
+    piece_len, piece_mid, owners = (np.concatenate(x) for x in zip(*parts))
+    return piece_len, piece_mid, np.searchsorted(owners, np.arange(len(centers) + 1))
 
 
 def constant_spec() -> EigenfunctionSpec:

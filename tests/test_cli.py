@@ -495,6 +495,21 @@ def test_verify_gate_failure_exits_two(tmp_path, capsys):
     assert "[verify] sse_band: pass\n" in out
 
 
+def test_verify_with_no_gate_judged_exits_two(tmp_path, capsys):
+    # Every run at E = 1, 2 and 4 is degenerate and no control runs, so all
+    # gates are skipped: that is not a pass.
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text('{"energies": [1, 2, 4], "seeds_per_energy": 2, '
+                         '"include_low_energy_control": false}')
+    out_dir = tmp_path / "out"
+    assert main(["verify", "--plan", str(plan_path), "--out", str(out_dir)]) == 2
+    out = capsys.readouterr().out
+    report = json.loads((out_dir / "report.json").read_text())
+    assert all(v["pass"] is None for v in report["verdicts"].values())
+    assert report["all_pass"] is False
+    assert out.endswith("[verify] no gate ran\n") and "all gates pass" not in out
+
+
 def test_verify_invalid_plans_exit_one(tmp_path, capsys):
     bad_rho = tmp_path / "bad_rho.json"
     bad_rho.write_text('{"energies": [65], "rho": 1.5}')

@@ -25,8 +25,10 @@ from torusnodal.eigenbasis import (
 )
 from torusnodal.errors import DivisionByNegligibleMass, RadiusTooLarge, RadiusUnderResolved
 from torusnodal.harness import ExperimentPlan, _stage_seed, run_single
-from torusnodal.nodal import ball_sums, clip_family, extract_nodal
+from torusnodal.nodal import ball_sums, extract_nodal
+from torusnodal.torus import BUDGET_16K
 
+from conftest import clip_family
 from test_eigenbasis import traced_peak
 from test_nodal import full_scan_clip
 
@@ -253,7 +255,7 @@ def test_sign_probe_matches_the_per_ball_probe(e65_field):
     assert report.has_nodal_point.tolist() == want
     assert 0 < sum(want) < len(want)
     # The probe runs over more than one batch of centers.
-    assert len(want) * np.sum(mask) > doubling._SIGN_POINTS
+    assert len(want) * np.sum(mask) > BUDGET_16K
 
 
 def test_sign_probe_memory_is_bounded(e1105_field, e1105_report):

@@ -23,7 +23,6 @@ from torusnodal.nodal import (
     ZERO_NUDGE,
     NodalSet,
     ball_sums,
-    clip_family,
     clip_lengths,
     clip_to_ball,
     extract_nodal,
@@ -35,7 +34,7 @@ from torusnodal.nodal import (
 )
 from torusnodal.torus import wrap_delta, wrap_point
 
-from conftest import constant_spec, separable_sine_spec
+from conftest import clip_family, constant_spec, separable_sine_spec
 from test_eigenbasis import oracle_specs, traced_peak
 
 _B, _R, _T, _L = 0, 1, 2, 3

@@ -43,11 +43,11 @@ from torusnodal.harness import (_LATTICE_SIDE, _QUADRATURE_SLACK, BUMP_CENTER, B
                                 TestFunction, _lattice_gap, _lattice_values, _step,
                                 _sup_half_side, ball_table, replicate_bound_chain, run_single,
                                 torus_integral)
-from torusnodal.nodal import (_BATCH_PAIRS, NodalSet, ball_sums, clip_batches, clip_family,
-                              clip_lengths, extract_nodal, integrate_over_nodal)
-from torusnodal.torus import periodic_distance, wrap_delta, wrap_point
+from torusnodal.nodal import (NodalSet, ball_sums, clip_batches, clip_lengths, extract_nodal,
+                              integrate_over_nodal)
+from torusnodal.torus import BUDGET_32K, periodic_distance, wrap_delta, wrap_point
 
-from conftest import constant_spec, integrals_for
+from conftest import clip_family, constant_spec, integrals_for
 from test_doubling import parent_lower_bound_assembly
 from test_eigenbasis import grid_sum, traced_peak
 
@@ -321,7 +321,7 @@ def reference_clip_batches(nodal, centers, r: float):
     hi = np.floor((centers + reach) * nb).astype(np.int64) + 1
     w = min(nb, int(np.max(hi - lo, initial=0)) + 1)
     bound = reach * nb + 1.0 if w < nb else 2.0 * nb + 2.0
-    step = max(1, _BATCH_PAIRS // (w * w))
+    step = max(1, BUDGET_32K // (w * w))
     for b0 in range(0, len(centers), step):
         rows = lo[b0:b0 + step, :1] + np.arange(w)
         u = centers[b0:b0 + step] * nb

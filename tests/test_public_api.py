@@ -56,6 +56,28 @@ def test_the_scan_sees_the_package():
     assert len(PUBLIC) > 50 and ("harness", "replicate_bound_chain") in PUBLIC
 
 
+def block_loops(tree, helper=None):
+    """Lines of the for loops and comprehensions over range(0, total, step) outside helper."""
+    skip = {id(node) for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef) and f.name == helper for node in ast.walk(f)}
+    loops = [node for node in ast.walk(tree)
+             if isinstance(node, (ast.For, ast.comprehension)) and id(node) not in skip]
+    return sorted(node.iter.lineno for node in loops
+                  if isinstance(node.iter, ast.Call) and isinstance(node.iter.func, ast.Name)
+                  and node.iter.func.id == "range" and len(node.iter.args) == 3
+                  and isinstance(node.iter.args[0], ast.Constant) and node.iter.args[0].value == 0)
+
+
+def test_block_loops_go_through_torus_blocks():
+    # A hand-written step loop restates the one block rule; call torus.blocks instead.
+    found = [f"{os.path.basename(path)}:{line}"
+             for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py")))
+             for line in block_loops(parse(path), "blocks" if path.endswith("torus.py") else None)]
+    assert not found, f"range(0, total, step) block loops outside torus.blocks: {found}"
+    assert block_loops(ast.parse("for b0 in range(0, n, step):\n    pass\n"
+                                 "x = [f(i) for i in range(0, n, 4096)]\n")) == [1, 3]
+
+
 @pytest.mark.parametrize("module,name", PUBLIC)
 def test_every_public_name_is_used_by_the_program(module, name):
     # A public name that only its definition and the tests mention is API

@@ -2,11 +2,22 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from torusnodal.torus import periodic_distance, wrap_delta, wrap_point
+from torusnodal.torus import blocks, periodic_distance, wrap_delta, wrap_point
 
 coords = st.floats(
     min_value=-3.0, max_value=3.0, allow_nan=False, allow_infinity=False
 )
+
+
+@given(total=st.integers(0, 500), per_item=st.integers(1, 5000), budget=st.integers(0, 1 << 16))
+def test_blocks_cover_range_in_order_at_the_budget_step(total, per_item, budget):
+    got = list(blocks(total, per_item, budget))
+    step = max(1, budget // per_item)
+    assert [b0 for b0, _ in got] == list(range(0, total, step))  # empty for total 0
+    assert all(b1 == b0 for (_, b1), (b0, _) in zip(got, got[1:]))  # contiguous
+    assert (got[-1][1] == total) if total else (got == [])
+    assert all(b1 - b0 == step for b0, b1 in got[:-1])
+    assert all(0 < b1 - b0 <= step for b0, b1 in got)
 
 
 @given(x=coords, y=coords)
