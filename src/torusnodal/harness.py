@@ -420,11 +420,10 @@ def ball_table(field: SampledField, nodal: NodalSet, family: BallFamily,
                test_functions: tuple[TestFunction, ...]) -> BallTable:
     """Mass brackets, nodal lengths and test-function terms of every ball B(x, r) of family.
 
-    Each clip batch's pieces are reduced ball by ball and dropped before
-    the next batch is clipped: each
-    ball's length and f-integral are np.sum over that ball's pieces alone
-    (nodal.ball_sums), and its f-min and f-max and lattice extremes are
-    exact, so every number is the one a whole-family clip gives.
+    Each clip_batches batch is reduced ball by ball and dropped before the
+    next: a ball's length and f-integral are np.sum over its pieces alone
+    (nodal.ball_sums) and its f-min, f-max and lattice extremes are exact,
+    so every number is the one a whole-family, all-chord clip gives.
     """
     r = family.radius
     if family.count < 1 or family.overlap_max < 1:

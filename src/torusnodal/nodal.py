@@ -11,14 +11,13 @@ cells.  Length in a metric ball is computed by exact segment-circle
 clipping in a local chart, and line integrals use the midpoint rule per
 (clipped) segment.
 
-Balls are clipped one batch at a time (clip_batches) against a bucket index
-built lazily once per set, the segments sorted by which of B x B midpoint
-buckets (B = isqrt(count)) they fall in.  Each ball reads the disk of
-buckets within reach of it, one or two runs of keys per bucket row.  The
-(ball, segment) pairs of a batch of balls are tested and clipped in one
-pass over 1-D x and y columns gathered by ball and segment index; the
-pieces come back as one flat array plus per-ball offsets.  Keying on
-midpoints, not marching-squares cells, lets CSV sets use the same index.
+Balls are clipped a batch at a time by one kernel, _clip, against a
+bucket index built once per set: the segments sorted by which of B x B
+midpoint buckets (B = isqrt(count)) they fall in, so CSV sets use it too.
+Each ball reads the disk of buckets within its reach, one or two runs of
+keys per bucket row.  Each (ball, segment) pair is tested once, and only
+a segment not certified whole inside its ball is clipped.  clip_batches
+adds the pieces' midpoints; clip_lengths sums each ball's pieces.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from .torus import BUDGET_32K, BUDGET_4K, BUDGET_64K, blocks, wrap_delta, wrap_p
 # Additive nudge applied to exact grid zeros so every corner has a strict sign.
 ZERO_NUDGE = 1e-30
 
-# clip_lengths takes a segment inside a ball as a whole piece only from this length up.
+# _clip_batch takes a segment inside a ball as a whole piece only from this length up.
 # Its one-length margin puts the chord's roots at least 1 beyond [0, 1]; their rounding
 # grows like eps * (r / length)^1.5 and reaches that near length 1e-11, and _chord drops
 # a segment whose endpoints coincide in the ball's chart.
@@ -183,66 +182,52 @@ def _march_rows(values: np.ndarray, i0: int, i1: int, n: int):
 def clip_batches(nodal: NodalSet, centers, r: float):
     """Yield (b0, b1, piece_len, piece_mid, owners), the pieces of balls b0:b1 of centers.
 
-    A segment is kept when its midpoint is within r + length/2 of the
-    center and clipped exactly, so each ball's pieces are those of testing
-    every segment.  Each batch's pieces come ball by ball (owners[i] is
-    piece i's ball, ascending), in ascending segment order, for the pieces
-    with positive length.  Midpoints are global torus coordinates.  Each
-    step of a batch (window pairs, near test, clip, chord) drops its
-    temporaries on return, so only the batch's pieces are alive at a
-    yield, and they are dropped before the next batch is built.
+    The pieces are _clip's kept pairs, ball by ball (owners[i] is piece i's
+    ball, ascending), then by segment.  A piece's midpoint is its segment's
+    point at the middle of its chord, in torus coordinates, filled one axis
+    at a time; only the batch's pieces are alive at a yield.
     """
     centers = np.asarray(centers, dtype=float).reshape(-1, 2)
-    for b0, b1, ball, seg in _window_batches(nodal, centers, r):
-        ball, seg = _near_pairs(nodal, centers, ball, seg, r)
-        pieces = _clip_pairs(nodal, centers, ball, seg, r)
-        del ball, seg
-        yield (b0, b1, *pieces)
-        del pieces  # the consumer is done with this batch before asking for the next
+    for b0, b1, ball, seg, piece, keep, edge, t_edge in _clip(nodal, centers, r):
+        t_mid = np.full(ball.size, 0.5)  # the middle of a whole segment
+        t_mid[edge] = t_edge
+        ball, seg, piece, t_mid = ball[keep], seg[keep], piece[keep], t_mid[keep]
+        del keep, edge, t_edge
+        mid = np.empty((ball.size, 2))
+        for axis in (0, 1):
+            c = centers[ball, axis]
+            a, d = _chart(nodal, seg, c, axis)
+            c += a
+            d *= t_mid
+            c += d  # (c + a) + d t_mid in place: the all-chord clip's rounding
+            mid[:, axis] = wrap_point(c)
+        del seg, t_mid, c, a, d
+        yield b0, b1, piece, mid, ball
+        del piece, mid, ball  # the consumer is done with this batch before asking for the next
 
 
 def clip_lengths(nodal: NodalSet, centers, r: float) -> np.ndarray:
     """Nodal length inside every ball B(c, r), c in centers, without forming piece midpoints.
 
-    Equals ball_sums over clip_batches' piece lengths bit for bit.  A near
-    segment certified inside the ball, its midpoint within r - 3 length/2
-    of the center and its length at least _CERTIFIED_LENGTH, is a whole
-    piece: its chord roots clip to exactly 0.0 and 1.0, so clip_batches'
-    piece is 1.0 * length.  Every other near segment is clipped by _chord
-    as clip_batches clips it.  The interior flag rides in the low bit of the
-    (ball, seg) sort key, so each ball's pieces are summed in the same order.
+    Bit for bit ball_sums over clip_batches' piece lengths: both take _clip's kept pieces.
     """
     centers = np.asarray(centers, dtype=float).reshape(-1, 2)
     out = np.zeros(len(centers))
-    count = nodal.count
-    for b0, b1, ball, seg in _window_batches(nodal, centers, r):
-        dist = _midpoint_distance(nodal, centers, ball, seg)
-        length = nodal.lengths[seg]
-        near = dist <= r + length / 2.0
-        inside = (dist + 1.5 * length <= r) & (length >= _CERTIFIED_LENGTH)
-        key = np.sort((ball[near] * count + seg[near]) * 2 + inside[near])
-        del ball, seg, dist, length, near, inside
-        ball, seg = np.divmod(key >> 1, count)
-        piece = nodal.lengths[seg]
-        keep = (key & 1).astype(bool)  # interior pieces, then every piece of positive length
-        edge = np.flatnonzero(~keep)
-        t_lo, t_hi = _chord(*_chart(nodal, centers, ball[edge], seg[edge]), r)
-        frac = t_hi - t_lo
-        piece[edge] *= frac
-        keep[edge] = frac > 0.0
+    for b0, b1, ball, _, piece, keep, _, _ in _clip(nodal, centers, r):
         offsets = np.searchsorted(ball[keep], np.arange(b0, b1 + 1))
         out[b0:b1] = ball_sums(piece[keep], offsets)
     return out
 
 
-def _window_batches(nodal: NodalSet, centers: np.ndarray, r: float):
-    """Yield (b0, b1, ball, seg): the window pairs of balls b0:b1 of centers, batch by batch.
+def _clip(nodal: NodalSet, centers: np.ndarray, r: float):
+    """Yield (b0, b1, ball, seg, piece, keep, edge, t_edge), _clip_batch's pairs of balls b0:b1.
 
     Each ball reads the buckets within reach + 1 bucket of its center,
     reach = r + max_len/2, of a w x w window, w the widest any ball needs
     plus one bucket of margin (all B x B buckets, unpruned, once it would
     span the torus).  A batch holds about BUDGET_32K window buckets, so
-    about as many candidate segments whatever the radius.
+    about as many candidate segments whatever the radius.  No array of a
+    batch is bound here, so the consumer drops each one as it is done.
     """
     if not 0.0 < r < 0.5:
         raise BallTooLarge(f"ball radius must lie in (0, 1/2), got {r!r}")
@@ -262,7 +247,45 @@ def _window_batches(nodal: NodalSet, centers: np.ndarray, r: float):
     # whole, its bound lying beyond the window's corners.
     bound = reach * nb + 1.0 if w < nb else 2.0 * nb + 2.0
     for b0, b1 in blocks(len(centers), w * w, BUDGET_32K):
-        yield (b0, b1, *_window_pairs(index, centers, lo, b0, b1, w, bound))
+        yield (b0, b1, *_clip_batch(nodal, centers, r, lo, b0, b1, w, bound))
+
+
+def _clip_batch(nodal: NodalSet, centers: np.ndarray, r: float, lo: np.ndarray, b0: int,
+                b1: int, w: int, bound: float):
+    """(ball, seg, piece, keep, edge, t_edge): the near pairs of balls b0:b1, clipped.
+
+    A pair is near when its segment's midpoint lies within r + length/2 of
+    its ball's center; the near pairs come ball-major, then by seg.  A near
+    segment is whole when its midpoint lies within r - 3 length/2 of the
+    center and its length is at least _CERTIFIED_LENGTH: _chord's roots
+    would clip to exactly 0.0 and 1.0, so its piece is its length.  _chord
+    clips the other near pairs, indexed by edge: piece = (t_hi - t_lo)
+    length, and t_edge = (t_lo + t_hi)/2 is the middle of the chord.  keep
+    flags the whole pairs and the chords of positive length.
+    """
+    count = nodal.count
+    ball, seg = _window_pairs(nodal._index, centers, lo, b0, b1, w, bound)
+    dx = wrap_delta(nodal.midpoints[seg, 0] - centers[ball, 0])
+    dy = wrap_delta(nodal.midpoints[seg, 1] - centers[ball, 1])
+    dist = np.sqrt(dx * dx + dy * dy)
+    del dx, dy
+    length = nodal.lengths[seg]
+    near = dist <= r + length / 2.0
+    whole = (dist + 1.5 * length <= r) & (length >= _CERTIFIED_LENGTH)
+    # The whole flag rides in the low bit, so the pairs sort by (ball, seg) alone.
+    key = np.sort((ball[near] * count + seg[near]) * 2 + whole[near])
+    del ball, seg, dist, length, near, whole
+    ball, seg = np.divmod(key >> 1, count)
+    keep = (key & 1).astype(bool)
+    del key
+    edge = np.flatnonzero(~keep)
+    t_lo, t_hi = _chord(*_chart(nodal, seg[edge], centers[ball[edge], 0], 0),
+                        *_chart(nodal, seg[edge], centers[ball[edge], 1], 1), r)
+    frac = t_hi - t_lo
+    piece = nodal.lengths[seg]
+    piece[edge] *= frac
+    keep[edge] = frac > 0.0
+    return ball, seg, piece, keep, edge, (t_lo + t_hi) / 2.0
 
 
 def _window_pairs(index: _BucketIndex, centers: np.ndarray, lo: np.ndarray, b0: int, b1: int,
@@ -289,33 +312,13 @@ def _window_pairs(index: _BucketIndex, centers: np.ndarray, lo: np.ndarray, b0: 
     return ball, index.order[pos]
 
 
-def _midpoint_distance(nodal: NodalSet, centers: np.ndarray, ball: np.ndarray,
-                       seg: np.ndarray) -> np.ndarray:
-    """Periodic distance from each pair's segment midpoint to its ball's center."""
-    dx = wrap_delta(nodal.midpoints[seg, 0] - centers[ball, 0])
-    dy = wrap_delta(nodal.midpoints[seg, 1] - centers[ball, 1])
-    return np.sqrt(dx * dx + dy * dy)
+def _chart(nodal: NodalSet, seg: np.ndarray, c: np.ndarray, axis: int):
+    """(a, d): along axis, each pair's segment a + t d in the chart centered on its ball's c."""
+    a = wrap_delta(nodal.a[seg, axis] - c)
+    return a, wrap_delta(wrap_delta(nodal.b[seg, axis] - c) - a)
 
 
-def _near_pairs(nodal: NodalSet, centers: np.ndarray, ball: np.ndarray, seg: np.ndarray,
-                r: float):
-    """The pairs whose midpoint is within r + length/2 of the center, ball-major, then by seg."""
-    near = _midpoint_distance(nodal, centers, ball, seg) <= r + nodal.lengths[seg] / 2.0
-    count = nodal.count
-    return np.divmod(np.sort(ball[near] * count + seg[near]), count)
-
-
-def _chart(nodal: NodalSet, centers: np.ndarray, ball: np.ndarray, seg: np.ndarray):
-    """(ax, ay, dx, dy): each pair's segment a + t d in the chart centered on its ball."""
-    cx, cy = centers[ball, 0], centers[ball, 1]
-    ax = wrap_delta(nodal.a[seg, 0] - cx)
-    ay = wrap_delta(nodal.a[seg, 1] - cy)
-    dx = wrap_delta(wrap_delta(nodal.b[seg, 0] - cx) - ax)
-    dy = wrap_delta(wrap_delta(nodal.b[seg, 1] - cy) - ay)
-    return ax, ay, dx, dy
-
-
-def _chord(ax: np.ndarray, ay: np.ndarray, dx: np.ndarray, dy: np.ndarray, r: float):
+def _chord(ax: np.ndarray, dx: np.ndarray, ay: np.ndarray, dy: np.ndarray, r: float):
     """(t_lo, t_hi): the part t_lo <= t <= t_hi of each segment a + t d in |x| <= r, t in [0, 1]."""
     qa = dx * dx + dy * dy
     qb = 2.0 * (ax * dx + ay * dy)
@@ -328,19 +331,6 @@ def _chord(ax: np.ndarray, ay: np.ndarray, dx: np.ndarray, dy: np.ndarray, r: fl
         t_lo = np.where(ok, np.clip((-qb - root) / (2.0 * qa), 0.0, 1.0), 0.0)
         t_hi = np.where(ok, np.clip((-qb + root) / (2.0 * qa), 0.0, 1.0), 0.0)
     return t_lo, t_hi
-
-
-def _clip_pairs(nodal: NodalSet, centers: np.ndarray, ball: np.ndarray, seg: np.ndarray,
-                r: float):
-    """(piece_len, piece_mid, owners) of the pairs whose segment meets its ball, in pair order."""
-    ax, ay, dx, dy = _chart(nodal, centers, ball, seg)
-    t_lo, t_hi = _chord(ax, ay, dx, dy, r)
-    frac = t_hi - t_lo
-    keep = frac > 0.0
-    tmid = (t_lo[keep] + t_hi[keep]) / 2.0
-    mid = np.column_stack([centers[ball[keep], 0] + ax[keep] + dx[keep] * tmid,
-                           centers[ball[keep], 1] + ay[keep] + dy[keep] * tmid])
-    return frac[keep] * nodal.lengths[seg[keep]], wrap_point(mid), ball[keep]
 
 
 def ball_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:

@@ -22,8 +22,10 @@ from torusnodal.ballstats import (
 )
 from torusnodal.covering import build_cover
 from torusnodal.doubling import INNER_FACTOR, OUTER_FACTOR
-from torusnodal.eigenbasis import SampledField, random_eigenfunction, sample_grid, sine_mode_spec
+from torusnodal.eigenbasis import (EigenfunctionSpec, SampledField, enumerate_modes,
+                                   random_eigenfunction, sample_grid, sine_mode_spec)
 from torusnodal.errors import BallTooLarge, RadiusUnderResolved
+from torusnodal.harness import ExperimentPlan
 from torusnodal.torus import wrap_delta
 
 from conftest import constant_spec
@@ -59,6 +61,65 @@ def bessel_mass_oracle(cx: float, r: float) -> float:
 def test_mass_against_bessel_closed_form(sine_field, cx, cy, r):
     got = mass_in_ball(sine_field, (cx, cy), r)
     assert got == pytest.approx(bessel_mass_oracle(cx, r), rel=1e-3, abs=1e-5)
+
+
+def eigenspace_ratio_forms(energy: int, r: float):
+    """(half, J- + J+, J- - J+): the mass ratio at B(0, r) as two quadratic forms on the eigenspace.
+
+    A real eigenfunction is u = sum over the modes xi of one half plane of
+    a_xi cos(2 pi xi.x) + b_xi sin(2 pi xi.x), with ||u||^2 = (|a|^2 + |b|^2)/2.
+    The ball is symmetric about its center, so the two parts do not mix, and
+    the integral over it of cos(2 pi xi.x) cos(2 pi eta.x) is pi r^2 (J(xi - eta)
+    + J(xi + eta))/2, of the sines pi r^2 (J(xi - eta) - J(xi + eta))/2, with
+    J(z) = 2 J1(s)/s at s = 2 pi |z| r (mpmath's J1).  So the mass ratio
+    mass / (pi r^2 ||u||^2) is (a.(J- + J+)a + b.(J- - J+)b) / (|a|^2 + |b|^2),
+    and every eigenfunction's ratio at every center (its translates stay in
+    the eigenspace) lies between the least and greatest eigenvalue of the two.
+    """
+    half = [m for m in enumerate_modes(energy) if m > (-m[0], -m[1])]
+
+    def jinc(x, y):
+        s = 2.0 * mpmath.pi * r * mpmath.sqrt(x * x + y * y)
+        return 1.0 if s == 0 else float(2.0 * mpmath.besselj(1, s) / s)
+
+    j_minus = np.array([[jinc(a - c, b - d) for c, d in half] for a, b in half])
+    j_plus = np.array([[jinc(a + c, b + d) for c, d in half] for a, b in half])
+    return half, j_minus + j_plus, j_minus - j_plus
+
+
+def cos_or_sin_field(energy: int, half, vector: np.ndarray, cosine: bool, n: int):
+    """The field sum of vector_xi cos(2 pi xi.x) (or sin), normalized to unit L^2 mass, on grid n."""
+    c = vector / math.sqrt(2.0) if cosine else vector / (math.sqrt(2.0) * 1j)
+    modes = half + [(-a, -b) for a, b in half]
+    coeffs = np.concatenate([c, np.conj(c)]) / float(np.linalg.norm(vector))
+    return sample_grid(EigenfunctionSpec(energy, modes, coeffs), n)
+
+
+@pytest.mark.parametrize("energy", [65, 325, 1105])
+def test_sse_ratios_lie_in_the_eigenspace_interval(energy):
+    # tol is the quadrature's accuracy as test_mass_against_bessel_closed_form asks
+    # it, 1e-3 of the ball's volume.  The bottom eigenvector's field came within
+    # 1.8e-4, 1.4e-4 and 1.1e-4 of its eigenvalue at E = 65, 325 and 1105.  (The top
+    # one's came within 2.1e-3 at E = 325, 1.0e-3 of its ratio, so it is not
+    # checked at this tolerance.)  The forms take 4-17 ms per energy to build, the
+    # whole test about 0.1 s per energy.
+    tol = 1e-3
+    plan = ExperimentPlan(energies=(energy,))
+    n = plan.grid_for(energy)
+    r = scale_radius(random_eigenfunction(energy, 0).lam, plan.rho)
+    half, g_cos, g_sin = eigenspace_ratio_forms(energy, r)
+    (w_cos, v_cos), (w_sin, v_sin) = np.linalg.eigh(g_cos), np.linalg.eigh(g_sin)
+    lo, hi = min(w_cos[0], w_sin[0]), max(w_cos[-1], w_sin[-1])
+    assert 0.0 < lo < 1.0 < hi
+    for seed in range(5):
+        field = sample_grid(random_eigenfunction(energy, seed), n)
+        d1, d2 = sse_scan(field, r, seed).extreme_ratios()
+        assert lo - tol <= d1 and d2 <= hi + tol, (seed, d1, d2, lo, hi)
+    # The bottom eigenvector's field, measured at the origin, reaches the low end.
+    cosine = w_cos[0] <= w_sin[0]
+    field = cos_or_sin_field(energy, half, (v_cos if cosine else v_sin)[:, 0], cosine, n)
+    got = ball_masses(field, [[0.0, 0.0]], r)[0] / (math.pi * r * r)
+    assert abs(got - lo) <= tol, (cosine, got, lo)
 
 
 def test_mass_is_independent_of_y_for_vertical_stripes(sine_field):

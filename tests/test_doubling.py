@@ -28,7 +28,7 @@ from torusnodal.harness import ExperimentPlan, _stage_seed, run_single
 from torusnodal.nodal import ball_sums, extract_nodal
 from torusnodal.torus import BUDGET_16K
 
-from conftest import clip_family
+from conftest import clip_family, reference_clip_batches
 from test_eigenbasis import traced_peak
 from test_nodal import full_scan_clip
 
@@ -177,8 +177,9 @@ def test_assembly_lengths_match_per_ball_full_scan(e65_field, e65_nodal):
 
 
 def parent_lower_bound_assembly(report, nodal):
-    """The lower_bound_assembly that the sliced clip replaced: every good ball in one clip_family."""
-    piece_len, _, offsets = clip_family(nodal, report.centers[report.good], report.inner.radius)
+    """The lower_bound_assembly that the sliced clip replaced, on the all-chord reference clip."""
+    piece_len, _, offsets = clip_family(nodal, report.centers[report.good], report.inner.radius,
+                                        reference_clip_batches)
     lengths = np.zeros(len(report.centers))
     lengths[report.good] = ball_sums(piece_len, offsets)
     good_lengths = lengths[report.good]

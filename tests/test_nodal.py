@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from torusnodal.ballstats import scale_radius
 from torusnodal.eigenbasis import (
@@ -15,13 +16,16 @@ from torusnodal.eigenbasis import (
 from torusnodal.covering import build_cover
 from torusnodal.doubling import DEFAULT_A1, OUTER_FACTOR
 from torusnodal.errors import BallTooLarge
-from torusnodal.harness import ExperimentPlan
+from torusnodal.harness import ExperimentPlan, ball_table
 from torusnodal.nodal import (
+    _CERTIFIED_LENGTH,
     _CORNERS,
     _EDGES,
     _SEGMENTS,
     ZERO_NUDGE,
     NodalSet,
+    _chart,
+    _chord,
     ball_sums,
     clip_lengths,
     clip_to_ball,
@@ -32,7 +36,7 @@ from torusnodal.nodal import (
     read_float_csv,
     write_float_csv,
 )
-from torusnodal.torus import wrap_delta, wrap_point
+from torusnodal.torus import periodic_distance, wrap_delta, wrap_point
 
 from conftest import clip_family, constant_spec, separable_sine_spec
 from test_eigenbasis import oracle_specs, traced_peak
@@ -247,6 +251,40 @@ def length_in(nodal, center, r):
     return float(ball_sums(piece_len, offsets)[0])
 
 
+@settings(max_examples=300)
+@given(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1.0, exclude_max=True),
+       st.one_of(st.floats(1e-9, 1.001e-9), st.floats(1e-9, 1e-2)),
+       st.one_of(st.floats(1e-3, 0.5), st.just(0.5)),
+       st.floats(0.0, 2.0 * math.pi),
+       st.one_of(st.sampled_from([0.0, math.pi / 2.0, math.pi]), st.floats(0.0, 2.0 * math.pi)),
+       st.one_of(st.just(1.0), st.floats(1.0 - 1e-6, 1.0), st.floats(0.0, 1.0)))
+@example(0.999, 0.5, 1e-9, 0.5, 0.0, 0.0, 1.0)  # radial, tangent, at the BallTooLarge edge
+@example(0.0, 0.0, 1e-9, 1e-3, 1.0, math.pi / 2.0, 1.0)  # across the seam, tangent to the circle
+def test_chord_of_a_certified_whole_segment_is_the_unit_interval(cx, cy, length, r, phi, turn,
+                                                                 margin):
+    # The kernel's whole-segment shortcut: a segment of length >= _CERTIFIED_LENGTH
+    # whose stored midpoint lies within r - 1.5 length of the center clips to exactly
+    # (0.0, 1.0).  The midpoint sits at margin * (r - 1.5 length) from the center in
+    # direction phi (margin 1 is the tangent case), the segment turned from phi by
+    # turn (0 and pi radial, pi/2 tangential).
+    r = min(r, 0.5 - length)  # the BallTooLarge edge for a longest segment of this length
+    assume(r > 1.5 * length)
+    theta = phi + turn
+    center = np.array([cx, cy])
+    mid = center + margin * (r - 1.5 * length) * np.array([math.cos(phi), math.sin(phi)])
+    half = 0.5 * length * np.array([math.cos(theta), math.sin(theta)])
+    a, b = wrap_point(mid - half), wrap_point(mid + half)
+    # The stored length and midpoint, as nodal_from_csv forms them, and the kernel's test.
+    d = wrap_delta(b - a)
+    seg_len, seg_mid = float(np.linalg.norm(d)), wrap_point(a + d / 2.0)
+    assume(float(periodic_distance(seg_mid, center)) + 1.5 * seg_len <= r)
+    assume(seg_len >= _CERTIFIED_LENGTH)
+    nodal = NodalSet(a[None], b[None], np.array([seg_len]), seg_mid[None])
+    seg = np.array([0])
+    t_lo, t_hi = _chord(*_chart(nodal, seg, center[:1], 0), *_chart(nodal, seg, center[1:], 1), r)
+    assert (t_lo.tolist(), t_hi.tolist()) == ([0.0], [1.0])
+
+
 def test_chord_clip_against_closed_form():
     # Ball B((0.45, 0.5), 0.1) meets only the line x = 1/2; the chord length
     # is 2*sqrt(r^2 - d^2) with d = 0.05.  Computed in extended precision.
@@ -367,6 +405,38 @@ def test_family_clip_matches_full_scan_on_run_families(energy):
     assert_family_matches_full_scan(nodal, doubling, 10.0 * a1 / lam, "doubling")
     limit = 0.5 - float(np.max(nodal.lengths)) - 1e-12
     assert_family_matches_full_scan(nodal, SEAM_CENTERS, limit, "limit")
+
+
+@pytest.mark.parametrize("energy", [65, 325, 1105])
+def test_clip_is_equivariant_under_grid_rolls_and_quarter_turns(energy):
+    # Rolling the samples by (i, j) cells moves the nodal set by (i, j)/N, and
+    # np.rot90 maps (u, v) to (-v - 1/N, u); marching squares and the clip commute
+    # with both, so each ball's length at its moved center is the original's up to
+    # rounding.  Across 12 seeds per energy the ball lengths (at most about 1.2,
+    # a sum of a few hundred pieces) moved by at most 9.8e-15 and the total
+    # length by 3.5e-16 relative.  About 0.2 s for the three desk energies.
+    plan = ExperimentPlan(energies=(energy,))
+    n = plan.grid_for(energy)
+    field = sample_grid(random_eigenfunction(energy, 0), n)
+    nodal = extract_nodal(field)
+    r = scale_radius(field.spec_lambda, plan.rho)
+    family = build_cover(r, 5)
+    lengths = clip_lengths(nodal, family.centers, r)
+    assert np.array_equal(ball_table(field, nodal, family, ()).lengths, lengths)
+    u, v = family.centers[:, 0], family.centers[:, 1]
+    moves = {"roll": (np.roll(field.values, (7, n // 3), axis=(0, 1)),
+                      family.centers + np.array([7, n // 3]) / n),
+             "rot90": (np.rot90(field.values), np.column_stack([-v - 1.0 / n, u]))}
+    for name, (values, centers) in moves.items():
+        moved = SampledField(n, np.ascontiguousarray(values), field.spec_lambda)
+        moved_nodal = extract_nodal(moved)
+        moved_family = dataclasses.replace(family, centers=wrap_point(centers))
+        assert moved_nodal.count == nodal.count, name
+        assert moved_nodal.total_length == pytest.approx(nodal.total_length, rel=1e-14), name
+        moved_lengths = clip_lengths(moved_nodal, moved_family.centers, r)
+        assert np.max(np.abs(moved_lengths - lengths)) <= 1e-13, name
+        table = ball_table(moved, moved_nodal, moved_family, ())
+        assert np.max(np.abs(table.lengths - lengths)) <= 1e-13, name
 
 
 def test_family_clip_of_no_balls_and_of_the_empty_set(e65_nodal, tmp_path):

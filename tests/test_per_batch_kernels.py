@@ -7,16 +7,18 @@ reduces each clip batch to per-ball numbers, and NodalSet._index keys one
 axis at a time.
 complex_strip_sup searches each corner sheet one column block at a time,
 integrate_over_nodal evaluates its weight on blocks of midpoints, and
-clip_batches drops each batch's arrays once they are dead.  The test
+clip_batches drops each batch's arrays once they are dead and, like
+clip_lengths, takes a segment certified inside its ball whole.  The test
 functions take (x, y) axes, so torus_integral and the ball table's 9x9
 lattices evaluate them on a product grid's axes, and lower_bound_assembly
 sums each good ball's pieces with clip_lengths, which forms no midpoints.
 The reference bodies below are the kernels as they stood before: a
 padded, squared copy of the field, one prefix array of all rows, a table
 holding every clipped piece with the chain reducing them, whole |v|
-sheets, one weight call over every midpoint, one clip body holding all of
-a batch's temporaries, test functions of an (M, 2) point array evaluated
-on every grid and lattice point, and the assembly's clip_family sums.
+sheets, one weight call over every midpoint, one clip body (in conftest)
+holding all of a batch's temporaries and clipping every near pair's
+chord, test functions of an (M, 2) point array evaluated on every grid
+and lattice point, and the assembly's sums over that clip's pieces.
 Every output must equal theirs byte for byte.
 """
 
@@ -36,7 +38,7 @@ from torusnodal.ballstats import (_SUB, _mass_bounds, ball_masses, default_cente
 from torusnodal.covering import BallFamily, build_cover
 from torusnodal.doubling import INNER_FACTOR, OUTER_FACTOR, lower_bound_assembly
 from torusnodal.eigenbasis import TWO_PI, _mode_sum, random_eigenfunction, sample_grid
-from torusnodal.errors import BallTooLarge, NegativeTestFunction
+from torusnodal.errors import NegativeTestFunction
 from torusnodal.growth import StripSup, _sheet_argmax, _tensor_abs, _zoom, complex_strip_sup
 from torusnodal.harness import (_LATTICE_SIDE, _QUADRATURE_SLACK, BUMP_CENTER, BUMP_LIPSCHITZ,
                                 BUMP_WIDTH, TEST_FUNCTIONS, ChainTrace, ExperimentPlan,
@@ -45,9 +47,9 @@ from torusnodal.harness import (_LATTICE_SIDE, _QUADRATURE_SLACK, BUMP_CENTER, B
                                 torus_integral)
 from torusnodal.nodal import (NodalSet, ball_sums, clip_batches, clip_lengths, extract_nodal,
                               integrate_over_nodal)
-from torusnodal.torus import BUDGET_32K, periodic_distance, wrap_delta, wrap_point
+from torusnodal.torus import periodic_distance, wrap_delta, wrap_point
 
-from conftest import clip_family, constant_spec, integrals_for
+from conftest import clip_family, constant_spec, integrals_for, reference_clip_batches
 from test_doubling import parent_lower_bound_assembly
 from test_eigenbasis import grid_sum, traced_peak
 
@@ -306,68 +308,6 @@ def reference_bucket_index(nodal):
     return order, np.searchsorted(key[order], np.arange(nb * nb + 1))
 
 
-def reference_clip_batches(nodal, centers, r: float):
-    """clip_batches as one loop body, every temporary of a batch alive at its yield."""
-    if not 0.0 < r < 0.5:
-        raise BallTooLarge(f"ball radius must lie in (0, 1/2), got {r!r}")
-    index = nodal._index
-    if r > 0.5 - index.max_len:
-        raise BallTooLarge(
-            f"radius {r!r} leaves no chart margin for segments of length {index.max_len!r}")
-    centers = np.asarray(centers, dtype=float).reshape(-1, 2)
-    nb, count = index.buckets, nodal.count
-    reach = r + index.max_len / 2.0
-    lo = np.floor((centers - reach) * nb).astype(np.int64) - 1
-    hi = np.floor((centers + reach) * nb).astype(np.int64) + 1
-    w = min(nb, int(np.max(hi - lo, initial=0)) + 1)
-    bound = reach * nb + 1.0 if w < nb else 2.0 * nb + 2.0
-    step = max(1, BUDGET_32K // (w * w))
-    for b0 in range(0, len(centers), step):
-        rows = lo[b0:b0 + step, :1] + np.arange(w)
-        u = centers[b0:b0 + step] * nb
-        gap = np.maximum(np.maximum(rows - u[:, :1], u[:, :1] - rows - 1.0), 0.0)
-        k, i = np.nonzero(gap <= bound)
-        h = np.sqrt(bound * bound - gap[k, i] ** 2)
-        j0 = np.maximum(lo[b0 + k, 1], np.ceil(u[k, 1] - 1.0 - h).astype(np.int64))
-        j1 = np.minimum(lo[b0 + k, 1] + w - 1, np.floor(u[k, 1] + h).astype(np.int64))
-        base = rows[k, i] % nb * nb
-        jl = j0 % nb
-        end = jl + np.maximum(j1 - j0 + 1, 0)
-        first = index.starts[np.concatenate([base + jl, base])]
-        sizes = index.starts[np.concatenate([base + np.minimum(end, nb),
-                                             base + np.maximum(end - nb, 0)])] - first
-        ball = np.repeat(np.concatenate([k, k]) + b0, sizes)
-        pos = np.repeat(first - (np.cumsum(sizes) - sizes), sizes) + np.arange(ball.size)
-        seg = index.order[pos]
-
-        dx = wrap_delta(nodal.midpoints[seg, 0] - centers[ball, 0])
-        dy = wrap_delta(nodal.midpoints[seg, 1] - centers[ball, 1])
-        near = np.sqrt(dx * dx + dy * dy) <= r + nodal.lengths[seg] / 2.0
-        ball, seg = np.divmod(np.sort(ball[near] * count + seg[near]), count)
-        cx, cy = centers[ball, 0], centers[ball, 1]
-        ax = wrap_delta(nodal.a[seg, 0] - cx)
-        ay = wrap_delta(nodal.a[seg, 1] - cy)
-        dx = wrap_delta(wrap_delta(nodal.b[seg, 0] - cx) - ax)
-        dy = wrap_delta(wrap_delta(nodal.b[seg, 1] - cy) - ay)
-        qa = dx * dx + dy * dy
-        qb = 2.0 * (ax * dx + ay * dy)
-        qc = (ax * ax + ay * ay) - r * r
-        disc = qb * qb - 4.0 * qa * qc
-
-        ok = (disc > 0.0) & (qa > 1e-300)
-        root = np.sqrt(np.where(ok, disc, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_lo = np.where(ok, np.clip((-qb - root) / (2.0 * qa), 0.0, 1.0), 0.0)
-            t_hi = np.where(ok, np.clip((-qb + root) / (2.0 * qa), 0.0, 1.0), 0.0)
-        frac = t_hi - t_lo
-        keep = frac > 0.0
-        tmid = (t_lo[keep] + t_hi[keep]) / 2.0
-        mid = np.column_stack([cx[keep] + ax[keep] + dx[keep] * tmid,
-                               cy[keep] + ay[keep] + dy[keep] * tmid])
-        yield (b0, min(b0 + step, len(centers)), frac[keep] * nodal.lengths[seg[keep]],
-               wrap_point(mid), ball[keep])
-
-
 def reference_integrate_over_nodal(nodal, f) -> float:
     """integrate_over_nodal with f evaluated on every midpoint in one call."""
     if nodal.count == 0:
@@ -538,17 +478,21 @@ def test_clip_batches_equal_the_one_body_reference(energy, awkward_nodal):
              if label != "edge" or energy <= 325]  # a radius near 1/2 reads the whole set
     cases.append((awkward_nodal, "awkward", SEAM_CENTERS, 0.01))
     for soup, label, centers, r in cases:
-        got = list(clip_batches(soup, centers, r))
-        want = list(reference_clip_batches(soup, centers, r))
-        assert len(got) == len(want), label
-        for g, w in zip(got, want):
-            assert g[:2] == w[:2], label
-            for x, y in zip(g[2:], w[2:]):
-                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), label
-        # The lengths-only clip sums the same pieces without forming their midpoints.
-        piece_len, _, offsets = clip_family(soup, centers, r)
-        want_lengths = ball_sums(piece_len, offsets)
-        assert clip_lengths(soup, centers, r).tobytes() == want_lengths.tobytes(), label
+        assert_clips_match_the_all_chord_reference(soup, centers, r, label)
+
+
+def assert_clips_match_the_all_chord_reference(nodal, centers, r, label):
+    """clip_batches' batches and clip_lengths' sums equal the all-chord reference's bytes."""
+    got = list(clip_batches(nodal, centers, r))
+    want = list(reference_clip_batches(nodal, centers, r))
+    assert len(got) == len(want), label
+    for g, w in zip(got, want):
+        assert g[:2] == w[:2], label
+        for x, y in zip(g[2:], w[2:]):  # piece_len, piece_mid, owners
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), label
+    # The lengths-only clip sums the same pieces without forming their midpoints.
+    want_lengths = ball_sums(*clip_family(nodal, centers, r, reference_clip_batches)[::2])
+    assert clip_lengths(nodal, centers, r).tobytes() == want_lengths.tobytes(), label
 
 
 @pytest.mark.parametrize("energy", ENERGIES)
@@ -633,8 +577,7 @@ def test_assembly_of_tiny_segments_equals_the_parent():
     nodal = NodalSet(wrap_point(a), wrap_point(b), lengths, wrap_point(a + (b - a) / 2.0))
     centers = [[0.3, 0.42], [0.02, 0.44], [0.3, 0.36], [0.2, 0.4], [0.3, 0.2]]
     for r in (0.05, 0.1, 0.12):
-        want = ball_sums(*clip_family(nodal, centers, r)[::2])
-        assert clip_lengths(nodal, centers, r).tobytes() == want.tobytes(), r
+        assert_clips_match_the_all_chord_reference(nodal, centers, r, r)
         assert_assembly_matches_the_parent(assembly_report(centers, r), nodal)
     # Balls that hold only the tiny segments: the parent finds no piece of the
     # collapsed ones, and the 1e-12 ones whole.
@@ -666,9 +609,7 @@ def assert_circle_through_endpoints_matches_the_parent(e1105_nodal, r, rng):
     # From a, the circle meets a; from b, stepping back along the segment, it meets b.
     centers = wrap_point(np.where(at_b, b - (r + gap)[:, None] * direction,
                                   a + (r + gap)[:, None] * direction))
-    piece_len, _, offsets = clip_family(e1105_nodal, centers, r)
-    assert clip_lengths(e1105_nodal, centers, r).tobytes() == ball_sums(piece_len,
-                                                                         offsets).tobytes()
+    assert_clips_match_the_all_chord_reference(e1105_nodal, centers, r, r)
     assert_assembly_matches_the_parent(assembly_report(centers, r), e1105_nodal)
 
 
