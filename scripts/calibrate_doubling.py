@@ -18,12 +18,12 @@ import math
 import numpy as np
 
 from torusnodal.doubling import sign_changes
-from torusnodal.eigenbasis import random_eigenfunction, sample_grid
+from torusnodal.eigenbasis import frequency, random_eigenfunction, sample_grid
 
 
 def sign_change_fractions(energy: int, n_seeds: int, grid: int,
                           a1_values: list[float]) -> dict[float, tuple[int, int]]:
-    lam = 2.0 * math.pi * math.sqrt(energy)
+    lam = frequency(energy)
     tally = {a1: [0, 0] for a1 in a1_values}
     for seed in range(n_seeds):
         field = sample_grid(random_eigenfunction(energy, seed), grid)

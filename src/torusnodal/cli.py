@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -21,7 +20,7 @@ from .ballstats import report_summary_json, report_to_csv, scale_radius, sse_sca
 from .covering import build_cover, family_to_csv, family_to_json
 from .doubling import (DEFAULT_A1, DEFAULT_A2, doubling_stage, report_to_json as doubling_json,
                        require_doubling_constants, require_resolved_doubling)
-from .eigenbasis import (EigenfunctionSpec, enumerate_modes, random_eigenfunction,
+from .eigenbasis import (EigenfunctionSpec, enumerate_modes, frequency, random_eigenfunction,
                          require_sampling_grid, sample_grid, spec_from_json, spec_to_json)
 from .errors import EmptySpectrum, TorusNodalError
 from .growth import growth_report
@@ -80,7 +79,7 @@ def cmd_modes(args) -> int:
         return 0
     for mx, my in modes:
         print(f"{mx},{my}")
-    lam = 2.0 * math.pi * math.sqrt(args.energy)
+    lam = frequency(args.energy)
     print(f"[modes] E={args.energy} count={len(modes)} lambda={lam!r}")
     return 0
 

@@ -162,15 +162,12 @@ def lower_bound_assembly(report: DoublingReport, nodal: NodalSet) -> dict:
     a3 = min over good balls of (length * lam).
     """
     good_lengths = clip_lengths(nodal, report.centers[report.good], report.inner.radius)
-    lengths = np.zeros(len(report.centers))
-    lengths[report.good] = good_lengths
     bound = float(np.sum(good_lengths)) / OVERLAP_VOLUME_BOUND
     a3 = float(np.min(good_lengths) * report.lam) if good_lengths.size else float("nan")
     return {
         "assembled_lower_bound": bound,
         "a3_hat": a3,
         "good_count": int(np.sum(report.good)),
-        "lengths": lengths,
     }
 
 

@@ -47,6 +47,11 @@ def is_number(value) -> bool:
     return isinstance(value, float) and math.isfinite(value)
 
 
+def frequency(energy) -> float:
+    """lam = 2 pi sqrt(E), the square root of the Laplace eigenvalue 4 pi^2 E."""
+    return TWO_PI * math.sqrt(energy)
+
+
 def enumerate_modes(energy: int) -> list[tuple[int, int]]:
     """Return all (a, b) in Z^2 with a^2 + b^2 == energy, lexicographically.
 
@@ -109,8 +114,8 @@ class EigenfunctionSpec:
 
     @property
     def lam(self) -> float:
-        """Square root of the Laplace eigenvalue, 2 pi sqrt(energy)."""
-        return TWO_PI * math.sqrt(self.energy)
+        """Square root of the Laplace eigenvalue, frequency(energy)."""
+        return frequency(self.energy)
 
 
 def random_eigenfunction(energy: int, seed: int) -> EigenfunctionSpec:
@@ -166,7 +171,7 @@ def _mode_sum(pts: np.ndarray, xi: np.ndarray, coeffs: np.ndarray) -> np.ndarray
     Each row's sum is the same float in a batch of any size: BLAS sums two
     rows or more row by row alike, but one row along another path, so a lone
     row is summed as two equal rows.  A process pins OpenBLAS to one thread
-    on its first BLAS use (this call or growth's tensor sums) and keeps it
+    on its first BLAS use (this call or growth's tensor locate) and keeps it
     there: on these small products a helper thread only burns a second
     core.  harness.run_plan pins before its pool forks, so fork workers
     inherit the pin; spawned workers pin on their first use.  The sums are
@@ -185,14 +190,6 @@ def real_part(vals: np.ndarray, coeffs: np.ndarray, where=True) -> np.ndarray:
     if np.max(np.abs(vals.imag), where=where, initial=0.0) > IMAG_TOL * np.sum(np.abs(coeffs)):
         raise NonRealValue("evaluation produced a non-negligible imaginary part")
     return vals.real
-
-
-def evaluate(spec: EigenfunctionSpec, pts) -> np.ndarray:
-    """Evaluate the trigonometric sum exactly at an (M, 2) batch of points (see real_part)."""
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or not np.all(np.isfinite(pts)):
-        raise ValueError("points must be a finite (M, 2) array")
-    return real_part(_mode_sum(pts, np.asarray(spec.modes, dtype=float), spec.coeffs), spec.coeffs)
 
 
 @dataclass(frozen=True)

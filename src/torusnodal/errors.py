@@ -38,7 +38,7 @@ class DivisionByNegligibleMass(TorusNodalError):
 
 
 class ChartExceeded(TorusNodalError):
-    """Requested local coordinates fall outside the dilated view's chart."""
+    """A doubled ball leaves the growth chart |y| <= 10 of real_doubling_exponent."""
 
 
 class NegativeTestFunction(TorusNodalError):

@@ -58,8 +58,9 @@ from .ballstats import CertifiedMasses, median, require_resolved_radius, scale_r
 from .covering import BallFamily, build_cover, cover_admissible
 from .doubling import (DEFAULT_A1, DEFAULT_A2, doubling_admissible, doubling_stage,
                        require_doubling_constants, require_resolved_doubling)
-from .eigenbasis import (SampledField, _pin_blas_thread, enumerate_modes, is_int, is_number,
-                         random_eigenfunction, require_sampling_grid, sample_grid, sine_mode_spec)
+from .eigenbasis import (SampledField, _pin_blas_thread, enumerate_modes, frequency, is_int,
+                         is_number, random_eigenfunction, require_sampling_grid, sample_grid,
+                         sine_mode_spec)
 from .errors import (BallTooLarge, DivisionByNegligibleMass, EmptySpectrum, NegativeTestFunction,
                      RadiusUnderResolved, ResolutionTooCoarse)
 from .growth import growth_report
@@ -284,7 +285,7 @@ class ExperimentPlan:
         object.__setattr__(self, "tolerances", merged)
         for e in self.energies:
             n = self.grid_for(e)
-            lam = 2.0 * math.pi * math.sqrt(e)
+            lam = frequency(e)
             r = scale_radius(lam, self.rho)
             try:
                 require_sampling_grid(e, n)
@@ -294,7 +295,7 @@ class ExperimentPlan:
                     require_resolved_doubling(lam, self.doubling_a1, n)
             except (BallTooLarge, RadiusUnderResolved, ResolutionTooCoarse) as exc:
                 raise ValueError(f"{exc} at E={e}") from None
-        r_ref = scale_radius(2.0 * math.pi * math.sqrt(max(self.energies)), self.rho)
+        r_ref = scale_radius(frequency(max(self.energies)), self.rho)
         if self.include_low_energy_control and not cover_admissible(r_ref):
             raise ValueError(f"the control's radius, the scale radius {r_ref!r} at "
                              f"E={max(self.energies)}, is not below 1/4; "
@@ -851,7 +852,7 @@ def control_run(plan: ExperimentPlan) -> dict:
     must fail; the control documents that the band is a real condition,
     not an artifact of the pipeline.
     """
-    r_ref = scale_radius(2.0 * math.pi * math.sqrt(max(plan.energies)), plan.rho)
+    r_ref = scale_radius(frequency(max(plan.energies)), plan.rho)
     spec = sine_mode_spec(1)
     n = max(plan.grid_for(1), math.ceil(24.0 / r_ref))
     field = sample_grid(spec, n)

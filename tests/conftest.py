@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from torusnodal.eigenbasis import EigenfunctionSpec, random_eigenfunction, sample_grid
+from torusnodal.eigenbasis import (EigenfunctionSpec, _mode_sum, random_eigenfunction, real_part,
+                                   sample_grid)
 from torusnodal.errors import BallTooLarge
 from torusnodal.harness import function_integrals, torus_integral
 from torusnodal.nodal import NodalSet, clip_batches, extract_nodal
@@ -17,6 +18,17 @@ def separable_sine_spec() -> EigenfunctionSpec:
     modes = ((-1, -1), (-1, 1), (1, -1), (1, 1))
     coeffs = np.array([-0.5, 0.5, 0.5, -0.5], dtype=complex)
     return EigenfunctionSpec(2, modes, coeffs)
+
+
+def evaluate(spec: EigenfunctionSpec, pts) -> np.ndarray:
+    """The point-evaluation oracle: the exact trigonometric sum at an (M, 2) batch of points.
+
+    One _mode_sum over every row, its imaginary residue checked by real_part.
+    """
+    pts = np.asarray(pts, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2 or not np.all(np.isfinite(pts)):
+        raise ValueError("points must be a finite (M, 2) array")
+    return real_part(_mode_sum(pts, np.asarray(spec.modes, dtype=float), spec.coeffs), spec.coeffs)
 
 
 def integrals_for(field, nodal, test_functions):

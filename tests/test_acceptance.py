@@ -21,7 +21,7 @@ from torusnodal.eigenbasis import (
     sample_grid,
     sine_mode_spec,
 )
-from torusnodal.growth import complex_strip_sup, growth_in_C_exponent
+from torusnodal.growth import complex_strip_sup, growth_report
 from torusnodal.harness import plan_from_json, report_to_json, run_plan
 from torusnodal.nodal import extract_nodal, integrate_over_nodal
 from torusnodal.torus import wrap_delta
@@ -292,15 +292,15 @@ def test_criterion_10_bound_chain(desk_report):
 
 
 def test_criterion_11_growth_exponents(desk_report):
-    flat = growth_in_C_exponent(constant_spec(), 0.1)
-    flat_ok = flat["c9_hat"] == 0.0 and flat["strip_sup"] == 1.0
+    flat = growth_report(constant_spec(), 0.1, 0.25, 0.1)
+    flat_ok = flat.c9_hat == 0.0 and flat.strip_sup == 1.0
 
     tau = 0.1
     with mpmath.workdps(40):
         strip_expect = float(mpmath.sqrt(2) * mpmath.cosh(2 * mpmath.pi * tau))
-    strip = complex_strip_sup(sine_mode_spec(1), tau)
-    strip_ok = abs(strip.sampled - strip_expect) <= 1e-6 * strip_expect
-    cert_ok = strip.certificate >= strip.sampled
+    sampled, certificate = complex_strip_sup(sine_mode_spec(1), tau)
+    strip_ok = abs(sampled - strip_expect) <= 1e-6 * strip_expect
+    cert_ok = certificate >= sampled
 
     v = desk_report.verdicts["growth_c9_uniform"]
     uniform_ok = bool(v["pass"]) and v["ratio"] <= 2.0
@@ -313,7 +313,7 @@ def test_criterion_11_growth_exponents(desk_report):
         11,
         "growth exponents",
         ok,
-        f"flat c9={flat['c9_hat']} strip err={abs(strip.sampled - strip_expect):.2e} "
+        f"flat c9={flat.c9_hat} strip err={abs(sampled - strip_expect):.2e} "
         f"median ratio across energies={v['ratio']:.4f}",
     )
     assert ok

@@ -25,7 +25,7 @@ from torusnodal.eigenbasis import (
 )
 from torusnodal.errors import DivisionByNegligibleMass, RadiusTooLarge, RadiusUnderResolved
 from torusnodal.harness import ExperimentPlan, _stage_seed, run_single
-from torusnodal.nodal import ball_sums, extract_nodal
+from torusnodal.nodal import ball_sums, clip_lengths, extract_nodal
 from torusnodal.torus import BUDGET_16K
 
 from conftest import clip_family, reference_clip_batches
@@ -170,26 +170,28 @@ def test_assembly_lengths_match_per_ball_full_scan(e65_field, e65_nodal):
     report = classify_doubling(e65_field, build_cover(r_out / 2.0, seed=11).centers,
                                a1=0.5, a2=4.0)
     assert 0 < np.sum(report.good) < len(report.centers)
-    lengths = lower_bound_assembly(report, e65_nodal)["lengths"]
-    want = [float(np.sum(full_scan_clip(e65_nodal, c, report.inner.radius)[0])) if good else 0.0
-            for c, good in zip(report.centers, report.good)]
+    good = report.centers[report.good]
+    lengths = clip_lengths(e65_nodal, good, report.inner.radius)
+    want = [float(np.sum(full_scan_clip(e65_nodal, c, report.inner.radius)[0])) for c in good]
     assert lengths.tolist() == want
+    # The assembly sums exactly these lengths.
+    assembly = lower_bound_assembly(report, e65_nodal)
+    bound = float(np.sum(lengths)) / doubling.OVERLAP_VOLUME_BOUND
+    assert assembly["assembled_lower_bound"] == bound
+    assert assembly["a3_hat"] == float(np.min(lengths) * report.lam)
 
 
 def parent_lower_bound_assembly(report, nodal):
     """The lower_bound_assembly that the sliced clip replaced, on the all-chord reference clip."""
     piece_len, _, offsets = clip_family(nodal, report.centers[report.good], report.inner.radius,
                                         reference_clip_batches)
-    lengths = np.zeros(len(report.centers))
-    lengths[report.good] = ball_sums(piece_len, offsets)
-    good_lengths = lengths[report.good]
+    good_lengths = ball_sums(piece_len, offsets)
     bound = float(np.sum(good_lengths)) / doubling.OVERLAP_VOLUME_BOUND
     a3 = float(np.min(good_lengths) * report.lam) if good_lengths.size else float("nan")
     return {
         "assembled_lower_bound": bound,
         "a3_hat": a3,
         "good_count": int(np.sum(report.good)),
-        "lengths": lengths,
     }
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from torusnodal import growth
 from torusnodal.eigenbasis import (
     TWO_PI,
     EigenfunctionSpec,
@@ -20,7 +21,6 @@ from torusnodal.eigenbasis import (
     _column_blocks,
     _openblas_function,
     enumerate_modes,
-    evaluate,
     random_eigenfunction,
     real_part,
     require_sampling_grid,
@@ -32,7 +32,7 @@ from torusnodal.eigenbasis import (
 from torusnodal.errors import EmptySpectrum, NonRealValue, ResolutionTooCoarse
 from torusnodal.harness import ExperimentPlan
 
-from conftest import constant_spec, separable_sine_spec
+from conftest import constant_spec, evaluate, separable_sine_spec
 
 # Energies with spectra of known size, validated against the brute-force
 # oracle below before being frozen here.
@@ -149,7 +149,7 @@ needs_openblas = pytest.mark.skipif(_openblas_function("set_num_threads") is Non
 
 
 def _blas_thread_calls():
-    """OpenBLAS's set_num_threads and get_num_threads, through evaluate's own lookup."""
+    """OpenBLAS's set_num_threads and get_num_threads, through the program's own lookup."""
     set_threads = _openblas_function("set_num_threads")
     get_threads = _openblas_function("get_num_threads")
     set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
@@ -183,12 +183,36 @@ def _blas_threads_after_evaluate(spec, pts) -> int:
 
 @needs_openblas
 def test_pool_worker_keeps_one_blas_thread_after_evaluate():
-    # A spawned worker inherits no pin from this process: evaluate must set it.
+    # A spawned worker inherits no pin from this process: _mode_sum must set it.
     spec = random_eigenfunction(1105, 0)
     pts = np.random.default_rng(4).random((441, 2))
     with ProcessPoolExecutor(max_workers=1,
                              mp_context=multiprocessing.get_context("spawn")) as pool:
         assert pool.submit(_blas_threads_after_evaluate, spec, pts).result() == 1
+
+
+def _blas_threads_at_and_after_torus_sup(spec) -> tuple[int, int]:
+    """OpenBLAS's thread count as torus_sup's first exact sum starts, and after torus_sup."""
+    get_threads = _blas_thread_calls()[1]
+    seen, mode_sum = [], growth._mode_sum
+
+    def recording(*args):
+        seen.append(get_threads())
+        return mode_sum(*args)
+
+    growth._mode_sum = recording
+    growth.torus_sup(spec)
+    return seen[0], get_threads()
+
+
+@needs_openblas
+def test_pool_worker_keeps_one_blas_thread_after_torus_sup():
+    # In a spawned worker, growth's tensor locate is the first BLAS product:
+    # it must pin before it, not leave the pin to the exact sums after it.
+    with ProcessPoolExecutor(max_workers=1,
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        got = pool.submit(_blas_threads_at_and_after_torus_sup, random_eigenfunction(1105, 0))
+        assert got.result() == (1, 1)
 
 
 # Each fork worker prints its OS thread count after every run it makes, in

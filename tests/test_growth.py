@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from torusnodal import growth
-from torusnodal.eigenbasis import (
-    TWO_PI,
-    _mode_sum,
-    evaluate,
-    random_eigenfunction,
-    sine_mode_spec,
-)
+from torusnodal.eigenbasis import TWO_PI, _mode_sum, random_eigenfunction, sine_mode_spec
 from torusnodal.errors import ChartExceeded, NonRealValue
 from torusnodal.growth import (
     REFINE_PASSES,
@@ -20,16 +14,14 @@ from torusnodal.growth import (
     REFINE_SHRINK,
     TENSOR_TOL,
     VIEW_OFFSETS,
-    DilatedView,
-    _tensor_abs,
     complex_strip_sup,
-    growth_in_C_exponent,
     growth_report,
     real_doubling_exponent,
     torus_sup,
 )
+from torusnodal.torus import wrap_point
 
-from conftest import constant_spec, separable_sine_spec
+from conftest import constant_spec, evaluate, separable_sine_spec
 from test_eigenbasis import grid_sum
 
 BASELINE = json.loads(
@@ -52,17 +44,16 @@ def test_strip_sup_single_mode_closed_form(tau):
     # sqrt(2) cosh(2 pi tau); extended-precision hyperbolic oracle.
     with mpmath.workdps(40):
         expect = float(mpmath.sqrt(2) * mpmath.cosh(2 * mpmath.pi * tau))
-    got = complex_strip_sup(sine_mode_spec(1), tau)
-    assert got.sampled == pytest.approx(expect, rel=1e-6)
-    assert got.certificate >= got.sampled
-    assert got.tau == tau
+    sampled, certificate = complex_strip_sup(sine_mode_spec(1), tau)
+    assert sampled == pytest.approx(expect, rel=1e-6)
+    assert certificate >= sampled
 
 
 def test_strip_certificate_dominates_sampled_sup():
     for seed in (0, 1, 2):
         spec = random_eigenfunction(65, seed)
-        ss = complex_strip_sup(spec, 65**-0.5)
-        assert ss.certificate >= ss.sampled > 0.0
+        sampled, certificate = complex_strip_sup(spec, 65**-0.5)
+        assert certificate >= sampled > 0.0
 
 
 def test_strip_tau_validation():
@@ -75,7 +66,7 @@ def test_strip_tau_validation():
 def test_strip_rejects_an_overflowing_certificate(recwarn):
     # At E=65, |xi|_1 reaches 11, so exp(2 pi |xi|_1 tau) overflows a float from tau ~ 10.27.
     spec = random_eigenfunction(65, 1)
-    assert math.isfinite(complex_strip_sup(spec, 10.2).certificate)
+    assert math.isfinite(complex_strip_sup(spec, 10.2)[1])
     with pytest.raises(ValueError, match=r"tau=10\.3, E=65"):
         complex_strip_sup(spec, 10.3)
     assert not recwarn.list
@@ -85,50 +76,48 @@ def test_real_doubling_exponent_single_mode_closed_form():
     # In the dilated chart v(y) = -sqrt(2) sin(2 pi r y1); the one-ball to
     # two-ball sup ratio at the origin is sin(4 pi r d)/sin(2 pi r d).
     r, d = 0.02, 0.25
-    view = DilatedView(sine_mode_spec(1), (0.5, 0.25), r)
-    got = real_doubling_exponent(view, d, np.array([[0.0, 0.0]]))[0]
+    spec = sine_mode_spec(1)
+    got = real_doubling_exponent(spec, (0.5, 0.25), r, d, np.array([[0.0, 0.0]]))[0]
     expect = math.log(math.sin(4 * math.pi * r * d) / math.sin(2 * math.pi * r * d))
-    expect /= view.mu
+    expect /= r * spec.lam
     assert got == pytest.approx(expect, rel=1e-3)
 
 
 def test_real_doubling_exponent_respects_chart():
-    view = DilatedView(sine_mode_spec(1), (0.5, 0.25), 0.02)
     with pytest.raises(ChartExceeded):
-        real_doubling_exponent(view, 0.25, np.array([[10.2, 0.0]]))
+        real_doubling_exponent(sine_mode_spec(1), (0.5, 0.25), 0.02, 0.25, np.array([[10.2, 0.0]]))
 
 
 def test_dilated_view_matches_spec_evaluation():
-    spec = random_eigenfunction(65, 7)
-    center = np.array([0.3, 0.6])
-    r = 0.02
-    view = DilatedView(spec, tuple(center), r)
-    assert view.mu == pytest.approx(r * spec.lam)
-    ys = np.array([[0.0, 0.0], [1.0, 0.0], [-2.0, 3.0], [8.0, -5.0]])
-    got = view.evaluate(ys)
-    want = evaluate(spec, (center + r * ys) % 1.0)
-    assert np.max(np.abs(got - want)) < 1e-12
+    # The chart around (0.3, 0.6) at r = 0.02 reads u at wrap_point(c + r y), bit for bit.
+    spec, center, r = random_eigenfunction(65, 7), (0.3, 0.6), 0.02
+    offsets = np.array([[0.0, 0.0], [1.0, 0.0], [-2.0, 3.0], [6.0, -5.0]])
+    got = real_doubling_exponent(spec, center, r, 0.5, offsets)
+    assert got.tobytes() == dense_c7(spec, center, r, 0.5, offsets).tobytes()
 
 
 def test_dilated_view_chart_bound():
-    view = DilatedView(random_eigenfunction(65, 0), (0.5, 0.5), 0.02)
+    # A doubled ball may reach |y| = 10 exactly, and not beyond.
+    spec = random_eigenfunction(65, 0)
+    assert np.all(np.isfinite(real_doubling_exponent(spec, (0.5, 0.5), 0.02, 0.25, [[9.5, 0.0]])))
     with pytest.raises(ChartExceeded):
-        view.evaluate(np.array([[10.5, 0.0]]))
+        real_doubling_exponent(spec, (0.5, 0.5), 0.02, 0.25, [[9.5, 1e-6]])
 
 
 def test_flat_profile_has_zero_growth():
-    blob = growth_in_C_exponent(constant_spec(), 0.1)
-    assert blob["c9_hat"] == 0.0
-    assert blob["strip_sup"] == 1.0
-    assert blob["real_sup"] == 1.0
-    assert blob["mu_eff"] == 0.0
+    report = growth_report(constant_spec(), 0.1, 0.25, 0.1)
+    assert report.c9_hat == 0.0
+    assert report.c7_max == 0.0
+    assert report.strip_sup == 1.0
+    assert report.real_sup == 1.0
+    assert report.mu_eff == 0.0
 
 
 def test_growth_in_C_exponent_positive_for_oscillation():
-    blob = growth_in_C_exponent(random_eigenfunction(65, 7), 65**-0.5)
-    assert blob["c9_hat"] > 0.0
-    assert blob["strip_sup"] >= blob["real_sup"] > 0.0
-    assert blob["strip_certificate"] >= blob["strip_sup"] * (1 - 1e-12)
+    report = growth_report(random_eigenfunction(65, 7), 0.1, 0.25, 65**-0.5)
+    assert report.c9_hat > 0.0
+    assert report.strip_sup >= report.real_sup > 0.0
+    assert report.strip_certificate >= report.strip_sup * (1 - 1e-12)
 
 
 def test_growth_report_regression():
@@ -151,8 +140,8 @@ def test_growth_exponent_scale_is_stable_across_seeds():
     # loose factor-two check on a few draws guards the normalization.
     values = []
     for energy in (65, 325):
-        spec_seeds = [growth_in_C_exponent(random_eigenfunction(energy, s),
-                                           energy**-0.5)["c9_hat"] for s in range(3)]
+        spec_seeds = [growth_report(random_eigenfunction(energy, s), energy**-0.5, 0.25,
+                                    energy**-0.5).c9_hat for s in range(3)]
         values.append(np.median(spec_seeds))
     assert max(values) <= 2.0 * min(values)
     assert all(v > 0.2 for v in values)
@@ -161,7 +150,7 @@ def test_growth_exponent_scale_is_stable_across_seeds():
 # Bit-for-bit oracle of the sup searches: the dense search, where every
 # masked grid point goes through the exact sum.
 
-def _dense_zoom(eval_abs, p, w, center, radius):
+def dense_zoom(eval_abs, p, w, center, radius):
     best = -math.inf
     for _ in range(REFINE_PASSES):
         t = np.linspace(-w, w, REFINE_POINTS)
@@ -176,7 +165,7 @@ def _dense_zoom(eval_abs, p, w, center, radius):
     return best
 
 
-def _dense_disk_sup(eval_abs, center, radius, step):
+def dense_disk_sup(eval_abs, center, radius, step):
     c = np.asarray(center, dtype=float)
     k = max(8, int(math.ceil(2.0 * radius / step)) + 1)
     t = np.linspace(-radius, radius, k)
@@ -185,23 +174,27 @@ def _dense_disk_sup(eval_abs, center, radius, step):
     pts = c + np.stack([gx[mask], gy[mask]], axis=-1)
     vals = eval_abs(pts)
     top = int(np.argmax(vals))
-    return max(float(vals[top]), _dense_zoom(eval_abs, pts[top], 2.0 * radius / (k - 1), c, radius))
+    return max(float(vals[top]), dense_zoom(eval_abs, pts[top], 2.0 * radius / (k - 1), c, radius))
 
 
-def _dense_c7(view, delta, centers):
-    def eval_abs(pts):
-        return np.abs(view.evaluate(pts))
+def dense_c7(spec, center, r, delta, offsets):
+    c = np.asarray(center, dtype=float)
 
-    step = (TWO_PI / view.mu) / 10.0 if view.mu > 0.0 else delta / 16.0
+    def eval_abs(ys):
+        return np.abs(evaluate(spec, wrap_point(c + r * ys)))
+
+    mu = r * spec.lam
+    step = (TWO_PI / mu) / 10.0 if mu > 0.0 else delta / 16.0
     out = []
-    for p in centers:
-        s1 = _dense_disk_sup(eval_abs, p, delta, step)
-        logr = math.log(max(_dense_disk_sup(eval_abs, p, 2.0 * delta, step), s1) / s1)
-        out.append(0.0 if logr == 0.0 else logr / view.mu)
+    for p in offsets:
+        s1 = dense_disk_sup(eval_abs, p, delta, step)
+        logr = math.log(max(dense_disk_sup(eval_abs, p, 2.0 * delta, step), s1) / s1)
+        out.append(0.0 if logr == 0.0 else logr / mu)
     return np.array(out)
 
 
-def _dense_strip_sup(spec, tau):
+def dense_strip_sup(spec, tau):
+    """The strip sup from each corner's whole |v| sheet and the dense zoom around its argmax."""
     xi = np.asarray(spec.modes, dtype=float)
     n = max(64, 10 * math.ceil(math.sqrt(max(spec.energy, 1))))
     corners = [np.array([sy * tau, sx * tau]) for sy in (-1.0, 1.0) for sx in (-1.0, 1.0)]
@@ -211,7 +204,7 @@ def _dense_strip_sup(spec, tau):
         sheet = np.abs(grid_sum(spec.modes, coeffs, n))
         i, j = divmod(int(np.argmax(sheet)), n)
         p0 = np.array([i / n, j / n])
-        refined = _dense_zoom(lambda pts: np.abs(_mode_sum(pts, xi, coeffs)), p0, 1.0 / n, p0, 10.0)
+        refined = dense_zoom(lambda pts: np.abs(_mode_sum(pts, xi, coeffs)), p0, 1.0 / n, p0, 10.0)
         best = max(best, float(sheet[i, j]), refined)
     return best
 
@@ -221,24 +214,29 @@ ORACLE_SPECS = {f"E{e}-seed{s}": random_eigenfunction(e, 900 + s)
 # A whole ridge of maxima, all points tied, and a separable product.
 ORACLE_SPECS.update(sine=sine_mode_spec(1), constant=constant_spec(),
                     separable=separable_sine_spec())
+# Chart centers: the middle, and next to the seam, where wrap_point(c + r y)
+# carries the chart's points across both edges of [0, 1)^2 at every oracle radius.
+ORACLE_CHARTS = ((0.5, 0.5), (0.98, 0.02))
 
 
-def _oracle_view(spec):
-    return DilatedView(spec, (0.5, 0.5), spec.lam ** -0.5 if spec.lam > 0.0 else 0.1)
+def assert_sups_equal_the_dense_search(spec, charts, centers, taus):
+    r = spec.lam ** -0.5 if spec.lam > 0.0 else 0.1
+    for chart in charts:
+        got = real_doubling_exponent(spec, chart, r, 0.25, VIEW_OFFSETS)
+        assert got.tobytes() == dense_c7(spec, chart, r, 0.25, VIEW_OFFSETS).tobytes(), chart
+    for center in centers:
+        assert torus_sup(spec, center) == dense_disk_sup(
+            lambda pts: np.abs(evaluate(spec, pts)), center, 0.25,
+            1.0 / (10.0 * math.sqrt(max(spec.energy, 1)))), center
+    for tau in taus:
+        assert complex_strip_sup(spec, tau)[0] == dense_strip_sup(spec, tau), tau
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
 def test_sups_equal_the_dense_search_bit_for_bit(name):
     spec = ORACLE_SPECS[name]
-    view = _oracle_view(spec)
-    got = real_doubling_exponent(view, 0.25, VIEW_OFFSETS)
-    assert got.tobytes() == _dense_c7(view, 0.25, VIEW_OFFSETS).tobytes()
-    for center in ((0.0, 0.0), (0.25, 0.0), (0.3, 0.7)):
-        assert torus_sup(spec, center) == _dense_disk_sup(
-            lambda pts: np.abs(evaluate(spec, pts)), center, 0.25,
-            1.0 / (10.0 * math.sqrt(max(spec.energy, 1))))
-    for tau in (0.0, 0.1, max(spec.energy, 1) ** -0.5):
-        assert complex_strip_sup(spec, tau).sampled == _dense_strip_sup(spec, tau)
+    assert_sups_equal_the_dense_search(spec, ORACLE_CHARTS, ((0.0, 0.0), (0.25, 0.0), (0.3, 0.7)),
+                                       (0.0, 0.1, max(spec.energy, 1) ** -0.5))
 
 
 # The properties the confirm step relies on.
@@ -254,34 +252,22 @@ def test_exact_rows_do_not_depend_on_the_batch(m):
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
-def test_tensor_error_is_far_below_the_candidate_tolerance(name):
-    spec = ORACLE_SPECS[name]
-    xi = np.asarray(spec.modes, dtype=float)
-    t = np.linspace(-0.5, 0.5, 41)
-    xs, ys, mask = (0.3 + t)[None], (0.7 + t)[None], np.ones((1, t.size, t.size), dtype=bool)
-    pts = np.stack(np.meshgrid(xs[0], ys[0], indexing="ij"), axis=-1).reshape(-1, 2)
-    corner = spec.coeffs * np.exp(-TWO_PI * (xi @ np.array([0.1, -0.1])))
-    view = _oracle_view(spec)
-    for tensor, exact, coeffs in [
-        (_tensor_abs(xi, spec.coeffs, xs, ys, mask), np.abs(evaluate(spec, pts)), spec.coeffs),
-        (view.grid_abs(xs, ys, mask), np.abs(view.evaluate(pts)), spec.coeffs),
-        (_tensor_abs(xi, corner, xs, ys, mask, real=False), np.abs(_mode_sum(pts, xi, corner)),
-         corner),
-    ]:
-        scale = np.sum(np.abs(coeffs))
-        assert np.all(tensor[1] == TENSOR_TOL * scale)
-        assert np.max(np.abs(tensor[0].ravel() - exact)) / scale <= TENSOR_TOL / 1e3
+def test_tensor_error_is_far_below_the_candidate_tolerance(name, monkeypatch):
+    # The tensor form is within a thousandth of the tolerance of the exact sum,
+    # so at a thousandth of it every grid's exact maximizer is still a candidate.
+    monkeypatch.setattr(growth, "TENSOR_TOL", TENSOR_TOL / 1e3)
+    assert_sups_equal_the_dense_search(ORACLE_SPECS[name], ORACLE_CHARTS[1:], ((0.3, 0.7),), (0.1,))
 
 
 def test_tied_maxima_all_go_through_the_exact_sum(monkeypatch):
     # u == 1 ties at every point, so the exact path sees the whole masked grid.
     rows = []
 
-    def counting(spec, pts):
+    def counting(pts, xi, coeffs):
         rows.append(len(pts))
-        return evaluate(spec, pts)
+        return _mode_sum(pts, xi, coeffs)
 
-    monkeypatch.setattr(growth, "evaluate", counting)
+    monkeypatch.setattr(growth, "_mode_sum", counting)
     assert torus_sup(constant_spec()) == 1.0
     t = np.linspace(-0.25, 0.25, 8)
     assert rows[0] == np.count_nonzero(t[:, None] ** 2 + t[None, :] ** 2 <= 0.0625)

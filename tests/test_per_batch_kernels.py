@@ -15,10 +15,11 @@ sums each good ball's pieces with clip_lengths, which forms no midpoints.
 The reference bodies below are the kernels as they stood before: a
 padded, squared copy of the field, one prefix array of all rows, a table
 holding every clipped piece with the chain reducing them, whole |v|
-sheets, one weight call over every midpoint, one clip body (in conftest)
-holding all of a batch's temporaries and clipping every near pair's
-chord, test functions of an (M, 2) point array evaluated on every grid
-and lattice point, and the assembly's sums over that clip's pieces.
+sheets (with test_growth's dense zoom), one weight call over every
+midpoint, one clip body (in conftest) holding all of a batch's
+temporaries and clipping every near pair's chord, test functions of an
+(M, 2) point array evaluated on every grid and lattice point, and the
+assembly's sums over that clip's pieces.
 Every output must equal theirs byte for byte.
 """
 
@@ -37,9 +38,9 @@ from torusnodal.ballstats import (_SUB, _mass_bounds, ball_masses, default_cente
                                   require_resolved_radius, sse_scan)
 from torusnodal.covering import BallFamily, build_cover
 from torusnodal.doubling import INNER_FACTOR, OUTER_FACTOR, lower_bound_assembly
-from torusnodal.eigenbasis import TWO_PI, _mode_sum, random_eigenfunction, sample_grid
+from torusnodal.eigenbasis import TWO_PI, random_eigenfunction, sample_grid
 from torusnodal.errors import NegativeTestFunction
-from torusnodal.growth import StripSup, _sheet_argmax, _tensor_abs, _zoom, complex_strip_sup
+from torusnodal.growth import _sheet_argmax, complex_strip_sup
 from torusnodal.harness import (_LATTICE_SIDE, _QUADRATURE_SLACK, BUMP_CENTER, BUMP_LIPSCHITZ,
                                 BUMP_WIDTH, TEST_FUNCTIONS, ChainTrace, ExperimentPlan,
                                 TestFunction, _lattice_gap, _lattice_values, _step,
@@ -52,6 +53,7 @@ from torusnodal.torus import periodic_distance, wrap_delta, wrap_point
 from conftest import clip_family, constant_spec, integrals_for, reference_clip_batches
 from test_doubling import parent_lower_bound_assembly
 from test_eigenbasis import grid_sum, traced_peak
+from test_growth import dense_strip_sup
 
 ENERGIES = (25, 50, 65, 325, 1105, 5525)
 SEAM_CENTERS = [[0.0, 0.0], [1.0 - 1e-12, 1.0 - 1e-12], [0.0, 0.5], [0.5, 0.0],
@@ -327,30 +329,13 @@ def reference_sheet_argmax(modes, coeffs, n: int) -> tuple[float, int, int]:
     return float(sheet[i, j]), i, j
 
 
-def reference_strip_sup(spec, tau: float) -> StripSup:
-    """complex_strip_sup taking each corner's maximizer from its whole |v| sheet."""
+def reference_strip_sup(spec, tau: float) -> tuple[float, float]:
+    """complex_strip_sup from each corner's whole |v| sheet and the dense zoom (dense_strip_sup)."""
     xi = np.asarray(spec.modes, dtype=float)
     one_norms = np.sum(np.abs(xi), axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         certificate = float(np.sum(np.abs(spec.coeffs) * np.exp(TWO_PI * one_norms * tau)))
-    n = max(64, 10 * math.ceil(math.sqrt(max(spec.energy, 1))))
-    corners = [np.array([sy * tau, sx * tau]) for sy in (-1.0, 1.0) for sx in (-1.0, 1.0)]
-    if tau == 0.0:
-        corners = corners[:1]
-    coeffs = np.array([spec.coeffs * np.exp(-TWO_PI * (xi @ y)) for y in corners])
-    best, p0 = -math.inf, []
-    for c in coeffs:
-        top, i, j = reference_sheet_argmax(spec.modes, c, n)
-        best = max(best, top)
-        p0.append([i / n, j / n])
-
-    def eval_abs(pts, d):
-        return np.abs([_mode_sum(pts, xi, c) for c in coeffs])[d, np.arange(len(d))]
-
-    p0, ones = np.array(p0), np.ones(len(coeffs))
-    refined = _zoom(eval_abs, functools.partial(_tensor_abs, xi, coeffs[:, None, :], real=False),
-                    p0, ones / n, p0, 10.0 * ones)
-    return StripSup(tau, max(best, *map(float, refined)), certificate)
+    return dense_strip_sup(spec, tau), certificate
 
 
 # ---------------------------------------------------------------- families
@@ -619,8 +604,7 @@ def test_strip_sups_equal_the_whole_sheet_search(energy):
         spec = random_eigenfunction(energy, 900 + seed)
         for tau in (energy ** -0.5, 0.0, 0.01):  # tau = 0 searches one sheet
             got, want = complex_strip_sup(spec, tau), reference_strip_sup(spec, tau)
-            assert (np.array([got.sampled, got.certificate]).tobytes()
-                    == np.array([want.sampled, want.certificate]).tobytes()), (seed, tau)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (seed, tau)
 
 
 def test_sheet_argmax_takes_the_first_tied_maximum_in_row_major_order(monkeypatch):
@@ -700,7 +684,7 @@ def test_sse_extremes_memory_at_e25():
 
 def test_strip_sup_memory_at_e1105():
     # tracemalloc peak at E=1105, seed 0, tau = E^-1/2, four 340 x 340 corner
-    # sheets: 1.06 MB, against 3.70 MB for the whole-sheet search.
+    # sheets: 1.06 MB, against 2.78 MB for the whole-sheet search.
     spec = random_eigenfunction(1105, 0)
     tau = 1105 ** -0.5
     peak = traced_peak(lambda: complex_strip_sup(spec, tau))

@@ -1,6 +1,7 @@
 import ast
 import glob
 import os
+import re
 
 import pytest
 
@@ -76,6 +77,30 @@ def test_block_loops_go_through_torus_blocks():
     assert not found, f"range(0, total, step) block loops outside torus.blocks: {found}"
     assert block_loops(ast.parse("for b0 in range(0, n, step):\n    pass\n"
                                  "x = [f(i) for i in range(0, n, 4096)]\n")) == [1, 3]
+
+
+def frequency_retypes(source: str, helper=None):
+    """Lines outside helper that write lam = 2 pi sqrt(E) out: pi or TWO_PI times math.sqrt."""
+    skip = {line for f in ast.walk(ast.parse(source))
+            if isinstance(f, ast.FunctionDef) and f.name == helper
+            for line in range(f.lineno, f.end_lineno + 1)}
+    return [n for n, line in enumerate(source.splitlines(), 1)
+            if n not in skip and re.search(r"(math\.pi|TWO_PI) \* math\.sqrt\(", line)]
+
+
+def test_frequency_goes_through_eigenbasis_frequency():
+    # lam = 2 pi sqrt(E) has one home; a retyped copy can drift from it.
+    found = []
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))
+                       + glob.glob(os.path.join(ROOT, "scripts", "*.py"))):
+        with open(path) as fh:
+            helper = "frequency" if path.endswith("eigenbasis.py") else None
+            found += [f"{os.path.basename(path)}:{line}"
+                      for line in frequency_retypes(fh.read(), helper)]
+    assert not found, f"2 pi sqrt(E) written out instead of eigenbasis.frequency: {found}"
+    assert frequency_retypes("lam = 2.0 * math.pi * math.sqrt(e)\n"
+                             "def frequency(e):\n    return TWO_PI * math.sqrt(e)\n"
+                             "mu = TWO_PI * math.sqrt(e) * r\n", "frequency") == [1, 4]
 
 
 @pytest.mark.parametrize("module,name", PUBLIC)
