@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from torusnodal.eigenbasis import frequency, random_eigenfunction, sample_grid
-from torusnodal.harness import ExperimentPlan
+from torusnodal.harness import plan_grid
 from torusnodal.nodal import extract_nodal
 
 
@@ -28,8 +28,7 @@ def main() -> int:
     print(f"[yau] reference 1/(2 sqrt 2) = {1.0 / (2.0 * math.sqrt(2.0)):.6f}")
     for energy in args.energies:
         lam = frequency(energy)
-        # The plan grid rule at the plan defaults, which the class attributes hold.
-        n = ExperimentPlan.grid_for(ExperimentPlan, energy)
+        n = plan_grid(energy)
         ratios = []
         for seed in range(args.seeds):
             field = sample_grid(random_eigenfunction(energy, seed), n)

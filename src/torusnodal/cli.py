@@ -17,17 +17,17 @@ import sys
 import numpy as np
 
 from .ballstats import report_summary_json, report_to_csv, scale_radius, sse_scan
-from .covering import build_cover, family_to_csv, family_to_json
+from .covering import balls_from_csv, build_cover, family_to_csv, family_to_json
 from .doubling import (DEFAULT_A1, DEFAULT_A2, doubling_stage, report_to_json as doubling_json,
                        require_doubling_constants, require_resolved_doubling)
 from .eigenbasis import (EigenfunctionSpec, enumerate_modes, frequency, random_eigenfunction,
                          require_sampling_grid, sample_grid, spec_from_json, spec_to_json)
 from .errors import EmptySpectrum, TorusNodalError
 from .growth import growth_report
-from .harness import (ExperimentPlan, plan_from_json, report_to_json, require_threads, run_plan,
-                      runs_to_csv)
+from .harness import (GRID_MIN, GRID_PER_SQRT_ENERGY, plan_from_json, plan_grid, report_to_json,
+                      require_threads, run_plan, runs_to_csv)
 from .nodal import extract_nodal, nodal_from_csv, nodal_to_csv
-from .svgplot import balls_from_csv, render_svg
+from .svgplot import render_svg
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,9 +65,9 @@ def _spec_and_grid(args) -> tuple[EigenfunctionSpec, str, int]:
     else:
         spec = random_eigenfunction(args.energy, args.seed)
         stem = f"E{args.energy}_seed{args.seed}"
-    # Only a missing --grid means the plan grid rule (at the class defaults);
+    # Only a missing --grid means the plan grid rule (at the plan defaults);
     # require_sampling_grid rejects any grid too coarse, 0 included.
-    n = args.grid if args.grid is not None else ExperimentPlan.grid_for(ExperimentPlan, spec.energy)
+    n = args.grid if args.grid is not None else plan_grid(spec.energy)
     return spec, stem, n
 
 
@@ -157,9 +157,8 @@ def cmd_doubling(args) -> int:
 def cmd_growth(args) -> int:
     spec, stem, n = _spec_and_grid(args)
     scale_r = scale_radius(spec.lam, args.rho)  # rejects lam = 0 before the default tau
-    tau = args.tau if args.tau is not None else spec.energy ** -0.5
     require_sampling_grid(spec.energy, n)
-    report = growth_report(spec, scale_r, args.delta, tau)
+    report = growth_report(spec, scale_r, args.delta, args.tau)
     obj = {"E": spec.energy, **vars(report), "c7_values": report.c7_values.tolist()}
     text = json.dumps(obj, sort_keys=True, indent=1)
     if args.out:
@@ -228,7 +227,8 @@ def _add_spec_source(p: _Parser) -> None:
     p.add_argument("--energy", type=int, help="energy level E (with --seed)")
     p.add_argument("--seed", type=_seed, default=0, help="random seed (default 0)")
     p.add_argument("--grid", type=int, default=None,
-                   help="grid resolution (default max(256, 16*ceil(sqrt(E))))")
+                   help=f"grid resolution (default max({GRID_MIN}, "
+                        f"{GRID_PER_SQRT_ENERGY}*ceil(sqrt(E))))")
 
 
 def build_parser() -> _Parser:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RadiusTooLarge
-from .nodal import write_float_csv
+from .nodal import read_float_csv, write_float_csv
 from .torus import BUDGET_16K, blocks, periodic_distance, wrap_delta
 
 CANDIDATE_SPACING_FACTOR = 8
@@ -147,9 +147,23 @@ def build_cover(r: float, seed: int, probe: int = DEFAULT_PROBE) -> BallFamily:
     )
 
 
+_COVER_HEADER = "center_x,center_y,radius"
+
+
 def family_to_csv(family: BallFamily, path: str) -> None:
-    write_float_csv(path, "center_x,center_y,radius",
+    write_float_csv(path, _COVER_HEADER,
                     (family.centers, np.full(family.count, float(family.radius))))
+
+
+def balls_from_csv(path: str) -> tuple[np.ndarray, float]:
+    """Centers and the common positive radius of a cover CSV; a header-only file has no balls."""
+    rows = read_float_csv(path, _COVER_HEADER, "ball file")
+    # Not np.unique, which imports numpy.ma.
+    if np.any(rows[:, 2] != rows[:1, 2]):
+        raise ValueError(f"ball file {path}: rows carry more than one radius")
+    if np.any(rows[:, 2] <= 0.0):
+        raise ValueError(f"ball file {path}: radius {float(rows[0, 2])!r} is not positive")
+    return rows[:, :2], float(rows[0, 2]) if len(rows) else 0.0
 
 
 def family_to_json(family: BallFamily) -> str:

@@ -15,7 +15,6 @@ so that sum |c_xi|^2 = 1, i.e. the L^2 norm over the unit torus is 1.
 from __future__ import annotations
 
 import ctypes
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -158,11 +157,13 @@ def _openblas_function(verb: str):
     return next((getattr(lib, n) for lib in libs for n in names if hasattr(lib, n)), None)
 
 
-@functools.cache
-def _pin_blas_thread() -> None:
-    if (setter := _openblas_function("set_num_threads")) is not None:
-        setter.argtypes, setter.restype = (ctypes.c_int,), None
-        setter(1)
+# One OpenBLAS thread per process, pinned as the package loads (a helper thread
+# only burns a second core on these small products, and the sums are the same
+# floats).  A fork inherits the pin: set_num_threads after a fork would restart
+# the helper thread OpenBLAS stopped there.  A spawned worker pins on import.
+if (_set_blas_threads := _openblas_function("set_num_threads")) is not None:
+    _set_blas_threads.argtypes, _set_blas_threads.restype = (ctypes.c_int,), None
+    _set_blas_threads(1)
 
 
 def _mode_sum(pts: np.ndarray, xi: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -170,14 +171,8 @@ def _mode_sum(pts: np.ndarray, xi: np.ndarray, coeffs: np.ndarray) -> np.ndarray
 
     Each row's sum is the same float in a batch of any size: BLAS sums two
     rows or more row by row alike, but one row along another path, so a lone
-    row is summed as two equal rows.  A process pins OpenBLAS to one thread
-    on its first BLAS use (this call or growth's tensor locate) and keeps it
-    there: on these small products a helper thread only burns a second
-    core.  harness.run_plan pins before its pool forks, so fork workers
-    inherit the pin; spawned workers pin on their first use.  The sums are
-    the same floats either way.
+    row is summed as two equal rows.
     """
-    _pin_blas_thread()
     rows = pts if len(pts) != 1 else np.repeat(pts, 2, axis=0)
     return (np.exp((TWO_PI * 1j) * (rows @ xi.T)) @ coeffs)[:len(pts)]
 

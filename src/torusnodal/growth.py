@@ -31,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigenbasis import (TWO_PI, EigenfunctionSpec, _column_blocks, _mode_sum, _pin_blas_thread,
-                         real_part)
+from .eigenbasis import TWO_PI, EigenfunctionSpec, _column_blocks, _mode_sum, real_part
 from .errors import ChartExceeded
 from .torus import wrap_point
 
@@ -59,7 +58,6 @@ def _sup_search(xi: np.ndarray, coeffs: np.ndarray, xs: np.ndarray, ys: np.ndarr
     through _mode_sum, one call per sheet, whose rows do not depend on the
     batch.  Of equal exact values, the first in row-major order wins.
     """
-    _pin_blas_thread()
     real = coeffs.ndim == 1
     sheets = coeffs if real else coeffs[:, None, :]
     ex = np.exp((TWO_PI * 1j) * (xs[..., None] * xi[:, 0])) * sheets
@@ -219,14 +217,16 @@ class GrowthReport:
 
 
 def growth_report(spec: EigenfunctionSpec, scale_r: float, delta: float,
-                  tau: float) -> GrowthReport:
+                  tau: float | None = None) -> GrowthReport:
     """Assemble both growth estimates of an eigenfunction from its exact mode sum.
 
     c7 is taken at VIEW_OFFSETS in the chart of radius scale_r around
     (1/2, 1/2); c9 is the log of the strip sup against the real sup on
-    B(0, 1/4), over mu_eff = lam tau.
+    B(0, 1/4), over mu_eff = lam tau; tau defaults to E^(-1/2).
     """
     c7 = real_doubling_exponent(spec, (0.5, 0.5), scale_r, delta, VIEW_OFFSETS)
+    if tau is None:
+        tau = spec.energy ** -0.5 if spec.energy else 0.0  # E = 0 has no default
     if not tau > 0.0:
         raise ValueError(f"tau must be positive to normalize the growth exponent, got {tau!r}")
     strip_sup, certificate = complex_strip_sup(spec, tau)

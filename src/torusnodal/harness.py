@@ -58,9 +58,8 @@ from .ballstats import CertifiedMasses, median, require_resolved_radius, scale_r
 from .covering import BallFamily, build_cover, cover_admissible
 from .doubling import (DEFAULT_A1, DEFAULT_A2, doubling_admissible, doubling_stage,
                        require_doubling_constants, require_resolved_doubling)
-from .eigenbasis import (SampledField, _pin_blas_thread, enumerate_modes, frequency, is_int,
-                         is_number, random_eigenfunction, require_sampling_grid, sample_grid,
-                         sine_mode_spec)
+from .eigenbasis import (SampledField, enumerate_modes, frequency, is_int, is_number,
+                         random_eigenfunction, require_sampling_grid, sample_grid, sine_mode_spec)
 from .errors import (BallTooLarge, DivisionByNegligibleMass, EmptySpectrum, NegativeTestFunction,
                      RadiusUnderResolved, ResolutionTooCoarse)
 from .growth import growth_report
@@ -212,13 +211,19 @@ _QUADRATURE_SLACK = 1e-6
 _YAU_MIN_ENERGIES, _YAU_MIN_RUNS = 3, 10  # the fewest check_yau_scaling takes
 # Points per side of the square lattice behind the chain's sup and inf estimates.
 _LATTICE_SIDE = 9
+GRID_MIN, GRID_PER_SQRT_ENERGY = 256, 16  # the plan grid rule's defaults
+
+
+def plan_grid(energy: int, grid_min: int = GRID_MIN, per_sqrt: int = GRID_PER_SQRT_ENERGY) -> int:
+    """The plan grid rule: N(E) = max(grid_min, per_sqrt * ceil(sqrt(E)))."""
+    return max(grid_min, per_sqrt * math.ceil(math.sqrt(energy)))
 
 
 @dataclass(frozen=True)
 class ExperimentPlan:
     """Declarative description of one verification ensemble.
 
-    Grids follow N(E) = max(grid_min, grid_per_sqrt_energy * ceil(sqrt(E)));
+    Grids follow plan_grid at the plan's grid_min and grid_per_sqrt_energy;
     every derived radius and resolution is validated against the module
     preconditions up front, so a plan that constructs at all can run, and
     no two stages of the plan may draw from the same seed or a negative one.
@@ -227,8 +232,8 @@ class ExperimentPlan:
     energies: tuple[int, ...]
     seeds_per_energy: int = 20
     rho: float = 0.5
-    grid_min: int = 256
-    grid_per_sqrt_energy: int = 16
+    grid_min: int = GRID_MIN
+    grid_per_sqrt_energy: int = GRID_PER_SQRT_ENERGY
     test_functions: tuple[str, ...] = ("one", "cos_x", "cos_y", "bump")
     include_low_energy_control: bool = True
     doubling_a1: float = DEFAULT_A1
@@ -316,7 +321,7 @@ class ExperimentPlan:
             owners[value] = name
 
     def grid_for(self, energy: int) -> int:
-        return max(self.grid_min, self.grid_per_sqrt_energy * math.ceil(math.sqrt(energy)))
+        return plan_grid(energy, self.grid_min, self.grid_per_sqrt_energy)
 
     def to_json(self) -> str:
         return json.dumps({f: getattr(self, f) for f in self.__dataclass_fields__},
@@ -824,7 +829,7 @@ def run_single(plan: ExperimentPlan, energy: int, seed: int) -> RunResult:
     else:
         flags.append("doubling_radius_too_large_at_this_energy")
 
-    growth = growth_report(spec, r, plan.growth_delta, energy ** -0.5)
+    growth = growth_report(spec, r, plan.growth_delta)
 
     return RunResult(
         **base, flags=tuple(flags),
@@ -920,19 +925,11 @@ def run_plan(plan: ExperimentPlan, threads: int = 1,
     is whatever harness.ProcessPoolExecutor holds when the plan runs, read
     only when it runs workers, so a serial plan never loads it.  A run that
     raises cancels the runs still queued, as a serial plan stops at it.
-
-    A process pins OpenBLAS to one thread on its first BLAS use; a plan
-    with workers pins this process before the pool forks, so fork workers
-    inherit the pin instead of setting it, which in a forked child restarts
-    the helper thread OpenBLAS stopped at the fork.  Spawned workers pin on
-    their first use.
     """
     require_threads(threads)
     jobs = [(plan, e, s) for e in plan.energies
             for s in range(plan.seeds_per_energy)]
     workers = min(threads, len(jobs) + plan.include_low_energy_control)
-    if workers > 1:
-        _pin_blas_thread()
     runs = []
     control = None
     with (sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) if workers > 1

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nodal import NodalSet, read_float_csv
+from .nodal import NodalSet
 from .torus import BUDGET_4K, blocks, wrap_delta
 
 CANVAS = 640
@@ -51,13 +51,3 @@ def render_svg(nodal: NodalSet | None = None,
     parts.append("</svg>\n")
     return "".join(parts)
 
-
-def balls_from_csv(path: str) -> tuple[np.ndarray, float]:
-    """Centers and the common positive radius of a cover CSV; a header-only file has no balls."""
-    rows = read_float_csv(path, "center_x,center_y,radius", "ball file")
-    # Not np.unique, which imports numpy.ma.
-    if np.any(rows[:, 2] != rows[:1, 2]):
-        raise ValueError(f"ball file {path}: rows carry more than one radius")
-    if np.any(rows[:, 2] <= 0.0):
-        raise ValueError(f"ball file {path}: radius {float(rows[0, 2])!r} is not positive")
-    return rows[:, :2], float(rows[0, 2]) if len(rows) else 0.0

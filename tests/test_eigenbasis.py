@@ -30,7 +30,7 @@ from torusnodal.eigenbasis import (
     spec_to_json,
 )
 from torusnodal.errors import EmptySpectrum, NonRealValue, ResolutionTooCoarse
-from torusnodal.harness import ExperimentPlan
+from torusnodal.harness import plan_grid
 
 from conftest import constant_spec, evaluate, separable_sine_spec
 
@@ -163,7 +163,6 @@ def test_evaluate_same_floats_at_one_and_two_blas_threads():
     rng = np.random.default_rng(3)
     cases = [(random_eigenfunction(e, 0), rng.random((m, 2)))
              for e in (65, 1105) for m in (441, 22_000)]
-    evaluate(*cases[0])  # the first mode sum here pins BLAS to 1; raise it to 2 only after
     try:
         set_threads(2)
         assert get_threads() == 2
@@ -183,7 +182,7 @@ def _blas_threads_after_evaluate(spec, pts) -> int:
 
 @needs_openblas
 def test_pool_worker_keeps_one_blas_thread_after_evaluate():
-    # A spawned worker inherits no pin from this process: _mode_sum must set it.
+    # A spawned worker inherits no pin from this process: importing the package sets it.
     spec = random_eigenfunction(1105, 0)
     pts = np.random.default_rng(4).random((441, 2))
     with ProcessPoolExecutor(max_workers=1,
@@ -208,7 +207,7 @@ def _blas_threads_at_and_after_torus_sup(spec) -> tuple[int, int]:
 @needs_openblas
 def test_pool_worker_keeps_one_blas_thread_after_torus_sup():
     # In a spawned worker, growth's tensor locate is the first BLAS product:
-    # it must pin before it, not leave the pin to the exact sums after it.
+    # the pin set on import must already hold there, not only at the exact sums after it.
     with ProcessPoolExecutor(max_workers=1,
                              mp_context=multiprocessing.get_context("spawn")) as pool:
         got = pool.submit(_blas_threads_at_and_after_torus_sup, random_eigenfunction(1105, 0))
@@ -218,7 +217,9 @@ def test_pool_worker_keeps_one_blas_thread_after_torus_sup():
 # Each fork worker prints its OS thread count after every run it makes, in
 # one write, so the workers' lines do not interleave.
 _FORK_WORKER_THREADS = r"""
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 from torusnodal import harness
 
 run = harness.run_single
@@ -228,20 +229,26 @@ def counted(*job):
     os.write(1, b"%d\n" % len(os.listdir("/proc/self/task")))
     return result
 
-harness.run_single = counted
-harness.run_plan(harness.ExperimentPlan(energies=(65,), seeds_per_energy=2,
-                                        include_low_energy_control=False), threads=2)
+plan = harness.ExperimentPlan(energies=(65,), seeds_per_energy=2, include_low_energy_control=False)
 """
+_FORK_POOLS = {
+    "run_plan": "harness.run_single = counted\nharness.run_plan(plan, threads=2)\n",
+    "caller_pool": "fork = multiprocessing.get_context('fork')\n"
+                   "with ProcessPoolExecutor(2, mp_context=fork) as pool:\n"
+                   "    list(pool.map(counted, [plan] * 2, [65] * 2, range(2)))\n",
+}
 
 
 @needs_openblas
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc to count threads")
 @pytest.mark.skipif(multiprocessing.get_all_start_methods()[0] != "fork",
                     reason="run_plan's pool does not fork here")
-def test_fork_workers_of_run_plan_keep_one_os_thread():
+@pytest.mark.parametrize("pool", sorted(_FORK_POOLS))
+def test_fork_workers_of_run_plan_keep_one_os_thread(pool):
     # A fresh interpreter, so no pin from this process hides a worker's own
-    # set_num_threads, which would restart OpenBLAS's helper thread.
-    proc = subprocess.run([sys.executable, "-c", _FORK_WORKER_THREADS],
+    # set_num_threads, which would restart OpenBLAS's helper thread.  A
+    # caller's own fork pool, with no run_plan, must inherit the pin too.
+    proc = subprocess.run([sys.executable, "-c", _FORK_WORKER_THREADS + _FORK_POOLS[pool]],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "1"]
@@ -342,8 +349,7 @@ def test_pruned_grid_sum_matches_ifft2_on_plan_spectra(energy):
     n_strip = max(64, 10 * math.ceil(math.sqrt(energy)))  # growth's corner-sheet grid
     for seed in range(3):
         spec = random_eigenfunction(energy, seed)
-        assert_grid_sum_matches_ifft2(spec.modes, spec.coeffs, ExperimentPlan.grid_for(
-            ExperimentPlan, energy))
+        assert_grid_sum_matches_ifft2(spec.modes, spec.coeffs, plan_grid(energy))
         xi = np.array(spec.modes, dtype=float)
         for corner in ([-tau, -tau], [tau, -tau], [-tau, tau], [tau, tau]):
             damped = spec.coeffs * np.exp(-TWO_PI * (xi @ np.array(corner)))
@@ -374,8 +380,7 @@ def oracle_specs():
     """(label, spec, n) of the plan fields, the control and grids off both block sizes."""
     for energy in (25, 50, 65, 325, 1105):
         for seed in (0, 1):
-            yield (energy, seed), random_eigenfunction(energy, seed), ExperimentPlan.grid_for(
-                ExperimentPlan, energy)
+            yield (energy, seed), random_eigenfunction(energy, seed), plan_grid(energy)
     yield "control", sine_mode_spec(1), 347  # the desk plan's control grid
     for n in (89, 202, 347):  # 347 is a multiple of neither 64 columns nor 188 cell rows
         yield ("e65", n), random_eigenfunction(65, 3), n

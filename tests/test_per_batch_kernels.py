@@ -44,8 +44,8 @@ from torusnodal.growth import _sheet_argmax, complex_strip_sup
 from torusnodal.harness import (_LATTICE_SIDE, _QUADRATURE_SLACK, BUMP_CENTER, BUMP_LIPSCHITZ,
                                 BUMP_WIDTH, TEST_FUNCTIONS, ChainTrace, ExperimentPlan,
                                 TestFunction, _lattice_gap, _lattice_values, _step,
-                                _sup_half_side, ball_table, replicate_bound_chain, run_single,
-                                torus_integral)
+                                _sup_half_side, ball_table, plan_grid, replicate_bound_chain,
+                                run_single, torus_integral)
 from torusnodal.nodal import (NodalSet, ball_sums, clip_batches, clip_lengths, extract_nodal,
                               integrate_over_nodal)
 from torusnodal.torus import periodic_distance, wrap_delta, wrap_point
@@ -349,7 +349,7 @@ def survey_case(energy: int):
     the reference quadrature near a second.  "edge" is the largest radius
     require_resolved_radius admits.
     """
-    n = ExperimentPlan.grid_for(ExperimentPlan, energy)
+    n = plan_grid(energy)
     field = sample_grid(random_eigenfunction(energy, 0), n)
     lam = field.spec_lambda
     r = lam ** -0.5

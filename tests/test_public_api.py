@@ -103,6 +103,27 @@ def test_frequency_goes_through_eigenbasis_frequency():
                              "mu = TWO_PI * math.sqrt(e) * r\n", "frequency") == [1, 4]
 
 
+def blas_thread_calls(source: str):
+    """Lines that reach OpenBLAS's thread count: _openblas_function or set_num_threads."""
+    return [n for n, line in enumerate(source.splitlines(), 1)
+            if re.search(r"_openblas_function|set_num_threads", line)]
+
+
+def test_blas_threads_are_set_only_in_eigenbasis():
+    # eigenbasis pins OpenBLAS to one thread as it loads; a second pin can
+    # run after a fork and restart the helper thread OpenBLAS stopped there.
+    found = []
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))
+                       + glob.glob(os.path.join(ROOT, "scripts", "*.py"))):
+        if not path.endswith("eigenbasis.py"):
+            with open(path) as fh:
+                found += [f"{os.path.basename(path)}:{line}"
+                          for line in blas_thread_calls(fh.read())]
+    assert not found, f"OpenBLAS thread calls outside eigenbasis: {found}"
+    assert blas_thread_calls("import numpy\nfrom .eigenbasis import _openblas_function\n"
+                             "x = 1\nlib.openblas_set_num_threads(1)\n") == [2, 4]
+
+
 @pytest.mark.parametrize("module,name", PUBLIC)
 def test_every_public_name_is_used_by_the_program(module, name):
     # A public name that only its definition and the tests mention is API

@@ -3,11 +3,10 @@ import re
 import numpy as np
 import pytest
 
-from torusnodal.covering import build_cover, family_to_csv
+from torusnodal.covering import balls_from_csv, build_cover, family_to_csv
 from torusnodal.eigenbasis import random_eigenfunction, sample_grid, sine_mode_spec
 from torusnodal.nodal import NodalSet, extract_nodal
-from torusnodal.svgplot import (BALL_STROKE, CANVAS, FRAME_STROKE, SEGMENT_STROKE,
-                                balls_from_csv, render_svg)
+from torusnodal.svgplot import BALL_STROKE, CANVAS, FRAME_STROKE, SEGMENT_STROKE, render_svg
 from torusnodal.torus import wrap_delta
 
 from test_eigenbasis import traced_peak
