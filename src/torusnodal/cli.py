@@ -21,7 +21,7 @@ from .covering import balls_from_csv, build_cover, family_to_csv, family_to_json
 from .doubling import (DEFAULT_A1, DEFAULT_A2, doubling_stage, report_to_json as doubling_json,
                        require_doubling_constants, require_resolved_doubling)
 from .eigenbasis import (EigenfunctionSpec, enumerate_modes, frequency, random_eigenfunction,
-                         require_sampling_grid, sample_grid, spec_from_json, spec_to_json)
+                         sample_grid, spec_from_json, spec_to_json)
 from .errors import EmptySpectrum, TorusNodalError
 from .growth import growth_report
 from .harness import (GRID_MIN, GRID_PER_SQRT_ENERGY, plan_from_json, plan_grid, report_to_json,
@@ -54,8 +54,8 @@ def _ensure_out(path: str) -> str:
     return path
 
 
-def _spec_and_grid(args) -> tuple[EigenfunctionSpec, str, int]:
-    """The eigenfunction (from a spec file or energy and seed), its file stem and its grid."""
+def _spec(args) -> tuple[EigenfunctionSpec, str]:
+    """The eigenfunction (from a spec file or energy and seed) and its file stem."""
     if getattr(args, "spec", None):
         with open(args.spec) as fh:
             spec = spec_from_json(fh.read())
@@ -65,6 +65,12 @@ def _spec_and_grid(args) -> tuple[EigenfunctionSpec, str, int]:
     else:
         spec = random_eigenfunction(args.energy, args.seed)
         stem = f"E{args.energy}_seed{args.seed}"
+    return spec, stem
+
+
+def _spec_and_grid(args) -> tuple[EigenfunctionSpec, str, int]:
+    """_spec and the grid of --grid, by default the plan grid of the energy."""
+    spec, stem = _spec(args)
     # Only a missing --grid means the plan grid rule (at the plan defaults);
     # require_sampling_grid rejects any grid too coarse, 0 included.
     n = args.grid if args.grid is not None else plan_grid(spec.energy)
@@ -121,7 +127,7 @@ def cmd_ballstats(args) -> int:
 
 
 def cmd_cover(args) -> int:
-    family = build_cover(args.radius, args.seed, probe=args.probe)
+    family = build_cover(args.radius, args.seed)
     out = _ensure_out(args.out)
     base = os.path.join(out, f"cover_r{args.radius!r}_seed{args.seed}")
     family_to_csv(family, base + ".csv")
@@ -155,9 +161,8 @@ def cmd_doubling(args) -> int:
 
 
 def cmd_growth(args) -> int:
-    spec, stem, n = _spec_and_grid(args)
+    spec, stem = _spec(args)
     scale_r = scale_radius(spec.lam, args.rho)  # rejects lam = 0 before the default tau
-    require_sampling_grid(spec.energy, n)
     report = growth_report(spec, scale_r, args.delta, args.tau)
     obj = {"E": spec.energy, **vars(report), "c7_values": report.c7_values.tolist()}
     text = json.dumps(obj, sort_keys=True, indent=1)
@@ -226,9 +231,6 @@ def _add_spec_source(p: _Parser) -> None:
     p.add_argument("--spec", help="eigenfunction spec JSON file")
     p.add_argument("--energy", type=int, help="energy level E (with --seed)")
     p.add_argument("--seed", type=_seed, default=0, help="random seed (default 0)")
-    p.add_argument("--grid", type=int, default=None,
-                   help=f"grid resolution (default max({GRID_MIN}, "
-                        f"{GRID_PER_SQRT_ENERGY}*ceil(sqrt(E))))")
 
 
 def build_parser() -> _Parser:
@@ -236,6 +238,10 @@ def build_parser() -> _Parser:
                      description="Nodal sets of torus eigenfunctions: "
                                  "extraction, statistics, verification.")
     sub = parser.add_subparsers(dest="command", required=True)
+    grid = _Parser(add_help=False)  # the option of the commands that sample a grid
+    grid.add_argument("--grid", type=int, default=None,
+                      help=f"grid resolution (default max({GRID_MIN}, "
+                           f"{GRID_PER_SQRT_ENERGY}*ceil(sqrt(E))))")
 
     p = sub.add_parser("modes", parents=[], help="list lattice modes at an energy")
     p.add_argument("--energy", type=int, required=True)
@@ -247,12 +253,12 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(handler=cmd_gen)
 
-    p = sub.add_parser("nodal", help="extract the nodal set to CSV")
+    p = sub.add_parser("nodal", parents=[grid], help="extract the nodal set to CSV")
     _add_spec_source(p)
     p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(handler=cmd_nodal)
 
-    p = sub.add_parser("ballstats", help="ball mass statistics")
+    p = sub.add_parser("ballstats", parents=[grid], help="ball mass statistics")
     _add_spec_source(p)
     p.add_argument("--rho", type=float, default=0.5,
                    help="scale exponent: radius = lambda**(-rho)")
@@ -264,11 +270,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("cover", help="maximal disjoint-ball cover")
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--probe", type=int, default=512)
     p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(handler=cmd_cover)
 
-    p = sub.add_parser("doubling", help="classify doubling balls")
+    p = sub.add_parser("doubling", parents=[grid], help="classify doubling balls")
     _add_spec_source(p)
     p.add_argument("--a1", type=float, default=DEFAULT_A1)
     p.add_argument("--a2", type=float, default=DEFAULT_A2)

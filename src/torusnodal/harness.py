@@ -373,7 +373,7 @@ class BallTerms(NamedTuple):
     f_min, f_max and integral are the min, max and sum of f(mid) * len over
     each ball's clipped pieces (0 for a ball without pieces); sup_lattice and
     inf_lattice are the max and min of f over the ball's 9x9 square lattices
-    of half sides _sup_half_side(family) and r / 2.
+    of half sides family.reach and r / 2.
     """
 
     f_min: np.ndarray
@@ -403,11 +403,6 @@ class BallTable(NamedTuple):
     nonempty: np.ndarray
     piece_max: float
     terms: dict
-
-
-def _sup_half_side(family: BallFamily) -> float:
-    """Half side of the sup lattice: the radius plus half a probe cell's diagonal."""
-    return family.radius + math.sqrt(2.0) / (2.0 * family.probe_resolution)
 
 
 def _lattice_values(tf: TestFunction, centers: np.ndarray, half_side: float) -> np.ndarray:
@@ -443,7 +438,7 @@ def ball_table(field: SampledField, nodal: NodalSet, family: BallFamily,
     piece_max = 0.0
     terms = {tf: BallTerms(*(np.zeros(count) for _ in BallTerms._fields))
              for tf in test_functions}
-    sup_half, inf_half = _sup_half_side(family), r / 2.0
+    sup_half, inf_half = family.reach, r / 2.0
     for b0, b1, piece_len, piece_mid, owners in clip_batches(nodal, family.centers, r):
         offsets = np.searchsorted(owners, np.arange(b0, b1 + 1))
         lengths[b0:b1] = ball_sums(piece_len, offsets)
@@ -657,10 +652,9 @@ def replicate_bound_chain(field: SampledField, nodal: NodalSet, table: BallTable
     # a 9x9 lattice on the bounding square plus the Lipschitz gap, so they
     # upper-bound the true sup over the ball; inf estimates subtract the
     # gap, so they lower-bound the true inf over the half-radius core.
-    sup_half_side = _sup_half_side(fam)
-    sup_est = terms.sup_lattice + tf.lipschitz * _lattice_gap(sup_half_side)
+    sup_est = terms.sup_lattice + tf.lipschitz * _lattice_gap(fam.reach)
     inf_est = terms.inf_lattice - tf.lipschitz * _lattice_gap(r / 2.0)
-    enlarged_vol = math.pi * sup_half_side ** 2
+    enlarged_vol = math.pi * fam.reach ** 2
     corr_lower = (float(np.sum((sup_est - f_min)[nonempty])) * vol
                   + float(np.sum(sup_est[~nonempty])) * vol
                   + float(np.sum(sup_est)) * (enlarged_vol - vol)

@@ -11,6 +11,7 @@ from torusnodal.ballstats import scale_radius
 from torusnodal.cli import main
 from torusnodal.covering import build_cover
 from torusnodal.eigenbasis import random_eigenfunction, sample_grid, sine_mode_spec, spec_to_json
+from torusnodal.growth import growth_report
 from torusnodal.harness import ExperimentPlan, _stage_seed, plan_from_json
 from torusnodal.nodal import extract_nodal
 from torusnodal.svgplot import render_svg
@@ -27,6 +28,14 @@ def write_plan(tmp_path, **kwargs) -> str:
     path = tmp_path / "plan.json"
     path.write_text(plan.to_json())
     return str(path)
+
+
+def exit_code(argv) -> int:
+    """main's exit code, whether main returns it or argparse exits with it."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 # ---------------------------------------------------------------- parsing
@@ -262,10 +271,12 @@ def test_cover_outputs_and_validation(tmp_path, capsys):
     assert "[error]" in capsys.readouterr().err
 
 
-def test_cover_rejects_empty_probe_lattice(tmp_path, capsys):
-    assert main(["cover", "--radius", "0.15", "--probe", "0",
-                 "--out", str(tmp_path)]) == 1
-    assert "probe resolution must be at least 1" in capsys.readouterr().err
+def test_cover_has_no_probe_option(tmp_path, capsys):
+    # The probe lattice is covering.PROBE, not a knob.
+    assert exit_code(["cover", "--radius", "0.15", "--probe", "64",
+                      "--out", str(tmp_path)]) == 1
+    assert "unrecognized arguments: --probe 64" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------- doubling
@@ -361,6 +372,19 @@ def test_growth_command(tmp_path, capsys):
     assert blob["c9_hat"] > 0.0
 
 
+def test_growth_delta_sets_the_real_doubling_scale(tmp_path, capsys):
+    assert main(["growth", "--energy", "65", "--seed", "7", "--delta", "0.5",
+                 "--out", str(tmp_path)]) == 0
+    blob = json.loads(next(tmp_path.glob("growth_*.json")).read_text())
+    spec = random_eigenfunction(65, 7)
+    want = growth_report(spec, scale_radius(spec.lam, 0.5), 0.5)
+    assert blob["delta"] == 0.5
+    assert blob["c7_values"] == want.c7_values.tolist()
+    for bad in ("0", "1.5"):
+        assert main(["growth", "--energy", "65", "--seed", "7", "--delta", bad]) == 1
+        assert "delta must lie in (0, 1]" in capsys.readouterr().err
+
+
 def test_growth_rejects_nonpositive_tau(capsys):
     assert main(["growth", "--energy", "25", "--seed", "0", "--tau", "0"]) == 1
     assert "tau must be positive" in capsys.readouterr().err
@@ -384,10 +408,12 @@ def test_grid_that_cannot_be_allocated_exits_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, grid", [("nodal", "0"), ("growth", "-3")])
 def test_spec_commands_reject_grid_below_sampling_bound(tmp_path, capsys, command, grid):
-    # 0 is a grid, not "use the default"; both are below ceil(10 sqrt(25)).
-    assert main([command, "--energy", "25", "--seed", "0", "--grid", grid,
-                 "--out", str(tmp_path)]) == 1
-    assert "too coarse for energy 25" in capsys.readouterr().err
+    # 0 is a grid, not "use the default", and below ceil(10 sqrt(25)).
+    # growth samples no grid (growth_report builds its own), so it has no --grid.
+    assert exit_code([command, "--energy", "25", "--seed", "0", "--grid", grid,
+                      "--out", str(tmp_path)]) == 1
+    assert ("unrecognized arguments: --grid -3" if command == "growth"
+            else "too coarse for energy 25") in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

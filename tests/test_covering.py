@@ -9,15 +9,17 @@ from hypothesis import given, settings, strategies as st
 from torusnodal.ballstats import scale_radius
 from torusnodal.covering import (
     CANDIDATE_SPACING_FACTOR,
-    DEFAULT_PROBE,
-    _paint_counts,
+    PROBE,
+    _paint_onto,
     build_cover,
     family_to_csv,
     family_to_json,
 )
-from torusnodal.doubling import DEFAULT_A1, _outer_radius
+from torusnodal.doubling import DEFAULT_A1, _outer_radius, doubling_admissible
+from torusnodal.eigenbasis import frequency
 from torusnodal.errors import RadiusTooLarge
-from torusnodal.torus import periodic_distance, wrap_delta
+from torusnodal.harness import _stage_seed, plan_from_json
+from torusnodal.torus import blocks, periodic_distance, wrap_delta
 
 BASELINE = json.loads(
     open(__file__.rsplit("/", 1)[0] + "/baselines/fixture_e65_seed7.json").read()
@@ -45,7 +47,14 @@ def probe_cover_distance(centers: np.ndarray, probe: int) -> float:
     return worst
 
 
-def reference_greedy(r: float, seed: int, probe: int = DEFAULT_PROBE):
+def paint_counts(centers: np.ndarray, r: float) -> np.ndarray:
+    """Per-probe-point count of the full-radius balls of centers, as build_cover paints it."""
+    counts = np.zeros((PROBE, PROBE), dtype=np.int32)
+    _paint_onto(counts, centers, r)
+    return counts
+
+
+def reference_greedy(r: float, seed: int):
     """Brute-force greedy: every candidate against every accepted center.
 
     Returns (centers, overlap_max, covers, promoted holes).
@@ -53,19 +62,19 @@ def reference_greedy(r: float, seed: int, probe: int = DEFAULT_PROBE):
     m = math.ceil(CANDIDATE_SPACING_FACTOR / r)
     k = np.arange(m) / m
     candidates = np.stack(np.meshgrid(k, k, indexing="ij"), axis=-1).reshape(-1, 2)
-    accepted = np.empty((m * m + probe * probe, 2))
+    accepted = np.empty((m * m + PROBE * PROBE, 2))
     n = 0
     for cand in candidates[np.random.default_rng(seed).permutation(m * m)]:
         if n == 0 or np.min(periodic_distance(accepted[:n], cand)) > r:
             accepted[n] = cand
             n += 1
     greedy = n
-    for i, j in np.argwhere(_paint_counts(accepted[:n], r, probe) == 0):
-        p = np.array([i / probe, j / probe])
+    for i, j in np.argwhere(paint_counts(accepted[:n], r) == 0):
+        p = np.array([i / PROBE, j / PROBE])
         if np.min(periodic_distance(accepted[:n], p)) > r:
             accepted[n] = p
             n += 1
-    counts = _paint_counts(accepted[:n], r, probe)
+    counts = paint_counts(accepted[:n], r)
     return accepted[:n], int(counts.max()), bool(np.all(counts >= 1)), n - greedy
 
 
@@ -82,7 +91,7 @@ def test_cover_matches_brute_force_greedy(r, seed):
     assert fam.covers == covers
     # build_cover paints only the promoted balls a second time; a full
     # repaint of the family must give the same overlap and coverage.
-    full = _paint_counts(fam.centers, r, DEFAULT_PROBE)
+    full = paint_counts(fam.centers, r)
     assert fam.overlap_max == int(full.max())
     assert fam.covers == bool(np.all(full >= 1))
     if (r, seed) == (E25_SCALE_RADIUS, 0):
@@ -91,7 +100,7 @@ def test_cover_matches_brute_force_greedy(r, seed):
         assert promoted == 1
 
 
-def parent_build_cover(r: float, seed: int, probe: int = DEFAULT_PROBE):
+def parent_build_cover(r: float, seed: int):
     """The boolean-array greedy build_cover replaced: the oracle for its bytes.
 
     Returns (centers, overlap_max, covers).
@@ -112,13 +121,13 @@ def parent_build_cover(r: float, seed: int, probe: int = DEFAULT_PROBE):
         dx, dy = wrap_delta(k[i] - k[wi]), wrap_delta(k[j] - k[wj])
         free[np.ix_(wi, wj)] &= np.sqrt(dx[:, None] * dx[:, None] + dy * dy) > r
     centers = np.array(accepted)
-    counts = _paint_counts(centers, r, probe)
+    counts = paint_counts(centers, r)
     for i, j in np.argwhere(counts == 0):
-        p = np.array([i / probe, j / probe])
+        p = np.array([i / PROBE, j / PROBE])
         if np.min(periodic_distance(centers, p)) > r:
             centers = np.vstack([centers, p])
     if len(centers) > len(accepted):
-        counts += _paint_counts(centers[len(accepted):], r, probe)
+        counts += paint_counts(centers[len(accepted):], r)
     return centers, int(counts.max()), bool(np.all(counts >= 1))
 
 
@@ -134,9 +143,9 @@ ORACLE_RADII = [half_scale_radius(e) for e in (25, 50, 65, 325, 1105)] + [
     DOUBLING_1105_RADIUS, 0.03, 0.22]
 
 
-def assert_same_cover(r, seed, probe=DEFAULT_PROBE):
-    centers, overlap_max, covers = parent_build_cover(r, seed, probe)
-    fam = build_cover(r, seed, probe)
+def assert_same_cover(r, seed):
+    centers, overlap_max, covers = parent_build_cover(r, seed)
+    fam = build_cover(r, seed)
     assert fam.centers.tobytes() == centers.tobytes()
     assert fam.overlap_max == overlap_max
     assert fam.covers == covers
@@ -150,13 +159,6 @@ def test_cover_is_byte_identical_to_parent_kernel(r, seed):
 
 def test_control_cover_is_byte_identical_to_parent_kernel():
     assert_same_cover(half_scale_radius(1105), 1013)
-
-
-@pytest.mark.parametrize("r", [half_scale_radius(65), DOUBLING_1105_RADIUS])
-@pytest.mark.parametrize("probe", [1, 2, 3, 7, 64])
-def test_cover_is_byte_identical_to_parent_kernel_on_coarse_probes(r, probe):
-    for seed in range(3):
-        assert_same_cover(r, seed, probe)
 
 
 def test_cover_memory_is_bounded():
@@ -174,7 +176,7 @@ def test_cover_memory_is_bounded():
 
 
 def loop_paint_counts(centers: np.ndarray, r: float, probe: int) -> np.ndarray:
-    """The per-ball painter _paint_counts replaced: one fancy-index add per ball.
+    """The per-ball painter _paint_onto replaced: one fancy-index add per ball.
 
     A window longer than the lattice names some probe points twice; the
     buffered += keeps the last write, so each point counts once.
@@ -204,30 +206,29 @@ def brute_force_counts(centers: np.ndarray, r: float, probe: int) -> np.ndarray:
     return counts
 
 
-@pytest.mark.parametrize("probe", [1, 2, 3, 7, 16, 64, 512])
-def test_paint_counts_match_loop_painter_and_brute_force(probe):
-    rng = np.random.default_rng(probe)
+def test_paint_counts_match_loop_painter_and_brute_force():
+    rng = np.random.default_rng(PROBE)
     seams = np.array([[0.0, 0.0], [1.0 - 1e-12, 1.0 - 1e-12], [0.0, 0.5], [0.5, 0.0],
-                      [1.0 - 1e-12, 0.3], [0.3, 1.0 - 1e-12], [0.5 / probe, 0.25]])
+                      [1.0 - 1e-12, 0.3], [0.3, 1.0 - 1e-12], [0.5 / PROBE, 0.25]])
     centers = np.vstack([seams, rng.uniform(0.0, 1.0, (12, 2))])
     for r in (0.004, 0.03, E25_SCALE_RADIUS, 0.24):
-        got = _paint_counts(centers, r, probe)
-        assert np.array_equal(got, loop_paint_counts(centers, r, probe)), r
-        assert np.array_equal(got, brute_force_counts(centers, r, probe)), r
-        assert np.array_equal(_paint_counts(centers[:1], r, probe),
-                              loop_paint_counts(centers[:1], r, probe)), r
+        got = paint_counts(centers, r)
+        assert np.array_equal(got, loop_paint_counts(centers, r, PROBE)), r
+        assert np.array_equal(got, brute_force_counts(centers, r, PROBE)), r
+        assert np.array_equal(paint_counts(centers[:1], r),
+                              loop_paint_counts(centers[:1], r, PROBE)), r
 
 
-@pytest.mark.parametrize("probe", [1, 2])
-def test_paint_counts_past_one_byte(probe):
-    # 320 balls hold (1/2, 1/2) and 300 hold the origin, across the seams:
-    # more than a byte canvas cell counts before it is folded away.
+def test_paint_counts_past_one_byte():
+    # 260 balls hold the lattice point (1/2, 1/2), and 200 of them, across
+    # the seams, the origin: more than a byte canvas cell counts before it is
+    # folded away.
     rng = np.random.default_rng(7)
-    centers = np.vstack([0.5 + rng.uniform(-0.05, 0.05, (320, 2)),
-                         rng.uniform(-0.05, 0.05, (300, 2)) % 1.0])
-    got = _paint_counts(centers, 0.2, probe)
-    want = brute_force_counts(centers, 0.2, probe)
-    assert want.max() == (320 if probe == 2 else 300)
+    centers = np.vstack([0.5 + rng.uniform(-0.05, 0.05, (260, 2)),
+                         rng.uniform(-0.03, 0.03, (200, 2)) % 1.0])
+    got = paint_counts(centers, 0.2)
+    want = brute_force_counts(centers, 0.2, PROBE)
+    assert want[PROBE // 2, PROBE // 2] == 260 and want[0, 0] == 200
     assert np.array_equal(got, want)
 
 
@@ -243,9 +244,85 @@ def test_cover_covers_the_torus():
     assert probe_cover_distance(fam.centers, 256) <= fam.radius
 
 
+def nearest_center_distance(centers: np.ndarray, points: np.ndarray) -> np.ndarray:
+    d = np.empty(len(points))
+    for b0, b1 in blocks(len(points), len(centers), 1 << 16):
+        d[b0:b1] = np.min(periodic_distance(centers, points[b0:b1, None]), axis=1)
+    return d
+
+
+_QUARTERS = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
+
+
+def deepest_hole(centers: np.ndarray, tol: float = 1e-6) -> float:
+    """The largest distance from a torus point to its nearest center, to within tol above.
+
+    The nearest-center distance d is 1-Lipschitz, so on a cell of half
+    diagonal g about c it is at most d(c) + g.  Branch and bound from 16^2
+    cells: lo is the largest d seen at a cell center, a real point's
+    distance, and a cell is split in four while d(c) + g > lo + tol.  Every
+    cell left unsplit is bounded by lo + tol, so the true largest distance
+    lies in [lo, lo + tol].  Returns lo.
+    """
+    h = 1.0 / 16
+    t = (np.arange(16) + 0.5) * h
+    points = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
+    lo = 0.0
+    while len(points):
+        d = nearest_center_distance(centers, points)
+        lo = max(lo, float(np.max(d)))
+        points = points[d + h / math.sqrt(2.0) > lo + tol]
+        h /= 2.0
+        points = (points[:, None] + h / 2.0 * _QUARTERS).reshape(-1, 2)
+    return lo
+
+
+DESK = plan_from_json(open(__file__.rsplit("/", 1)[0] + "/../plans/desk.json").read())
+
+
+# (energy, seed, stage) of every cover a desk run builds: stage 2 the scale
+# cover, stage 3 the doubling cover (E=1105 only), stage 4 the control's.
+DESK_COVERS = ([(e, s, 2) for e in DESK.energies for s in range(DESK.seeds_per_energy)]
+               + [(e, s, 3) for e in DESK.energies
+                  if doubling_admissible(frequency(e), DESK.doubling_a1)
+                  for s in range(DESK.seeds_per_energy)]
+               + [(1, 0, 4)])
+
+
+def desk_cover(energy: int, seed: int, stage: int):
+    """The cover the desk run (energy, seed) builds at stage, as run_single and control_run do."""
+    if stage == 3:
+        r = _outer_radius(frequency(energy), DESK.doubling_a1) / 2.0
+    else:
+        r = scale_radius(frequency(max(DESK.energies) if stage == 4 else energy), DESK.rho)
+    return build_cover(r, _stage_seed(DESK, energy, seed, stage))
+
+
+@pytest.mark.parametrize("energy, seed, stage", DESK_COVERS)
+def test_every_torus_point_lies_within_reach_of_a_center(energy, seed, stage):
+    # The bound chain's sup balls have radius family.reach.
+    fam = desk_cover(energy, seed, stage)
+    assert fam.covers
+    assert deepest_hole(fam.centers) + 1e-6 <= fam.reach
+
+
+def test_probe_coverage_leaves_holes_beyond_the_radius():
+    # covers=True holds on the probe lattice only: the E=325 seed-8 desk
+    # cover leaves a point 7.7e-4 beyond r, more than half of the 1.38e-3
+    # margin reach adds.
+    assert len(DESK_COVERS) == 60 + 20 + 1
+    r = scale_radius(frequency(325), DESK.rho)
+    fam = desk_cover(325, 8, 2)
+    assert fam.covers
+    depth = deepest_hole(fam.centers) - r
+    assert 6.4e-4 < depth < fam.reach - r
+    assert fam.reach == r + math.sqrt(2.0) / 1024
+
+
 def test_cover_overlap_profile_accounts_for_every_probe_point():
     fam = build_cover(0.12, seed=0)
-    values, freq = np.unique(_paint_counts(fam.centers, fam.radius, 256), return_counts=True)
+    # A lattice other than the one build_cover painted.
+    values, freq = np.unique(brute_force_counts(fam.centers, fam.radius, 256), return_counts=True)
     assert int(np.sum(freq)) == 256 * 256
     assert values.min() >= 1  # covered everywhere
     assert values.max() <= 16
@@ -272,8 +349,7 @@ def test_cover_regression_against_baseline():
     assert fam.centers.shape[0] == frozen["count"]
     assert fam.covers == frozen["covers"]
     assert fam.overlap_max == frozen["overlap_max"]
-    values, freq = np.unique(_paint_counts(fam.centers, fam.radius, fam.probe_resolution),
-                             return_counts=True)
+    values, freq = np.unique(paint_counts(fam.centers, fam.radius), return_counts=True)
     profile = {str(int(k)): int(v) for k, v in zip(values, freq)}
     assert profile == frozen["profile"]
 
@@ -297,6 +373,7 @@ def test_family_json_fields():
     assert blob["count"] == fam.centers.shape[0]
     assert blob["overlap_max"] == fam.overlap_max
     assert blob["covers"] is True
+    assert blob["probe_resolution"] == PROBE == 512
     assert len(blob["centers"]) == fam.centers.shape[0]
 
 

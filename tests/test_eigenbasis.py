@@ -215,17 +215,22 @@ def test_pool_worker_keeps_one_blas_thread_after_torus_sup():
 
 
 # Each fork worker prints its OS thread count after every run it makes, in
-# one write, so the workers' lines do not interleave.
+# one write, so the workers' lines do not interleave.  Before counting it runs
+# one product large enough for an unpinned OpenBLAS to start its helper thread:
+# a run's own products do not, so without it the test passed with the pin removed.
 _FORK_WORKER_THREADS = r"""
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+import numpy as np
 from torusnodal import harness
 
 run = harness.run_single
 
 def counted(*job):
     result = run(*job)
+    a = np.ones((512, 512))
+    a @ a
     os.write(1, b"%d\n" % len(os.listdir("/proc/self/task")))
     return result
 

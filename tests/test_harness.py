@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from torusnodal.ballstats import ball_masses, require_resolved_radius, scale_radius
-from torusnodal.covering import BallFamily, build_cover
+from torusnodal.covering import PROBE, BallFamily, build_cover
 from torusnodal.doubling import INNER_FACTOR, OUTER_FACTOR
 from torusnodal.errors import (
     BallTooLarge,
@@ -96,7 +96,6 @@ def single_ball_table(field, nodal, center):
         radius=scale_radius(field.spec_lambda, 0.5),
         overlap_max=1,
         covers=False,
-        probe_resolution=512,
     )
     return ball_table(field, nodal, fam, ())
 
@@ -518,7 +517,7 @@ def reference_ball_terms(nodal, table, tf):
     """Per-ball lengths, f-minima, f-maxima, integrals and lattice sup/inf, one ball at a time."""
     fam = table.family
     r = table.mass.radius
-    probe_eps = math.sqrt(2.0) / (2.0 * fam.probe_resolution)
+    probe_eps = math.sqrt(2.0) / (2.0 * PROBE)
     terms = {name: np.zeros(fam.count)
              for name in ("length", "f_min", "f_max", "integral", "sup", "inf")}
 
@@ -570,7 +569,7 @@ def test_chain_matches_per_ball_reference(request, case, name):
 
     r = table.mass.radius
     vol = math.pi * r * r
-    enlarged = math.pi * (r + math.sqrt(2.0) / (2.0 * table.family.probe_resolution)) ** 2
+    enlarged = math.pi * (r + math.sqrt(2.0) / (2.0 * PROBE)) ** 2
     ne = table.nonempty
     quad = 1e-6 * (fi.tf.spread + 1.0)
     assert trace.corr_lower == (float(np.sum((ref["sup"] - ref["f_min"])[ne])) * vol

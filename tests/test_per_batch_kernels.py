@@ -44,8 +44,8 @@ from torusnodal.growth import _sheet_argmax, complex_strip_sup
 from torusnodal.harness import (_LATTICE_SIDE, _QUADRATURE_SLACK, BUMP_CENTER, BUMP_LIPSCHITZ,
                                 BUMP_WIDTH, TEST_FUNCTIONS, ChainTrace, ExperimentPlan,
                                 TestFunction, _lattice_gap, _lattice_values, _step,
-                                _sup_half_side, ball_table, plan_grid, replicate_bound_chain,
-                                run_single, torus_integral)
+                                ball_table, plan_grid, replicate_bound_chain, run_single,
+                                torus_integral)
 from torusnodal.nodal import (NodalSet, ball_sums, clip_batches, clip_lengths, extract_nodal,
                               integrate_over_nodal)
 from torusnodal.torus import periodic_distance, wrap_delta, wrap_point
@@ -213,7 +213,7 @@ def reference_ball_table(field, nodal, family) -> WholeFamilyTable:
     piece_max = float(np.max(piece_len)) if piece_len.size else 0.0
     return WholeFamilyTable(family, piece_len, piece_mid, offsets, lengths, density, nonempty,
                             piece_max,
-                            reference_lattice_points(family.centers, _sup_half_side(family)),
+                            reference_lattice_points(family.centers, family.reach),
                             reference_lattice_points(family.centers, r / 2.0))
 
 
@@ -259,7 +259,7 @@ def reference_bound_chain(field, nodal, table: WholeFamilyTable, integrals) -> C
     slack_overlap = piece_slack + overlap * tf.modulus(seg_max / 2.0) * total_length
     e1_chain = float(np.min(table.density))
     e2_chain = float(np.max(table.density))
-    sup_half_side = _sup_half_side(fam)
+    sup_half_side = fam.reach
     sup_est = terms["sup_lattice"] + tf.lipschitz * _lattice_gap(sup_half_side)
     inf_est = terms["inf_lattice"] - tf.lipschitz * _lattice_gap(r / 2.0)
     enlarged_vol = math.pi * sup_half_side ** 2
@@ -372,8 +372,7 @@ def survey_case(energy: int):
 def as_family(label, centers, r) -> BallFamily:
     if label == "cover":
         return build_cover(r, 2)
-    return BallFamily(centers=np.asarray(centers), radius=r, overlap_max=1, covers=False,
-                      probe_resolution=512)
+    return BallFamily(centers=np.asarray(centers), radius=r, overlap_max=1, covers=False)
 
 
 def test_every_survey_case_has_both_doubling_radii_from_e50():
@@ -508,7 +507,7 @@ def test_test_functions_equal_their_point_form_bodies():
     for energy in ENERGIES:
         for label, centers, r in survey_case(energy)[2]:
             family = as_family(label, centers, r)
-            for half in (_sup_half_side(family), r / 2.0):
+            for half in (family.reach, r / 2.0):
                 pts.append(reference_lattice_points(family.centers, half))
     for name, tf in TEST_FUNCTIONS.items():
         for p in pts:
@@ -520,7 +519,7 @@ def test_test_functions_equal_their_point_form_bodies():
 def test_lattice_values_equal_the_lattice_point_reference(energy):
     for label, centers, r in survey_case(energy)[2]:
         family = as_family(label, centers, r)
-        for half in (_sup_half_side(family), r / 2.0):
+        for half in (family.reach, r / 2.0):
             pts = reference_lattice_points(family.centers, half)
             for name, tf in TEST_FUNCTIONS.items():
                 got = np.ascontiguousarray(_lattice_values(tf, family.centers, half))

@@ -1,9 +1,12 @@
+import argparse
 import ast
 import glob
 import os
 import re
 
 import pytest
+
+from torusnodal import cli
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 PACKAGE = os.path.join(ROOT, "src", "torusnodal")
@@ -129,3 +132,23 @@ def test_every_public_name_is_used_by_the_program(module, name):
     # A public name that only its definition and the tests mention is API
     # nothing uses: fold it into its caller, make it private, or move it to the tests.
     assert name in USED, f"torusnodal.{module}.{name}: used nowhere in src/, perfbench/ or scripts/"
+
+
+def untested_options(parser: argparse.ArgumentParser, text: str):
+    """(command, option) of every subcommand option string, bar -h/--help, never quoted in text."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sorted((command, option) for command, p in sub.choices.items()
+                  for action in p._actions for option in action.option_strings
+                  if option not in ("-h", "--help")
+                  and f'"{option}"' not in text and f"'{option}'" not in text)
+
+
+def test_every_cli_option_is_exercised_in_test_cli():
+    # An option no test passes is a knob nobody checks; test it or drop it.
+    with open(os.path.join(ROOT, "tests", "test_cli.py")) as fh:
+        text = fh.read()
+    parser = cli.build_parser()
+    assert untested_options(parser, text) == []
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    sub.choices["growth"].add_argument("--planted-knob")
+    assert untested_options(parser, text) == [("growth", "--planted-knob")]
