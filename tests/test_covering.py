@@ -219,16 +219,18 @@ def test_paint_counts_match_loop_painter_and_brute_force():
                               loop_paint_counts(centers[:1], r, PROBE)), r
 
 
-def test_paint_counts_past_one_byte():
-    # 260 balls hold the lattice point (1/2, 1/2), and 200 of them, across
-    # the seams, the origin: more than a byte canvas cell counts before it is
-    # folded away.
+@pytest.mark.parametrize("folds", [1, 2])
+def test_paint_counts_past_one_byte(folds):
+    # 255 * folds + 5 balls hold the lattice point (1/2, 1/2), and 200 more,
+    # across the seams, the origin: the byte canvas cell at (1/2, 1/2)
+    # overflows `folds` times unless it is folded away after every 255 balls.
     rng = np.random.default_rng(7)
-    centers = np.vstack([0.5 + rng.uniform(-0.05, 0.05, (260, 2)),
+    deep = 255 * folds + 5
+    centers = np.vstack([0.5 + rng.uniform(-0.05, 0.05, (deep, 2)),
                          rng.uniform(-0.03, 0.03, (200, 2)) % 1.0])
     got = paint_counts(centers, 0.2)
     want = brute_force_counts(centers, 0.2, PROBE)
-    assert want[PROBE // 2, PROBE // 2] == 260 and want[0, 0] == 200
+    assert want[PROBE // 2, PROBE // 2] == deep and want[0, 0] == 200
     assert np.array_equal(got, want)
 
 
