@@ -313,7 +313,7 @@ def main(argv=None) -> int:
               f"{exc.msg}", file=sys.stderr)
         return 1
     except (TorusNodalError, ValueError, OSError, MemoryError) as exc:
-        print(f"[error] {exc}", file=sys.stderr)
+        print(f"[error] {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -17,7 +17,7 @@ folds everything into a deterministic VerificationReport:
                          functions vs their area integrals
 * replicate_bound_chain  the six inequalities with content linking the
                          per-ball constants to the global bounds, with
-                         explicit modulus-of-continuity corrections
+                         each test function's exact disk extremes
 * _verdicts              the gate table behind report.json's verdicts: one
                          row per gate (its runs, skip note and verdict) and
                          one skip rule for a gate without runs
@@ -65,7 +65,7 @@ from .errors import (BallTooLarge, DivisionByNegligibleMass, EmptySpectrum, Nega
 from .growth import growth_report
 from .nodal import NodalSet, ball_sums, clip_batches, extract_nodal, integrate_over_nodal
 from .svgplot import render_svg
-from .torus import BUDGET_32K, blocks, wrap_delta
+from .torus import BUDGET_32K, blocks, periodic_distance, wrap_delta
 
 
 # ---------------------------------------------------------------------------
@@ -82,10 +82,12 @@ class TestFunction:
     be passed as its two axes, (k, 1) and (1, n), and a function that reads
     one coordinate is computed once per value of it.  Calling the function
     on an (..., 2) array of points passes points[..., 0] and points[..., 1].
-    lipschitz is any valid upper bound for the Lipschitz constant with
-    respect to periodic distance; spread bounds max f - min f.  Both feed
-    the modulus-of-continuity corrections in the bound chain, so they
-    must be true upper bounds, not estimates.
+    lipschitz bounds the Lipschitz constant in periodic distance and spread
+    max f - min f; both feed the bound chain's midpoint-rule slack, so they
+    must be true upper bounds.  extremes(centers, R) gives (sup, inf) of f
+    over each closed disk B(c, R), R < 1/4, of the (B, 2) centers: any valid
+    upper and lower bounds, such as the suite's closed forms, whose last-bit
+    rounding of cos and exp the chain's quadrature slack absorbs.
     """
 
     __test__ = False  # bare data holder; keep pytest collection away
@@ -94,6 +96,7 @@ class TestFunction:
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     lipschitz: float
     spread: float
+    extremes: Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray]]
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
@@ -123,11 +126,9 @@ BUMP_WIDTH = 0.25
 BUMP_LIPSCHITZ = 8.69
 
 
-def _f_bump(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # The per-point float operations of periodic_distance to the center, one axis at a time.
-    dx = wrap_delta(x - BUMP_CENTER[0])
-    dy = wrap_delta(y - BUMP_CENTER[1])
-    t = np.sqrt(dx * dx + dy * dy) / BUMP_WIDTH
+def _bump_profile(d: np.ndarray) -> np.ndarray:
+    """The bump at distance d from its center: g(d / w), g(t) = exp(1 - 1/(1 - t^2)) on t < 1."""
+    t = d / BUMP_WIDTH
     out = np.zeros(t.shape)
     inside = t < 1.0
     ti = t[inside]
@@ -135,11 +136,37 @@ def _f_bump(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _f_bump(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # The per-point float operations of periodic_distance to the center, one axis at a time.
+    dx = wrap_delta(x - BUMP_CENTER[0])
+    dy = wrap_delta(y - BUMP_CENTER[1])
+    return _bump_profile(np.sqrt(dx * dx + dy * dy))
+
+
+def _radial_extremes(profile, distance):
+    """extremes of f = profile(distance(p)), profile nonincreasing and 0 past 1/2 if reached.
+
+    Over B(c, R), R < 1/4, with d = distance(c), the distance spans max(d - R, 0)
+    to min(d + R, 1/2) and stays within d + R.
+    """
+    def extremes(centers: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+        d = distance(centers)
+        return profile(np.maximum(d - radius, 0.0)), profile(np.minimum(d + radius, 0.5))
+    return extremes
+
+
+def _cos_profile(d: np.ndarray) -> np.ndarray:
+    return 1.0 + np.cos(2.0 * np.pi * d)
+
+
 TEST_FUNCTIONS: dict[str, TestFunction] = {
-    "one": TestFunction("one", _f_one, 0.0, 0.0),
-    "cos_x": TestFunction("cos_x", _f_cos_x, 2.0 * np.pi, 2.0),
-    "cos_y": TestFunction("cos_y", _f_cos_y, 2.0 * np.pi, 2.0),
-    "bump": TestFunction("bump", _f_bump, BUMP_LIPSCHITZ, 1.0),
+    "one": TestFunction("one", _f_one, 0.0, 0.0, lambda c, r: (np.ones(len(c)), np.ones(len(c)))),
+    "cos_x": TestFunction("cos_x", _f_cos_x, 2.0 * np.pi, 2.0, _radial_extremes(
+        _cos_profile, lambda c: np.abs(wrap_delta(c[:, 0])))),
+    "cos_y": TestFunction("cos_y", _f_cos_y, 2.0 * np.pi, 2.0, _radial_extremes(
+        _cos_profile, lambda c: np.abs(wrap_delta(c[:, 1])))),
+    "bump": TestFunction("bump", _f_bump, BUMP_LIPSCHITZ, 1.0, _radial_extremes(
+        _bump_profile, lambda c: periodic_distance(c, BUMP_CENTER))),
 }
 
 
@@ -209,8 +236,6 @@ DEFAULT_TOLERANCES: dict[str, float | tuple[float, float]] = {
 
 _QUADRATURE_SLACK = 1e-6
 _YAU_MIN_ENERGIES, _YAU_MIN_RUNS = 3, 10  # the fewest check_yau_scaling takes
-# Points per side of the square lattice behind the chain's sup and inf estimates.
-_LATTICE_SIDE = 9
 GRID_MIN, GRID_PER_SQRT_ENERGY = 256, 16  # the plan grid rule's defaults
 
 
@@ -371,16 +396,12 @@ class BallTerms(NamedTuple):
     """Per-ball reductions of one test function f over a BallTable's balls.
 
     f_min, f_max and integral are the min, max and sum of f(mid) * len over
-    each ball's clipped pieces (0 for a ball without pieces); sup_lattice and
-    inf_lattice are the max and min of f over the ball's 9x9 square lattices
-    of half sides family.reach and r / 2.
+    each ball's clipped pieces (0 for a ball without pieces).
     """
 
     f_min: np.ndarray
     f_max: np.ndarray
     integral: np.ndarray
-    sup_lattice: np.ndarray
-    inf_lattice: np.ndarray
 
 
 class BallTable(NamedTuple):
@@ -405,26 +426,14 @@ class BallTable(NamedTuple):
     terms: dict
 
 
-def _lattice_values(tf: TestFunction, centers: np.ndarray, half_side: float) -> np.ndarray:
-    """f on the 9x9 square lattice of half side half_side around each center, (B, 9, 9).
-
-    Entry [b, i, j] is f at centers[b] + (t_i, t_j); f sees the lattice as
-    its (B, 9, 1) x and (B, 1, 9) y axes.
-    """
-    t = np.linspace(-half_side, half_side, _LATTICE_SIDE)
-    x = centers[:, 0, None, None] + t[:, None]
-    y = centers[:, 1, None, None] + t
-    return np.broadcast_to(tf.fn(x, y), (len(centers), t.size, t.size))
-
-
 def ball_table(field: SampledField, nodal: NodalSet, family: BallFamily,
                test_functions: tuple[TestFunction, ...]) -> BallTable:
     """Mass brackets, nodal lengths and test-function terms of every ball B(x, r) of family.
 
     Each clip_batches batch is reduced ball by ball and dropped before the
     next: a ball's length and f-integral are np.sum over its pieces alone
-    (nodal.ball_sums) and its f-min, f-max and lattice extremes are exact,
-    so every number is the one a whole-family, all-chord clip gives.
+    (nodal.ball_sums) and its f-min and f-max are exact, so every number
+    is the one a whole-family, all-chord clip gives.
     """
     r = family.radius
     if family.count < 1 or family.overlap_max < 1:
@@ -438,7 +447,6 @@ def ball_table(field: SampledField, nodal: NodalSet, family: BallFamily,
     piece_max = 0.0
     terms = {tf: BallTerms(*(np.zeros(count) for _ in BallTerms._fields))
              for tf in test_functions}
-    sup_half, inf_half = family.reach, r / 2.0
     for b0, b1, piece_len, piece_mid, owners in clip_batches(nodal, family.centers, r):
         offsets = np.searchsorted(owners, np.arange(b0, b1 + 1))
         lengths[b0:b1] = ball_sums(piece_len, offsets)
@@ -446,15 +454,12 @@ def ball_table(field: SampledField, nodal: NodalSet, family: BallFamily,
         nonempty[b0:b1] = filled
         piece_max = max(piece_max, float(np.max(piece_len, initial=0.0)))
         starts = offsets[:-1][filled]
-        batch = family.centers[b0:b1]
         for tf, t in terms.items():
             vals = tf(piece_mid)
             if starts.size:
                 t.f_min[b0:b1][filled] = np.minimum.reduceat(vals, starts)
                 t.f_max[b0:b1][filled] = np.maximum.reduceat(vals, starts)
             t.integral[b0:b1] = ball_sums(vals * piece_len, offsets)
-            t.sup_lattice[b0:b1] = np.max(_lattice_values(tf, batch, sup_half), axis=(1, 2))
-            t.inf_lattice[b0:b1] = np.min(_lattice_values(tf, batch, inf_half), axis=(1, 2))
         # Dropped before clip_batches builds the next batch, so one batch is held at a time.
         del piece_len, piece_mid, owners
     density = (lengths / field.spec_lambda) / (math.pi * r * r)
@@ -598,23 +603,21 @@ def _step(name: str, lhs: float, rhs: float, slack: float, note: str = "") -> Ch
     return ChainStep(name, lhs, rhs, slack, bool(lhs <= rhs + slack + eps), note)
 
 
-def _lattice_gap(half_side: float) -> float:
-    return (2.0 * half_side / (_LATTICE_SIDE - 1)) * math.sqrt(2.0) / 2.0
-
-
 def replicate_bound_chain(field: SampledField, nodal: NodalSet, table: BallTable,
                           integrals: FunctionIntegrals) -> ChainTrace:
     """Replicate both inequality chains tying per-ball constants to global bounds.
 
     Lower chain: the nodal integral of f is bounded below through cover
     sums weighted by per-ball minima, the smallest per-ball nodal density
-    e1_chain, and the cover's capture of the area integral up to explicit
-    modulus-of-continuity corrections.  Upper chain: bounded above through
-    per-ball maxima, the largest per-ball density e2_chain, and the
-    disjointness of the half-radius cores.  The six steps with content are
-    checked numerically with computable slack; trace.ok is False when any
-    fails.  The six links that hold by construction (a min or max against
-    the values it was taken over) are asserted as identities in the test
+    e1_chain, and the cover's capture of the area integral up to f's exact
+    sup over each ball of radius family.reach (tf.extremes).  Upper chain:
+    bounded above through per-ball maxima, the largest per-ball density
+    e2_chain, and the disjointness of the half-radius cores, with f's exact
+    inf over each core.  Lipschitz slack enters only the midpoint rule of
+    the curve integrals.  The six steps with content are checked
+    numerically with computable slack; trace.ok is False when any fails.
+    The six links that hold by construction (a min or max against the
+    values it was taken over) are asserted as identities in the test
     test_chain_matches_per_ball_reference.  When the modulus correction
     swamps the area integral of f the lower conclusion is vacuous at this
     scale; the trace reports that instead of failing, since the
@@ -648,23 +651,19 @@ def replicate_bound_chain(field: SampledField, nodal: NodalSet, table: BallTable
     e1_chain = float(np.min(table.density))
     e2_chain = float(np.max(table.density))
 
-    # Cover-side corrections to the area integral.  sup estimates use
-    # a 9x9 lattice on the bounding square plus the Lipschitz gap, so they
-    # upper-bound the true sup over the ball; inf estimates subtract the
-    # gap, so they lower-bound the true inf over the half-radius core.
-    sup_est = terms.sup_lattice + tf.lipschitz * _lattice_gap(fam.reach)
-    inf_est = terms.inf_lattice - tf.lipschitz * _lattice_gap(r / 2.0)
+    # Cover-side corrections to the area integral, from f's sup over each
+    # ball of radius family.reach and its inf over each half-radius core.
+    sup = tf.extremes(fam.centers, fam.reach)[0]
+    inf = tf.extremes(fam.centers, r / 2.0)[1]
     enlarged_vol = math.pi * fam.reach ** 2
-    corr_lower = (float(np.sum((sup_est - f_min)[nonempty])) * vol
-                  + float(np.sum(sup_est[~nonempty])) * vol
-                  + float(np.sum(sup_est)) * (enlarged_vol - vol)
+    corr_lower = (float(np.sum((sup - f_min)[nonempty])) * vol
+                  + float(np.sum(sup[~nonempty])) * vol
+                  + float(np.sum(sup)) * (enlarged_vol - vol)
                   + _QUADRATURE_SLACK * (tf.spread + 1.0))
-    corr_upper = (float(np.sum((f_max - inf_est)[nonempty])) * (vol / 4.0)
+    corr_upper = (float(np.sum((f_max - inf)[nonempty])) * (vol / 4.0)
                   + _QUADRATURE_SLACK * (tf.spread + 1.0))
 
     sum_ball_integral = float(np.sum(terms.integral))
-    sum_f_min = float(np.sum(f_min[nonempty]))
-    sum_f_max = float(np.sum(f_max[nonempty]))
 
     hypothesis_met = corr_lower < integral_f
     message = "" if hypothesis_met else (
@@ -686,10 +685,10 @@ def replicate_bound_chain(field: SampledField, nodal: NodalSet, table: BallTable
               overlap * total_integral, slack_overlap,
               "each nodal point is counted at most overlap_max times"),
         _step("cover_captures_integral", integral_f - corr_lower,
-              vol * sum_f_min, 0.0,
+              vol * float(np.sum(f_min[nonempty])), 0.0,
               "enlarged cover balls capture the area integral up to the "
               "modulus correction and the probe-lattice margin"),
-        _step("disjoint_cores_bound_integral", vol * sum_f_max,
+        _step("disjoint_cores_bound_integral", vol * float(np.sum(f_max[nonempty])),
               4.0 * (integral_f + corr_upper), 0.0,
               "half-radius cores are disjoint, so core sums cannot exceed "
               "the area integral; full balls cost the area factor 4"),

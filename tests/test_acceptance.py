@@ -7,6 +7,7 @@ second time, with two pool workers, and compares serialized reports byte for
 byte.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -22,7 +23,7 @@ from torusnodal.eigenbasis import (
     sine_mode_spec,
 )
 from torusnodal.growth import complex_strip_sup, growth_report
-from torusnodal.harness import plan_from_json, report_to_json, run_plan
+from torusnodal.harness import plan_from_json, report_to_json, run_plan, runs_to_csv
 from torusnodal.nodal import extract_nodal, integrate_over_nodal
 from torusnodal.torus import wrap_delta
 
@@ -31,6 +32,10 @@ from conftest import constant_spec, separable_sine_spec
 HERE = os.path.dirname(__file__)
 PLAN_PATH = os.path.join(HERE, "..", "plans", "desk.json")
 FROZEN = json.load(open(os.path.join(HERE, "baselines", "desk_aggregates.json")))
+# sha256 of the desk plan's report.json and runs.csv.  A change that moves
+# them re-freezes them together with tests/baselines and perfbench/digests.json.
+DESK_DIGESTS = ("0a82b44619da93161ea183cdcb1564b11604c9b1ebd593e6838fd0bae9e29059",
+                "33a66c8690eef4b9fe12248bdddc8ed17a469dc6217df8f80e9ff819f94e9096")
 
 
 def _report(number: int, label: str, ok: bool, detail: str) -> None:
@@ -321,20 +326,28 @@ def test_criterion_11_growth_exponents(desk_report):
 
 # --------------------------------------------------------------------------
 # 12. Full-survey determinism: a second run, through two pool workers,
-# serializes byte-identically to the serial one.
+# serializes byte-identically to the serial one, and both to the frozen digests.
+
+
+def desk_digests(report) -> tuple[str, str]:
+    return tuple(hashlib.sha256(text.encode()).hexdigest()
+                 for text in (report_to_json(report), runs_to_csv(report)))
 
 
 def test_criterion_12_determinism(desk_plan, desk_report):
     first = report_to_json(desk_report)
-    second = report_to_json(run_plan(desk_plan, threads=2))
+    pooled = run_plan(desk_plan, threads=2)
+    second = report_to_json(pooled)
     ok = first == second
+    frozen = desk_digests(desk_report) == desk_digests(pooled) == DESK_DIGESTS
     _report(
         12,
         "determinism",
-        ok,
-        f"report JSON {len(first)} bytes, 2-worker re-run identical={ok}",
+        ok and frozen,
+        f"report JSON {len(first)} bytes, 2-worker re-run identical={ok}, "
+        f"frozen digests={frozen}",
     )
-    assert ok
+    assert ok and frozen
 
 
 # --------------------------------------------------------------------------

@@ -406,6 +406,16 @@ def test_grid_that_cannot_be_allocated_exits_one(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_error_without_a_message_prints_its_type(tmp_path, capsys, monkeypatch):
+    # A MemoryError raised by the allocator itself carries no message.
+    def out_of_memory(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "cmd_cover", out_of_memory)
+    assert main(["cover", "--radius", "0.001", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "[error] MemoryError\n"
+
+
 @pytest.mark.parametrize("command, grid", [("nodal", "0"), ("growth", "-3")])
 def test_spec_commands_reject_grid_below_sampling_bound(tmp_path, capsys, command, grid):
     # 0 is a grid, not "use the default", and below ceil(10 sqrt(25)).

@@ -321,6 +321,59 @@ def test_probe_coverage_leaves_holes_beyond_the_radius():
     assert fam.reach == r + math.sqrt(2.0) / 1024
 
 
+# A vertex is computed within about 1e-15 of the true circle intersection
+# unless the two circles are within ~1e-18 of tangency; a disk whose
+# boundary passes within the margin of a vertex would make its count
+# ambiguous, and the test asserts no such disk exists.
+_VERTEX_MARGIN = 1e-9
+
+
+def overlap_depths(centers: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Counts of the closed disks B(c, r) at every pairwise circle intersection point and center.
+
+    The deepest point of a disk arrangement is a vertex, or a center when
+    a circle meets no other.  Returns (low, high): at each point, the disks
+    within r - _VERTEX_MARGIN and within r + _VERTEX_MARGIN of it, a vertex
+    counting its own two circles in both.
+    """
+    n = len(centers)
+    delta = wrap_delta(centers[None, :] - centers[:, None])  # delta[i, j] = c_j - c_i
+    dist = np.hypot(delta[..., 0], delta[..., 1])
+    i, j = np.nonzero(np.triu(dist < 2.0 * r, k=1))
+    step, gap = delta[i, j], dist[i, j]
+    height = np.sqrt(r * r - gap * gap / 4.0)  # from the chord's midpoint to each vertex
+    normal = (height / gap)[:, None] * np.column_stack([-step[:, 1], step[:, 0]])
+    mid = centers[i] + step / 2.0
+    points = np.concatenate([mid + normal, mid - normal, centers])
+    own = np.concatenate([np.column_stack([i, j])] * 2 + [np.column_stack([np.arange(n)] * 2)])
+    low, high = np.empty(len(points), dtype=int), np.empty(len(points), dtype=int)
+    for b0, b1 in blocks(len(points), n, 1 << 16):
+        d = periodic_distance(centers, points[b0:b1, None])
+        mine = np.zeros(d.shape, dtype=bool)
+        rows = np.arange(b1 - b0)
+        mine[rows, own[b0:b1, 0]] = mine[rows, own[b0:b1, 1]] = True
+        low[b0:b1] = np.count_nonzero(mine | (d <= r - _VERTEX_MARGIN), axis=1)
+        high[b0:b1] = np.count_nonzero(mine | (d <= r + _VERTEX_MARGIN), axis=1)
+    return low, high
+
+
+# The desk covers where the probe lattice misses the deepest point: a depth-5
+# vertex where overlap_max says 4.  The exact overlap of item 22(b) flips this pin.
+PROBE_OVERLAP_GAPS = {(325, 11, 2), (1105, 1, 2), (1105, 6, 2)}
+
+
+@pytest.mark.parametrize("energy, seed, stage", [c for c in DESK_COVERS if c[2] != 3])
+def test_overlap_max_is_at_most_the_exact_depth(energy, seed, stage):
+    fam = desk_cover(energy, seed, stage)
+    low, high = overlap_depths(fam.centers, fam.radius)
+    assert np.array_equal(low, high)  # the margin decides every count
+    depth = int(np.max(high))
+    assert fam.overlap_max <= depth
+    assert (fam.overlap_max < depth) is ((energy, seed, stage) in PROBE_OVERLAP_GAPS)
+    if (energy, seed, stage) in PROBE_OVERLAP_GAPS or stage == 4:
+        assert (fam.overlap_max, depth) == (4 if stage == 2 else 5, 5)
+
+
 def test_cover_overlap_profile_accounts_for_every_probe_point():
     fam = build_cover(0.12, seed=0)
     # A lattice other than the one build_cover painted.

@@ -7,9 +7,10 @@ import re
 import time
 from concurrent.futures import Future
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from torusnodal.ballstats import ball_masses, require_resolved_radius, scale_radius
 from torusnodal.covering import PROBE, BallFamily, build_cover
@@ -24,8 +25,11 @@ from torusnodal.errors import (
 from torusnodal.eigenbasis import (random_eigenfunction, require_sampling_grid, sample_grid,
                                    sine_mode_spec)
 from torusnodal.nodal import clip_to_ball, extract_nodal
+from torusnodal.torus import wrap_point
 from torusnodal import ballstats, harness
 from torusnodal.harness import (
+    BUMP_CENTER,
+    BUMP_WIDTH,
     TEST_FUNCTIONS,
     ExperimentPlan,
     FunctionIntegrals,
@@ -87,6 +91,11 @@ def cover_table(field, nodal, rho=0.5, seed=0, fs=tuple(TEST_FUNCTIONS.values())
 def integrals_of(field, nodal, f):
     """Both integrals of one test function (or registry name)."""
     return integrals_for(field, nodal, (TEST_FUNCTIONS.get(f, f),))[0]
+
+
+def bounds(low: float, high: float):
+    """TestFunction.extremes of any f with values in [low, high]: high and low at every disk."""
+    return lambda centers, radius: (np.full(len(centers), high), np.full(len(centers), low))
 
 
 def single_ball_table(field, nodal, center):
@@ -154,13 +163,19 @@ def test_modulus_clips_at_spread():
 
 
 def test_torus_integrals():
-    assert torus_integral(TEST_FUNCTIONS["one"]) == 1.0
-    assert torus_integral(TEST_FUNCTIONS["cos_x"]) == pytest.approx(1.0, abs=1e-12)
-    assert torus_integral(TEST_FUNCTIONS["cos_y"]) == pytest.approx(1.0, abs=1e-12)
-    # Area of the radial profile, cross-checked by refinement.
-    assert torus_integral(TEST_FUNCTIONS["bump"]) == pytest.approx(
-        torus_integral(TEST_FUNCTIONS["bump"], 1024), rel=1e-4
-    )
+    # The periodic grid rule is exact for 1 and 1 + cos(2 pi t): each lands
+    # within 2 ulps of 1 (1 - 1 ulp for cos_y at n = 512).
+    low, high = (np.nextafter(np.nextafter(1.0, to), to) for to in (0.0, 2.0))
+    for n in (256, 304, 512, 544):
+        for name in ("one", "cos_x", "cos_y"):
+            assert low <= torus_integral(TEST_FUNCTIONS[name], n) <= high, (name, n)
+    # The bump's area is 2 pi w^2 times the integral of t g(t) over [0, 1].
+    with mpmath.workdps(30):
+        profile = mpmath.quad(lambda t: t * mpmath.exp(1 - 1 / (1 - t * t)), [0, 1])
+        bump_area = float(2 * mpmath.pi * mpmath.mpf(BUMP_WIDTH) ** 2 * profile)
+    assert bump_area == pytest.approx(0.07925701007047475506, rel=1e-15)
+    for n in (256, 304, 544):  # the desk plan's grids; 256 is 5.5e-11 off
+        assert torus_integral(TEST_FUNCTIONS["bump"], n) == pytest.approx(bump_area, rel=1e-10), n
 
 
 def test_torus_integral_rejects_values_that_do_not_broadcast_to_the_block():
@@ -169,11 +184,11 @@ def test_torus_integral_rejects_values_that_do_not_broadcast_to_the_block():
                lambda x, y: np.ones((1,) + np.broadcast(x, y).shape),
                lambda x, y: np.ones(3)):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            torus_integral(TestFunction("flat", fn, 0.0, 0.0), 64)
+            torus_integral(TestFunction("flat", fn, 0.0, 0.0, bounds(1.0, 1.0)), 64)
     # Values that read one axis, or none, are broadcast over the block.
     for fn in (lambda x, y: np.ones_like(x), lambda x, y: np.ones_like(y),
                lambda x, y: np.float64(1.0)):
-        assert torus_integral(TestFunction("constant", fn, 0.0, 0.0), 64) == 1.0
+        assert torus_integral(TestFunction("constant", fn, 0.0, 0.0, bounds(1.0, 1.0)), 64) == 1.0
 
 
 @pytest.mark.parametrize("n", [256, 512, 544])
@@ -370,7 +385,8 @@ def test_theorem2_unit_weight_reproduces_length_ratio(e65_field, e65_nodal):
 
 
 def test_theorem2_flags_trivial_weights(e65_field, e65_nodal):
-    zero = TestFunction("zero", lambda x, y: np.zeros(np.broadcast(x, y).shape), 0.0, 0.0)
+    zero = TestFunction("zero", lambda x, y: np.zeros(np.broadcast(x, y).shape), 0.0, 0.0,
+                        bounds(0.0, 0.0))
     t2 = check_theorem_2(e65_field, integrals_for(
         e65_field, e65_nodal, (TEST_FUNCTIONS["one"], zero)))
     assert "zero" in t2.trivial_names
@@ -379,7 +395,7 @@ def test_theorem2_flags_trivial_weights(e65_field, e65_nodal):
 
 def test_theorem2_rejects_negative_weights(e65_field, e65_nodal):
     signed = TestFunction(
-        "signed", lambda x, y: np.cos(2 * np.pi * x), 2 * np.pi, 1.0
+        "signed", lambda x, y: np.cos(2 * np.pi * x), 2 * np.pi, 1.0, bounds(-1.0, 1.0)
     )
     with pytest.raises(NegativeTestFunction):
         check_theorem_2(e65_field, integrals_for(e65_field, e65_nodal, (signed,)))
@@ -467,6 +483,10 @@ def test_chain_regression_against_baseline(e65_field, e65_nodal):
         assert lhs == pytest.approx(want["lhs"], rel=1e-9), name
         assert rhs == pytest.approx(want["rhs"], rel=1e-9), name
     assert "asymptotic hypothesis unmet" in trace.message
+    # The 9x9 lattice estimator the chain read before its exact disk extremes.
+    lattice = lattice_chain(e65_field, e65_nodal, table, fi)
+    assert lattice.corr_lower == pytest.approx(2.467800109398639, rel=1e-9)
+    assert lattice.corr_upper == pytest.approx(0.4321684642943974, rel=1e-9)
 
 
 def test_chain_unit_weight_meets_hypothesis(e65_field, e65_nodal):
@@ -491,6 +511,7 @@ def test_chain_rough_weight_reports_unmet_hypothesis(e65_field, e65_nodal):
         lambda x, y: 1.0 + np.cos(2 * np.pi * 16 * x),
         lipschitz=32 * np.pi,
         spread=2.0,
+        extremes=bounds(0.0, 2.0),
     )
     lam = e65_field.spec_lambda
     rho = math.log(5.0) / math.log(lam)  # scale radius approximately 0.2
@@ -513,19 +534,112 @@ def test_chain_detects_tampered_cover(e65_field, e65_nodal):
     assert "nodal_coverage_superadditivity" in failing
 
 
+# ---------------------------------------------------------------- disk extremes
+
+
+def polar_disk(center: np.ndarray, radius: float, rings: int = 64, rays: int = 256):
+    """Points of the closed disk B(center, radius) on rings and rays, and their covering radius.
+
+    A disk point (rho, theta) lies within radius / (2 rings) of a ring, and
+    along that ring within radius * pi / rays of a ray.
+    """
+    rho = radius * np.arange(rings + 1) / rings
+    theta = 2.0 * np.pi * np.arange(rays) / rays
+    rim = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    points = center + rho[:, None, None] * rim
+    return points.reshape(-1, 2), radius * (0.5 / rings + np.pi / rays)
+
+
+# Within rounding: 1 + cos of a coordinate and of its reduced distance to 0 differ in last bits.
+_ROUNDING = 1e-12
+_NEAR_SEAMS = st.tuples(st.sampled_from([0.0, 0.5, 1.0]), st.floats(-0.01, 0.01)).map(
+    lambda t: (t[0] + t[1]) % 1.0)
+_COORDINATES = st.one_of(st.floats(0.0, 1.0, exclude_max=True), _NEAR_SEAMS)
+
+
+@st.composite
+def disks(draw):
+    """(center, radius < 1/4): centers anywhere, on and near the seams, and near the bump's edge."""
+    radius = draw(st.floats(0.0, 0.25, exclude_min=True, exclude_max=True))
+    if draw(st.booleans()):
+        return np.array([draw(_COORDINATES), draw(_COORDINATES)]), radius
+    # d = w - R or w + R: the disk's far or near side on the support edge.
+    d = BUMP_WIDTH + draw(st.sampled_from([-1.0, 1.0])) * radius + draw(st.floats(-1e-3, 1e-3))
+    phi = draw(st.floats(0.0, 2.0 * np.pi))
+    return wrap_point(np.array(BUMP_CENTER) + abs(d) * np.array([np.cos(phi), np.sin(phi)])), radius
+
+
+@settings(max_examples=300, deadline=None)
+@given(disk=disks())
+def test_extremes_bound_every_function_over_a_dense_polar_sample(disk):
+    center, radius = disk
+    points, h = polar_disk(center, radius)
+    for tf in TEST_FUNCTIONS.values():
+        sup, inf = (float(v[0]) for v in tf.extremes(center[None], radius))
+        vals = tf(points)
+        lo, hi = float(np.min(vals)), float(np.max(vals))
+        assert hi - _ROUNDING <= sup <= hi + tf.lipschitz * h + _ROUNDING, tf.name
+        assert lo - tf.lipschitz * h - _ROUNDING <= inf <= lo + _ROUNDING, tf.name
+
+
+def lattice_points(centers: np.ndarray, half_side: float) -> np.ndarray:
+    """The 9x9 square lattice of half side half_side around each center, (B, 81, 2)."""
+    t = np.linspace(-half_side, half_side, 9)
+    gx, gy = np.meshgrid(t, t, indexing="ij")
+    return centers[:, None, :] + np.stack([gx.ravel(), gy.ravel()], axis=-1)
+
+
+def lattice_estimator(tf: TestFunction) -> TestFunction:
+    """tf with the chain's former extremes: the max and min over the 9x9 lattice on each disk's
+    bounding square, widened by lipschitz times the lattice's covering radius."""
+    def extremes(centers, radius):
+        vals = tf(lattice_points(centers, radius))
+        gap = tf.lipschitz * ((2.0 * radius / 8) * math.sqrt(2.0) / 2.0)
+        return np.max(vals, axis=1) + gap, np.min(vals, axis=1) - gap
+    return dataclasses.replace(tf, extremes=extremes)
+
+
+def lattice_chain(field, nodal, table, fi):
+    """The bound chain of fi on the lattice estimator: the chain as it was before exact extremes."""
+    lattice_tf = lattice_estimator(fi.tf)
+    table = table._replace(terms={lattice_tf: table.terms[fi.tf]})
+    return replicate_bound_chain(field, nodal, table, fi._replace(tf=lattice_tf))
+
+
+@pytest.mark.parametrize("energy", [65, 325, 1105])
+def test_exact_extremes_sharpen_the_lattice_chain_on_the_desk_runs(energy, monkeypatch):
+    plan = plan_from_json(open(DESK_PLAN).read())
+    assert energy in plan.energies
+    chains = []
+
+    def both(field, nodal, table, fi):
+        exact = replicate_bound_chain(field, nodal, table, fi)
+        chains.append((table.family, fi.tf, exact, lattice_chain(field, nodal, table, fi)))
+        return exact
+
+    monkeypatch.setattr(harness, "replicate_bound_chain", both)
+    for seed in range(plan.seeds_per_energy):
+        chains.clear()
+        run = run_single(plan, energy, seed)
+        assert run.chain_ok is all(lattice.ok for *_, lattice in chains) is True
+        assert run.chain_hypothesis_met == sum(lattice.hypothesis_met for *_, lattice in chains)
+        for fam, tf, exact, lattice in chains:
+            reference = lattice_estimator(tf)
+            sup, lattice_sup = (f.extremes(fam.centers, fam.reach)[0] for f in (tf, reference))
+            inf, lattice_inf = (f.extremes(fam.centers, fam.radius / 2)[1] for f in (tf, reference))
+            assert np.all(sup <= lattice_sup) and np.all(inf >= lattice_inf), tf.name
+            assert exact.corr_lower <= lattice.corr_lower, tf.name
+            assert exact.corr_upper <= lattice.corr_upper, tf.name
+            assert (exact.ok, exact.hypothesis_met) == (lattice.ok, lattice.hypothesis_met)
+
+
 def reference_ball_terms(nodal, table, tf):
-    """Per-ball lengths, f-minima, f-maxima, integrals and lattice sup/inf, one ball at a time."""
+    """Per-ball lengths, f-minima, f-maxima, integrals and disk sup/inf, one ball at a time."""
     fam = table.family
     r = table.mass.radius
     probe_eps = math.sqrt(2.0) / (2.0 * PROBE)
     terms = {name: np.zeros(fam.count)
              for name in ("length", "f_min", "f_max", "integral", "sup", "inf")}
-
-    def lattice(c, half):
-        t = np.linspace(-half, half, 9)
-        gx, gy = np.meshgrid(t, t, indexing="ij")
-        gap = (2.0 * half / 8) * math.sqrt(2.0) / 2.0
-        return tf(c + np.stack([gx.ravel(), gy.ravel()], axis=-1)), tf.lipschitz * gap
 
     for k, c in enumerate(fam.centers):
         piece_len, piece_mid = clip_to_ball(nodal, c, r)[:2]
@@ -538,10 +652,8 @@ def reference_ball_terms(nodal, table, tf):
             terms["integral"][k] = float(np.sum(vals * piece_len))
             terms["f_min"][k] = float(np.min(vals))
             terms["f_max"][k] = float(np.max(vals))
-        vals, slack = lattice(c, r + probe_eps)
-        terms["sup"][k] = float(np.max(vals)) + slack
-        vals, slack = lattice(c, r / 2.0)
-        terms["inf"][k] = float(np.min(vals)) - slack
+        terms["sup"][k] = tf.extremes(c[None], r + probe_eps)[0][0]
+        terms["inf"][k] = tf.extremes(c[None], r / 2.0)[1][0]
     return terms
 
 
@@ -596,7 +708,7 @@ def test_chain_matches_per_ball_reference(request, case, name):
 def test_chain_names_first_negative_ball_like_per_ball_reference(e65_field, e65_nodal):
     # Negative only on a band of x, so some balls pass before one fails.
     signed = TestFunction("signed", lambda x, y: np.cos(2 * np.pi * (x + 0.1)),
-                          2 * np.pi, 2.0)
+                          2 * np.pi, 2.0, bounds(-1.0, 1.0))
     table = cover_table(e65_field, e65_nodal, fs=(signed,))
     with pytest.raises(NegativeTestFunction) as want:
         reference_ball_terms(e65_nodal, table, signed)
@@ -765,7 +877,7 @@ def test_function_integrals_reuse_the_grid_integral(e65_field, e65_nodal):
         sizes.append(math.prod(shape))
         return np.ones(shape)
 
-    tf = TestFunction("counting", counting, 0.0, 0.0)
+    tf = TestFunction("counting", counting, 0.0, 0.0, bounds(1.0, 1.0))
     first = integrals_for(e65_field, e65_nodal, (tf,))
     assert integrals_for(e65_field, e65_nodal, (tf,)) == first
     # The grid's points are evaluated once in all (in blocks of rows, passed as

@@ -9,8 +9,8 @@ complex_strip_sup searches each corner sheet one column block at a time,
 integrate_over_nodal evaluates its weight on blocks of midpoints, and
 clip_batches drops each batch's arrays once they are dead and, like
 clip_lengths, takes a segment certified inside its ball whole.  The test
-functions take (x, y) axes, so torus_integral and the ball table's 9x9
-lattices evaluate them on a product grid's axes, and lower_bound_assembly
+functions take (x, y) axes, so torus_integral evaluates them on a product
+grid's axes, and lower_bound_assembly
 sums each good ball's pieces with clip_lengths, which forms no midpoints.
 The reference bodies below are the kernels as they stood before: a
 padded, squared copy of the field, one prefix array of all rows, a table
@@ -18,7 +18,7 @@ holding every clipped piece with the chain reducing them, whole |v|
 sheets (with test_growth's dense zoom), one weight call over every
 midpoint, one clip body (in conftest) holding all of a batch's
 temporaries and clipping every near pair's chord, test functions of an
-(M, 2) point array evaluated on every grid and lattice point, and the
+(M, 2) point array evaluated on every grid point, and the
 assembly's sums over that clip's pieces.
 Every output must equal theirs byte for byte.
 """
@@ -41,11 +41,9 @@ from torusnodal.doubling import INNER_FACTOR, OUTER_FACTOR, lower_bound_assembly
 from torusnodal.eigenbasis import TWO_PI, random_eigenfunction, sample_grid
 from torusnodal.errors import NegativeTestFunction
 from torusnodal.growth import _sheet_argmax, complex_strip_sup
-from torusnodal.harness import (_LATTICE_SIDE, _QUADRATURE_SLACK, BUMP_CENTER, BUMP_LIPSCHITZ,
-                                BUMP_WIDTH, TEST_FUNCTIONS, ChainTrace, ExperimentPlan,
-                                TestFunction, _lattice_gap, _lattice_values, _step,
-                                ball_table, plan_grid, replicate_bound_chain, run_single,
-                                torus_integral)
+from torusnodal.harness import (_QUADRATURE_SLACK, BUMP_CENTER, BUMP_WIDTH, TEST_FUNCTIONS,
+                                ChainTrace, ExperimentPlan, _step, ball_table, plan_grid,
+                                replicate_bound_chain, run_single, torus_integral)
 from torusnodal.nodal import (NodalSet, ball_sums, clip_batches, clip_lengths, extract_nodal,
                               integrate_over_nodal)
 from torusnodal.torus import periodic_distance, wrap_delta, wrap_point
@@ -54,6 +52,7 @@ from conftest import clip_family, constant_spec, integrals_for, reference_clip_b
 from test_doubling import parent_lower_bound_assembly
 from test_eigenbasis import grid_sum, traced_peak
 from test_growth import dense_strip_sup
+from test_harness import _ROUNDING, lattice_estimator, lattice_points
 
 ENERGIES = (25, 50, 65, 325, 1105, 5525)
 SEAM_CENTERS = [[0.0, 0.0], [1.0 - 1e-12, 1.0 - 1e-12], [0.0, 0.5], [0.5, 0.0],
@@ -180,16 +179,8 @@ def reference_torus_integral(f, n: int) -> float:
     return float(np.mean(vals))
 
 
-def reference_lattice_points(centers: np.ndarray, half_side: float) -> np.ndarray:
-    """The 9x9 square lattice of half side half_side around each center, 81 rows per center."""
-    t = np.linspace(-half_side, half_side, _LATTICE_SIDE)
-    gx, gy = np.meshgrid(t, t, indexing="ij")
-    pts = centers[:, None, :] + np.stack([gx.ravel(), gy.ravel()], axis=-1)
-    return pts.reshape(-1, 2)
-
-
 class WholeFamilyTable(NamedTuple):
-    """The ball table as it held every clipped piece and both lattices of the family."""
+    """The ball table as it held every clipped piece of the family."""
 
     family: BallFamily
     piece_len: np.ndarray
@@ -199,8 +190,6 @@ class WholeFamilyTable(NamedTuple):
     density: np.ndarray
     nonempty: np.ndarray
     piece_max: float
-    sup_lattice: np.ndarray
-    inf_lattice: np.ndarray
 
 
 def reference_ball_table(field, nodal, family) -> WholeFamilyTable:
@@ -212,13 +201,11 @@ def reference_ball_table(field, nodal, family) -> WholeFamilyTable:
     nonempty = np.diff(offsets) > 0
     piece_max = float(np.max(piece_len)) if piece_len.size else 0.0
     return WholeFamilyTable(family, piece_len, piece_mid, offsets, lengths, density, nonempty,
-                            piece_max,
-                            reference_lattice_points(family.centers, family.reach),
-                            reference_lattice_points(family.centers, r / 2.0))
+                            piece_max)
 
 
 def reference_terms(table: WholeFamilyTable, tf) -> dict:
-    """f's per-ball min, max, integral and lattice extremes, as the chain took them from the pieces.
+    """f's per-ball min, max and integral, as the chain took them from the pieces.
 
     A registered f is evaluated by its point-form reference body.
     """
@@ -232,9 +219,7 @@ def reference_terms(table: WholeFamilyTable, tf) -> dict:
         f_min[table.nonempty] = np.minimum.reduceat(vals, starts)
         f_max[table.nonempty] = np.maximum.reduceat(vals, starts)
     return {"f_min": f_min, "f_max": f_max,
-            "integral": ball_sums(vals * table.piece_len, table.offsets),
-            "sup_lattice": np.max(f(table.sup_lattice).reshape(n_balls, -1), axis=1),
-            "inf_lattice": np.min(f(table.inf_lattice).reshape(n_balls, -1), axis=1)}
+            "integral": ball_sums(vals * table.piece_len, table.offsets)}
 
 
 def reference_bound_chain(field, nodal, table: WholeFamilyTable, integrals) -> ChainTrace:
@@ -259,15 +244,14 @@ def reference_bound_chain(field, nodal, table: WholeFamilyTable, integrals) -> C
     slack_overlap = piece_slack + overlap * tf.modulus(seg_max / 2.0) * total_length
     e1_chain = float(np.min(table.density))
     e2_chain = float(np.max(table.density))
-    sup_half_side = fam.reach
-    sup_est = terms["sup_lattice"] + tf.lipschitz * _lattice_gap(sup_half_side)
-    inf_est = terms["inf_lattice"] - tf.lipschitz * _lattice_gap(r / 2.0)
-    enlarged_vol = math.pi * sup_half_side ** 2
-    corr_lower = (float(np.sum((sup_est - f_min)[nonempty])) * vol
-                  + float(np.sum(sup_est[~nonempty])) * vol
-                  + float(np.sum(sup_est)) * (enlarged_vol - vol)
+    sup = tf.extremes(fam.centers, fam.reach)[0]
+    inf = tf.extremes(fam.centers, r / 2.0)[1]
+    enlarged_vol = math.pi * fam.reach ** 2
+    corr_lower = (float(np.sum((sup - f_min)[nonempty])) * vol
+                  + float(np.sum(sup[~nonempty])) * vol
+                  + float(np.sum(sup)) * (enlarged_vol - vol)
                   + _QUADRATURE_SLACK * (tf.spread + 1.0))
-    corr_upper = (float(np.sum((f_max - inf_est)[nonempty])) * (vol / 4.0)
+    corr_upper = (float(np.sum((f_max - inf)[nonempty])) * (vol / 4.0)
                   + _QUADRATURE_SLACK * (tf.spread + 1.0))
     sum_ball_integral = float(np.sum(terms["integral"]))
     sum_f_min = float(np.sum(f_min[nonempty]))
@@ -508,7 +492,7 @@ def test_test_functions_equal_their_point_form_bodies():
         for label, centers, r in survey_case(energy)[2]:
             family = as_family(label, centers, r)
             for half in (family.reach, r / 2.0):
-                pts.append(reference_lattice_points(family.centers, half))
+                pts.append(lattice_points(family.centers, half).reshape(-1, 2))
     for name, tf in TEST_FUNCTIONS.items():
         for p in pts:
             got, want = tf(p), REFERENCE_FUNCTIONS[name](p)
@@ -516,15 +500,26 @@ def test_test_functions_equal_their_point_form_bodies():
 
 
 @pytest.mark.parametrize("energy", ENERGIES)
-def test_lattice_values_equal_the_lattice_point_reference(energy):
+def test_exact_extremes_lie_within_the_lattice_point_reference(energy):
+    # The 9x9 lattice the chain read before its exact disk extremes: the values
+    # at its points inside the disk bound the sup below and the inf above, and
+    # the lattice estimate, widened by the Lipschitz gap, bounds them outside.
     for label, centers, r in survey_case(energy)[2]:
         family = as_family(label, centers, r)
-        for half in (family.reach, r / 2.0):
-            pts = reference_lattice_points(family.centers, half)
+        for radius in (family.reach, r / 2.0):
+            if radius >= 0.25:
+                continue  # the edge family's full radius
+            offsets = lattice_points(np.zeros((1, 2)), radius)[0]
+            inside = np.hypot(offsets[:, 0], offsets[:, 1]) <= radius
+            pts = lattice_points(family.centers, radius)
             for name, tf in TEST_FUNCTIONS.items():
-                got = np.ascontiguousarray(_lattice_values(tf, family.centers, half))
-                want = REFERENCE_FUNCTIONS[name](pts).reshape(family.count, 9, 9)
-                assert got.tobytes() == want.tobytes(), (label, name)
+                vals = REFERENCE_FUNCTIONS[name](pts)
+                sup, inf = tf.extremes(family.centers, radius)
+                lattice_sup, lattice_inf = lattice_estimator(tf).extremes(family.centers, radius)
+                assert np.all(np.max(vals[:, inside], axis=1) <= sup + _ROUNDING), (label, name)
+                assert np.all(sup <= lattice_sup), (label, name)
+                assert np.all(np.min(vals[:, inside], axis=1) >= inf - _ROUNDING), (label, name)
+                assert np.all(inf >= lattice_inf), (label, name)
 
 
 @pytest.mark.parametrize("n", [256, 304, 347, 544, 800])
