@@ -3,8 +3,9 @@
 The bump is g(d / w) around (1/2, 1/2) with width w = 1/4 and
 g(t) = exp(1 - 1/(1 - t^2)) on |t| < 1, zero outside.  The registry needs
 a true upper bound for the Lipschitz constant, which is max |g'| / w.
-This script locates the maximum by bisection-style grid refinement and
-prints the values hardcoded in harness.py.
+On (0, 1), g'' = 0 reduces to 1 - 3 t^4 = 0 and |g'| vanishes at both
+ends, so the maximum sits at t* = 3^(-1/4).  This script prints the
+values hardcoded in harness.py.
 """
 
 import numpy as np
@@ -26,16 +27,7 @@ def g_prime(t: np.ndarray) -> np.ndarray:
 
 
 def main() -> int:
-    lo, hi = 0.0, 0.999999
-    for _ in range(60):
-        t = np.linspace(lo, hi, 200_001)
-        a = np.abs(g_prime(t))
-        k = int(np.argmax(a))
-        step = t[1] - t[0]
-        lo, hi = max(0.0, t[k] - step), min(0.999999, t[k] + step)
-        if step < 1e-15:
-            break
-    t_star = float(0.5 * (lo + hi))
+    t_star = 3.0 ** -0.25
     m = float(np.abs(g_prime(np.array([t_star])))[0])
     width = 0.25
     print(f"[bump] argmax t* = {t_star!r}")

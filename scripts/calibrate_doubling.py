@@ -13,10 +13,10 @@ Run: python scripts/calibrate_doubling.py --energy 65 --seeds 50
 """
 
 import argparse
-import math
 
 import numpy as np
 
+from torusnodal.ballstats import default_centers
 from torusnodal.doubling import sign_changes
 from torusnodal.eigenbasis import frequency, random_eigenfunction, sample_grid
 
@@ -29,14 +29,9 @@ def sign_change_fractions(energy: int, n_seeds: int, grid: int,
         field = sample_grid(random_eigenfunction(energy, seed), grid)
         for a1 in a1_values:
             radius = a1 / lam
-            # Dense lattice of centers (spacing <= radius) plus random extras:
-            # stricter than any disjoint-ball family at the same scale.
-            m = math.ceil(1.0 / radius)
-            t = np.arange(m) / m
-            gx, gy = np.meshgrid(t, t, indexing="ij")
-            centers = np.stack([gx.ravel(), gy.ravel()], axis=-1)
-            rng = np.random.default_rng(seed * 1000 + 7)
-            centers = np.concatenate([centers, rng.uniform(size=(100, 2))])
+            # The SSE family's centers at radius 2*radius: a lattice at spacing <= radius
+            # plus 100 random extras, stricter than any disjoint-ball family at this scale.
+            centers = default_centers(2.0 * radius, seed * 1000 + 7)
             # The classifier's own probe, so a1 is calibrated on what it checks.
             changed = sign_changes(field, centers, radius)
             tally[a1][0] += int(np.sum(changed))

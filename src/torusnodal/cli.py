@@ -24,8 +24,8 @@ from .eigenbasis import (EigenfunctionSpec, enumerate_modes, frequency, random_e
                          sample_grid, spec_from_json, spec_to_json)
 from .errors import EmptySpectrum, TorusNodalError
 from .growth import growth_report
-from .harness import (GRID_MIN, GRID_PER_SQRT_ENERGY, plan_from_json, plan_grid, report_to_json,
-                      require_threads, run_plan, runs_to_csv)
+from .harness import (GRID_MIN, GRID_PER_SQRT_ENERGY, ExperimentPlan, plan_from_json, plan_grid,
+                      report_to_json, require_threads, run_plan, runs_to_csv)
 from .nodal import extract_nodal, nodal_from_csv, nodal_to_csv
 from .svgplot import render_svg
 
@@ -91,9 +91,9 @@ def cmd_modes(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    spec = random_eigenfunction(args.energy, args.seed)
+    spec, stem = _spec(args)
     out = _ensure_out(args.out)
-    path = os.path.join(out, f"spec_E{args.energy}_seed{args.seed}.json")
+    path = os.path.join(out, f"spec_{stem}.json")
     with open(path, "w") as fh:
         fh.write(spec_to_json(spec))
     print(f"[gen] wrote {path} modes={len(spec.modes)} lambda={spec.lam!r}")
@@ -260,7 +260,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ballstats", parents=[grid], help="ball mass statistics")
     _add_spec_source(p)
-    p.add_argument("--rho", type=float, default=0.5,
+    p.add_argument("--rho", type=float, default=ExperimentPlan.rho,
                    help="scale exponent: radius = lambda**(-rho)")
     p.add_argument("--radius", type=float, default=None,
                    help="fixed radius instead of the rho scale rule")
@@ -282,8 +282,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("growth", help="real and strip growth exponents")
     _add_spec_source(p)
-    p.add_argument("--rho", type=float, default=0.5)
-    p.add_argument("--delta", type=float, default=0.25)
+    p.add_argument("--rho", type=float, default=ExperimentPlan.rho)
+    p.add_argument("--delta", type=float, default=ExperimentPlan.growth_delta)
     p.add_argument("--tau", type=float, default=None,
                    help="strip half-width (default E**-0.5)")
     p.add_argument("--out", default=None, help="output directory (optional)")

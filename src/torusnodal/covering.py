@@ -153,8 +153,10 @@ def family_to_csv(family: BallFamily, path: str) -> None:
 
 
 def balls_from_csv(path: str) -> tuple[np.ndarray, float]:
-    """Centers and the common positive radius of a cover CSV; a header-only file has no balls."""
+    """Centers in [0, 1) and the common positive radius of a cover CSV; header only is no balls."""
     rows = read_float_csv(path, _COVER_HEADER, "ball file")
+    if not np.all((rows[:, :2] >= 0.0) & (rows[:, :2] < 1.0)):
+        raise ValueError(f"ball file {path}: centers must lie in [0, 1)")
     # Not np.unique, which imports numpy.ma.
     if np.any(rows[:, 2] != rows[:1, 2]):
         raise ValueError(f"ball file {path}: rows carry more than one radius")

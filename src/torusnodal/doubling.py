@@ -101,15 +101,15 @@ def doubling_admissible(lam: float, a1: float) -> bool:
     return OUTER_FACTOR * a1 / lam < 0.25
 
 
-def _outer_radius(lam: float, a1: float) -> float:
-    """The outer doubling radius 20*a1/lam; raises unless lam > 0 and it is admissible."""
+def doubling_radii(lam: float, a1: float) -> tuple[float, float, float]:
+    """(core, inner, outer) = (a1, 10*a1, 20*a1)/lam; raises unless lam > 0 and outer < 1/4."""
     if lam <= 0.0:
         raise ValueError("doubling classification needs a positive frequency")
     r_out = OUTER_FACTOR * a1 / lam
     if not doubling_admissible(lam, a1):
         raise RadiusTooLarge(
             f"outer doubling radius {r_out!r} >= 1/4; energy too low for a1 = {a1!r}")
-    return r_out
+    return a1 / lam, INNER_FACTOR * a1 / lam, r_out
 
 
 def require_resolved_doubling(lam: float, a1: float, n: int) -> None:
@@ -120,8 +120,7 @@ def require_resolved_doubling(lam: float, a1: float, n: int) -> None:
     whose candidate lattice does not fit in memory for a tiny a1; the
     doubling command and plan validation check it before sampling a field.
     """
-    _outer_radius(lam, a1)
-    r_in = INNER_FACTOR * a1 / lam
+    r_in = doubling_radii(lam, a1)[1]
     if r_in * n < MIN_CELLS_PER_RADIUS:
         raise RadiusUnderResolved(
             f"inner doubling radius {r_in!r} spans {r_in * n:.1f} cells at resolution {n}; "
@@ -133,9 +132,7 @@ def classify_doubling(field, centers, a1: float = DEFAULT_A1,
     """Doubling ratios over the given centers at the wavelength scale a1/lam."""
     require_doubling_constants(a1, a2)
     lam = field.spec_lambda
-    r_out = _outer_radius(lam, a1)
-    r_in = INNER_FACTOR * a1 / lam
-    r_core = a1 / lam
+    r_core, r_in, r_out = doubling_radii(lam, a1)
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     inner = CertifiedMasses(field, centers, r_in)
     outer = CertifiedMasses(field, centers, r_out)
@@ -176,7 +173,7 @@ def doubling_stage(field, nodal: NodalSet, a1: float, a2: float,
     """Classify the cover at half the outer radius, drawn from seed, and assemble its bound."""
     require_doubling_constants(a1, a2)
     require_resolved_doubling(field.spec_lambda, a1, field.resolution)
-    family = build_cover(_outer_radius(field.spec_lambda, a1) / 2.0, seed)
+    family = build_cover(doubling_radii(field.spec_lambda, a1)[2] / 2.0, seed)
     report = classify_doubling(field, family.centers, a1=a1, a2=a2)
     return report, lower_bound_assembly(report, nodal)
 

@@ -179,8 +179,6 @@ def complex_strip_sup(spec: EigenfunctionSpec, tau: float) -> tuple[float, float
 
     n = max(64, 10 * math.ceil(math.sqrt(max(spec.energy, 1))))
     corners = [np.array([sy * tau, sx * tau]) for sy in (-1.0, 1.0) for sx in (-1.0, 1.0)]
-    if tau == 0.0:
-        corners = corners[:1]
     coeffs = np.array([spec.coeffs * np.exp(-TWO_PI * (xi @ y)) for y in corners])
     best, p0 = -math.inf, []
     for c in coeffs:

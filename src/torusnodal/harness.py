@@ -1056,8 +1056,6 @@ def _verdicts(plan: ExperimentPlan, runs: list[RunResult],
 def _jsonify(value):
     if isinstance(value, float) and math.isnan(value):
         return None
-    if isinstance(value, (np.floating, np.integer)):
-        return _jsonify(value.item())
     if isinstance(value, dict):
         return {str(k): _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -425,8 +425,11 @@ def nodal_to_csv(nodal: NodalSet, path: str) -> None:
 
 
 def nodal_from_csv(path: str) -> NodalSet:
-    """Load a segment soup written by nodal_to_csv; a header-only file is the empty set."""
+    """Load a nodal_to_csv segment soup: endpoints in [0, 1), lengths >= 0; header only is empty."""
     rows = read_float_csv(path, _NODAL_HEADER, "nodal file")
+    if not (np.all((rows[:, :4] >= 0.0) & (rows[:, :4] < 1.0)) and np.all(rows[:, 4] >= 0.0)):
+        raise ValueError(f"nodal file {path}: endpoints must lie in [0, 1) "
+                         f"and lengths must not be negative")
     a = rows[:, 0:2]
     b = rows[:, 2:4]
     lengths = rows[:, 4].copy()  # a view would keep all of rows alive

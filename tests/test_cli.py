@@ -720,14 +720,20 @@ def test_plot_missing_input_exits_one(tmp_path, capsys):
     ("0.1,nan,0.3,0.4,0.1\n", "5 finite numbers"),
     ("0.1,0.2,inf,0.4,0.1\n", "5 finite numbers"),
     ("0.1,0.2,x,0.4,0.1\n", "could not convert"),
+    # Read as is, this row overflowed in the midpoint and drew M0.000000 1.000000L0.000000 1.000000.
+    ("1e308,1e308,-1e308,5,1\n", "endpoints must lie in [0, 1)"),
+    ("0.1,0.2,1.0,0.4,0.1\n", "endpoints must lie in [0, 1)"),
+    ("0.1,-1e-300,0.3,0.4,0.1\n", "endpoints must lie in [0, 1)"),
+    ("0.1,0.2,0.3,0.4,-0.1\n", "lengths must not be negative"),
 ])
-def test_plot_rejects_a_malformed_nodal_csv(tmp_path, capsys, body, why):
+def test_plot_rejects_a_malformed_nodal_csv(tmp_path, capsys, recwarn, body, why):
     path = tmp_path / "bad.csv"
     path.write_text("ax,ay,bx,by,length\n" + body)
     assert main(["plot", "--nodal", str(path), "--out", str(tmp_path / "bad.svg")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("[error] nodal file") and str(path) in err and why in err
     assert "Traceback" not in err and not (tmp_path / "bad.svg").exists()
+    assert not recwarn.list
 
 
 @pytest.mark.parametrize("body,why", [
@@ -737,6 +743,8 @@ def test_plot_rejects_a_malformed_nodal_csv(tmp_path, capsys, body, why):
     ("0.1,x,0.1\n", "could not convert"),
     ("0.1,0.2,-0.1\n", ": radius -0.1 is not positive\n"),
     ("0.1,0.2,0.0\n0.5,0.5,0.0\n", ": radius 0.0 is not positive\n"),
+    ("7.0,-3.0,0.1\n", ": centers must lie in [0, 1)\n"),
+    ("0.1,0.2,0.1\n0.5,1.0,0.1\n", ": centers must lie in [0, 1)\n"),
 ])
 def test_plot_rejects_a_malformed_ball_csv(tmp_path, capsys, body, why):
     nodal = tmp_path / "nodal.csv"

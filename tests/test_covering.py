@@ -15,7 +15,7 @@ from torusnodal.covering import (
     family_to_csv,
     family_to_json,
 )
-from torusnodal.doubling import DEFAULT_A1, _outer_radius, doubling_admissible
+from torusnodal.doubling import DEFAULT_A1, doubling_admissible, doubling_radii
 from torusnodal.eigenbasis import frequency
 from torusnodal.errors import RadiusTooLarge
 from torusnodal.harness import _stage_seed, plan_from_json
@@ -138,7 +138,7 @@ def half_scale_radius(energy: int) -> float:
 # The E=1105 doubling cover's radius (half the outer radius at the default
 # a1) and the desk plan's control cover (the E=1105 scale radius, stage seed
 # 1013).
-DOUBLING_1105_RADIUS = _outer_radius(2.0 * math.pi * math.sqrt(1105), DEFAULT_A1) / 2.0
+DOUBLING_1105_RADIUS = doubling_radii(2.0 * math.pi * math.sqrt(1105), DEFAULT_A1)[2] / 2.0
 ORACLE_RADII = [half_scale_radius(e) for e in (25, 50, 65, 325, 1105)] + [
     DOUBLING_1105_RADIUS, 0.03, 0.22]
 
@@ -294,7 +294,7 @@ DESK_COVERS = ([(e, s, 2) for e in DESK.energies for s in range(DESK.seeds_per_e
 def desk_cover(energy: int, seed: int, stage: int):
     """The cover the desk run (energy, seed) builds at stage, as run_single and control_run do."""
     if stage == 3:
-        r = _outer_radius(frequency(energy), DESK.doubling_a1) / 2.0
+        r = doubling_radii(frequency(energy), DESK.doubling_a1)[2] / 2.0
     else:
         r = scale_radius(frequency(max(DESK.energies) if stage == 4 else energy), DESK.rho)
     return build_cover(r, _stage_seed(DESK, energy, seed, stage))

@@ -346,6 +346,8 @@ def test_theorem1_single_mode_closed_form():
     assert t1.e1_hat == pytest.approx(expect, rel=1e-9)
     assert t1.e2_hat == pytest.approx(expect, rel=1e-9)
     assert t1.included == 1 and t1.excluded == 0
+    # A run's chain_e1 and chain_e2 are the least and greatest of these densities.
+    assert table.density.tolist() == [pytest.approx(expect, rel=1e-9)]
     # Mass ratio of this ball against the Bessel closed form.
     import mpmath
 
@@ -903,6 +905,19 @@ def test_run_single_regression():
         assert getattr(run, key) == pytest.approx(DESK_RUN_65_7[key], rel=1e-9), key
     assert run.good_fraction is None  # doubling inadmissible at this energy
     assert run.sse_fraction == 1.0
+
+
+def test_run_columns_follow_their_closed_forms():
+    # A desk run's identity and scale columns against their formulas in (E, seed) and
+    # the plan: n = max(256, 16 ceil(sqrt E)), lam = 2 pi sqrt E, r = lam^-rho and L / lam.
+    plan = plan_from_json(open(DESK_PLAN).read())
+    run = run_single(plan, 1105, 3)
+    assert (run.energy, run.seed, run.grid) == (1105, 3, max(256, 16 * math.ceil(math.sqrt(1105))))
+    assert run.lam == 2.0 * math.pi * math.sqrt(1105)
+    assert run.radius == run.lam ** -plan.rho
+    assert run.yau_ratio == run.total_length / run.lam
+    # 1105 has 32 modes and admits the doubling radius, so no flag is raised.
+    assert run.degenerate is False and run.flags == ()
 
 
 def test_run_single_degenerate_low_energy():
